@@ -198,8 +198,8 @@ impl AnalysisPlan {
     /// Plans an analysis across a whole [`FridgeTopology`] — the general
     /// form behind every other constructor. A single-fridge topology
     /// runs the classic pipeline bit-for-bit; with N > 1 fridges the
-    /// power stage shards per fridge, folds interconnect heat into the
-    /// stage budgets, and the verdict gains a
+    /// power stage folds interconnect heat into the stage budgets,
+    /// bisects once for every (identical) fridge, and the verdict gains a
     /// [`crate::scalability::ScaleOut`] block.
     ///
     /// # Errors
@@ -291,11 +291,7 @@ impl AnalysisPlan {
             }
             PlanStage::Power => {
                 span!("engine.stage.power");
-                if self.topology.is_single() {
-                    self.run_power_single()?;
-                } else {
-                    self.run_power_sharded()?;
-                }
+                self.run_power()?;
             }
             PlanStage::LogicalError => {
                 span!("engine.stage.logical_error");
@@ -344,70 +340,48 @@ impl AnalysisPlan {
         Ok(Some(stage))
     }
 
-    /// The classic single-fridge power stage: bisect the power-limited
-    /// scale and replay the landing probe from the memo cache for the
-    /// per-stage attribution. This path is bit-identical to the
-    /// pre-topology pipeline (the N=1 identity gate in
-    /// `tests/integration_engine.rs` pins it).
-    fn run_power_single(&mut self) -> Result<(), QisimError> {
-        let design = self.design;
-        let arch = self.inventory.get_or_insert_with(|| design.arch());
-        let fridge = self.topology.fridge();
-        let (n, binding) = qisim_power::try_max_qubits_with_link(arch, fridge, &self.link)?;
-        // The bisection's landing probe is in the memo cache;
-        // replay it for the per-stage attribution.
-        let key = MemoKey::new(arch, fridge, &self.link);
-        let stages =
-            qisim_power::try_evaluate_memo(key, arch, fridge, n.max(1), &self.link)?.stages;
-        self.power =
-            Some(PowerArtifact { power_limited_qubits: n, binding_stage: binding, stages });
-        Ok(())
-    }
-
-    /// The multi-fridge power stage: derate each fridge's budgets by the
-    /// interconnect heat, bisect the per-fridge scale on one shard per
-    /// fridge (parallel on the [`qisim_par`] pool, folded in fridge
-    /// order so the result is thread-count independent), and aggregate
-    /// the cluster verdict plus its [`ScaleOut`] attribution.
-    fn run_power_sharded(&mut self) -> Result<(), QisimError> {
+    /// The power stage, for one fridge or many: bisect the per-fridge
+    /// scale once against the fridge derated by interconnect heat (the
+    /// bare fridge when N = 1, so the classic pipeline runs verbatim) and
+    /// take the per-stage attribution from the bisection's landing
+    /// report. With N > 1 fridges the cluster tiles the per-fridge yield
+    /// and the verdict gains its [`ScaleOut`] attribution.
+    fn run_power(&mut self) -> Result<(), QisimError> {
         let design = self.design;
         let arch: &QciArch = self.inventory.get_or_insert_with(|| design.arch());
-        let fridges = self.topology.fridges();
-        counter!("engine.fridge.shards", fridges as u64);
-        let (per_fridge, binding) = match self.topology.effective_fridge() {
+        let fridge = self.topology.fridge();
+        let (per_fridge, binding, mut stages) = match self.topology.effective_fridge() {
             Some(eff) => {
-                // One shard per fridge. Fridges in the cluster are
-                // identical, so every shard lands on the same probe —
-                // the first one does the bisection, the rest replay it
-                // from the memo cache; the fold walks shards in fridge
-                // order (first error wins deterministically).
-                let link = &self.link;
-                let shards = qisim_par::par_map_indices(fridges as usize, |i| {
-                    if qisim_obs::trace::armed() {
-                        qisim_obs::trace::instant("engine.fridge.shard", &[("fridge", i as f64)]);
-                    }
-                    qisim_power::try_max_qubits_with_link(arch, &eff, link)
-                });
-                let mut landing = None;
-                for shard in shards {
-                    let shard = shard?;
-                    landing.get_or_insert(shard);
-                }
-                landing.unwrap_or((0, None))
+                let (n, binding, landing) =
+                    qisim_power::try_max_qubits_with_link(arch, &eff, &self.link)?;
+                (n, binding, landing.stages)
             }
             // The interconnect eats some stage's budget whole: zero
             // qubits per fridge, and the worst-loaded stage (total_cmp
             // ordering inside worst_link_stage) names the culprit.
-            None => (0, self.topology.worst_link_stage()),
+            None => {
+                let one = qisim_power::try_evaluate_with_link(arch, fridge, 1, &self.link)?;
+                (0, self.topology.worst_link_stage(), one.stages)
+            }
         };
-        // Attribute per-stage watts at the per-fridge yield against the
-        // *real* budgets; the interconnect share is itemized separately
-        // in the ScaleOut block.
-        let fridge = self.topology.fridge();
-        let key = MemoKey::new(arch, fridge, &self.link);
-        let stages =
-            qisim_power::try_evaluate_memo(key, arch, fridge, per_fridge.max(1), &self.link)?
-                .stages;
+        // Attribute against the *real* budgets (`budget_w` is the only
+        // field that reads the fridge); the interconnect share is
+        // itemized separately in the ScaleOut block.
+        for s in &mut stages {
+            s.budget_w = fridge.budget_w(s.stage);
+        }
+        if self.topology.is_single() {
+            self.power = Some(PowerArtifact {
+                power_limited_qubits: per_fridge,
+                binding_stage: binding,
+                stages,
+            });
+            return Ok(());
+        }
+        let fridges = self.topology.fridges();
+        // Counts the fridges cluster analyses cover: the one bisection
+        // above answers for all N identical fridges.
+        counter!("engine.fridge.shards", fridges as u64);
         let mut interconnect_w = [0.0; 5];
         for (i, &stage) in Stage::ALL.iter().enumerate() {
             interconnect_w[i] = self.topology.interconnect_w(stage);
@@ -450,7 +424,7 @@ impl AnalysisPlan {
     }
 
     /// Publishes the `topology.*` / `engine.fridge.*` gauges for a
-    /// sharded power stage (telemetry exporter and flight recorder both
+    /// cluster power stage (telemetry exporter and flight recorder both
     /// read these).
     fn publish_topology_gauges(&self, per_fridge: u64, interconnect_w: &[f64; 5]) {
         if !qisim_obs::enabled() {

@@ -8,9 +8,9 @@
 //! inter-fridge cable terminates inside two fridges and leaks into the
 //! stages it crosses, exactly like the Table 2 intra-fridge wires). A
 //! [`FridgeTopology`] captures that trade: N identical fridges, a typed
-//! [`LinkKind`] with per-stage heat loads plus latency and bandwidth,
-//! the link count per fridge, and whether room-temperature controllers
-//! are shared across the cluster.
+//! [`LinkKind`] with per-stage heat loads, the link count per fridge,
+//! and whether room-temperature controllers are shared across the
+//! cluster.
 //!
 //! This module holds a **zero panic budget** (tools/panic_allowlist.txt):
 //! every builder is total and validation stays with `qisim::spec`.
@@ -39,16 +39,12 @@ use crate::wire::WireKind;
 /// (dedicated per-fridge controllers push everything over the cryo
 /// links at full duty).
 const SHARED_CONTROLLER_LINK_DUTY: f64 = 0.5;
-/// Extra round trip through the shared room-temperature controller, in
-/// ns (fiber up, arbitration, fiber down).
-const SHARED_CONTROLLER_TRIP_NS: f64 = 500.0;
 
 /// Inter-fridge interconnect technology.
 ///
 /// Each kind reuses the Table 2 per-cable heat model of the matching
-/// [`WireKind`] — an inter-fridge cable terminates inside the fridge the
-/// same way an intra-fridge one does — and adds the link-level latency
-/// and bandwidth the scale-out verdict reports.
+/// [`WireKind`]: an inter-fridge cable terminates inside the fridge the
+/// same way an intra-fridge one does.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LinkKind {
     /// Fridge-to-fridge via room temperature over stainless coax: no new
@@ -86,26 +82,6 @@ impl LinkKind {
     /// 100 % coordination duty, in watts.
     pub fn active_load_w(self, stage: Stage) -> f64 {
         self.wire().active_load_w(stage)
-    }
-
-    /// One-way fridge-to-fridge latency in ns (cable flight time plus
-    /// transduction; the photonic link pays for electro-optic
-    /// conversion at each end).
-    pub fn latency_ns(self) -> f64 {
-        match self {
-            LinkKind::RoomCoax => 200.0,
-            LinkKind::CryoCoax => 25.0,
-            LinkKind::Photonic => 50.0,
-        }
-    }
-
-    /// Classical coordination bandwidth of one link in bits/s.
-    pub fn bandwidth_bps(self) -> f64 {
-        match self {
-            LinkKind::RoomCoax => 6.0e9,
-            LinkKind::CryoCoax => 20.0e9,
-            LinkKind::Photonic => 100.0e9,
-        }
     }
 
     /// Stable text-codec identifier.
@@ -292,20 +268,6 @@ impl FridgeTopology {
     pub fn link_utilization(&self, stage: Stage) -> f64 {
         self.fridge.utilization(stage, self.interconnect_w(stage))
     }
-
-    /// One-way coordination latency between two fridges in ns: the link
-    /// flight plus the shared controller's arbitration round trip when
-    /// one rack serves the whole cluster.
-    pub fn coordination_latency_ns(&self) -> f64 {
-        let controller = if self.shared_controllers { SHARED_CONTROLLER_TRIP_NS } else { 0.0 };
-        self.link.latency_ns() + controller
-    }
-
-    /// Aggregate inter-fridge bandwidth terminating in one fridge, in
-    /// bits/s.
-    pub fn bandwidth_bps(&self) -> f64 {
-        self.links_per_fridge as f64 * self.link.bandwidth_bps()
-    }
 }
 
 impl Default for FridgeTopology {
@@ -407,21 +369,6 @@ mod tests {
         for s in Stage::ALL {
             assert_eq!(t.interconnect_w(s), 0.0, "zero links carry zero heat");
         }
-    }
-
-    #[test]
-    fn latency_and_bandwidth_aggregate() {
-        let t = FridgeTopology::standard()
-            .with_fridges(4)
-            .with_link(LinkKind::Photonic)
-            .with_links_per_fridge(3);
-        assert_eq!(t.bandwidth_bps(), 3.0 * LinkKind::Photonic.bandwidth_bps());
-        assert_eq!(
-            t.coordination_latency_ns(),
-            LinkKind::Photonic.latency_ns() + SHARED_CONTROLLER_TRIP_NS
-        );
-        let dedicated = t.with_shared_controllers(false);
-        assert_eq!(dedicated.coordination_latency_ns(), LinkKind::Photonic.latency_ns());
     }
 
     #[test]

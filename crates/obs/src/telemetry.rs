@@ -194,10 +194,11 @@ pub fn armed() -> bool {
 }
 
 /// Starts the exporter thread writing to `path` every `interval`.
-/// Returns `false` (changing nothing) if an exporter is already running,
+/// Returns `false` if an exporter is already running (changing nothing),
 /// the thread could not be spawned, or the `obs` feature is compiled
-/// out. The first write happens immediately, so the file exists as soon
-/// as the exporter is up.
+/// out. The first write happens before `start` returns: the file exists
+/// as soon as the exporter is up, and work done after `start` always
+/// lands in a later interval, never in the first one.
 pub fn start(path: impl Into<PathBuf>, interval: Duration) -> bool {
     #[cfg(feature = "obs")]
     {
@@ -207,6 +208,8 @@ pub fn start(path: impl Into<PathBuf>, interval: Duration) -> bool {
         }
         let path = path.into();
         let interval = interval.max(Duration::from_millis(MIN_INTERVAL_MS));
+        let mut prev = crate::Snapshot::default();
+        export_once(&path, &mut prev, interval, 1);
         let shared = Arc::new(Shared {
             ctl: Mutex::new(Control { stop: false, flush_seq: 0, done_seq: 0 }),
             cv: Condvar::new(),
@@ -214,7 +217,7 @@ pub fn start(path: impl Into<PathBuf>, interval: Duration) -> bool {
         let (thread_shared, thread_path) = (Arc::clone(&shared), path.clone());
         let spawned = std::thread::Builder::new()
             .name("qisim-metrics".into())
-            .spawn(move || run(thread_shared, thread_path, interval));
+            .spawn(move || run(thread_shared, thread_path, interval, prev));
         match spawned {
             Ok(handle) => {
                 *slot = Some(Worker { shared, handle, path });
@@ -284,25 +287,15 @@ pub fn shutdown() -> Option<PathBuf> {
     }
 }
 
-/// The exporter thread: export, wait for interval/flush/stop, repeat;
-/// one final export on the way out.
+/// The exporter thread: wait for interval/flush/stop, export, repeat.
+/// `start` already wrote tick 1 and took `prev` as the baseline; a stop
+/// wakes the thread for one final export on the way out.
 #[cfg(feature = "obs")]
-fn run(shared: Arc<Shared>, path: PathBuf, interval: Duration) {
-    let mut prev = crate::Snapshot::default();
-    let mut ticks = 0u64;
+fn run(shared: Arc<Shared>, path: PathBuf, interval: Duration, mut prev: crate::Snapshot) {
+    let mut ticks = 1u64;
+    let mut serving = 0u64;
     let mut ctl = shared.lock();
     loop {
-        let serving = ctl.flush_seq;
-        let stopping = ctl.stop;
-        drop(ctl);
-        ticks += 1;
-        export_once(&path, &mut prev, interval, ticks);
-        ctl = shared.lock();
-        ctl.done_seq = ctl.done_seq.max(serving);
-        shared.cv.notify_all();
-        if stopping {
-            return;
-        }
         // Sleep until the interval elapses, a flush is requested, or a
         // stop arrives — whichever is first.
         let t0 = std::time::Instant::now();
@@ -312,6 +305,17 @@ fn run(shared: Arc<Shared>, path: PathBuf, interval: Duration) {
                 Ok((g, _)) => g,
                 Err(e) => e.into_inner().0,
             };
+        }
+        serving = ctl.flush_seq;
+        let stopping = ctl.stop;
+        drop(ctl);
+        ticks += 1;
+        export_once(&path, &mut prev, interval, ticks);
+        ctl = shared.lock();
+        ctl.done_seq = ctl.done_seq.max(serving);
+        shared.cv.notify_all();
+        if stopping {
+            return;
         }
     }
 }

@@ -269,7 +269,8 @@ pub fn max_qubits(arch: &QciArch, fridge: &Fridge) -> (u64, Option<Stage>) {
 ///
 /// Propagates any [`PowerError`] raised by a bisection probe.
 pub fn try_max_qubits(arch: &QciArch, fridge: &Fridge) -> Result<(u64, Option<Stage>), PowerError> {
-    try_max_qubits_with_link(arch, fridge, &InstructionLink::standard())
+    let (n, binding, _) = try_max_qubits_with_link(arch, fridge, &InstructionLink::standard())?;
+    Ok((n, binding))
 }
 
 /// [`max_qubits`] with a custom instruction link.
@@ -279,10 +280,14 @@ pub fn max_qubits_with_link(
     link: &InstructionLink,
 ) -> (u64, Option<Stage>) {
     // Allowlisted panic (tools/panic_allowlist.txt): infallible wrapper.
-    try_max_qubits_with_link(arch, fridge, link).unwrap_or_else(|e| panic!("{e}"))
+    let (n, binding, _) =
+        try_max_qubits_with_link(arch, fridge, link).unwrap_or_else(|e| panic!("{e}"));
+    (n, binding)
 }
 
-/// Fallible [`max_qubits_with_link`].
+/// Fallible [`max_qubits_with_link`] that also hands back the landing
+/// report: the probe at `max(n, 1)` qubits, whose per-stage watts are
+/// the design's attribution at its power-limited scale.
 ///
 /// # Errors
 ///
@@ -291,12 +296,14 @@ pub fn try_max_qubits_with_link(
     arch: &QciArch,
     fridge: &Fridge,
     link: &InstructionLink,
-) -> Result<(u64, Option<Stage>), PowerError> {
+) -> Result<(u64, Option<Stage>, PowerReport), PowerError> {
     span!("power.max_qubits");
     let key = MemoKey::new(arch, fridge, link);
     let probe = |n: u64| try_evaluate_memo(key, arch, fridge, n, link);
-    if !probe(1)?.fits() {
-        return Ok((0, probe(1)?.binding_stage()));
+    let first = probe(1)?;
+    if !first.fits() {
+        let binding = first.binding_stage();
+        return Ok((0, binding, first));
     }
     let mut lo = 1u64; // fits
     let mut hi = 2u64;
@@ -308,7 +315,7 @@ pub fn try_max_qubits_with_link(
         lo = hi;
         hi *= 2;
         if hi > 1 << 40 {
-            return Ok((lo, None)); // effectively unbounded by power
+            return Ok((lo, None, probe(lo)?)); // effectively unbounded by power
         }
     }
     while hi - lo > 1 {
@@ -324,8 +331,9 @@ pub fn try_max_qubits_with_link(
         }
     }
     let binding = probe(hi)?.binding_stage();
-    record_stage_gauges(&probe(lo.max(1))?);
-    Ok((lo, binding))
+    let landing = probe(lo)?;
+    record_stage_gauges(&landing);
+    Ok((lo, binding, landing))
 }
 
 /// Publishes per-stage watt attribution and utilization gauges for a
@@ -451,6 +459,18 @@ mod tests {
         let warm = max_qubits(&arch, &fridge);
         assert_eq!(cold, warm);
         assert!(cache_len() > 0, "bisection probes must populate the cache");
+    }
+
+    #[test]
+    fn bisection_hands_back_its_landing_report() {
+        let arch = CryoCmosConfig::baseline().build();
+        let link = InstructionLink::standard();
+        // A fitting design and one whose 4 K stage is starved at n = 1.
+        for fridge in [Fridge::standard(), Fridge::standard().with_budget(Stage::K4, 1e-9)] {
+            let (n, binding, landing) = try_max_qubits_with_link(&arch, &fridge, &link).unwrap();
+            assert_eq!((n, binding), max_qubits(&arch, &fridge));
+            assert_eq!(landing, evaluate_with_link(&arch, &fridge, n.max(1), &link));
+        }
     }
 
     #[test]

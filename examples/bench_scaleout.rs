@@ -126,8 +126,8 @@ fn main() {
     println!("  n1_identical_to_classic: {identical}");
     assert!(identical, "single-fridge topology route diverged from the classic pipeline");
 
-    // 2. Fridge-count sweep throughput (sharded power stage under the
-    //    default thread pool).
+    // 2. Fridge-count sweep throughput (under the default thread
+    //    pool).
     let fridge_counts: &[u32] = if smoke { &[2, 4] } else { &[2, 4, 8, 16] };
     qisim::power::clear_cache();
     let started = Instant::now();

@@ -40,6 +40,27 @@ fn legacy_analyze_on(design: &QciDesign, target: &Target, fridge: &Fridge) -> Sc
     }
 }
 
+/// A verbatim copy of the historical sharded power stage, kept as the
+/// bit-identity oracle for cluster analyses: bisect on the effective
+/// fridge (or land on zero qubits with the worst link stage binding when
+/// the interconnect eats a stage whole), then attribute per-stage watts
+/// at the per-fridge yield against the real fridge's budgets.
+fn legacy_cluster_power(
+    design: &QciDesign,
+    topology: &qisim::hal::topology::FridgeTopology,
+) -> (u64, Option<Stage>, Vec<StagePower>) {
+    let arch = design.arch();
+    let (per_fridge, binding) = match topology.effective_fridge() {
+        Some(eff) => qisim::power::max_qubits(&arch, &eff),
+        None => (0, topology.worst_link_stage()),
+    };
+    let link = InstructionLink::standard();
+    let key = qisim::power::MemoKey::new(&arch, topology.fridge(), &link);
+    let stages =
+        qisim::power::evaluate_memo(key, &arch, topology.fridge(), per_fridge.max(1), &link).stages;
+    (per_fridge, binding, stages)
+}
+
 /// Every paper design point the experiment drivers touch: the nine
 /// presets plus the optimized/degraded variants of Figs. 13–17.
 fn paper_designs() -> Vec<QciDesign> {
@@ -372,6 +393,61 @@ fn interconnect_can_bind_a_starved_stage() {
     let text = verdict.explain();
     assert!(text.contains("interconnect link heat at the 20mK stage"), "{text}");
     assert!(text.contains("unreachable at any fridge count"), "{text}");
+}
+
+/// Cluster identity gate: over every preset and a grid of fridge counts,
+/// link kinds, link counts, controller sharing and budget overrides
+/// (including a starved mixing chamber the links can bury), the power
+/// stage matches [`legacy_cluster_power`] bit for bit.
+#[test]
+fn cluster_power_stage_is_bit_identical_to_the_sharded_oracle() {
+    use qisim::hal::topology::{FridgeTopology, LinkKind};
+    use qisim::spec::Estimator;
+    let t = Target::near_term();
+    let budgets = [
+        Fridge::standard(),
+        Fridge::standard().with_budget(Stage::Mk20, 1e-6),
+        Fridge::standard().with_budget(Stage::K4, 0.3),
+    ];
+    let mut cases = 0;
+    for preset in Preset::ALL {
+        let design = preset.design();
+        for fridges in [1u32, 2, 3, 8, 16] {
+            for link in LinkKind::ALL {
+                for links in [1u32, 2, 64] {
+                    for shared in [true, false] {
+                        for fridge in &budgets {
+                            let topology = FridgeTopology::standard()
+                                .with_fridge(fridge.clone())
+                                .with_fridges(fridges)
+                                .with_link(link)
+                                .with_links_per_fridge(links)
+                                .with_shared_controllers(shared);
+                            let (per_fridge, binding, stages) =
+                                legacy_cluster_power(&design, &topology);
+                            let v = engine::try_analyze_topology(
+                                &design,
+                                &t,
+                                &topology,
+                                Estimator::Packed,
+                            )
+                            .expect("valid cluster");
+                            let case = format!("{preset:?} {topology}");
+                            assert_eq!(v.stages, stages, "{case}");
+                            assert_eq!(
+                                v.power_limited_qubits,
+                                per_fridge * fridges as u64,
+                                "{case}"
+                            );
+                            assert_eq!(v.binding_stage, binding, "{case}");
+                            cases += 1;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(cases, 9 * 5 * 3 * 3 * 2 * 3);
 }
 
 /// Sharded aggregation is deterministic: the verdict is bit-identical

@@ -49,6 +49,9 @@ fn sweep_is_bit_identical_with_obs_on_and_off() {
 #[test]
 fn instrumented_analysis_records_spans_counters_and_gauges() {
     let _l = lock();
+    // Earlier tests warm the process-global power memo; a warm memo
+    // would replay every probe and the `power.evaluate` span never fires.
+    qisim::power::clear_cache();
     obs::set_enabled(true);
     obs::reset();
     let verdict = analyze(&QciDesign::cmos_baseline(), &Target::near_term());
@@ -98,7 +101,7 @@ fn scale_out_analysis_publishes_topology_gauges() {
         assert!(snap.is_empty());
         return;
     }
-    // Fleet shape gauges, sharded fan-out counter, and per-stage
+    // Fleet shape gauges, the covered-fridges counter, and per-stage
     // interconnect heat attribution.
     assert_eq!(snap.gauge("topology.fridges"), Some(4.0));
     assert_eq!(snap.gauge("topology.links_per_fridge"), Some(2.0));

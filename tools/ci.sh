@@ -5,7 +5,8 @@
 #   tools/ci.sh          # the whole gate
 #
 # Steps:
-#   1. release build + full test suite (the tier-1 contract)
+#   1. release build + full test suite (the tier-1 contract), run with
+#      --no-fail-fast so one red test binary cannot hide the others
 #   2. the same test suite pinned to QISIM_THREADS=2: every parallel
 #      engine must be bit-identical at any thread count
 #   3. rustfmt check (config in rustfmt.toml)
@@ -55,7 +56,7 @@
 #  13. scale-out smoke run: bench_scaleout --smoke proves the N=1
 #      topology route is bit-identical to the classic pipeline for
 #      every paper design and target, runs a multi-fridge sweep with
-#      the sharded power stage, gates the single-fridge wrapper
+#      the scale-out power stage, gates the single-fridge wrapper
 #      overhead at <= 2%, and (run with QISIM_METRICS armed) must
 #      leave the topology_* fleet gauges in the exposition file
 #  14. admin-plane smoke run: the release binary with --admin and
@@ -68,10 +69,10 @@ cd "$(dirname "$0")/.."
 
 echo "== [1/14] release build + tests =="
 cargo build --release
-cargo test -q --release
+cargo test -q --release --no-fail-fast
 
 echo "== [2/14] tests at QISIM_THREADS=2 =="
-QISIM_THREADS=2 cargo test -q --release
+QISIM_THREADS=2 cargo test -q --release --no-fail-fast
 
 echo "== [3/14] rustfmt =="
 cargo fmt --check
