@@ -445,11 +445,12 @@ impl AnalysisPlan {
     /// Evaluates the logical error per round at `d = 23` with the plan's
     /// [`Estimator`].
     ///
-    /// `Packed` is the calibrated analytic fit (bit-identical to the
-    /// historical pipeline). `Sliced` and `Rare` run the design's
-    /// effective physical error through the fixed-seed Monte-Carlo
-    /// engines; the rate is clamped into each kernel's domain so a
-    /// validated design can never panic the stage.
+    /// `Packed` is the calibrated analytic Eq. 1 fit (bit-identical to
+    /// the historical pipeline); despite its label it samples nothing —
+    /// no packed Monte-Carlo estimator exists. `Sliced` and `Rare` run
+    /// the design's effective physical error through the fixed-seed
+    /// Monte-Carlo engines; the rate is clamped into each kernel's domain
+    /// so a validated design can never panic the stage.
     fn estimate_logical_error(&self) -> f64 {
         let budget = self.design.physical_budget();
         match self.estimator {

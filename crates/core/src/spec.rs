@@ -148,6 +148,10 @@ impl Preset {
 pub enum Estimator {
     /// The calibrated analytic model (the paper's Eq. 1 fit) — the
     /// historical default, bit-identical to every pre-knob verdict.
+    ///
+    /// The name is historical: this variant runs no Monte-Carlo
+    /// sampling, and no packed Monte-Carlo estimator exists. The wire
+    /// label stays `packed`.
     Packed,
     /// The bit-sliced Monte-Carlo engine
     /// (`qisim_surface::montecarlo::sliced`): an empirical estimate from

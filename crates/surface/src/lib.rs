@@ -10,7 +10,8 @@
 //!   scratch-arena engine with an active-frontier growth stage, and the
 //!   original implementation kept as its verification oracle;
 //! * [`montecarlo`] — sampled logical-error rates validating the model
-//!   (geometric-skip error placement, zero-syndrome early exit);
+//!   (a bit-sliced 64-trials-per-word sampler and a rare-event
+//!   importance sampler);
 //! * [`analytic`] — the calibrated `p_L = A·(p_eff/p_th)^((d+1)/2)` model
 //!   the scalability engine evaluates;
 //! * [`target`] — the Jellium quantum-supremacy error/scale targets

@@ -24,12 +24,13 @@
 //! **exact** leading-order expansion `p_L(p) = Σ_k N_k·pᵏ(1−p)^(n−k)`
 //! obtained by enumerating every error pattern up to a weight cutoff and
 //! decoding it — deterministic ground truth in the deep-tail regime
-//! where the lowest miscorrected weight dominates. `bench_mc --smoke`
-//! gates the d = 5 estimate against it at `p = 10⁻⁷` (`p_L ≈ 4·10⁻¹³`,
-//! where naive MC would need over 10¹² trials per expected failure).
+//! where the lowest miscorrected weight dominates. The unit tests gate
+//! the d = 5 estimate's 95 % CI against it at `p = 10⁻⁷` (`p_L ≈
+//! 4·10⁻¹³`, where naive MC would need over 10¹² trials per expected
+//! failure).
 
-use super::{decode_into, ErrorSampler, McScratch};
-use crate::decoder::DecodingGraph;
+use super::{ErrorSampler, McScratch};
+use crate::decoder::{decode_into, DecodingGraph};
 use crate::lattice::{Lattice, PackedLattice};
 use qisim_quantum::rng::Xorshift64Star;
 
@@ -146,9 +147,6 @@ fn run_stage(
 /// failure the estimate is 0 with a degenerate interval `[0, 0]` and
 /// `stages == 0` — the caller can widen `trials_per_stage` or read
 /// `stages` to detect it.
-///
-/// This is a **new** entry point; the plain estimators in [`super`] are
-/// untouched.
 ///
 /// # Panics
 ///
@@ -277,7 +275,7 @@ pub fn small_p_expansion(lattice: &Lattice, max_weight: usize, p: f64) -> f64 {
 
 #[cfg(test)]
 mod tests {
-    use super::super::logical_error_rate_par;
+    use super::super::logical_error_rate_sliced_par;
     use super::*;
 
     #[test]
@@ -306,7 +304,7 @@ mod tests {
         // Where naive MC still works, the IS estimate must agree with it.
         let l = Lattice::new(3);
         let p = 0.02;
-        let direct = logical_error_rate_par(&l, p, 200_000, 5);
+        let direct = logical_error_rate_sliced_par(&l, p, 200_000, 5);
         let sigma = (direct.logical_error * (1.0 - direct.logical_error) / 200_000.0).sqrt();
         let rare = logical_error_rate_rare(&l, p, 20_000, 5);
         assert!(rare.stages >= 1, "{rare:?}");
@@ -358,7 +356,7 @@ mod tests {
         // d = 3, n = 9: enumerate everything up to weight 4 (255
         // patterns); truncation error is O((np)¹) ≈ 10 % relative.
         let exact = small_p_expansion(&l, 4, p);
-        let direct = logical_error_rate_par(&l, p, 400_000, 9);
+        let direct = logical_error_rate_sliced_par(&l, p, 400_000, 9);
         let sigma = (direct.logical_error / 400_000.0).sqrt();
         assert!(
             (exact - direct.logical_error).abs() < 0.15 * exact + 6.0 * sigma,

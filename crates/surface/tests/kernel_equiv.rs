@@ -1,36 +1,40 @@
-//! Always-on equivalence suite for the bit-packed Monte-Carlo engine
-//! (the feature-gated `proptests.rs` twin needs a registry for the
+//! Always-on equivalence suite for the Monte-Carlo engine (the
+//! feature-gated `proptests.rs` twin needs a registry for the
 //! `proptest` crate; this file runs in the offline tier-1 gate).
 //!
-//! Pins the ISSUE-3 acceptance grid: for every `(d, p)` in
-//! `{3, 5, 7} × {0.001, 0.01, 0.1}` and a battery of seeds, the packed
-//! kernel and the legacy bool-vec reference must count **identical**
-//! failures from the same RNG stream, and the arena decoder must clear
-//! every syndrome it is handed while matching the oracle's correction.
+//! Pins the acceptance grid: for every `(d, p)` in
+//! `{3, 5, 7} × {0.001, 0.01, 0.1}` and a battery of seeds, the
+//! bit-sliced kernel and per-lane runs of the bool-vec reference must
+//! count **identical** failures from the same RNG streams, and the arena
+//! decoder must clear every syndrome it is handed while matching the
+//! oracle's correction.
 
 use qisim_quantum::rng::{Rng, Xorshift64Star};
 use qisim_surface::decoder::{decode_into, decode_reference, DecoderScratch, DecodingGraph};
-use qisim_surface::montecarlo::{run_trials_packed, run_trials_reference, McScratch};
+use qisim_surface::montecarlo::run_trials_reference;
+use qisim_surface::montecarlo::sliced::{run_trials_sliced, SlicedScratch};
 use qisim_surface::{Lattice, PackedLattice};
 
 #[test]
-fn packed_and_reference_kernels_agree_across_the_acceptance_grid() {
+fn sliced_and_reference_kernels_agree_across_the_acceptance_grid() {
     for d in [3usize, 5, 7] {
         let lattice = Lattice::new(d);
         let graph = DecodingGraph::new(&lattice, false);
         let packed = PackedLattice::new(&lattice);
-        let mut scratch = McScratch::new(&packed, &graph);
+        // One scratch across the whole grid: a stale verdict-memo entry
+        // would surface as a divergence.
+        let mut scratch = SlicedScratch::new(&packed, &graph);
         for p in [0.001f64, 0.01, 0.1] {
             for seed in 0u64..8 {
                 let seed = seed.wrapping_mul(0x9E37_79B9) ^ p.to_bits() ^ (d as u64) << 48;
-                let fast = {
-                    let mut rng = Xorshift64Star::seed_from_u64(seed);
-                    run_trials_packed(&packed, &graph, p, 250, &mut rng, &mut scratch)
-                };
-                let oracle = {
-                    let mut rng = Xorshift64Star::seed_from_u64(seed);
-                    run_trials_reference(&lattice, &graph, p, 250, &mut rng)
-                };
+                let fast = run_trials_sliced(&packed, &graph, p, 250, seed, 0, &mut scratch);
+                // Trial t of the sliced kernel runs on stream(seed, t).
+                let oracle: usize = (0..250u64)
+                    .map(|t| {
+                        let mut rng = Xorshift64Star::stream(seed, t);
+                        run_trials_reference(&lattice, &graph, p, 1, &mut rng)
+                    })
+                    .sum();
                 assert_eq!(fast, oracle, "d={d} p={p} seed={seed:#x}");
             }
         }

@@ -11,7 +11,8 @@ use qisim_surface::analytic::{cmos_budget, sfq_budget, CALIBRATION};
 use qisim_surface::decoder::{
     decode, decode_into, decode_reference, DecoderScratch, DecodingGraph,
 };
-use qisim_surface::montecarlo::{run_trials_packed, run_trials_reference, McScratch};
+use qisim_surface::montecarlo::run_trials_reference;
+use qisim_surface::montecarlo::sliced::{run_trials_sliced, SlicedScratch};
 use qisim_surface::{Lattice, PackedLattice};
 
 fn errors_strategy(d: usize) -> impl Strategy<Value = Vec<bool>> {
@@ -67,10 +68,11 @@ proptest! {
         prop_assert!(lattice.z_syndrome(&errs).iter().all(|b| !b), "residual syndrome at d={d}");
     }
 
-    /// The bit-packed Monte-Carlo kernel and the bool-vec reference see
-    /// the same RNG stream and must count the same failures, bit for bit.
+    /// The bit-sliced Monte-Carlo kernel and per-lane runs of the
+    /// bool-vec reference see the same RNG streams and must count the
+    /// same failures, bit for bit.
     #[test]
-    fn packed_kernel_failure_counts_match_reference(
+    fn sliced_kernel_failure_counts_match_reference(
         d_idx in 0usize..3,
         p_idx in 0usize..3,
         seed in any::<u64>(),
@@ -81,11 +83,14 @@ proptest! {
         let lattice = Lattice::new(d);
         let graph = DecodingGraph::new(&lattice, false);
         let packed = PackedLattice::new(&lattice);
-        let mut scratch = McScratch::new(&packed, &graph);
-        let mut rng_a = Xorshift64Star::seed_from_u64(seed);
-        let mut rng_b = Xorshift64Star::seed_from_u64(seed);
-        let fast = run_trials_packed(&packed, &graph, p, 200, &mut rng_a, &mut scratch);
-        let oracle = run_trials_reference(&lattice, &graph, p, 200, &mut rng_b);
+        let mut scratch = SlicedScratch::new(&packed, &graph);
+        let fast = run_trials_sliced(&packed, &graph, p, 200, seed, 0, &mut scratch);
+        let oracle: usize = (0..200u64)
+            .map(|t| {
+                let mut rng = Xorshift64Star::stream(seed, t);
+                run_trials_reference(&lattice, &graph, p, 1, &mut rng)
+            })
+            .sum();
         prop_assert_eq!(fast, oracle, "failure counts diverge at d={} p={}", d, p);
     }
 

@@ -3,8 +3,7 @@
 //!
 //! Three configurations run the same fixed sweep (a
 //! `qisim::sweep` utilization curve of the paper baseline over a fixed
-//! qubit-count grid, single-threaded, min-of-reps like
-//! `bench_scaleout`):
+//! qubit-count grid, single-threaded, min-of-reps):
 //!
 //! 1. **off** — `qisim::obs::set_enabled(false)`: the runtime kill
 //!    switch; every macro short-circuits on one relaxed atomic load.

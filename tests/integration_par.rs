@@ -6,7 +6,7 @@
 
 use qisim::experiments::run_matching;
 use qisim::scalability::{analyze, analyze_many, sweep};
-use qisim::surface::montecarlo::logical_error_rate_par;
+use qisim::surface::montecarlo::logical_error_rate_sliced_par;
 use qisim::surface::target::Target;
 use qisim::surface::Lattice;
 use qisim::QciDesign;
@@ -60,7 +60,7 @@ fn analyze_many_is_bit_identical_across_thread_counts_and_matches_serial() {
 fn monte_carlo_is_bit_identical_across_thread_counts() {
     let lattice = Lattice::new(5);
     let est = assert_thread_count_invariant(|| {
-        let e = logical_error_rate_par(&lattice, 0.05, 4_096, 0xDEC0DE);
+        let e = logical_error_rate_sliced_par(&lattice, 0.05, 4_096, 0xDEC0DE);
         (e.failures, e.trials)
     });
     assert_eq!(est.1, 4_096);

@@ -33,33 +33,19 @@
 #      file with TYPE headers, histogram _bucket series, and the memo
 #      cache counters; the determinism suite then re-runs with the
 #      exporter armed to prove scraping never perturbs results
-#   9. Monte-Carlo bench smoke run: bench_mc --smoke checks the packed
-#      kernel against the bool-vec reference bit for bit, the parallel
-#      estimators (packed AND bit-sliced) across thread counts, the
-#      sliced engine's failure counts against 64 per-trial reference
-#      runs on a d x p grid, the rare-event splitting estimator's 95%
-#      CI against the exact small-p expansion, and the >=4x d=7
-#      sliced-vs-packed speedup floor (re-timed at smoke scale; no
-#      BENCH_mc.json rewrite — the full run is `--example bench_mc`)
-#  10. panic-regression gate: library code must not grow panic!/unwrap/
+#   9. panic-regression gate: library code must not grow panic!/unwrap/
 #      expect sites beyond the per-file budgets in
 #      tools/panic_allowlist.txt (DESIGN.md error-handling policy)
-#  11. paper-suite smoke run: the cheap experiment drivers (Fig. 12/13/17
+#  10. paper-suite smoke run: the cheap experiment drivers (Fig. 12/13/17
 #      + Table 2) must replay their paper numbers through the staged
 #      engine (the full 19-driver suite is `--example paper_suite`)
-#  12. serve smoke run: bench_serve --smoke replays a concurrent request
+#  11. serve smoke run: bench_serve --smoke replays a concurrent request
 #      batch against an in-process qisim-serve TCP server (responses
 #      bit-identical to direct analysis, overload drill sheds, clean
 #      shutdown) and must leave nonzero serve_* counters in the metrics
 #      file; then the release binary itself serves one request over
 #      /dev/tcp and exits 0 via the stop file (docs/SERVING.md)
-#  13. scale-out smoke run: bench_scaleout --smoke proves the N=1
-#      topology route is bit-identical to the classic pipeline for
-#      every paper design and target, runs a multi-fridge sweep with
-#      the scale-out power stage, gates the single-fridge wrapper
-#      overhead at <= 2%, and (run with QISIM_METRICS armed) must
-#      leave the topology_* fleet gauges in the exposition file
-#  14. admin-plane smoke run: the release binary with --admin and
+#  12. admin-plane smoke run: the release binary with --admin and
 #      QISIM_LOG armed answers /healthz and /readyz over /dev/tcp, its
 #      /metrics scrape mid-burst validates via --check-om, the wire
 #      response echoes a request_id that also stamps the JSONL
@@ -67,23 +53,23 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== [1/14] release build + tests =="
+echo "== [1/12] release build + tests =="
 cargo build --release
 cargo test -q --release --no-fail-fast
 
-echo "== [2/14] tests at QISIM_THREADS=2 =="
+echo "== [2/12] tests at QISIM_THREADS=2 =="
 QISIM_THREADS=2 cargo test -q --release --no-fail-fast
 
-echo "== [3/14] rustfmt =="
+echo "== [3/12] rustfmt =="
 cargo fmt --check
 
-echo "== [4/14] clippy (deny warnings) =="
+echo "== [4/12] clippy (deny warnings) =="
 cargo clippy --workspace --all-targets --quiet -- -D warnings
 
-echo "== [5/14] rustdoc (deny warnings) =="
+echo "== [5/12] rustdoc (deny warnings) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
-echo "== [6/14] kill switches (--no-default-features) =="
+echo "== [6/12] kill switches (--no-default-features) =="
 cargo build --release --no-default-features
 cargo test -q --release --no-default-features
 # Serial pool + live obs: the exact build the determinism docs promise
@@ -91,7 +77,7 @@ cargo test -q --release --no-default-features
 cargo test -q --release -p qisim --no-default-features --features obs \
     --test integration_par
 
-echo "== [7/14] observe + trace smoke run =="
+echo "== [7/12] observe + trace smoke run =="
 out="$(mktemp -d)"
 trap 'rm -rf "$out"' EXIT
 (cd "$out" && QISIM_TRACE="$out/trace.json" QISIM_THREADS=2 cargo run --release --quiet \
@@ -124,7 +110,7 @@ python3 -c "import json,sys; json.load(open(sys.argv[1]))" "$out/trace.json" \
 grep -q "bench_obs smoke gate passed." "$out/bench_obs.txt"
 grep -q "bit_identical_with_log_armed: true" "$out/bench_obs.txt"
 
-echo "== [8/14] telemetry exporter smoke run =="
+echo "== [8/12] telemetry exporter smoke run =="
 (cd "$out" && QISIM_METRICS="$out/metrics.om:50" QISIM_THREADS=2 cargo run --release --quiet \
     --manifest-path "$OLDPWD/Cargo.toml" --example observe -- --watch > watch.txt)
 # The example validates its own exposition via openmetrics_is_well_formed
@@ -142,13 +128,10 @@ grep -q "# EOF" "$out/metrics.om"
 QISIM_METRICS="$out/metrics_det.om:50" cargo test -q --release -p qisim \
     --test integration_par
 
-echo "== [9/14] Monte-Carlo bench smoke run =="
-cargo run --release --quiet --example bench_mc -- --smoke
-
-echo "== [10/14] panic-regression gate =="
+echo "== [9/12] panic-regression gate =="
 tools/check_panics.sh
 
-echo "== [11/14] paper-suite smoke run =="
+echo "== [10/12] paper-suite smoke run =="
 # Cheap drivers only: Fig. 12/13/17 + Table 2 finish in seconds; the
 # minute-scale Table 1 / Fig. 8 / Fig. 11 runs stay on the full suite
 # (filters are substring matches against the experiment ids).
@@ -162,7 +145,7 @@ done
 # staged engine (zero relative error renders as "-").
 echo "$suite_out" | grep -q "max |rel err|"
 
-echo "== [12/14] serve smoke run =="
+echo "== [11/12] serve smoke run =="
 # Long exporter interval: the only write is bench_serve's explicit
 # flush, whose delta then covers the whole run — serve counters must be
 # nonzero in it.
@@ -197,21 +180,7 @@ touch "$out/stop"
 wait "$serve_pid"
 grep -q "done requests = 1 ok = 1" "$out/serve_bin.err"
 
-echo "== [13/14] scale-out smoke run =="
-# Long exporter interval again: the only write is bench_scaleout's
-# explicit flush, so the fleet gauges from the 4-fridge sweep must be
-# present in the delta that covers the whole run.
-(cd "$out" && QISIM_METRICS="$out/scaleout.om:600000" QISIM_THREADS=2 cargo run --release \
-    --quiet --manifest-path "$OLDPWD/Cargo.toml" --example bench_scaleout -- --smoke \
-    > scaleout.txt)
-grep -q "n1_identical_to_classic: true" "$out/scaleout.txt"
-grep -Eq "n1 overhead: .* -> [+-][0-9.]+%" "$out/scaleout.txt"
-grep -q "bench_scaleout smoke gate passed." "$out/scaleout.txt"
-grep -q "topology_fridges" "$out/scaleout.om"
-grep -q "engine_fridge_shards" "$out/scaleout.om"
-grep -q "# EOF" "$out/scaleout.om"
-
-echo "== [14/14] admin-plane smoke run =="
+echo "== [12/12] admin-plane smoke run =="
 # The binary with the HTTP plane and structured logging armed: probe
 # liveness/readiness, scrape /metrics during a request burst and
 # validate the exposition with the binary's own --check-om, and chase
