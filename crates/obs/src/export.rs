@@ -662,18 +662,35 @@ pub fn openmetrics_is_well_formed(s: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::Registry;
+    use crate::metrics::SpanStats;
+
+    fn hist(samples: &[f64]) -> Histogram {
+        let mut h = Histogram::new();
+        samples.iter().for_each(|&v| h.observe(v));
+        h
+    }
+
+    fn counters(pairs: &[(&str, u64)]) -> Vec<(String, u64)> {
+        pairs.iter().map(|&(n, v)| (n.to_owned(), v)).collect()
+    }
 
     fn sample() -> Snapshot {
-        let r = Registry::new();
-        r.counter_add("power.evaluate.calls", 182);
-        r.counter_add("cyclesim.ops", 9);
-        r.gauge_set("power.stage.4K.utilization", 0.997);
-        r.gauge_set("weird \"name\"\\path", f64::NAN);
-        r.observe("cyclesim.makespan_ns", 1117.0);
-        r.observe("cyclesim.makespan_ns", 915.0);
-        r.record_span("power.max_qubits", 2_000_000, 1_500_000);
-        r.snapshot()
+        let span = SpanStats {
+            count: 1,
+            total_ns: 2_000_000,
+            self_ns: 1_500_000,
+            durations: hist(&[2_000_000.0]),
+        };
+        Snapshot {
+            counters: counters(&[("cyclesim.ops", 9), ("power.evaluate.calls", 182)]),
+            gauges: vec![
+                ("power.stage.4K.utilization".to_owned(), 0.997),
+                ("weird \"name\"\\path".to_owned(), f64::NAN),
+            ],
+            hists: vec![("cyclesim.makespan_ns".to_owned(), hist(&[1117.0, 915.0]))],
+            spans: vec![("power.max_qubits".to_owned(), span)],
+            ..Snapshot::default()
+        }
     }
 
     #[test]
@@ -715,11 +732,15 @@ mod tests {
 
     #[test]
     fn text_table_summary_footer_reports_health() {
-        let r = Registry::new();
-        r.counter_add("trace.dropped_events", 3);
-        r.counter_add("power.cache.hits", 9);
-        r.counter_add("power.cache.misses", 1);
-        let t = text_table(&r.snapshot());
+        let snap = Snapshot {
+            counters: counters(&[
+                ("power.cache.hits", 9),
+                ("power.cache.misses", 1),
+                ("trace.dropped_events", 3),
+            ]),
+            ..Snapshot::default()
+        };
+        let t = text_table(&snap);
         assert!(t.contains("== summary =="), "{t}");
         assert!(t.contains("trace.dropped_events: 3"), "{t}");
         assert!(t.contains("9 hits / 1 misses (90.0% hit rate)"), "{t}");
@@ -762,11 +783,12 @@ mod tests {
 
     #[test]
     fn openmetrics_underflow_folds_into_first_bucket() {
-        let r = Registry::new();
-        r.observe("h", 0.25); // below the first bucket edge
-        r.observe("h", 0.5);
-        r.observe("h", 100.0);
-        let om = openmetrics(&r.snapshot());
+        // 0.25 and 0.5 fall below the first bucket edge.
+        let snap = Snapshot {
+            hists: vec![("h".to_owned(), hist(&[0.25, 0.5, 100.0]))],
+            ..Snapshot::default()
+        };
+        let om = openmetrics(&snap);
         assert!(openmetrics_is_well_formed(&om), "malformed:\n{om}");
         assert!(om.contains("h_bucket{le=\"1\"} 2"), "{om}");
         assert!(om.contains("h_bucket{le=\"+Inf\"} 3"), "{om}");

@@ -97,24 +97,6 @@ impl Histogram {
         }
     }
 
-    /// Folds another histogram's samples into this one (exact: counts,
-    /// sums, extremes, and buckets all add elementwise).
-    pub(crate) fn merge_from(&mut self, other: &Histogram) {
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        self.underflow += other.underflow;
-        if !other.buckets.is_empty() {
-            if self.buckets.is_empty() {
-                self.buckets = vec![0; N_BUCKETS];
-            }
-            for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
-                *mine += theirs;
-            }
-        }
-    }
-
     /// Number of samples observed.
     pub fn count(&self) -> u64 {
         self.count
@@ -201,7 +183,7 @@ impl Histogram {
     /// lifetime.
     ///
     /// `prev` must be an earlier snapshot of the same histogram. If it
-    /// is not a prefix of `self` — the registry was [`reset`] between
+    /// is not a prefix of `self` — the store was [`reset`] between
     /// the two snapshots — the full current contents are returned
     /// (everything since the reset is new), so delta counts never go
     /// negative. The interval's exact min/max are not recoverable from

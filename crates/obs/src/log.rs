@@ -1,6 +1,6 @@
 //! Structured JSONL logging: leveled, rate-limited, one JSON object per
 //! line, written to a file or stderr — the audit-trail counterpart to
-//! the aggregate registry ([`crate::metrics`]) and the flight recorder
+//! the aggregate metric store ([`crate::metrics`]) and the flight recorder
 //! ([`crate::trace`]).
 //!
 //! # Record shape

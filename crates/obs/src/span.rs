@@ -6,7 +6,7 @@
 //!
 //! # Enable/disable semantics
 //!
-//! A span records into the aggregate registry only when recording is
+//! A span records into the metric store only when recording is
 //! enabled at **both** enter and drop: [`SpanGuard::enter`] returns an
 //! inert guard while disabled, and the drop handler re-checks
 //! [`crate::enabled`] so a span that straddles a `set_enabled(false)`
@@ -22,8 +22,10 @@
 //! the calling thread's ring buffer, giving the Chrome-trace export its
 //! per-thread timeline lanes.
 
+use crate::metrics::{SpanStats, SPANS};
 #[cfg(feature = "obs")]
 use std::cell::RefCell;
+use std::sync::Mutex;
 #[cfg(feature = "obs")]
 use std::time::Instant;
 
@@ -46,7 +48,8 @@ thread_local! {
 
 /// An RAII guard timing a region; created by [`crate::span!`] or
 /// [`SpanGuard::enter`]. On drop it records `(total, self)` time into the
-/// global registry, where self-time excludes nested spans.
+/// span's stats cell in the metric store, where self-time excludes nested
+/// spans.
 #[derive(Debug)]
 pub struct SpanGuard {
     #[cfg(feature = "obs")]
@@ -59,30 +62,31 @@ struct ActiveSpan {
     name: &'static str,
     start: Instant,
     span_id: u64,
-    /// Interned fast-path slot (literal-name `span!` sites); `None`
-    /// falls back to the registry's mutex + map walk.
-    slot: Option<&'static crate::SpanSlot>,
+    /// The span's stats cell, resolved at enter.
+    stats: &'static Mutex<SpanStats>,
 }
 
 impl SpanGuard {
-    /// Opens a span. Returns an inert guard when observability is
-    /// compiled out or disabled at runtime.
+    /// Opens a span, looking its stats cell up by name. Returns an inert
+    /// guard when observability is compiled out or disabled at runtime.
     #[inline]
     pub fn enter(name: &'static str) -> SpanGuard {
-        Self::enter_inner(name, None)
+        Self::enter_inner(name, || SPANS.get_static(name))
     }
 
-    /// Opens a span that records into an interned fast-path slot on
-    /// drop instead of the registry's mutex + map walk. Literal-name
-    /// [`crate::span!`] sites route here through a per-call-site
-    /// `static` [`crate::SpanSlot`].
+    /// Opens a span whose stats cell is cached in a per-call-site
+    /// `static` [`crate::SpanSlot`]; literal-name [`crate::span!`] sites
+    /// route here.
     #[inline]
     pub fn enter_cached(slot: &'static crate::SpanSlot) -> SpanGuard {
-        Self::enter_inner(slot.name(), Some(slot))
+        Self::enter_inner(slot.name(), || slot.cell())
     }
 
     #[inline]
-    fn enter_inner(name: &'static str, slot: Option<&'static crate::SpanSlot>) -> SpanGuard {
+    fn enter_inner(
+        name: &'static str,
+        stats: impl FnOnce() -> &'static Mutex<SpanStats>,
+    ) -> SpanGuard {
         #[cfg(feature = "obs")]
         {
             if !crate::enabled() {
@@ -102,11 +106,12 @@ impl SpanGuard {
                 0
             };
             SPAN_STACK.with(|s| s.borrow_mut().push(Frame { child_ns: 0, span_id }));
-            SpanGuard { active: Some(ActiveSpan { name, start: Instant::now(), span_id, slot }) }
+            let stats = stats();
+            SpanGuard { active: Some(ActiveSpan { name, start: Instant::now(), span_id, stats }) }
         }
         #[cfg(not(feature = "obs"))]
         {
-            let _ = (name, slot);
+            let _ = (name, stats);
             SpanGuard {}
         }
     }
@@ -136,11 +141,7 @@ impl Drop for SpanGuard {
         // Re-checked at drop: a span that was open when recording was
         // disabled is discarded, not half-recorded.
         if crate::enabled() {
-            let self_ns = total_ns.saturating_sub(child_ns);
-            match span.slot {
-                Some(slot) => slot.record(total_ns, self_ns),
-                None => crate::registry().record_span(span.name, total_ns, self_ns),
-            }
+            crate::metrics::lock(span.stats).record(total_ns, total_ns.saturating_sub(child_ns));
         }
     }
 }

@@ -1,6 +1,6 @@
 //! The periodic telemetry exporter: a named background thread that wakes
-//! on a fixed interval, computes the [delta] between the current global
-//! registry contents and the previous wake-up, and atomically rewrites an
+//! on a fixed interval, computes the [delta] between the current metric
+//! store contents and the previous wake-up, and atomically rewrites an
 //! OpenMetrics exposition file — the live-scrape counterpart to the
 //! one-shot `BENCH_obs.json` dump.
 //!
@@ -10,7 +10,7 @@
 //! lifetime: counters carry the increment since the previous write,
 //! histograms and span durations hold only the interval's samples (so
 //! `_bucket`-derived p50/p99 are current latencies), and gauges pass
-//! through their latest value. Every series present in the registry stays
+//! through their latest value. Every series present in the store stays
 //! in the file even when its interval value is zero, so scrapers see a
 //! stable set of time series. Three meta-series describe the interval
 //! itself: the `telemetry.ticks` counter (cumulative writes) and the
@@ -320,7 +320,7 @@ fn run(shared: Arc<Shared>, path: PathBuf, interval: Duration, mut prev: crate::
     }
 }
 
-/// One export: snapshot the global registry, diff against the previous
+/// One export: snapshot the metric store, diff against the previous
 /// wake-up, inject the interval meta-series, and atomically rewrite the
 /// exposition file (write `<path>.tmp`, then rename over `path`).
 #[cfg(feature = "obs")]

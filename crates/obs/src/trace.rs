@@ -3,7 +3,7 @@
 //! a [`TraceSession`] for export as a Chrome `trace_event` JSON timeline
 //! or folded flamegraph stacks (see [`crate::trace_export`]).
 //!
-//! Where the metrics registry ([`crate::metrics`]) keeps *aggregates*
+//! Where the metric store ([`crate::metrics`]) keeps *aggregates*
 //! (how much time, how many calls), the recorder keeps *order*: which
 //! pipeline stage ran when, on which worker thread, and how bisection
 //! probes and Monte-Carlo chunks interleaved across a sweep.

@@ -233,7 +233,7 @@ fn parallel_map_indices<U: Send, F: Fn(usize) -> U + Sync>(
         for handle in handles {
             match handle.join() {
                 Ok((local, busy)) => {
-                    qisim_obs::observe_f64("par.worker_busy_ns", busy.as_nanos() as f64);
+                    observe!("par.worker_busy_ns", busy.as_nanos() as f64);
                     for (i, value) in local {
                         slots[i] = Some(value);
                     }

@@ -7,16 +7,9 @@ use qisim_serve::{proto, AdminServer, ServeConfig, Server};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
-use std::sync::Mutex;
 use std::time::Duration;
 
-/// The log sink and metrics registry are process-global; serialize the
-/// tests that arm them.
-static ADMIN_LOCK: Mutex<()> = Mutex::new(());
-
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    ADMIN_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
+mod common;
 
 fn temp_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("qisim_admin_{tag}_{}", std::process::id()))
@@ -42,7 +35,7 @@ fn body_of(response: &str) -> &str {
 
 #[test]
 fn admin_routes_answer_alongside_the_service() {
-    let _l = lock();
+    let _l = common::isolate();
     let server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind service");
     let admin = AdminServer::bind("127.0.0.1:0", server.status()).expect("bind admin");
     let addr = admin.addr();
@@ -78,7 +71,7 @@ fn admin_routes_answer_alongside_the_service() {
 
 #[test]
 fn statusz_reports_service_and_stage_state() {
-    let _l = lock();
+    let _l = common::isolate();
     let server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind service");
     let admin = AdminServer::bind("127.0.0.1:0", server.status()).expect("bind admin");
 
@@ -119,7 +112,7 @@ fn statusz_reports_service_and_stage_state() {
 
 #[test]
 fn metrics_scrapes_stay_well_formed_mid_burst() {
-    let _l = lock();
+    let _l = common::isolate();
     let server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind service");
     let admin = AdminServer::bind("127.0.0.1:0", server.status()).expect("bind admin");
     let service_addr = server.addr();
@@ -161,7 +154,7 @@ fn metrics_scrapes_stay_well_formed_mid_burst() {
 
 #[test]
 fn readyz_flips_unready_when_stopping() {
-    let _l = lock();
+    let _l = common::isolate();
     let stop_file = temp_path("stop");
     let _ = std::fs::remove_file(&stop_file);
     let config = ServeConfig { stop_file: Some(stop_file.clone()), ..ServeConfig::default() };
@@ -190,7 +183,7 @@ fn readyz_flips_unready_when_stopping() {
 
 #[test]
 fn request_id_threads_response_trace_and_log() {
-    let _l = lock();
+    let _l = common::isolate();
     if !qisim_obs::enabled() {
         return; // obs compiled out: no traces, no logs
     }

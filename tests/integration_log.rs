@@ -9,15 +9,8 @@ use qisim::obs::{self, RequestScope};
 use qisim::surface::target::Target;
 use qisim::{engine, QciDesign};
 use std::path::PathBuf;
-use std::sync::Mutex;
 
-/// The log sink is process-global (one file, one level, one rate
-/// window); tests that arm it must not interleave.
-static LOG_LOCK: Mutex<()> = Mutex::new(());
-
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    LOG_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
+mod common;
 
 fn temp_log(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("qisim_log_{tag}_{}.jsonl", std::process::id()))
@@ -41,7 +34,7 @@ fn capture(tag: &str, level: Level, f: impl FnOnce()) -> Option<Vec<String>> {
 
 #[test]
 fn levels_below_the_threshold_are_filtered() {
-    let _l = lock();
+    let _l = common::isolate();
     let Some(lines) = capture("levels", Level::Warn, || {
         assert!(!log::armed(Level::Debug));
         assert!(!log::armed(Level::Info));
@@ -68,7 +61,7 @@ fn levels_below_the_threshold_are_filtered() {
 
 #[test]
 fn typed_fields_round_trip_as_json() {
-    let _l = lock();
+    let _l = common::isolate();
     let Some(lines) = capture("fields", Level::Debug, || {
         log::record(Level::Info, "test.fields")
             .str("name", "tab\there \"quoted\"")
@@ -102,7 +95,7 @@ fn typed_fields_round_trip_as_json() {
 
 #[test]
 fn rate_cap_suppresses_and_shutdown_flushes_the_summary() {
-    let _l = lock();
+    let _l = common::isolate();
     let result = capture("ratecap", Level::Info, || {
         log::set_rate_cap(5);
         for i in 0..20u64 {
@@ -126,7 +119,7 @@ fn rate_cap_suppresses_and_shutdown_flushes_the_summary() {
 
 #[test]
 fn request_scope_stamps_request_ids() {
-    let _l = lock();
+    let _l = common::isolate();
     let Some(lines) = capture("reqid", Level::Info, || {
         {
             let _outer = RequestScope::enter(42);
@@ -151,7 +144,7 @@ fn request_scope_stamps_request_ids() {
 
 #[test]
 fn engine_emits_per_stage_records_at_debug() {
-    let _l = lock();
+    let _l = common::isolate();
     let design = QciDesign::cmos_baseline();
     let target = Target::near_term();
     let Some(lines) = capture("engine", Level::Debug, || {
@@ -180,7 +173,7 @@ fn engine_emits_per_stage_records_at_debug() {
 
 #[test]
 fn results_are_bit_identical_with_the_log_armed() {
-    let _l = lock();
+    let _l = common::isolate();
     let design = QciDesign::rsfq_near_term();
     let target = Target::long_term();
     let disarmed = engine::try_analyze(&design, &target).expect("disarmed analysis");
@@ -199,7 +192,7 @@ fn results_are_bit_identical_with_the_log_armed() {
 
 #[test]
 fn start_refuses_a_second_sink_and_shutdown_is_idempotent() {
-    let _l = lock();
+    let _l = common::isolate();
     let path = temp_log("exclusive");
     if !log::start(&path.to_string_lossy(), Level::Info) {
         return; // obs feature compiled out

@@ -12,16 +12,9 @@ use qisim::surface::target::Target;
 use qisim_serve::{proto, serve_lines, ServeConfig, Server};
 use std::io::{BufRead, BufReader, Cursor, Write};
 use std::net::TcpStream;
-use std::sync::Mutex;
 use std::time::Duration;
 
-/// Serializes tests: service counters, the flight recorder, and the
-/// `qisim-obs` registry are process-global.
-static SERVE_LOCK: Mutex<()> = Mutex::new(());
-
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    SERVE_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
+mod common;
 
 /// The response line the service must produce for a request line —
 /// computed through the direct, single-spec engine path. Carries no
@@ -42,7 +35,7 @@ fn strip_ids(output: &str) -> String {
 
 #[test]
 fn stdio_round_trips_every_paper_preset_bit_identically() {
-    let _guard = lock();
+    let _guard = common::isolate();
     let mut input = String::new();
     let mut expected = String::new();
     for target in ["near_term", "long_term"] {
@@ -84,7 +77,7 @@ fn stdio_round_trips_every_paper_preset_bit_identically() {
 
 #[test]
 fn estimator_requests_round_trip_each_engine_bit_identically() {
-    let _guard = lock();
+    let _guard = common::isolate();
     // One round trip per estimator value, each bit-identical to the
     // direct try_analyze_spec path (the Monte-Carlo estimators bypass
     // the grouped try_analyze_many fan-out inside the service).
@@ -135,7 +128,7 @@ fn estimator_requests_round_trip_each_engine_bit_identically() {
 
 #[test]
 fn malformed_requests_get_typed_errors_and_the_service_survives() {
-    let _guard = lock();
+    let _guard = common::isolate();
     // (request line, expected error kind, reason needle)
     let cases = [
         ("", "decode", "empty request line"),
@@ -180,7 +173,7 @@ fn malformed_requests_get_typed_errors_and_the_service_survives() {
 
 #[test]
 fn concurrent_tcp_clients_get_bit_identical_ordered_responses() {
-    let _guard = lock();
+    let _guard = common::isolate();
     let server =
         Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind an OS-assigned port");
     let addr = server.addr();
@@ -231,7 +224,7 @@ fn concurrent_tcp_clients_get_bit_identical_ordered_responses() {
 
 #[test]
 fn overload_sheds_with_busy_responses_and_the_service_stays_up() {
-    let _guard = lock();
+    let _guard = common::isolate();
     let before_shed = qisim_obs::snapshot().counter("serve.shed").unwrap_or(0);
     let config = ServeConfig {
         queue_depth: 1,
@@ -291,7 +284,7 @@ fn overload_sheds_with_busy_responses_and_the_service_stays_up() {
 
 #[test]
 fn scale_out_requests_round_trip_with_datacenter_verdicts() {
-    let _guard = lock();
+    let _guard = common::isolate();
     // A multi-fridge request rides the same wire format: the topology
     // keys fold into the spec document and the response carries the
     // scale-out block plus a binding-constraint explanation.
@@ -325,7 +318,7 @@ fn scale_out_requests_round_trip_with_datacenter_verdicts() {
 
 #[test]
 fn budget_override_requests_pin_to_the_direct_engine_path() {
-    let _guard = lock();
+    let _guard = common::isolate();
     // Satellite: per-stage fridge budget overrides ride the request line
     // and produce exactly the verdict the direct spec route computes.
     let cases = [
@@ -351,7 +344,7 @@ fn budget_override_requests_pin_to_the_direct_engine_path() {
 
 #[test]
 fn invalid_topology_requests_get_typed_errors() {
-    let _guard = lock();
+    let _guard = common::isolate();
     // (request line, expected error kind, reason needle)
     let cases = [
         ("id = l; preset = cmos_baseline; link = warp", "decode", "unknown link `warp`"),
@@ -390,7 +383,7 @@ fn invalid_topology_requests_get_typed_errors() {
 
 #[test]
 fn multi_fridge_requests_mixed_into_batches_stay_bit_identical() {
-    let _guard = lock();
+    let _guard = common::isolate();
     // Scale-out requests run individually (they are excluded from the
     // grouped fan-out), but interleaving them with groupable classic
     // requests must not perturb either side's bytes or ordering.
@@ -426,7 +419,7 @@ fn multi_fridge_requests_mixed_into_batches_stay_bit_identical() {
 
 #[test]
 fn traced_requests_report_event_counts_and_explain_embeds_text() {
-    let _guard = lock();
+    let _guard = common::isolate();
     let mut output = Vec::new();
     serve_lines(
         Cursor::new("trace = 1; explain = 1; preset = cmos_baseline\n"),

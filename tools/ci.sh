@@ -15,12 +15,14 @@
 #      errors; qisim-par and qisim-obs additionally warn(missing_docs))
 #   6. kill-switch builds: --no-default-features strips qisim-obs
 #      instrumentation AND the qisim-par thread pool from the entire
-#      workspace and must still pass; the serial-with-obs combination
+#      workspace and must still pass, clippy-clean (no dead code left
+#      behind in the stripped build); the serial-with-obs combination
 #      (--features obs) re-runs the determinism suite to pin the
 #      parallel build's results to the serial path
 #   7. observability smoke run: the observe example must emit a valid
 #      observe_registry.json with span timings and per-stage watt
-#      attribution, and (run under QISIM_TRACE at QISIM_THREADS=2) a
+#      attribution (including a literal-name histogram recorded by the
+#      pool workers), and (run under QISIM_TRACE at QISIM_THREADS=2) a
 #      Chrome trace_event timeline that self-validates via
 #      trace_is_well_formed, carries balanced begin/end events, worker
 #      lanes, and folded stacks; bench_obs --smoke then gates the
@@ -72,6 +74,7 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 echo "== [6/12] kill switches (--no-default-features) =="
 cargo build --release --no-default-features
 cargo test -q --release --no-default-features
+cargo clippy --workspace --all-targets --no-default-features --quiet -- -D warnings
 # Serial pool + live obs: the exact build the determinism docs promise
 # matches the parallel one bit for bit.
 cargo test -q --release -p qisim --no-default-features --features obs \
@@ -87,6 +90,7 @@ grep -q "power.max_qubits" "$out/observe_registry.json"
 grep -q "scalability.analyze" "$out/observe_registry.json"
 grep -q "p99_ns" "$out/observe_registry.json"
 grep -q "power.stage.4K.device_dynamic_w" "$out/observe_registry.json"
+grep -q "par.chunk.wait_ns" "$out/observe_registry.json"
 python3 -c "import json,sys; json.load(open(sys.argv[1]))" "$out/observe_registry.json" \
     2>/dev/null || echo "note: python3 unavailable, skipped strict JSON parse"
 # The example asserts trace_is_well_formed on its own export before
