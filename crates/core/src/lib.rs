@@ -85,3 +85,24 @@ pub use qisim_par as par;
 pub use qisim_power as power;
 pub use qisim_quantum as quantum;
 pub use qisim_surface as surface;
+
+/// Puts every process-global into a known state: power memo LRU empty at
+/// the default cap, metric store empty and recording, flight recorder
+/// disarmed and empty, log sink and telemetry exporter shut down. The
+/// `armed()` probes first consume any environment-driven arming
+/// (`QISIM_LOG`, `QISIM_TRACE`, `QISIM_METRICS`) so it cannot re-arm
+/// later. Callers that run concurrently must serialize around it.
+pub fn reset_process_state() {
+    qisim_power::clear_cache();
+    qisim_power::set_cache_cap(Some(qisim_power::DEFAULT_CACHE_CAP));
+    let _ = qisim_obs::log::armed(qisim_obs::Level::Error);
+    qisim_obs::log::shutdown();
+    qisim_obs::log::set_rate_cap(qisim_obs::log::DEFAULT_RATE_CAP);
+    let _ = qisim_obs::trace::armed();
+    qisim_obs::trace::disarm();
+    qisim_obs::trace::clear();
+    let _ = qisim_obs::telemetry::armed();
+    qisim_obs::telemetry::shutdown();
+    qisim_obs::set_enabled(true);
+    qisim_obs::reset();
+}
