@@ -472,14 +472,6 @@ impl DesignSpec {
         Ok(fridge)
     }
 
-    /// Whether this spec carries any per-stage cooling-budget override —
-    /// i.e. whether [`DesignSpec::fridge`] would differ from
-    /// [`Fridge::standard`]. Batch executors use this to group
-    /// standard-fridge specs through `try_analyze_many`.
-    pub fn has_budget_overrides(&self) -> bool {
-        self.budgets_w.iter().any(Option::is_some)
-    }
-
     /// The scale-out topology this spec analyzes on: the standard
     /// single-fridge topology with the recorded fridge-count / link /
     /// controller overrides applied, around the (possibly
@@ -515,8 +507,8 @@ impl DesignSpec {
 
     /// Whether this spec asks for a genuine multi-fridge analysis
     /// (`fridges > 1`). Single-fridge specs — even ones that set link
-    /// knobs — take the classic pipeline bit-for-bit, so batch executors
-    /// keep grouping them through `try_analyze_many`.
+    /// knobs — take the classic pipeline bit-for-bit and carry no
+    /// scale-out block in their verdict.
     pub fn has_scale_out(&self) -> bool {
         self.fridges.is_some_and(|n| n > 1)
     }

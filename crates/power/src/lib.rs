@@ -372,6 +372,7 @@ mod tests {
 
     #[test]
     fn cmos_baseline_binds_at_4k_near_700() {
+        let _l = memo::global_test_lock();
         // Fig. 13a: "the 4K CMOS QCI cannot support more than 700 qubits".
         let arch = CryoCmosConfig::baseline().build();
         let (max, binding) = max_qubits(&arch, &Fridge::standard());
@@ -381,6 +382,7 @@ mod tests {
 
     #[test]
     fn opt1_opt2_reach_the_near_term_scale() {
+        let _l = memo::global_test_lock();
         // Fig. 13a: Opt-1 + Opt-2 lift the design to 1,399 qubits.
         let cfg = CryoCmosConfig {
             decision: DecisionKind::Memoryless,
@@ -394,6 +396,7 @@ mod tests {
 
     #[test]
     fn room_temperature_designs_bind_at_mk_stages() {
+        let _l = memo::global_test_lock();
         for (kind, lo, hi, stage) in [
             (RoomInterconnect::Coax, 250u64, 550u64, Stage::Mk100),
             (RoomInterconnect::Microstrip, 500, 900, Stage::Mk100),
@@ -408,6 +411,7 @@ mod tests {
 
     #[test]
     fn rsfq_baseline_binds_at_mk20_near_160() {
+        let _l = memo::global_test_lock();
         let arch = SfqConfig::baseline_rsfq().build();
         let (max, binding) = max_qubits(&arch, &Fridge::standard());
         assert!(max > 100 && max < 230, "RSFQ baseline max {max}");
@@ -416,6 +420,7 @@ mod tests {
 
     #[test]
     fn optimized_rsfq_reaches_1248_scale() {
+        let _l = memo::global_test_lock();
         let arch = SfqConfig::near_term_optimized().build();
         let (max, _) = max_qubits(&arch, &Fridge::standard());
         assert!(max > 1000 && max < 1600, "optimized RSFQ max {max}");
@@ -423,6 +428,7 @@ mod tests {
 
     #[test]
     fn ersfq_supports_the_long_term_scale() {
+        let _l = memo::global_test_lock();
         let arch = SfqConfig::long_term_ersfq().build();
         let (max, _) = max_qubits(&arch, &Fridge::standard());
         assert!(max > 62_208, "ERSFQ max {max}");
@@ -430,6 +436,7 @@ mod tests {
 
     #[test]
     fn bigger_budget_means_more_qubits() {
+        let _l = memo::global_test_lock();
         let arch = CryoCmosConfig::baseline().build();
         let std = max_qubits(&arch, &Fridge::standard()).0;
         let big = max_qubits(&arch, &Fridge::standard().with_budget(Stage::K4, 3.0)).0;
@@ -438,6 +445,7 @@ mod tests {
 
     #[test]
     fn memoized_probes_match_direct_evaluation() {
+        let _l = memo::global_test_lock();
         let arch = CryoCmosConfig::baseline().build();
         let fridge = Fridge::standard();
         let link = InstructionLink::standard();
@@ -453,6 +461,7 @@ mod tests {
 
     #[test]
     fn repeated_bisections_replay_from_cache() {
+        let _l = memo::global_test_lock();
         let arch = SfqConfig::baseline_rsfq().build();
         let fridge = Fridge::standard();
         let cold = max_qubits(&arch, &fridge);
@@ -463,6 +472,7 @@ mod tests {
 
     #[test]
     fn bisection_hands_back_its_landing_report() {
+        let _l = memo::global_test_lock();
         let arch = CryoCmosConfig::baseline().build();
         let link = InstructionLink::standard();
         // A fitting design and one whose 4 K stage is starved at n = 1.
@@ -475,6 +485,7 @@ mod tests {
 
     #[test]
     fn zero_qubits_is_a_typed_error() {
+        let _l = memo::global_test_lock();
         let arch = CryoCmosConfig::baseline().build();
         let fridge = Fridge::standard();
         let link = InstructionLink::standard();
@@ -487,6 +498,7 @@ mod tests {
 
     #[test]
     fn try_paths_match_infallible_paths() {
+        let _l = memo::global_test_lock();
         let arch = SfqConfig::baseline_rsfq().build();
         let fridge = Fridge::standard();
         assert_eq!(try_evaluate(&arch, &fridge, 512).unwrap(), evaluate(&arch, &fridge, 512));

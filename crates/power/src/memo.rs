@@ -365,6 +365,14 @@ pub fn set_cache_cap(cap: Option<usize>) {
     }
 }
 
+/// Serializes the unit tests that touch the process-global memo, so one
+/// test's `clear_cache` / `cache_len` never races a sibling's probes.
+#[cfg(test)]
+pub(crate) fn global_test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -386,6 +394,7 @@ mod tests {
 
     #[test]
     fn store_lookup_roundtrip_and_clear() {
+        let _l = global_test_lock();
         let arch = CryoCmosConfig::baseline().build();
         let fridge = Fridge::standard();
         let link = InstructionLink::standard();

@@ -54,7 +54,7 @@ const OPENMETRICS_CONTENT_TYPE: &str = "application/openmetrics-text; version=1.
 /// the TCP [`crate::Server`] (via [`crate::Server::status`]) and by
 /// anything a test wants to probe with.
 pub trait ServiceStatus: Send + Sync {
-    /// Requests currently queued for the batch worker.
+    /// Requests currently queued for the worker.
     fn queue_depth(&self) -> usize;
     /// The bounded queue capacity (shed threshold).
     fn queue_cap(&self) -> usize;

@@ -1,6 +1,6 @@
-//! Service configuration: queue depth, batch size, and the operator
-//! knobs the `qisim-serve` binary reads from `QISIM_SERVE_*` environment
-//! variables (one table in `docs/SERVING.md` documents them all).
+//! Service configuration: queue depth and the operator knobs the
+//! `qisim-serve` binary reads from `QISIM_SERVE_*` environment variables
+//! (one table in `docs/SERVING.md` documents them all).
 
 use std::path::PathBuf;
 use std::time::Duration;
@@ -9,10 +9,6 @@ use std::time::Duration;
 /// Past it the service sheds load with a typed `busy` response instead
 /// of queueing without bound (`QISIM_SERVE_QUEUE` overrides).
 pub const DEFAULT_QUEUE_DEPTH: usize = 256;
-
-/// Default maximum number of requests answered in one
-/// `try_analyze_many` batch (`QISIM_SERVE_BATCH` overrides).
-pub const DEFAULT_BATCH_MAX: usize = 64;
 
 /// Hard cap on one request line, in bytes. A connection that streams a
 /// longer line without a newline gets a typed error response and is
@@ -29,9 +25,6 @@ pub struct ServeConfig {
     /// Bounded accept queue depth; requests past it are shed with a
     /// `busy` response ([`DEFAULT_QUEUE_DEPTH`]).
     pub queue_depth: usize,
-    /// Maximum requests per `try_analyze_many` batch
-    /// ([`DEFAULT_BATCH_MAX`]).
-    pub batch_max: usize,
     /// Graceful-shutdown signal file: the TCP accept loop polls for this
     /// path and stops the service once it exists (`None` = no file
     /// polling; stdin/stdout framing stops at EOF instead).
@@ -40,10 +33,10 @@ pub struct ServeConfig {
     /// requests); `None` keeps traces in-memory (the response still
     /// carries the event count).
     pub trace_dir: Option<PathBuf>,
-    /// Artificial per-batch delay — a fault-injection knob for
-    /// backpressure tests, benches, and operator drills (`Duration::ZERO`
-    /// in production).
-    pub batch_delay: Duration,
+    /// Artificial delay before the TCP worker answers each request — a
+    /// fault-injection knob for backpressure tests, benches, and operator
+    /// drills (`Duration::ZERO` in production).
+    pub request_delay: Duration,
     /// Slow-request threshold: a request whose end-to-end latency
     /// exceeds this many milliseconds gets a `serve.request.slow` warn
     /// log record and bumps the `serve.slow` counter (`None` = no
@@ -59,10 +52,9 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             queue_depth: DEFAULT_QUEUE_DEPTH,
-            batch_max: DEFAULT_BATCH_MAX,
             stop_file: None,
             trace_dir: None,
-            batch_delay: Duration::ZERO,
+            request_delay: Duration::ZERO,
             slow_ms: None,
             admin_addr: None,
         }
@@ -71,10 +63,10 @@ impl Default for ServeConfig {
 
 impl ServeConfig {
     /// The default configuration with every `QISIM_SERVE_*` environment
-    /// override applied: `QISIM_SERVE_QUEUE`, `QISIM_SERVE_BATCH`
-    /// (positive integers), `QISIM_SERVE_STOP`, `QISIM_SERVE_TRACE_DIR`
-    /// (paths), `QISIM_SERVE_DELAY_MS` (a non-negative integer; fault
-    /// injection, see [`ServeConfig::batch_delay`]), `QISIM_SLOW_MS` (a
+    /// override applied: `QISIM_SERVE_QUEUE` (a positive integer),
+    /// `QISIM_SERVE_STOP`, `QISIM_SERVE_TRACE_DIR` (paths),
+    /// `QISIM_SERVE_DELAY_MS` (a non-negative integer; fault injection,
+    /// see [`ServeConfig::request_delay`]), `QISIM_SLOW_MS` (a
     /// positive integer, see [`ServeConfig::slow_ms`]), and
     /// `QISIM_SERVE_ADMIN` (a bind address, see
     /// [`ServeConfig::admin_addr`]).
@@ -83,16 +75,13 @@ impl ServeConfig {
         if let Some(n) = env_positive("QISIM_SERVE_QUEUE") {
             config.queue_depth = n;
         }
-        if let Some(n) = env_positive("QISIM_SERVE_BATCH") {
-            config.batch_max = n;
-        }
         config.stop_file = env_path("QISIM_SERVE_STOP");
         config.trace_dir = env_path("QISIM_SERVE_TRACE_DIR");
         if let Some(ms) = std::env::var("QISIM_SERVE_DELAY_MS")
             .ok()
             .and_then(|raw| raw.trim().parse::<u64>().ok())
         {
-            config.batch_delay = Duration::from_millis(ms);
+            config.request_delay = Duration::from_millis(ms);
         }
         config.slow_ms = env_positive("QISIM_SLOW_MS").map(|n| n as u64);
         config.admin_addr = env_path("QISIM_SERVE_ADMIN").map(|p| p.to_string_lossy().into_owned());
@@ -128,10 +117,9 @@ mod tests {
     fn defaults_are_sane() {
         let c = ServeConfig::default();
         assert_eq!(c.queue_depth, DEFAULT_QUEUE_DEPTH);
-        assert_eq!(c.batch_max, DEFAULT_BATCH_MAX);
         assert_eq!(c.stop_file, None);
         assert_eq!(c.trace_dir, None);
-        assert_eq!(c.batch_delay, Duration::ZERO);
+        assert_eq!(c.request_delay, Duration::ZERO);
         assert_eq!(c.slow_ms, None);
         assert_eq!(c.admin_addr, None);
     }

@@ -1,4 +1,4 @@
-//! `qisim-serve` — a batch scalability-analysis service over the
+//! `qisim-serve` — a scalability-analysis service over the
 //! [`qisim::codec`] wire format.
 //!
 //! The crates below this one answer one question — *how many qubits can
@@ -12,15 +12,13 @@
 //! Design points (the operator's manual, `docs/SERVING.md`, covers them
 //! in depth):
 //!
-//! * **One engine, one answer.** Every framing funnels into the same
-//!   batch executor; responses are bit-identical to a direct
-//!   [`qisim::engine::try_analyze_spec`] of the same request.
-//! * **Batching.** Standard-fridge requests are grouped per roadmap
-//!   target and answered through [`qisim::engine::try_analyze_many`] —
-//!   one fan-out over the shared `qisim-par` pool per batch — and all
-//!   requests share the process-wide `qisim_power` memo cache, so a hot
-//!   working set answers from cache regardless of which client asked
-//!   first.
+//! * **One path, one answer.** Every framing answers each request
+//!   through the same per-request function — parse, validate, analyze
+//!   with the staged engine, render — so responses are bit-identical to
+//!   a direct [`qisim::engine::try_analyze_spec`] of the same request.
+//!   All requests share the process-wide `qisim_power` memo cache, so a
+//!   hot working set answers from cache regardless of which client
+//!   asked first.
 //! * **Requests fail; the process doesn't.** Malformed lines, invalid
 //!   knobs, and engine failures become typed `error` responses. A full
 //!   queue becomes a typed `busy` response (shed, counted under
@@ -64,6 +62,6 @@ pub mod proto;
 pub mod server;
 
 pub use admin::{AdminServer, ServiceStatus};
-pub use config::{ServeConfig, DEFAULT_BATCH_MAX, DEFAULT_QUEUE_DEPTH, MAX_LINE_BYTES};
+pub use config::{ServeConfig, DEFAULT_QUEUE_DEPTH, MAX_LINE_BYTES};
 pub use proto::{Request, ResponseKind, TargetKind};
 pub use server::{serve_lines, Server, StatsSnapshot};

@@ -1,18 +1,13 @@
 //! The serving loops: synchronous stdin/stdout framing
 //! ([`serve_lines`]) and the long-running TCP service ([`Server`]),
-//! both answering through one shared batch executor.
+//! both answering every request through one per-request function.
 //!
 //! Every request follows the same path: parse ([`crate::proto`]) →
-//! validate (`DesignSpec::build` / `topology`) → analyze —
-//! standard-fridge, single-fridge requests using the default `packed`
-//! estimator are grouped per target and answered through
-//! [`qisim::engine::try_analyze_many`] (one fan-out over the shared
-//! `qisim-par` pool per batch); budget-override, multi-fridge
-//! (`fridges = N`), traced, and Monte-Carlo-estimator (`estimator =
-//! sliced` / `rare`) requests run individually through the same staged
-//! engine. All paths share the process-wide `qisim_power::memo` LRU, so
-//! a hot working set answers from cache no matter which client asked
-//! first.
+//! validate (`DesignSpec::build` / `topology`) → analyze through
+//! [`qisim::engine::try_analyze_topology`] with the request's topology
+//! and estimator → render. All requests share the process-wide
+//! `qisim_power::memo` LRU, so a hot working set answers from cache no
+//! matter which client asked first.
 //!
 //! A request can never take the process down: malformed lines, invalid
 //! knobs, and engine failures all become typed `error` responses, and a
@@ -24,12 +19,9 @@
 //! Every received line gets a process-unique `request_id` (the accept
 //! sequence number). The id is echoed on the response line, stamped on
 //! the request's `serve.request.start` / `serve.request.finish` JSONL
-//! log records (`QISIM_LOG`), and — for requests that run individually
-//! through the staged engine — attached to their flight-recorder span
-//! arguments via [`qisim_obs::RequestScope`]. Requests answered through
-//! the grouped `try_analyze_many` fast path share one fan-out, so their
-//! engine-stage spans carry no per-request id (the response and log
-//! records still do).
+//! log records (`QISIM_LOG`), and attached to its engine-stage log
+//! records and flight-recorder span arguments via
+//! [`qisim_obs::RequestScope`].
 
 use crate::config::{ServeConfig, MAX_LINE_BYTES};
 use crate::proto::{self, Request};
@@ -37,7 +29,6 @@ use qisim::engine;
 use qisim::error::QisimError;
 use qisim::hal::topology::FridgeTopology;
 use qisim::scalability::Scalability;
-use qisim::spec::Estimator;
 use qisim::QciDesign;
 use qisim_obs::{counter, gauge, observe};
 use std::collections::VecDeque;
@@ -83,18 +74,68 @@ impl Stats {
             shed: self.shed.load(Ordering::Relaxed),
         }
     }
+
+    /// Counts one answered request by outcome (`serve.responses` /
+    /// `serve.shed` / `serve.errors`), emits its `serve.request.finish` log
+    /// record (outcome, queue wait, end-to-end latency) and, past the
+    /// configured [`ServeConfig::slow_ms`] threshold, a `serve.request.slow`
+    /// warning plus the `serve.slow` counter.
+    fn finish(
+        &self,
+        config: &ServeConfig,
+        seq: u64,
+        response: &str,
+        queue_wait: Duration,
+        latency: Duration,
+    ) {
+        let outcome = match proto::response_kind(response) {
+            Some(proto::ResponseKind::Ok) => {
+                self.ok.fetch_add(1, Ordering::Relaxed);
+                counter!("serve.responses");
+                "ok"
+            }
+            Some(proto::ResponseKind::Busy) => {
+                self.shed.fetch_add(1, Ordering::Relaxed);
+                counter!("serve.shed");
+                "busy"
+            }
+            _ => {
+                self.errors.fetch_add(1, Ordering::Relaxed);
+                counter!("serve.errors");
+                "error"
+            }
+        };
+        let latency_ms = latency.as_secs_f64() * 1e3;
+        let slow = config.slow_ms.is_some_and(|ms| latency_ms > ms as f64);
+        if slow {
+            counter!("serve.slow");
+        }
+        if !qisim_obs::log::armed(qisim_obs::log::Level::Warn) {
+            return;
+        }
+        let _scope = qisim_obs::RequestScope::enter(seq);
+        if qisim_obs::log::armed(qisim_obs::log::Level::Info) {
+            qisim_obs::log::record(qisim_obs::log::Level::Info, "serve.request.finish")
+                .str("outcome", outcome)
+                .f64("queue_wait_ms", queue_wait.as_secs_f64() * 1e3)
+                .f64("latency_ms", latency_ms)
+                .emit();
+        }
+        if slow {
+            qisim_obs::log::record(qisim_obs::log::Level::Warn, "serve.request.slow")
+                .f64("latency_ms", latency_ms)
+                .u64("threshold_ms", config.slow_ms.unwrap_or(0))
+                .emit();
+        }
+    }
 }
 
-/// A parsed, validated request ready for the batch executor.
+/// A parsed, validated request ready for analysis.
 struct Prepared {
     seq: u64,
     request: Request,
     design: QciDesign,
     topology: FridgeTopology,
-    /// Standard fridge, single-fridge topology: eligible for the
-    /// `try_analyze_many` fast path.
-    groupable: bool,
-    estimator: Estimator,
 }
 
 /// Parses and validates one request line into a [`Prepared`] analysis.
@@ -102,80 +143,40 @@ fn prepare(seq: u64, line: &str) -> Result<Prepared, QisimError> {
     let request = proto::parse_request_line(line.trim_end_matches(['\n', '\r']))?;
     let design = request.spec.build()?;
     let topology = request.spec.topology()?;
-    let groupable = !request.spec.has_budget_overrides() && !request.spec.has_scale_out();
-    let estimator = request.spec.chosen_estimator();
-    Ok(Prepared { seq, request, design, topology, groupable, estimator })
+    Ok(Prepared { seq, request, design, topology })
 }
 
-/// Analyzes a batch of prepared requests and renders one response line
-/// per request, in batch order.
-///
-/// Standard-fridge, single-fridge, untraced, `packed`-estimator requests
-/// are grouped per roadmap target and answered through one
-/// [`engine::try_analyze_many`] call each (the `qisim-par` fan-out);
-/// everything else — budget overrides, multi-fridge topologies, traced
-/// requests, and the Monte-Carlo estimators (which parallelize
-/// internally) — runs individually through the same staged engine, so
-/// every response is bit-identical to a direct `try_analyze_spec` of the
-/// same request.
-fn answer_batch(config: &ServeConfig, batch: &[Prepared]) -> Vec<String> {
-    counter!("serve.batches");
-    observe!("serve.batch_size", batch.len() as f64);
-    let mut results: Vec<Option<Result<Scalability, QisimError>>> = Vec::new();
-    results.resize_with(batch.len(), || None);
-    for target in [proto::TargetKind::NearTerm, proto::TargetKind::LongTerm] {
-        let group: Vec<usize> = (0..batch.len())
-            .filter(|&i| {
-                let p = &batch[i];
-                p.groupable
-                    && !p.request.trace
-                    && p.estimator == Estimator::Packed
-                    && p.request.target == target
-            })
-            .collect();
-        if group.is_empty() {
-            continue;
-        }
-        let designs: Vec<QciDesign> = group.iter().map(|&i| batch[i].design).collect();
-        match engine::try_analyze_many(&designs, &target.target()) {
-            Ok(verdicts) => {
-                for (&i, verdict) in group.iter().zip(verdicts) {
-                    results[i] = Some(Ok(verdict));
-                }
-            }
-            // A batch-level failure loses per-request attribution; rerun
-            // the group one by one so each request gets its own verdict
-            // or diagnostic.
-            Err(_) => {
-                for &i in &group {
-                    results[i] = Some(engine::try_analyze(&batch[i].design, &target.target()));
-                }
-            }
-        }
+impl Prepared {
+    /// Runs the staged engine on this request's design, target,
+    /// topology, and estimator.
+    fn analyze(&self) -> Result<Scalability, QisimError> {
+        engine::try_analyze_topology(
+            &self.design,
+            &self.request.target.target(),
+            &self.topology,
+            self.request.spec.chosen_estimator(),
+        )
     }
-    batch
-        .iter()
-        .zip(results)
-        .map(|(prepared, grouped)| {
-            // Individually-run requests execute inside the scope, so
-            // their engine-stage spans and log records carry the id.
-            let _scope = qisim_obs::RequestScope::enter(prepared.seq);
-            let mut extras: Vec<(&str, String)> = Vec::new();
-            let result = match grouped {
-                Some(result) => result,
-                None if prepared.request.trace => run_traced(config, prepared, &mut extras),
-                // Budget-override, scale-out, and Monte-Carlo-estimator
-                // requests: same staged engine, custom topology/estimator.
-                None => engine::try_analyze_topology(
-                    &prepared.design,
-                    &prepared.request.target.target(),
-                    &prepared.topology,
-                    prepared.estimator,
-                ),
-            };
-            render_response(prepared, result, extras)
-        })
-        .collect()
+}
+
+/// Answers one request line — the single path both framings take:
+/// parse and validate, analyze inside the request's
+/// [`qisim_obs::RequestScope`] (so engine-stage log records and spans
+/// carry the id), render. Responses are bit-identical to a direct
+/// `try_analyze_spec` of the same request.
+fn respond(config: &ServeConfig, seq: u64, line: &str) -> String {
+    let prepared = match prepare(seq, line) {
+        Ok(prepared) => prepared,
+        Err(error) => return proto::error_response(Some(seq), proto::request_id(line), &error),
+    };
+    let _scope = qisim_obs::RequestScope::enter(seq);
+    let mut extras: Vec<(&str, String)> = Vec::new();
+    let result = if prepared.request.trace {
+        run_traced(config, &prepared, &mut extras)
+    } else {
+        prepared.analyze()
+    };
+    render_response(&prepared, result, extras)
 }
 
 /// Renders the response line for one prepared request, stamping the
@@ -208,48 +209,6 @@ fn log_request_start(seq: u64, queue_depth: usize) {
     }
 }
 
-/// Emits the `serve.request.finish` log record (outcome, batch size,
-/// queue wait, end-to-end latency) and, past the configured
-/// [`ServeConfig::slow_ms`] threshold, a `serve.request.slow` warning
-/// plus the `serve.slow` counter.
-fn log_request_finish(
-    config: &ServeConfig,
-    seq: u64,
-    response: &str,
-    batch_size: usize,
-    queue_wait: Duration,
-    latency: Duration,
-) {
-    let latency_ms = latency.as_secs_f64() * 1e3;
-    let slow = config.slow_ms.is_some_and(|ms| latency_ms > ms as f64);
-    if slow {
-        counter!("serve.slow");
-    }
-    if !qisim_obs::log::armed(qisim_obs::log::Level::Warn) {
-        return;
-    }
-    let _scope = qisim_obs::RequestScope::enter(seq);
-    if qisim_obs::log::armed(qisim_obs::log::Level::Info) {
-        let outcome = match proto::response_kind(response) {
-            Some(proto::ResponseKind::Ok) => "ok",
-            Some(proto::ResponseKind::Busy) => "busy",
-            _ => "error",
-        };
-        qisim_obs::log::record(qisim_obs::log::Level::Info, "serve.request.finish")
-            .str("outcome", outcome)
-            .u64("batch_size", batch_size as u64)
-            .f64("queue_wait_ms", queue_wait.as_secs_f64() * 1e3)
-            .f64("latency_ms", latency_ms)
-            .emit();
-    }
-    if slow {
-        qisim_obs::log::record(qisim_obs::log::Level::Warn, "serve.request.slow")
-            .f64("latency_ms", latency_ms)
-            .u64("threshold_ms", config.slow_ms.unwrap_or(0))
-            .emit();
-    }
-}
-
 /// Runs one traced request: arms the process-global flight recorder
 /// around the analysis, drains the session, and reports the captured
 /// event count (plus a Chrome-trace dump when
@@ -266,24 +225,13 @@ fn run_traced(
 ) -> Result<Scalability, QisimError> {
     static TRACE_LOCK: Mutex<()> = Mutex::new(());
     let _guard = TRACE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let target = prepared.request.target.target();
     if qisim_obs::trace::armed() {
         extras.push(("trace_events", "0".to_string()));
-        return engine::try_analyze_topology(
-            &prepared.design,
-            &target,
-            &prepared.topology,
-            prepared.estimator,
-        );
+        return prepared.analyze();
     }
     qisim_obs::trace::arm();
     qisim_obs::trace::clear();
-    let result = engine::try_analyze_topology(
-        &prepared.design,
-        &target,
-        &prepared.topology,
-        prepared.estimator,
-    );
+    let result = prepared.analyze();
     let session = qisim_obs::TraceSession::drain();
     qisim_obs::trace::disarm();
     let events: usize = session.threads.iter().map(|t| t.events.len()).sum();
@@ -302,8 +250,8 @@ fn run_traced(
 /// stdin/stdout framing. Responses are written (and flushed) in request
 /// order, one line each; EOF is the graceful-shutdown signal.
 ///
-/// Each line runs through the same batch executor as the TCP service
-/// (a batch of one), so responses are bit-identical across framings.
+/// Each line runs through the same per-request function as the TCP
+/// service, so responses are bit-identical across framings.
 ///
 /// # Errors
 ///
@@ -323,39 +271,14 @@ pub fn serve_lines(
         counter!("serve.requests");
         log_request_start(seq, 0);
         let t0 = Instant::now();
-        let response = match prepare(seq, &line) {
-            Ok(prepared) => {
-                let mut responses = answer_batch(config, &[prepared]);
-                responses.pop().unwrap_or_default()
-            }
-            Err(error) => proto::error_response(Some(seq), proto::request_id(&line), &error),
-        };
+        let response = respond(config, seq, &line);
         let latency = t0.elapsed();
         observe!("serve.request_ns", latency.as_nanos() as f64);
-        track_response(&stats, &response);
-        log_request_finish(config, seq, &response, 1, Duration::ZERO, latency);
+        stats.finish(config, seq, &response, Duration::ZERO, latency);
         output.write_all(response.as_bytes())?;
         output.flush()?;
     }
     Ok(stats.snapshot())
-}
-
-/// Updates counters from a rendered response line.
-fn track_response(stats: &Stats, response: &str) {
-    match proto::response_kind(response) {
-        Some(proto::ResponseKind::Ok) => {
-            stats.ok.fetch_add(1, Ordering::Relaxed);
-            counter!("serve.responses");
-        }
-        Some(proto::ResponseKind::Busy) => {
-            stats.shed.fetch_add(1, Ordering::Relaxed);
-            counter!("serve.shed");
-        }
-        _ => {
-            stats.errors.fetch_add(1, Ordering::Relaxed);
-            counter!("serve.errors");
-        }
-    }
 }
 
 /// One accepted request waiting for the worker.
@@ -367,7 +290,7 @@ struct Job {
 }
 
 /// State shared between the accept loop, connection readers, and the
-/// batch worker.
+/// worker.
 struct Shared {
     config: ServeConfig,
     stats: Stats,
@@ -406,8 +329,8 @@ impl crate::admin::ServiceStatus for Shared {
 }
 
 /// The long-running TCP service: an accept loop, one reader thread per
-/// connection, and a single batch worker draining a bounded queue
-/// through [`qisim::engine::try_analyze_many`].
+/// connection, and a single worker answering a bounded queue one
+/// request at a time, in accept order.
 ///
 /// Backpressure is explicit: when the queue holds
 /// [`ServeConfig::queue_depth`] requests, new ones are shed immediately
@@ -631,9 +554,8 @@ fn oversized_line(shared: &Shared, line: &str, out: &Arc<Mutex<TcpStream>>) {
         format!("request line exceeds {MAX_LINE_BYTES} bytes"),
     ));
     let response = proto::error_response(Some(seq), proto::request_id(line), &error);
-    track_response(&shared.stats, &response);
     log_request_start(seq, 0);
-    log_request_finish(&shared.config, seq, &response, 1, Duration::ZERO, Duration::ZERO);
+    shared.stats.finish(&shared.config, seq, &response, Duration::ZERO, Duration::ZERO);
     write_response(out, &response);
 }
 
@@ -651,9 +573,8 @@ fn enqueue(shared: &Shared, line: &str, out: &Arc<Mutex<TcpStream>>) {
             proto::request_id(line),
             &format!("queue full (depth {depth})"),
         );
-        track_response(&shared.stats, &response);
         log_request_start(seq, depth);
-        log_request_finish(&shared.config, seq, &response, 0, Duration::ZERO, Duration::ZERO);
+        shared.stats.finish(&shared.config, seq, &response, Duration::ZERO, Duration::ZERO);
         write_response(out, &response);
         return;
     }
@@ -666,18 +587,18 @@ fn enqueue(shared: &Shared, line: &str, out: &Arc<Mutex<TcpStream>>) {
     shared.work.notify_all();
 }
 
-/// The single batch worker: drains the queue in batches of up to
-/// [`ServeConfig::batch_max`], answers each batch through
-/// [`answer_batch`], and keeps draining after a stop request until the
-/// queue is empty (accepted requests are always answered).
+/// The single worker: pops one job at a time off the queue, answers it
+/// through [`respond`], writes the response back, and keeps draining
+/// after a stop request until the queue is empty (accepted requests are
+/// always answered). Jobs leave in accept order, so a pipelined
+/// connection reads its answers in the order it sent them.
 fn worker_loop(shared: Arc<Shared>) {
     loop {
-        let batch: Vec<Job> = {
+        let (job, depth) = {
             let mut queue = shared.lock_queue();
             loop {
-                if !queue.is_empty() {
-                    let n = queue.len().min(shared.config.batch_max);
-                    break queue.drain(..n).collect();
+                if let Some(job) = queue.pop_front() {
+                    break (job, queue.len());
                 }
                 if shared.stopping() {
                     return;
@@ -688,62 +609,19 @@ fn worker_loop(shared: Arc<Shared>) {
                 };
             }
         };
-        // The wait-in-queue interval ends here, when the batch drains.
-        let queue_waits: Vec<Duration> = batch.iter().map(|job| job.t0.elapsed()).collect();
-        gauge!("serve.inflight", (shared.lock_queue().len() + batch.len()) as f64);
-        if !shared.config.batch_delay.is_zero() {
-            std::thread::sleep(shared.config.batch_delay);
+        // The wait-in-queue interval ends here, when the job pops.
+        let queue_wait = job.t0.elapsed();
+        gauge!("serve.inflight", (depth + 1) as f64);
+        if !shared.config.request_delay.is_zero() {
+            std::thread::sleep(shared.config.request_delay);
         }
-        // Parse failures short-circuit; the rest form the batch. All
-        // responses are written back in request order, so a pipelined
-        // connection reads its answers in the order it sent them.
-        let mut slots: Vec<Option<String>> = Vec::new();
-        slots.resize_with(batch.len(), || None);
-        let mut prepared: Vec<Prepared> = Vec::with_capacity(batch.len());
-        let mut prepared_at: Vec<usize> = Vec::with_capacity(batch.len());
-        for (i, job) in batch.iter().enumerate() {
-            match prepare(job.seq, &job.line) {
-                Ok(p) => {
-                    prepared.push(p);
-                    prepared_at.push(i);
-                }
-                Err(error) => {
-                    slots[i] = Some(proto::error_response(
-                        Some(job.seq),
-                        proto::request_id(&job.line),
-                        &error,
-                    ));
-                }
-            }
-        }
-        let answers = answer_batch(&shared.config, &prepared);
-        for (i, response) in prepared_at.into_iter().zip(answers) {
-            slots[i] = Some(response);
-        }
-        let batch_size = batch.len();
-        for ((job, slot), queue_wait) in batch.iter().zip(slots).zip(queue_waits) {
-            if let Some(response) = slot {
-                finish_job(&shared, job, response, queue_wait, batch_size);
-            }
-        }
+        let response = respond(&shared.config, job.seq, &job.line);
+        let latency = job.t0.elapsed();
+        observe!("serve.request_ns", latency.as_nanos() as f64);
+        shared.stats.finish(&shared.config, job.seq, &response, queue_wait, latency);
+        write_response(&job.out, &response);
         gauge!("serve.inflight", shared.lock_queue().len() as f64);
     }
-}
-
-/// Records latency, counters, and the finish log record for one
-/// answered job, then writes its response line.
-fn finish_job(
-    shared: &Shared,
-    job: &Job,
-    response: String,
-    queue_wait: Duration,
-    batch_size: usize,
-) {
-    let latency = job.t0.elapsed();
-    observe!("serve.request_ns", latency.as_nanos() as f64);
-    track_response(&shared.stats, &response);
-    log_request_finish(&shared.config, job.seq, &response, batch_size, queue_wait, latency);
-    write_response(&job.out, &response);
 }
 
 /// Writes one response line; client-side failures (a closed socket) are

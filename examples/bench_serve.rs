@@ -4,8 +4,8 @@
 //! **bit-identical** to a direct `try_analyze_spec` call, and the
 //! sorted-latency percentiles land in the `BENCH_serve.json` artifact.
 //!
-//! A second, deliberately tiny server (queue depth 2, injected batch
-//! delay) is then driven past saturation to demonstrate the shed path:
+//! A second, deliberately tiny server (queue depth 2, injected
+//! per-request delay) is then driven past saturation to demonstrate the shed path:
 //! under sustained overload some requests must come back as typed
 //! `busy` responses while the service keeps answering.
 //!
@@ -124,8 +124,7 @@ fn main() {
     // shed — and answer everything it sheds with a typed busy line.
     let tiny = ServeConfig {
         queue_depth: 2,
-        batch_max: 1,
-        batch_delay: Duration::from_millis(5),
+        request_delay: Duration::from_millis(5),
         ..ServeConfig::default()
     };
     let overload = Server::bind("127.0.0.1:0", tiny).expect("bind overload server");

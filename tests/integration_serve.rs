@@ -1,4 +1,4 @@
-//! End-to-end tests of the `qisim-serve` batch analysis service: the
+//! End-to-end tests of the `qisim-serve` analysis service: the
 //! stdin/stdout framing round-trips every paper preset bit-identically
 //! to a direct engine call, malformed requests become typed errors with
 //! the service still alive, concurrent TCP clients get the same bytes a
@@ -79,8 +79,8 @@ fn stdio_round_trips_every_paper_preset_bit_identically() {
 fn estimator_requests_round_trip_each_engine_bit_identically() {
     let _guard = common::isolate();
     // One round trip per estimator value, each bit-identical to the
-    // direct try_analyze_spec path (the Monte-Carlo estimators bypass
-    // the grouped try_analyze_many fan-out inside the service).
+    // direct try_analyze_spec path (the service hands the chosen
+    // estimator to the same staged engine).
     let mut input = String::new();
     let mut expected = String::new();
     for estimator in ["packed", "sliced", "rare"] {
@@ -228,10 +228,9 @@ fn overload_sheds_with_busy_responses_and_the_service_stays_up() {
     let before_shed = qisim_obs::snapshot().counter("serve.shed").unwrap_or(0);
     let config = ServeConfig {
         queue_depth: 1,
-        batch_max: 1,
-        // Fault injection: make each batch slow so a pipelined burst
+        // Fault injection: make each request slow so a pipelined burst
         // must overflow the depth-1 queue.
-        batch_delay: Duration::from_millis(25),
+        request_delay: Duration::from_millis(25),
         ..ServeConfig::default()
     };
     let server = Server::bind("127.0.0.1:0", config).expect("bind");
@@ -384,9 +383,8 @@ fn invalid_topology_requests_get_typed_errors() {
 #[test]
 fn multi_fridge_requests_mixed_into_batches_stay_bit_identical() {
     let _guard = common::isolate();
-    // Scale-out requests run individually (they are excluded from the
-    // grouped fan-out), but interleaving them with groupable classic
-    // requests must not perturb either side's bytes or ordering.
+    // Interleaving scale-out requests with classic single-fridge ones
+    // in one stream must not perturb either side's bytes or ordering.
     let lines: Vec<String> = (0..12)
         .map(|i| {
             let preset = Preset::ALL[i % Preset::ALL.len()].id();
@@ -443,4 +441,25 @@ fn traced_requests_report_event_counts_and_explain_embeds_text() {
     // The folded report still parses even with extras up front.
     let report = proto::response_report(&response).expect("report");
     assert!(codec::parse_scalability(&report).is_ok());
+}
+
+#[test]
+fn untraced_requests_stamp_their_id_on_every_engine_stage_record() {
+    let _guard = common::isolate();
+    let path = std::env::temp_dir().join(format!("qisim_serve_ids_{}.jsonl", std::process::id()));
+    // The kill-switch build refuses to arm the sink; nothing to check.
+    if !qisim_obs::log::start(&path.to_string_lossy(), qisim_obs::log::Level::Debug) {
+        return;
+    }
+    serve_lines(Cursor::new("preset = cmos_baseline\n"), Vec::new(), &ServeConfig::default())
+        .expect("stdio transport");
+    assert!(qisim_obs::log::shutdown(), "the armed sink must close");
+    let text = std::fs::read_to_string(&path).expect("read log file");
+    let _ = std::fs::remove_file(&path);
+    let stages: Vec<&str> =
+        text.lines().filter(|l| l.contains("\"event\":\"engine.stage\"")).collect();
+    assert!(stages.len() >= 5, "a full analysis runs five plan stages, saw {}", stages.len());
+    for line in stages {
+        assert!(line.contains("\"request_id\":1"), "engine.stage record lacks the id: {line}");
+    }
 }

@@ -41,17 +41,18 @@
 #  10. paper-suite smoke run: the cheap experiment drivers (Fig. 12/13/17
 #      + Table 2) must replay their paper numbers through the staged
 #      engine (the full 19-driver suite is `--example paper_suite`)
-#  11. serve smoke run: bench_serve --smoke replays a concurrent request
-#      batch against an in-process qisim-serve TCP server (responses
+#  11. serve smoke run: bench_serve --smoke replays concurrent request
+#      streams against an in-process qisim-serve TCP server (responses
 #      bit-identical to direct analysis, overload drill sheds, clean
 #      shutdown) and must leave nonzero serve_* counters in the metrics
 #      file; then the release binary itself serves one request over
 #      /dev/tcp and exits 0 via the stop file (docs/SERVING.md)
 #  12. admin-plane smoke run: the release binary with --admin and
-#      QISIM_LOG armed answers /healthz and /readyz over /dev/tcp, its
-#      /metrics scrape mid-burst validates via --check-om, the wire
-#      response echoes a request_id that also stamps the JSONL
-#      start/finish records, and the stop file shuts everything down
+#      QISIM_LOG armed at debug answers /healthz and /readyz over
+#      /dev/tcp, its /metrics scrape mid-burst validates via --check-om,
+#      the wire response echoes a request_id that also stamps the JSONL
+#      start/finish records and the request's engine.stage records, and
+#      the stop file shuts everything down
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -192,7 +193,7 @@ echo "== [12/12] admin-plane smoke run =="
 # (Step 6 left the kill-switch build of the binary in target/release;
 # relink the instrumented one — cached, so this is just a link step.)
 cargo build --release --quiet -p qisim-serve
-QISIM_LOG="$out/admin.log.jsonl:info" ./target/release/qisim-serve \
+QISIM_LOG="$out/admin.log.jsonl:debug" ./target/release/qisim-serve \
     --tcp 127.0.0.1:0 --admin 127.0.0.1:0 --stop-file "$out/admin_stop" \
     > "$out/admin_bin.txt" 2> "$out/admin_bin.err" &
 admin_pid=$!
@@ -239,11 +240,15 @@ sed -e '1,/^\r*$/d' "$out/admin_metrics.txt" > "$out/admin_metrics.om"
 grep -Eq "^serve_requests_total [1-9]" "$out/admin_metrics.om"
 touch "$out/admin_stop"
 wait "$admin_pid"
-# The id echoed on the wire stamps the structured start/finish records.
+# The id echoed on the wire stamps the structured start/finish records
+# and the engine.stage records of its analysis.
 grep -q "\"event\":\"serve.request.start\"" "$out/admin.log.jsonl"
 grep -q "\"event\":\"serve.request.finish\".*\"request_id\":$rid" "$out/admin.log.jsonl" \
     || grep -q "\"request_id\":$rid.*\"event\":\"serve.request.finish\"" "$out/admin.log.jsonl" \
     || { echo "request_id $rid missing from serve.request.finish records" >&2; exit 1; }
+grep -q "\"event\":\"engine.stage\".*\"request_id\":$rid" "$out/admin.log.jsonl" \
+    || grep -q "\"request_id\":$rid.*\"event\":\"engine.stage\"" "$out/admin.log.jsonl" \
+    || { echo "request_id $rid missing from engine.stage records" >&2; exit 1; }
 grep -q "\"outcome\":\"ok\"" "$out/admin.log.jsonl"
 
 echo "CI gate passed."
