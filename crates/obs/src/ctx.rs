@@ -8,33 +8,21 @@
 //! id per wire line) and read by the instrumentation layers. It never
 //! crosses threads on its own; a fan-out that must carry the id hands
 //! it to the worker explicitly.
-//!
-//! With the `obs` feature compiled out the scope is inert and
-//! [`current`] always returns `None`.
 
-#[cfg(feature = "obs")]
 use std::cell::Cell;
 
-#[cfg(feature = "obs")]
 thread_local! {
     /// The calling thread's current request id (0 = no request scope).
     static CURRENT: Cell<u64> = const { Cell::new(0) };
 }
 
 /// The request id attached to the calling thread, if a [`RequestScope`]
-/// is open. Always `None` when the `obs` feature is compiled out.
+/// is open.
 #[inline]
 pub fn current() -> Option<u64> {
-    #[cfg(feature = "obs")]
-    {
-        match CURRENT.with(Cell::get) {
-            0 => None,
-            id => Some(id),
-        }
-    }
-    #[cfg(not(feature = "obs"))]
-    {
-        None
+    match CURRENT.with(Cell::get) {
+        0 => None,
+        id => Some(id),
     }
 }
 
@@ -43,7 +31,6 @@ pub fn current() -> Option<u64> {
 /// dropping it restores whatever was set before (scopes nest).
 #[derive(Debug)]
 pub struct RequestScope {
-    #[cfg(feature = "obs")]
     prev: u64,
 }
 
@@ -51,20 +38,11 @@ impl RequestScope {
     /// Sets `id` as the calling thread's request id until the guard
     /// drops. An `id` of 0 clears the context for the scope's duration.
     pub fn enter(id: u64) -> RequestScope {
-        #[cfg(feature = "obs")]
-        {
-            let prev = CURRENT.with(|c| c.replace(id));
-            RequestScope { prev }
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            let _ = id;
-            RequestScope {}
-        }
+        let prev = CURRENT.with(|c| c.replace(id));
+        RequestScope { prev }
     }
 }
 
-#[cfg(feature = "obs")]
 impl Drop for RequestScope {
     fn drop(&mut self) {
         CURRENT.with(|c| c.set(self.prev));

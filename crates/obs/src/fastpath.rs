@@ -10,11 +10,6 @@
 //! name. Call sites sharing a name share the store's one cell, so totals
 //! stay exact and a computed-name write of the same series lands in the
 //! same cell.
-//!
-//! With the `obs` feature compiled out the handles still exist (macro
-//! expansions in dependent crates must type-check) but nothing ever
-//! calls them: every macro guards on [`crate::enabled`], which is then a
-//! constant `false`.
 
 use crate::metrics::{GaugeCell, SpanStats, COUNTERS, GAUGES, SPANS};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -94,7 +89,6 @@ impl SpanSlot {
 }
 
 #[cfg(test)]
-#[cfg(feature = "obs")]
 mod tests {
     use super::*;
     use crate::metrics::lock;

@@ -26,24 +26,20 @@
 //! }
 //! bisect();
 //! let snap = qisim_obs::snapshot();
-//! if qisim_obs::enabled() {
-//!     assert_eq!(snap.counter("power.bisection.iters"), Some(7));
-//! } else {
-//!     assert!(snap.is_empty()); // compile-time kill switch active
-//! }
+//! assert_eq!(snap.counter("power.bisection.iters"), Some(7));
 //! println!("{}", qisim_obs::report_text());
 //! # qisim_obs::reset();
 //! ```
 //!
 //! # Kill switch
 //!
-//! The `obs` cargo feature (on by default) is a compile-time kill switch:
-//! built with `--no-default-features`, every macro and recording function
-//! compiles to a no-op, [`snapshot`] returns an empty [`Snapshot`], and no
-//! global state is ever allocated. A runtime toggle ([`set_enabled`])
-//! exists as well, so a single binary can compare instrumented and
-//! uninstrumented runs (the integration tests use it to prove results are
-//! bit-identical either way).
+//! [`set_enabled`] is the one kill switch. Recording is on from process
+//! start; `set_enabled(false)` turns every macro into one relaxed atomic
+//! load and a branch (name and value expressions are not evaluated, and
+//! spans open inert guards), so a single binary can compare instrumented
+//! and uninstrumented runs. The integration tests use it to prove results
+//! are bit-identical either way, and `bench_obs` gates the disarmed
+//! overhead at ≤2%.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -74,43 +70,20 @@ pub use span::SpanGuard;
 pub use trace::TraceSession;
 pub use trace_export::trace_is_well_formed;
 
-#[cfg(feature = "obs")]
-mod global {
-    use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
-    static ENABLED: AtomicBool = AtomicBool::new(true);
+static ENABLED: AtomicBool = AtomicBool::new(true);
 
-    pub(crate) fn enabled() -> bool {
-        ENABLED.load(Ordering::Relaxed)
-    }
-
-    pub(crate) fn set_enabled(on: bool) {
-        ENABLED.store(on, Ordering::Relaxed);
-    }
-}
-
-/// Whether recording is currently active (always `false` when the `obs`
-/// feature is compiled out).
+/// Whether recording is currently active (see [`set_enabled`]).
 #[inline]
 pub fn enabled() -> bool {
-    #[cfg(feature = "obs")]
-    {
-        global::enabled()
-    }
-    #[cfg(not(feature = "obs"))]
-    {
-        false
-    }
+    ENABLED.load(Ordering::Relaxed)
 }
 
-/// Runtime toggle: temporarily stop (or resume) all recording. A no-op
-/// when the `obs` feature is compiled out.
+/// Runtime toggle: stop (or resume) all recording.
 #[inline]
 pub fn set_enabled(on: bool) {
-    #[cfg(feature = "obs")]
-    global::set_enabled(on);
-    #[cfg(not(feature = "obs"))]
-    let _ = on;
+    ENABLED.store(on, Ordering::Relaxed);
 }
 
 /// Adds `delta` to the named global counter.
@@ -137,21 +110,14 @@ pub fn observe_f64(name: &str, value: f64) {
     }
 }
 
-/// Copies the metric store contents out for export. Empty when the
-/// `obs` feature is compiled out.
+/// Copies the metric store contents out for export.
 pub fn snapshot() -> Snapshot {
-    if cfg!(feature = "obs") {
-        metrics::snapshot()
-    } else {
-        Snapshot::default()
-    }
+    metrics::snapshot()
 }
 
 /// Clears every global metric (spans, counters, gauges, histograms).
 pub fn reset() {
-    if cfg!(feature = "obs") {
-        metrics::reset();
-    }
+    metrics::reset();
 }
 
 /// Renders the metric store as an aligned text table.
@@ -248,7 +214,7 @@ pub(crate) fn global_test_lock() -> std::sync::MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-#[cfg(all(test, feature = "obs"))]
+#[cfg(test)]
 mod tests {
     #[test]
     fn macros_drive_the_global_registry() {
@@ -330,33 +296,25 @@ mod tests {
         let _l = crate::global_test_lock();
         crate::reset();
         crate::set_enabled(false);
+        assert!(!crate::enabled());
         counter!("lib.suppressed");
+        gauge!("lib.suppressed.gauge", 1.0);
+        observe!("lib.suppressed.hist", 1.0);
         {
             span!("lib.suppressed.span");
         }
-        crate::set_enabled(true);
         let snap = crate::snapshot();
-        assert_eq!(snap.counter("lib.suppressed"), None);
-        assert!(snap.span("lib.suppressed.span").is_none());
-        crate::reset();
-    }
-}
-
-#[cfg(all(test, not(feature = "obs")))]
-mod killswitch_tests {
-    #[test]
-    fn everything_is_inert_without_the_feature() {
-        assert!(!crate::enabled());
-        counter!("dead");
-        gauge!("dead", 1.0);
-        observe!("dead", 1.0);
-        {
-            span!("dead");
-        }
-        assert!(crate::snapshot().is_empty());
+        assert!(snap.is_empty(), "{snap:?}");
         assert_eq!(
             crate::report_json(),
             r#"{"counters":{},"gauges":{},"histograms":{},"spans":{}}"#
         );
+        crate::set_enabled(true);
+        let snap = crate::snapshot();
+        assert_eq!(snap.counter("lib.suppressed"), None);
+        assert_eq!(snap.gauge("lib.suppressed.gauge"), None);
+        assert!(snap.hist("lib.suppressed.hist").is_none());
+        assert!(snap.span("lib.suppressed.span").is_none());
+        crate::reset();
     }
 }

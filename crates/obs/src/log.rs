@@ -48,15 +48,12 @@
 //! synthetic `log.suppressed` record when the window rolls over (and on
 //! [`shutdown`]), so a flooded log always says how much it lost.
 //!
-//! The `obs` cargo feature and [`crate::set_enabled`] remain the outer
-//! kill switches for the metrics side; the logger itself only depends on
-//! the feature (an operator can log with the registry disabled).
+//! [`crate::set_enabled`] is the kill switch for the metrics side only;
+//! the logger arms on its own (an operator can log with the metric store
+//! disabled).
 
-#[cfg(feature = "obs")]
 use std::io::Write;
-#[cfg(feature = "obs")]
 use std::sync::atomic::{AtomicU32, AtomicU8, Ordering};
-#[cfg(feature = "obs")]
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 /// Default cap on records written per one-second window
@@ -99,22 +96,15 @@ impl Level {
     }
 }
 
-#[cfg(feature = "obs")]
 const STATE_UNINIT: u8 = 0;
-#[cfg(feature = "obs")]
 const STATE_OFF: u8 = 1;
-#[cfg(feature = "obs")]
 const STATE_ON: u8 = 2;
 
-#[cfg(feature = "obs")]
 static ARMED: AtomicU8 = AtomicU8::new(STATE_UNINIT);
-#[cfg(feature = "obs")]
 static MIN_LEVEL: AtomicU8 = AtomicU8::new(Level::Info as u8);
-#[cfg(feature = "obs")]
 static RATE_CAP: AtomicU32 = AtomicU32::new(DEFAULT_RATE_CAP);
 
 /// Where armed records go.
-#[cfg(feature = "obs")]
 #[derive(Debug)]
 enum SinkOut {
     Stderr,
@@ -123,7 +113,6 @@ enum SinkOut {
 
 /// The sink plus its rate-limiter state, all under one mutex so a
 /// window rollover and its suppression record are atomic.
-#[cfg(feature = "obs")]
 #[derive(Debug)]
 struct Sink {
     out: SinkOut,
@@ -132,7 +121,6 @@ struct Sink {
     suppressed_in_window: u64,
 }
 
-#[cfg(feature = "obs")]
 impl Sink {
     fn write_bytes(&mut self, bytes: &[u8]) {
         // Best-effort: a full disk or closed stderr must never take the
@@ -175,22 +163,18 @@ impl Sink {
     }
 }
 
-#[cfg(feature = "obs")]
 static SINK: Mutex<Option<Sink>> = Mutex::new(None);
 
-#[cfg(feature = "obs")]
 fn sink_slot() -> MutexGuard<'static, Option<Sink>> {
     SINK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// The `QISIM_LOG` value captured at first use (`None` = unset).
-#[cfg(feature = "obs")]
 static ENV_SPEC: OnceLock<Option<(String, Level)>> = OnceLock::new();
 
 /// Parses a `<path|stderr>[:level]` spec: the suffix after the *last*
 /// colon is the level only when it names one, so paths containing colons
 /// still work. Empty specs are `None`.
-#[cfg(feature = "obs")]
 fn parse_spec(spec: &str) -> Option<(String, Level)> {
     let spec = spec.trim();
     if spec.is_empty() {
@@ -206,14 +190,12 @@ fn parse_spec(spec: &str) -> Option<(String, Level)> {
     Some((spec.to_string(), Level::Info))
 }
 
-#[cfg(feature = "obs")]
 fn env_spec() -> &'static Option<(String, Level)> {
     ENV_SPEC.get_or_init(|| std::env::var("QISIM_LOG").ok().as_deref().and_then(parse_spec))
 }
 
 /// One-time arming decision from the environment; returns whether the
 /// logger armed.
-#[cfg(feature = "obs")]
 fn init_from_env() -> bool {
     match env_spec() {
         Some((path, level)) if path == "stderr" => start_stderr(*level),
@@ -231,118 +213,79 @@ fn init_from_env() -> bool {
     }
 }
 
-/// Whether a record at `level` would currently be written. Always
-/// `false` when the `obs` feature is compiled out. This is the hot-path
-/// gate: when disarmed it is a single relaxed atomic load.
+/// Whether a record at `level` would currently be written. This is the
+/// hot-path gate: when disarmed it is a single relaxed atomic load.
 #[inline]
 pub fn armed(level: Level) -> bool {
-    #[cfg(feature = "obs")]
-    {
-        let on = match ARMED.load(Ordering::Relaxed) {
-            STATE_UNINIT => init_from_env(),
-            state => state == STATE_ON,
-        };
-        on && level as u8 >= MIN_LEVEL.load(Ordering::Relaxed)
-    }
-    #[cfg(not(feature = "obs"))]
-    {
-        let _ = level;
-        false
-    }
+    let on = match ARMED.load(Ordering::Relaxed) {
+        STATE_UNINIT => init_from_env(),
+        state => state == STATE_ON,
+    };
+    on && level as u8 >= MIN_LEVEL.load(Ordering::Relaxed)
 }
 
 /// Arms the logger writing JSONL records at or above `level` to the file
 /// at `path` (created/truncated). Returns `false` (changing nothing)
-/// when a sink is already armed, the file cannot be created, or the
-/// `obs` feature is compiled out.
+/// when a sink is already armed or the file cannot be created.
 pub fn start(path: &str, level: Level) -> bool {
-    #[cfg(feature = "obs")]
-    {
-        let mut slot = sink_slot();
-        if slot.is_some() {
-            return false;
-        }
-        let Ok(file) = std::fs::File::create(path) else {
-            ARMED.store(STATE_OFF, Ordering::Relaxed);
-            return false;
-        };
-        *slot = Some(Sink {
-            out: SinkOut::File(file),
-            window_start_ns: crate::trace::now_ns(),
-            written_in_window: 0,
-            suppressed_in_window: 0,
-        });
-        MIN_LEVEL.store(level as u8, Ordering::Relaxed);
-        ARMED.store(STATE_ON, Ordering::Relaxed);
-        true
+    let mut slot = sink_slot();
+    if slot.is_some() {
+        return false;
     }
-    #[cfg(not(feature = "obs"))]
-    {
-        let _ = (path, level);
-        false
-    }
+    let Ok(file) = std::fs::File::create(path) else {
+        ARMED.store(STATE_OFF, Ordering::Relaxed);
+        return false;
+    };
+    *slot = Some(Sink {
+        out: SinkOut::File(file),
+        window_start_ns: crate::trace::now_ns(),
+        written_in_window: 0,
+        suppressed_in_window: 0,
+    });
+    MIN_LEVEL.store(level as u8, Ordering::Relaxed);
+    ARMED.store(STATE_ON, Ordering::Relaxed);
+    true
 }
 
 /// Arms the logger writing to stderr. Same contract as [`start`].
 pub fn start_stderr(level: Level) -> bool {
-    #[cfg(feature = "obs")]
-    {
-        let mut slot = sink_slot();
-        if slot.is_some() {
-            return false;
-        }
-        *slot = Some(Sink {
-            out: SinkOut::Stderr,
-            window_start_ns: crate::trace::now_ns(),
-            written_in_window: 0,
-            suppressed_in_window: 0,
-        });
-        MIN_LEVEL.store(level as u8, Ordering::Relaxed);
-        ARMED.store(STATE_ON, Ordering::Relaxed);
-        true
+    let mut slot = sink_slot();
+    if slot.is_some() {
+        return false;
     }
-    #[cfg(not(feature = "obs"))]
-    {
-        let _ = level;
-        false
-    }
+    *slot = Some(Sink {
+        out: SinkOut::Stderr,
+        window_start_ns: crate::trace::now_ns(),
+        written_in_window: 0,
+        suppressed_in_window: 0,
+    });
+    MIN_LEVEL.store(level as u8, Ordering::Relaxed);
+    ARMED.store(STATE_ON, Ordering::Relaxed);
+    true
 }
 
 /// Disarms the logger: writes the pending suppression summary, flushes,
 /// and closes the sink. Returns `false` when no sink was armed.
 pub fn shutdown() -> bool {
-    #[cfg(feature = "obs")]
-    {
-        let mut slot = sink_slot();
-        let Some(mut sink) = slot.take() else { return false };
-        sink.flush_suppressed(crate::trace::now_ns());
-        if let SinkOut::File(f) = &mut sink.out {
-            let _ = f.flush();
-        }
-        ARMED.store(STATE_OFF, Ordering::Relaxed);
-        true
+    let mut slot = sink_slot();
+    let Some(mut sink) = slot.take() else { return false };
+    sink.flush_suppressed(crate::trace::now_ns());
+    if let SinkOut::File(f) = &mut sink.out {
+        let _ = f.flush();
     }
-    #[cfg(not(feature = "obs"))]
-    {
-        false
-    }
+    ARMED.store(STATE_OFF, Ordering::Relaxed);
+    true
 }
 
 /// Changes the minimum written level of the armed sink.
 pub fn set_level(level: Level) {
-    #[cfg(feature = "obs")]
     MIN_LEVEL.store(level as u8, Ordering::Relaxed);
-    #[cfg(not(feature = "obs"))]
-    let _ = level;
 }
 
 /// Overrides the per-second record cap (clamped to at least 1); see
 /// [`DEFAULT_RATE_CAP`].
 pub fn set_rate_cap(records_per_second: u32) {
-    #[cfg(feature = "obs")]
     RATE_CAP.store(records_per_second.max(1), Ordering::Relaxed);
-    #[cfg(not(feature = "obs"))]
-    let _ = records_per_second;
 }
 
 /// A JSONL record under construction; created by [`record`]. Field
@@ -354,7 +297,6 @@ pub fn set_rate_cap(records_per_second: u32) {
 #[derive(Debug)]
 #[must_use = "a record does nothing until .emit()"]
 pub struct Record {
-    #[cfg(feature = "obs")]
     buf: Option<String>,
 }
 
@@ -363,36 +305,27 @@ pub struct Record {
 /// is open — `request_id`) are filled in automatically; chain typed
 /// field calls and finish with [`Record::emit`].
 pub fn record(level: Level, event: &str) -> Record {
-    #[cfg(feature = "obs")]
-    {
-        if !armed(level) {
-            return Record { buf: None };
-        }
-        let mut buf = String::with_capacity(192);
-        buf.push_str("{\"ts_ns\":");
-        crate::json::push_u64(&mut buf, crate::trace::now_ns());
-        buf.push_str(",\"level\":\"");
-        buf.push_str(level.as_str());
-        buf.push_str("\",\"event\":");
-        crate::json::push_str_literal(&mut buf, event);
-        buf.push_str(",\"thread\":");
-        let thread = std::thread::current();
-        crate::json::push_str_literal(&mut buf, thread.name().unwrap_or("unnamed"));
-        if let Some(id) = crate::ctx::current() {
-            buf.push_str(",\"request_id\":");
-            crate::json::push_u64(&mut buf, id);
-        }
-        Record { buf: Some(buf) }
+    if !armed(level) {
+        return Record { buf: None };
     }
-    #[cfg(not(feature = "obs"))]
-    {
-        let _ = (level, event);
-        Record {}
+    let mut buf = String::with_capacity(192);
+    buf.push_str("{\"ts_ns\":");
+    crate::json::push_u64(&mut buf, crate::trace::now_ns());
+    buf.push_str(",\"level\":\"");
+    buf.push_str(level.as_str());
+    buf.push_str("\",\"event\":");
+    crate::json::push_str_literal(&mut buf, event);
+    buf.push_str(",\"thread\":");
+    let thread = std::thread::current();
+    crate::json::push_str_literal(&mut buf, thread.name().unwrap_or("unnamed"));
+    if let Some(id) = crate::ctx::current() {
+        buf.push_str(",\"request_id\":");
+        crate::json::push_u64(&mut buf, id);
     }
+    Record { buf: Some(buf) }
 }
 
 impl Record {
-    #[cfg(feature = "obs")]
     fn key(&mut self, key: &str) {
         if let Some(buf) = &mut self.buf {
             buf.push(',');
@@ -402,94 +335,60 @@ impl Record {
     }
 
     /// Appends a string field (JSON-escaped).
-    #[cfg_attr(not(feature = "obs"), allow(unused_mut))]
     pub fn str(mut self, key: &str, value: &str) -> Record {
-        #[cfg(feature = "obs")]
-        {
-            self.key(key);
-            if let Some(buf) = &mut self.buf {
-                crate::json::push_str_literal(buf, value);
-            }
+        self.key(key);
+        if let Some(buf) = &mut self.buf {
+            crate::json::push_str_literal(buf, value);
         }
-        #[cfg(not(feature = "obs"))]
-        let _ = (key, value);
         self
     }
 
     /// Appends an unsigned-integer field.
-    #[cfg_attr(not(feature = "obs"), allow(unused_mut))]
     pub fn u64(mut self, key: &str, value: u64) -> Record {
-        #[cfg(feature = "obs")]
-        {
-            self.key(key);
-            if let Some(buf) = &mut self.buf {
-                crate::json::push_u64(buf, value);
-            }
+        self.key(key);
+        if let Some(buf) = &mut self.buf {
+            crate::json::push_u64(buf, value);
         }
-        #[cfg(not(feature = "obs"))]
-        let _ = (key, value);
         self
     }
 
     /// Appends a signed-integer field.
-    #[cfg_attr(not(feature = "obs"), allow(unused_mut))]
     pub fn i64(mut self, key: &str, value: i64) -> Record {
-        #[cfg(feature = "obs")]
-        {
-            self.key(key);
-            if let Some(buf) = &mut self.buf {
-                buf.push_str(&value.to_string());
-            }
+        self.key(key);
+        if let Some(buf) = &mut self.buf {
+            buf.push_str(&value.to_string());
         }
-        #[cfg(not(feature = "obs"))]
-        let _ = (key, value);
         self
     }
 
     /// Appends a float field in shortest round-trip form (non-finite
     /// values become `null`, see [`crate::json::push_f64`]).
-    #[cfg_attr(not(feature = "obs"), allow(unused_mut))]
     pub fn f64(mut self, key: &str, value: f64) -> Record {
-        #[cfg(feature = "obs")]
-        {
-            self.key(key);
-            if let Some(buf) = &mut self.buf {
-                crate::json::push_f64(buf, value);
-            }
+        self.key(key);
+        if let Some(buf) = &mut self.buf {
+            crate::json::push_f64(buf, value);
         }
-        #[cfg(not(feature = "obs"))]
-        let _ = (key, value);
         self
     }
 
     /// Appends a boolean field.
-    #[cfg_attr(not(feature = "obs"), allow(unused_mut))]
     pub fn bool(mut self, key: &str, value: bool) -> Record {
-        #[cfg(feature = "obs")]
-        {
-            self.key(key);
-            if let Some(buf) = &mut self.buf {
-                buf.push_str(if value { "true" } else { "false" });
-            }
+        self.key(key);
+        if let Some(buf) = &mut self.buf {
+            buf.push_str(if value { "true" } else { "false" });
         }
-        #[cfg(not(feature = "obs"))]
-        let _ = (key, value);
         self
     }
 
     /// Closes the record and writes it (subject to the rate limiter).
     pub fn emit(self) {
-        #[cfg(feature = "obs")]
-        {
-            let Some(mut buf) = self.buf else { return };
-            buf.push_str("}\n");
-            write_line(&buf);
-        }
+        let Some(mut buf) = self.buf else { return };
+        buf.push_str("}\n");
+        write_line(&buf);
     }
 }
 
 /// Writes one finished line through the rate limiter.
-#[cfg(feature = "obs")]
 fn write_line(line: &str) {
     let now_ns = crate::trace::now_ns();
     let mut slot = sink_slot();

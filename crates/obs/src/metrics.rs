@@ -43,7 +43,6 @@ impl SpanStats {
     }
 
     /// Adds one completed occurrence.
-    #[cfg_attr(not(feature = "obs"), allow(dead_code))]
     pub(crate) fn record(&mut self, total_ns: u64, self_ns: u64) {
         self.count += 1;
         self.total_ns += total_ns;
@@ -76,7 +75,7 @@ pub struct Snapshot {
     /// Two snapshots order by `at_ns`, so an
     /// interval's wall-clock length is `cur.at_ns - prev.at_ns` — the
     /// denominator that turns [`Snapshot::delta_since`] counters into
-    /// rates. Always 0 when the `obs` feature is compiled out.
+    /// rates.
     pub at_ns: u64,
     /// Counter values.
     pub counters: Vec<(String, u64)>,

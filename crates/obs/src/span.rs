@@ -1,9 +1,6 @@
 //! Scoped span timers: RAII guards that time a region, nest correctly,
 //! and attribute self- vs. child-time through a thread-local span stack.
 //!
-//! With the `obs` feature compiled out the guard is a zero-sized inert
-//! type and [`SpanGuard::enter`] is a no-op.
-//!
 //! # Enable/disable semantics
 //!
 //! A span records into the metric store only when recording is
@@ -23,13 +20,10 @@
 //! per-thread timeline lanes.
 
 use crate::metrics::{SpanStats, SPANS};
-#[cfg(feature = "obs")]
 use std::cell::RefCell;
 use std::sync::Mutex;
-#[cfg(feature = "obs")]
 use std::time::Instant;
 
-#[cfg(feature = "obs")]
 #[derive(Debug, Clone, Copy)]
 struct Frame {
     /// Total ns spent in spans nested directly or transitively inside
@@ -40,7 +34,6 @@ struct Frame {
     span_id: u64,
 }
 
-#[cfg(feature = "obs")]
 thread_local! {
     /// The spans currently open on this thread, innermost last.
     static SPAN_STACK: RefCell<Vec<Frame>> = const { RefCell::new(Vec::new()) };
@@ -52,11 +45,9 @@ thread_local! {
 /// spans.
 #[derive(Debug)]
 pub struct SpanGuard {
-    #[cfg(feature = "obs")]
     active: Option<ActiveSpan>,
 }
 
-#[cfg(feature = "obs")]
 #[derive(Debug)]
 struct ActiveSpan {
     name: &'static str,
@@ -68,7 +59,7 @@ struct ActiveSpan {
 
 impl SpanGuard {
     /// Opens a span, looking its stats cell up by name. Returns an inert
-    /// guard when observability is compiled out or disabled at runtime.
+    /// guard when recording is disabled at runtime.
     #[inline]
     pub fn enter(name: &'static str) -> SpanGuard {
         Self::enter_inner(name, || SPANS.get_static(name))
@@ -87,37 +78,27 @@ impl SpanGuard {
         name: &'static str,
         stats: impl FnOnce() -> &'static Mutex<SpanStats>,
     ) -> SpanGuard {
-        #[cfg(feature = "obs")]
-        {
-            if !crate::enabled() {
-                return SpanGuard { active: None };
-            }
-            // The periodic exporter arms itself off the first span any
-            // instrumented workload opens: one relaxed load once
-            // QISIM_METRICS has been found unset.
-            let _ = crate::telemetry::armed();
-            let span_id = if crate::trace::armed() {
-                let id = crate::trace::new_span_id();
-                let parent =
-                    SPAN_STACK.with(|s| s.borrow().last().map_or(0, |frame| frame.span_id));
-                crate::trace::span_begin(name, id, parent);
-                id
-            } else {
-                0
-            };
-            SPAN_STACK.with(|s| s.borrow_mut().push(Frame { child_ns: 0, span_id }));
-            let stats = stats();
-            SpanGuard { active: Some(ActiveSpan { name, start: Instant::now(), span_id, stats }) }
+        if !crate::enabled() {
+            return SpanGuard { active: None };
         }
-        #[cfg(not(feature = "obs"))]
-        {
-            let _ = (name, stats);
-            SpanGuard {}
-        }
+        // The periodic exporter arms itself off the first span any
+        // instrumented workload opens: one relaxed load once
+        // QISIM_METRICS has been found unset.
+        let _ = crate::telemetry::armed();
+        let span_id = if crate::trace::armed() {
+            let id = crate::trace::new_span_id();
+            let parent = SPAN_STACK.with(|s| s.borrow().last().map_or(0, |frame| frame.span_id));
+            crate::trace::span_begin(name, id, parent);
+            id
+        } else {
+            0
+        };
+        SPAN_STACK.with(|s| s.borrow_mut().push(Frame { child_ns: 0, span_id }));
+        let stats = stats();
+        SpanGuard { active: Some(ActiveSpan { name, start: Instant::now(), span_id, stats }) }
     }
 }
 
-#[cfg(feature = "obs")]
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         let Some(span) = self.active.take() else { return };
@@ -146,7 +127,7 @@ impl Drop for SpanGuard {
     }
 }
 
-#[cfg(all(test, feature = "obs"))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use std::time::Duration;

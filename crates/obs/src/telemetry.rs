@@ -35,17 +35,14 @@
 //! Every rewrite is atomic (write `<path>.tmp`, then rename), so a
 //! scraper never reads a torn file. [`shutdown`] performs a final flush
 //! before joining the thread, so short runs still end with a complete
-//! exposition on disk. The `obs` cargo feature and [`crate::set_enabled`]
-//! remain the outer kill switches.
+//! exposition on disk. [`crate::set_enabled`] remains the outer kill
+//! switch.
 //!
 //! [delta]: crate::metrics::Snapshot::delta_since
 
-#[cfg(feature = "obs")]
 use std::path::Path;
 use std::path::PathBuf;
-#[cfg(feature = "obs")]
 use std::sync::atomic::{AtomicU8, Ordering};
-#[cfg(feature = "obs")]
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
@@ -57,20 +54,15 @@ pub const DEFAULT_INTERVAL_MS: u64 = 1000;
 /// turn the exporter into a busy loop rewriting the file.
 pub const MIN_INTERVAL_MS: u64 = 10;
 
-#[cfg(feature = "obs")]
 const STATE_UNINIT: u8 = 0;
-#[cfg(feature = "obs")]
 const STATE_OFF: u8 = 1;
-#[cfg(feature = "obs")]
 const STATE_ON: u8 = 2;
 
-#[cfg(feature = "obs")]
 static ARMED: AtomicU8 = AtomicU8::new(STATE_UNINIT);
 
 /// Worker coordination: `flush_seq` counts flush *requests*, `done_seq`
 /// counts requests fully served by an export that **started after** the
 /// request was made (so a flush never returns with a stale file).
-#[cfg(feature = "obs")]
 #[derive(Debug)]
 struct Control {
     stop: bool,
@@ -78,21 +70,18 @@ struct Control {
     done_seq: u64,
 }
 
-#[cfg(feature = "obs")]
 #[derive(Debug)]
 struct Shared {
     ctl: Mutex<Control>,
     cv: Condvar,
 }
 
-#[cfg(feature = "obs")]
 impl Shared {
     fn lock(&self) -> MutexGuard<'_, Control> {
         self.ctl.lock().unwrap_or_else(|e| e.into_inner())
     }
 }
 
-#[cfg(feature = "obs")]
 #[derive(Debug)]
 struct Worker {
     shared: Arc<Shared>,
@@ -100,16 +89,13 @@ struct Worker {
     path: PathBuf,
 }
 
-#[cfg(feature = "obs")]
 static WORKER: Mutex<Option<Worker>> = Mutex::new(None);
 
-#[cfg(feature = "obs")]
 fn worker_slot() -> MutexGuard<'static, Option<Worker>> {
     WORKER.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// The `QISIM_METRICS` value captured at first use (`None` = unset).
-#[cfg(feature = "obs")]
 static ENV_SPEC: OnceLock<Option<(PathBuf, u64)>> = OnceLock::new();
 
 /// Parses a `<path>[:interval_ms]` spec. The suffix after the *last*
@@ -120,7 +106,6 @@ static ENV_SPEC: OnceLock<Option<(PathBuf, u64)>> = OnceLock::new();
 /// with `Err` — a misconfigured exporter must fail loudly at startup,
 /// not silently fall back. `Ok(None)` means an empty spec (exporter
 /// stays off); valid intervals are clamped to [`MIN_INTERVAL_MS`].
-#[cfg(feature = "obs")]
 fn parse_spec(spec: &str) -> Result<Option<(PathBuf, u64)>, String> {
     let spec = spec.trim();
     if spec.is_empty() {
@@ -142,7 +127,6 @@ fn parse_spec(spec: &str) -> Result<Option<(PathBuf, u64)>, String> {
     Ok(Some((PathBuf::from(spec), DEFAULT_INTERVAL_MS)))
 }
 
-#[cfg(feature = "obs")]
 fn env_spec() -> Option<(PathBuf, u64)> {
     ENV_SPEC
         .get_or_init(|| match std::env::var("QISIM_METRICS").ok().as_deref().map(parse_spec) {
@@ -161,7 +145,6 @@ fn env_spec() -> Option<(PathBuf, u64)> {
 /// One-time arming decision from the environment; returns the armed
 /// state. Threads racing here agree because the spec and the worker slot
 /// are both idempotent.
-#[cfg(feature = "obs")]
 fn init_from_env() -> bool {
     match env_spec() {
         Some((path, ms)) => {
@@ -175,65 +158,49 @@ fn init_from_env() -> bool {
     }
 }
 
-/// Whether the exporter is currently running. Always `false` when the
-/// `obs` feature is compiled out. This is the hot-path gate: when
-/// disarmed it is a single relaxed atomic load.
+/// Whether the exporter is currently running. This is the hot-path
+/// gate: when disarmed it is a single relaxed atomic load.
 #[inline]
 pub fn armed() -> bool {
-    #[cfg(feature = "obs")]
-    {
-        match ARMED.load(Ordering::Relaxed) {
-            STATE_UNINIT => init_from_env(),
-            state => state == STATE_ON,
-        }
-    }
-    #[cfg(not(feature = "obs"))]
-    {
-        false
+    match ARMED.load(Ordering::Relaxed) {
+        STATE_UNINIT => init_from_env(),
+        state => state == STATE_ON,
     }
 }
 
 /// Starts the exporter thread writing to `path` every `interval`.
-/// Returns `false` if an exporter is already running (changing nothing),
-/// the thread could not be spawned, or the `obs` feature is compiled
-/// out. The first write happens before `start` returns: the file exists
-/// as soon as the exporter is up, and work done after `start` always
-/// lands in a later interval, never in the first one.
+/// Returns `false` if an exporter is already running (changing nothing)
+/// or the thread could not be spawned. The first write happens before
+/// `start` returns: the file exists as soon as the exporter is up, and
+/// work done after `start` always lands in a later interval, never in
+/// the first one.
 pub fn start(path: impl Into<PathBuf>, interval: Duration) -> bool {
-    #[cfg(feature = "obs")]
-    {
-        let mut slot = worker_slot();
-        if slot.is_some() {
-            return false;
-        }
-        let path = path.into();
-        let interval = interval.max(Duration::from_millis(MIN_INTERVAL_MS));
-        let mut prev = crate::Snapshot::default();
-        export_once(&path, &mut prev, interval, 1);
-        let shared = Arc::new(Shared {
-            ctl: Mutex::new(Control { stop: false, flush_seq: 0, done_seq: 0 }),
-            cv: Condvar::new(),
-        });
-        let (thread_shared, thread_path) = (Arc::clone(&shared), path.clone());
-        let spawned = std::thread::Builder::new()
-            .name("qisim-metrics".into())
-            .spawn(move || run(thread_shared, thread_path, interval, prev));
-        match spawned {
-            Ok(handle) => {
-                *slot = Some(Worker { shared, handle, path });
-                ARMED.store(STATE_ON, Ordering::Relaxed);
-                true
-            }
-            Err(_) => {
-                ARMED.store(STATE_OFF, Ordering::Relaxed);
-                false
-            }
-        }
+    let mut slot = worker_slot();
+    if slot.is_some() {
+        return false;
     }
-    #[cfg(not(feature = "obs"))]
-    {
-        let _ = (path.into(), interval);
-        false
+    let path = path.into();
+    let interval = interval.max(Duration::from_millis(MIN_INTERVAL_MS));
+    let mut prev = crate::Snapshot::default();
+    export_once(&path, &mut prev, interval, 1);
+    let shared = Arc::new(Shared {
+        ctl: Mutex::new(Control { stop: false, flush_seq: 0, done_seq: 0 }),
+        cv: Condvar::new(),
+    });
+    let (thread_shared, thread_path) = (Arc::clone(&shared), path.clone());
+    let spawned = std::thread::Builder::new()
+        .name("qisim-metrics".into())
+        .spawn(move || run(thread_shared, thread_path, interval, prev));
+    match spawned {
+        Ok(handle) => {
+            *slot = Some(Worker { shared, handle, path });
+            ARMED.store(STATE_ON, Ordering::Relaxed);
+            true
+        }
+        Err(_) => {
+            ARMED.store(STATE_OFF, Ordering::Relaxed);
+            false
+        }
     }
 }
 
@@ -241,26 +208,19 @@ pub fn start(path: impl Into<PathBuf>, interval: Duration) -> bool {
 /// after this call has finished — the synchronization the tests and the
 /// `--watch` demo rely on. Returns `false` when no exporter is running.
 pub fn flush_now() -> bool {
-    #[cfg(feature = "obs")]
-    {
-        let slot = worker_slot();
-        let Some(worker) = slot.as_ref() else { return false };
-        let mut ctl = worker.shared.lock();
-        ctl.flush_seq += 1;
-        let target = ctl.flush_seq;
-        worker.shared.cv.notify_all();
-        while ctl.done_seq < target && !ctl.stop {
-            ctl = match worker.shared.cv.wait(ctl) {
-                Ok(g) => g,
-                Err(e) => e.into_inner(),
-            };
-        }
-        true
+    let slot = worker_slot();
+    let Some(worker) = slot.as_ref() else { return false };
+    let mut ctl = worker.shared.lock();
+    ctl.flush_seq += 1;
+    let target = ctl.flush_seq;
+    worker.shared.cv.notify_all();
+    while ctl.done_seq < target && !ctl.stop {
+        ctl = match worker.shared.cv.wait(ctl) {
+            Ok(g) => g,
+            Err(e) => e.into_inner(),
+        };
     }
-    #[cfg(not(feature = "obs"))]
-    {
-        false
-    }
+    true
 }
 
 /// Stops the exporter: performs one final flush (so the file on disk
@@ -268,29 +228,21 @@ pub fn flush_now() -> bool {
 /// returns the path it was writing to. `None` when no exporter was
 /// running.
 pub fn shutdown() -> Option<PathBuf> {
-    #[cfg(feature = "obs")]
+    let mut slot = worker_slot();
+    let worker = slot.take()?;
     {
-        let mut slot = worker_slot();
-        let worker = slot.take()?;
-        {
-            let mut ctl = worker.shared.lock();
-            ctl.stop = true;
-            worker.shared.cv.notify_all();
-        }
-        let _ = worker.handle.join();
-        ARMED.store(STATE_OFF, Ordering::Relaxed);
-        Some(worker.path)
+        let mut ctl = worker.shared.lock();
+        ctl.stop = true;
+        worker.shared.cv.notify_all();
     }
-    #[cfg(not(feature = "obs"))]
-    {
-        None
-    }
+    let _ = worker.handle.join();
+    ARMED.store(STATE_OFF, Ordering::Relaxed);
+    Some(worker.path)
 }
 
 /// The exporter thread: wait for interval/flush/stop, export, repeat.
 /// `start` already wrote tick 1 and took `prev` as the baseline; a stop
 /// wakes the thread for one final export on the way out.
-#[cfg(feature = "obs")]
 fn run(shared: Arc<Shared>, path: PathBuf, interval: Duration, mut prev: crate::Snapshot) {
     let mut ticks = 1u64;
     let mut serving = 0u64;
@@ -323,7 +275,6 @@ fn run(shared: Arc<Shared>, path: PathBuf, interval: Duration, mut prev: crate::
 /// One export: snapshot the metric store, diff against the previous
 /// wake-up, inject the interval meta-series, and atomically rewrite the
 /// exposition file (write `<path>.tmp`, then rename over `path`).
-#[cfg(feature = "obs")]
 fn export_once(path: &Path, prev: &mut crate::Snapshot, interval: Duration, ticks: u64) {
     let cur = crate::snapshot();
     let mut delta = cur.delta_since(prev);
@@ -345,7 +296,7 @@ fn export_once(path: &Path, prev: &mut crate::Snapshot, interval: Duration, tick
     }
 }
 
-#[cfg(all(test, feature = "obs"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -34,19 +34,14 @@
 //!   (or, best-effort, process exit) writes the Chrome JSON to `<path>`
 //!   and the folded stacks to `<path>.folded`.
 //!
-//! The `obs` cargo feature and the [`crate::set_enabled`] runtime toggle
-//! remain the outer kill switches: with the feature compiled out every
-//! function here is inert, and a disabled registry records no spans, so
-//! no span events reach the rings either.
+//! The [`crate::set_enabled`] runtime toggle remains the outer kill
+//! switch: a disabled metric store opens no spans, so no span events
+//! reach the rings either.
 
-#[cfg(feature = "obs")]
 use std::cell::RefCell;
 use std::path::PathBuf;
-#[cfg(feature = "obs")]
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-#[cfg(feature = "obs")]
 use std::sync::{Arc, Mutex, OnceLock};
-#[cfg(feature = "obs")]
 use std::time::Instant;
 
 /// Maximum number of `(key, value)` argument pairs one event can carry.
@@ -90,7 +85,6 @@ pub struct TraceEvent {
 }
 
 impl TraceEvent {
-    #[cfg(feature = "obs")]
     fn new(kind: TraceEventKind, name: &'static str) -> TraceEvent {
         TraceEvent { t_ns: now_ns(), kind, name, span_id: 0, parent_id: 0, args: [None; MAX_ARGS] }
     }
@@ -131,34 +125,27 @@ impl TraceSession {
     /// Publishes the cumulative dropped-event total as the
     /// `trace.dropped_events` counter when any events were lost.
     pub fn drain() -> TraceSession {
-        #[cfg(feature = "obs")]
-        {
-            let lanes = lanes().lock().unwrap_or_else(|e| e.into_inner()).clone();
-            let mut threads = Vec::new();
-            let mut dropped_events = 0u64;
-            for lane in &lanes {
-                let mut ring = lane.lock().unwrap_or_else(|e| e.into_inner());
-                dropped_events += ring.dropped;
-                if ring.len == 0 && ring.dropped == 0 {
-                    continue;
-                }
-                threads.push(ThreadTimeline {
-                    lane: ring.lane,
-                    label: ring.label.clone(),
-                    events: ring.take_events(),
-                    dropped: std::mem::take(&mut ring.dropped),
-                });
+        let lanes = lanes().lock().unwrap_or_else(|e| e.into_inner()).clone();
+        let mut threads = Vec::new();
+        let mut dropped_events = 0u64;
+        for lane in &lanes {
+            let mut ring = lane.lock().unwrap_or_else(|e| e.into_inner());
+            dropped_events += ring.dropped;
+            if ring.len == 0 && ring.dropped == 0 {
+                continue;
             }
-            threads.sort_by_key(|t| t.lane);
-            if dropped_events > 0 {
-                crate::counter_add("trace.dropped_events", dropped_events);
-            }
-            TraceSession { threads, dropped_events }
+            threads.push(ThreadTimeline {
+                lane: ring.lane,
+                label: ring.label.clone(),
+                events: ring.take_events(),
+                dropped: std::mem::take(&mut ring.dropped),
+            });
         }
-        #[cfg(not(feature = "obs"))]
-        {
-            TraceSession::default()
+        threads.sort_by_key(|t| t.lane);
+        if dropped_events > 0 {
+            crate::counter_add("trace.dropped_events", dropped_events);
         }
+        TraceSession { threads, dropped_events }
     }
 
     /// Whether no lane recorded anything.
@@ -186,220 +173,146 @@ impl TraceSession {
     ///
     /// Returns the I/O error if either artifact cannot be written.
     pub fn finish(self) -> std::io::Result<Option<PathBuf>> {
-        #[cfg(feature = "obs")]
-        {
-            let Some(path) = env_path() else { return Ok(None) };
-            ENV_DUMPED.store(true, Ordering::Relaxed);
-            let json = crate::trace_export::chrome_trace_json(&self);
-            std::fs::write(&path, json)?;
-            let mut folded = path.clone().into_os_string();
-            folded.push(".folded");
-            std::fs::write(PathBuf::from(folded), crate::trace_export::folded_stacks(&self))?;
-            Ok(Some(path))
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            Ok(None)
-        }
+        let Some(path) = env_path() else { return Ok(None) };
+        ENV_DUMPED.store(true, Ordering::Relaxed);
+        let json = crate::trace_export::chrome_trace_json(&self);
+        std::fs::write(&path, json)?;
+        let mut folded = path.clone().into_os_string();
+        folded.push(".folded");
+        std::fs::write(PathBuf::from(folded), crate::trace_export::folded_stacks(&self))?;
+        Ok(Some(path))
     }
 }
 
-/// Whether the flight recorder is currently armed. Always `false` when
-/// the `obs` feature is compiled out. This is the hot-path gate: when
-/// disarmed it is a single relaxed atomic load, so instrumented loops
-/// cost nothing beyond it.
+/// Whether the flight recorder is currently armed. This is the hot-path
+/// gate: when disarmed it is a single relaxed atomic load, so
+/// instrumented loops cost nothing beyond it.
 #[inline]
 pub fn armed() -> bool {
-    #[cfg(feature = "obs")]
-    {
-        match ARMED.load(Ordering::Relaxed) {
-            STATE_UNINIT => init_from_env(),
-            state => state == STATE_ON,
-        }
-    }
-    #[cfg(not(feature = "obs"))]
-    {
-        false
+    match ARMED.load(Ordering::Relaxed) {
+        STATE_UNINIT => init_from_env(),
+        state => state == STATE_ON,
     }
 }
 
 /// Arms the recorder: subsequent spans, instants, and counters are
-/// written to the per-thread rings. A no-op without the `obs` feature.
+/// written to the per-thread rings.
 pub fn arm() {
-    #[cfg(feature = "obs")]
-    {
-        armed(); // force env init so a later finish() sees the path
-        let _ = epoch();
-        ARMED.store(STATE_ON, Ordering::Relaxed);
-    }
+    armed(); // force env init so a later finish() sees the path
+    let _ = epoch();
+    ARMED.store(STATE_ON, Ordering::Relaxed);
 }
 
 /// Disarms the recorder; already-recorded events stay in the rings until
 /// the next [`TraceSession::drain`].
 pub fn disarm() {
-    #[cfg(feature = "obs")]
-    {
-        armed(); // keep the env-initialized state machine consistent
-        ARMED.store(STATE_OFF, Ordering::Relaxed);
-    }
+    armed(); // keep the env-initialized state machine consistent
+    ARMED.store(STATE_OFF, Ordering::Relaxed);
 }
 
 /// Sets the per-thread ring capacity (in events) used by lanes
 /// registered *after* this call; existing lanes keep their rings.
 /// Values are clamped to at least 16. Defaults to [`DEFAULT_CAPACITY`].
 pub fn set_capacity(events_per_thread: usize) {
-    #[cfg(feature = "obs")]
     CAPACITY.store(events_per_thread.max(16), Ordering::Relaxed);
-    #[cfg(not(feature = "obs"))]
-    let _ = events_per_thread;
 }
 
 /// Labels the calling thread's lane in the exported timeline (e.g.
 /// `"qisim-par worker-2"`). Registers the lane if the thread has none
 /// yet; a no-op when the recorder is disarmed.
 pub fn set_thread_label(label: &str) {
-    #[cfg(feature = "obs")]
-    {
-        if !armed() {
-            return;
-        }
-        with_ring(|ring| {
-            ring.label.clear();
-            ring.label.push_str(label);
-        });
+    if !armed() {
+        return;
     }
-    #[cfg(not(feature = "obs"))]
-    let _ = label;
+    with_ring(|ring| {
+        ring.label.clear();
+        ring.label.push_str(label);
+    });
 }
 
 /// Nanoseconds since the recorder's epoch (the first arm or first
 /// timestamp request). Useful for computing latency arguments like
-/// queue-to-start times. Always 0 without the `obs` feature.
+/// queue-to-start times.
 #[inline]
 pub fn now_ns() -> u64 {
-    #[cfg(feature = "obs")]
-    {
-        epoch().elapsed().as_nanos().min(u128::from(u64::MAX)) as u64
-    }
-    #[cfg(not(feature = "obs"))]
-    {
-        0
-    }
+    epoch().elapsed().as_nanos().min(u128::from(u64::MAX)) as u64
 }
 
 /// Records a point-in-time marker with up to [`MAX_ARGS`] numeric
 /// arguments (extra pairs are ignored). A no-op when disarmed.
 pub fn instant(name: &'static str, args: &[(&'static str, f64)]) {
-    #[cfg(feature = "obs")]
-    {
-        if !armed() {
-            return;
-        }
-        let mut ev = TraceEvent::new(TraceEventKind::Instant, name);
-        for (slot, &pair) in ev.args.iter_mut().zip(args.iter()) {
-            *slot = Some(pair);
-        }
-        attach_request_id(&mut ev);
-        record(ev);
+    if !armed() {
+        return;
     }
-    #[cfg(not(feature = "obs"))]
-    let _ = (name, args);
+    let mut ev = TraceEvent::new(TraceEventKind::Instant, name);
+    for (slot, &pair) in ev.args.iter_mut().zip(args.iter()) {
+        *slot = Some(pair);
+    }
+    attach_request_id(&mut ev);
+    record(ev);
 }
 
 /// Records a counter delta event (the Chrome exporter accumulates
 /// deltas into a per-name running total). A no-op when disarmed.
 /// [`crate::counter!`] with a literal name routes here automatically.
 pub fn counter_event(name: &'static str, delta: u64) {
-    #[cfg(feature = "obs")]
-    {
-        if !armed() {
-            return;
-        }
-        let mut ev = TraceEvent::new(TraceEventKind::Counter, name);
-        ev.args[0] = Some(("delta", delta as f64));
-        record(ev);
+    if !armed() {
+        return;
     }
-    #[cfg(not(feature = "obs"))]
-    let _ = (name, delta);
+    let mut ev = TraceEvent::new(TraceEventKind::Counter, name);
+    ev.args[0] = Some(("delta", delta as f64));
+    record(ev);
 }
 
 /// Allocates a fresh process-unique span id (never 0).
 pub fn new_span_id() -> u64 {
-    #[cfg(feature = "obs")]
-    {
-        NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed)
-    }
-    #[cfg(not(feature = "obs"))]
-    {
-        0
-    }
+    NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed)
 }
 
 /// Records a span-begin event (used by [`crate::SpanGuard`]).
 pub fn span_begin(name: &'static str, span_id: u64, parent_id: u64) {
-    #[cfg(feature = "obs")]
-    {
-        if !armed() {
-            return;
-        }
-        let mut ev = TraceEvent::new(TraceEventKind::Begin, name);
-        ev.span_id = span_id;
-        ev.parent_id = parent_id;
-        attach_request_id(&mut ev);
-        record(ev);
+    if !armed() {
+        return;
     }
-    #[cfg(not(feature = "obs"))]
-    let _ = (name, span_id, parent_id);
+    let mut ev = TraceEvent::new(TraceEventKind::Begin, name);
+    ev.span_id = span_id;
+    ev.parent_id = parent_id;
+    attach_request_id(&mut ev);
+    record(ev);
 }
 
 /// Records a span-end event matching a prior [`span_begin`].
 pub fn span_end(name: &'static str, span_id: u64) {
-    #[cfg(feature = "obs")]
-    {
-        if !armed() {
-            return;
-        }
-        let mut ev = TraceEvent::new(TraceEventKind::End, name);
-        ev.span_id = span_id;
-        record(ev);
+    if !armed() {
+        return;
     }
-    #[cfg(not(feature = "obs"))]
-    let _ = (name, span_id);
+    let mut ev = TraceEvent::new(TraceEventKind::End, name);
+    ev.span_id = span_id;
+    record(ev);
 }
 
 // ---------------------------------------------------------------------
-// Recorder internals (compiled only with the `obs` feature).
+// Recorder internals.
 // ---------------------------------------------------------------------
 
-#[cfg(feature = "obs")]
 const STATE_UNINIT: u8 = 0;
-#[cfg(feature = "obs")]
 const STATE_OFF: u8 = 1;
-#[cfg(feature = "obs")]
 const STATE_ON: u8 = 2;
 
-#[cfg(feature = "obs")]
 static ARMED: AtomicU8 = AtomicU8::new(STATE_UNINIT);
-#[cfg(feature = "obs")]
 static CAPACITY: AtomicUsize = AtomicUsize::new(DEFAULT_CAPACITY);
-#[cfg(feature = "obs")]
 static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
-#[cfg(feature = "obs")]
 static ENV_DUMPED: AtomicBool = AtomicBool::new(false);
 
-#[cfg(feature = "obs")]
 static EPOCH: OnceLock<Instant> = OnceLock::new();
 
-#[cfg(feature = "obs")]
 fn epoch() -> &'static Instant {
     EPOCH.get_or_init(Instant::now)
 }
 
 /// The `QISIM_TRACE` value captured at first use (`None` = unset).
-#[cfg(feature = "obs")]
 static ENV_PATH: OnceLock<Option<PathBuf>> = OnceLock::new();
 
-#[cfg(feature = "obs")]
 fn env_path() -> Option<PathBuf> {
     ENV_PATH
         .get_or_init(|| match std::env::var("QISIM_TRACE") {
@@ -412,7 +325,6 @@ fn env_path() -> Option<PathBuf> {
 /// One-time arming decision from the environment; returns the armed
 /// state. Threads racing here agree because the path and state are both
 /// idempotent.
-#[cfg(feature = "obs")]
 fn init_from_env() -> bool {
     let arm_from_env = env_path().is_some();
     if arm_from_env {
@@ -430,7 +342,6 @@ fn init_from_env() -> bool {
     arm_from_env
 }
 
-#[cfg(feature = "obs")]
 #[derive(Debug)]
 struct Ring {
     lane: u32,
@@ -443,7 +354,6 @@ struct Ring {
     dropped: u64,
 }
 
-#[cfg(feature = "obs")]
 impl Ring {
     fn push(&mut self, ev: TraceEvent) {
         let cap = self.events.capacity();
@@ -470,15 +380,12 @@ impl Ring {
     }
 }
 
-#[cfg(feature = "obs")]
 static LANES: OnceLock<Mutex<Vec<Arc<Mutex<Ring>>>>> = OnceLock::new();
 
-#[cfg(feature = "obs")]
 fn lanes() -> &'static Mutex<Vec<Arc<Mutex<Ring>>>> {
     LANES.get_or_init(|| Mutex::new(Vec::new()))
 }
 
-#[cfg(feature = "obs")]
 thread_local! {
     static TL_RING: RefCell<Option<Arc<Mutex<Ring>>>> = const { RefCell::new(None) };
     /// Best-effort end-of-process dump for `QISIM_TRACE` runs that never
@@ -487,13 +394,11 @@ thread_local! {
     static EXIT_DUMP: RefCell<ExitGuard> = const { RefCell::new(ExitGuard { active: false }) };
 }
 
-#[cfg(feature = "obs")]
 #[derive(Debug)]
 struct ExitGuard {
     active: bool,
 }
 
-#[cfg(feature = "obs")]
 impl Drop for ExitGuard {
     fn drop(&mut self) {
         if self.active && !ENV_DUMPED.swap(true, Ordering::Relaxed) {
@@ -516,7 +421,6 @@ impl Drop for ExitGuard {
 /// needed. Registration is the only allocating step (one fixed-capacity
 /// `Vec` plus the registry push); every later call locks only the
 /// thread's own ring.
-#[cfg(feature = "obs")]
 fn with_ring(f: impl FnOnce(&mut Ring)) {
     TL_RING.with(|tl| {
         let mut slot = tl.borrow_mut();
@@ -543,7 +447,6 @@ fn with_ring(f: impl FnOnce(&mut Ring)) {
     });
 }
 
-#[cfg(feature = "obs")]
 fn record(ev: TraceEvent) {
     with_ring(|ring| ring.push(ev));
 }
@@ -552,7 +455,6 @@ fn record(ev: TraceEvent) {
 /// argument slot, so request-scoped spans and instants are attributable
 /// in the exported timeline. A no-op when no scope is open or every
 /// slot is taken (caller-provided arguments win).
-#[cfg(feature = "obs")]
 fn attach_request_id(ev: &mut TraceEvent) {
     if let Some(id) = crate::ctx::current() {
         if let Some(slot) = ev.args.iter_mut().find(|slot| slot.is_none()) {
@@ -564,18 +466,15 @@ fn attach_request_id(ev: &mut TraceEvent) {
 /// Clears every lane's events and dropped counts (test support; lanes
 /// stay registered).
 pub fn clear() {
-    #[cfg(feature = "obs")]
-    {
-        let registry = lanes().lock().unwrap_or_else(|e| e.into_inner()).clone();
-        for lane in &registry {
-            let mut ring = lane.lock().unwrap_or_else(|e| e.into_inner());
-            ring.take_events();
-            ring.dropped = 0;
-        }
+    let registry = lanes().lock().unwrap_or_else(|e| e.into_inner()).clone();
+    for lane in &registry {
+        let mut ring = lane.lock().unwrap_or_else(|e| e.into_inner());
+        ring.take_events();
+        ring.dropped = 0;
     }
 }
 
-#[cfg(all(test, feature = "obs"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

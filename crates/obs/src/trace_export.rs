@@ -3,9 +3,8 @@
 //! <https://ui.perfetto.dev>) or as folded flamegraph stacks (the
 //! `stackcollapse` format consumed by `flamegraph.pl` and speedscope).
 //!
-//! Both exporters are pure functions over a drained session, so they
-//! compile (and return empty documents) even when the `obs` feature is
-//! off and every session is empty.
+//! Both exporters are pure functions over a drained session; an empty
+//! session renders as an empty document.
 
 use crate::json::{push_f64, push_str_literal, push_u64};
 use crate::trace::{ThreadTimeline, TraceEvent, TraceEventKind, TraceSession};

@@ -343,7 +343,7 @@ pub fn cache_len() -> usize {
 
 /// The cache's lifetime hit/miss/eviction counts and current size — the
 /// numbers behind the `power.cache.*` metrics, available even when
-/// observability is compiled out.
+/// recording is disabled.
 pub fn cache_stats() -> CacheStats {
     locked().stats()
 }

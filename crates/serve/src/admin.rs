@@ -433,13 +433,11 @@ mod tests {
         assert!(first.contains("Content-Type: application/openmetrics-text"), "{first}");
         assert!(qisim_obs::openmetrics_is_well_formed(body_of(&first)), "{first}");
         // A second scrape with no new activity reports a zero delta for
-        // the counter (when the obs feature records at all).
+        // the counter.
         let second = respond("GET /metrics HTTP/1.1\r\n\r\n", &state);
         assert!(qisim_obs::openmetrics_is_well_formed(body_of(&second)), "{second}");
-        if qisim_obs::enabled() {
-            assert!(body_of(&first).contains("admin_test_scrapes_total 3"), "{first}");
-            assert!(body_of(&second).contains("admin_test_scrapes_total 0"), "{second}");
-        }
+        assert!(body_of(&first).contains("admin_test_scrapes_total 3"), "{first}");
+        assert!(body_of(&second).contains("admin_test_scrapes_total 0"), "{second}");
     }
 
     #[test]

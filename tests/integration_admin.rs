@@ -98,13 +98,11 @@ fn statusz_reports_service_and_stage_state() {
     ] {
         assert!(body.contains(want), "statusz missing {want:?}:\n{body}");
     }
-    if qisim_obs::enabled() {
-        assert!(
-            body.contains("stage engine.stage.power: count = "),
-            "statusz missing stage percentiles:\n{body}"
-        );
-        assert!(body.contains("p99_ms = "), "statusz missing percentiles:\n{body}");
-    }
+    assert!(
+        body.contains("stage engine.stage.power: count = "),
+        "statusz missing stage percentiles:\n{body}"
+    );
+    assert!(body.contains("p99_ms = "), "statusz missing percentiles:\n{body}");
 
     admin.shutdown();
     server.shutdown();
@@ -184,9 +182,6 @@ fn readyz_flips_unready_when_stopping() {
 #[test]
 fn request_id_threads_response_trace_and_log() {
     let _l = common::isolate();
-    if !qisim_obs::enabled() {
-        return; // obs compiled out: no traces, no logs
-    }
     let trace_dir = temp_path("traces");
     let _ = std::fs::remove_dir_all(&trace_dir);
     std::fs::create_dir_all(&trace_dir).expect("create trace dir");

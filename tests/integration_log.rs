@@ -17,25 +17,21 @@ fn temp_log(tag: &str) -> PathBuf {
 }
 
 /// Arm the logger at `level`, run `f`, disarm, and return the emitted
-/// JSONL lines. Returns `None` when the obs feature is compiled out
-/// (`start` refuses and the hot path stays inert).
-fn capture(tag: &str, level: Level, f: impl FnOnce()) -> Option<Vec<String>> {
+/// JSONL lines.
+fn capture(tag: &str, level: Level, f: impl FnOnce()) -> Vec<String> {
     let path = temp_log(tag);
-    if !log::start(&path.to_string_lossy(), level) {
-        assert!(!log::armed(Level::Error), "start() refused but the sink claims to be armed");
-        return None;
-    }
+    assert!(log::start(&path.to_string_lossy(), level), "start() must arm a fresh sink");
     f();
     assert!(log::shutdown(), "shutdown must report an armed sink was closed");
     let text = std::fs::read_to_string(&path).expect("read log file");
     let _ = std::fs::remove_file(&path);
-    Some(text.lines().map(str::to_owned).collect())
+    text.lines().map(str::to_owned).collect()
 }
 
 #[test]
 fn levels_below_the_threshold_are_filtered() {
     let _l = common::isolate();
-    let Some(lines) = capture("levels", Level::Warn, || {
+    let lines = capture("levels", Level::Warn, || {
         assert!(!log::armed(Level::Debug));
         assert!(!log::armed(Level::Info));
         assert!(log::armed(Level::Warn));
@@ -44,9 +40,7 @@ fn levels_below_the_threshold_are_filtered() {
         log::record(Level::Info, "test.info").emit();
         log::record(Level::Warn, "test.warn").emit();
         log::record(Level::Error, "test.error").emit();
-    }) else {
-        return;
-    };
+    });
     assert_eq!(lines.len(), 2, "only warn and error survive a warn threshold: {lines:?}");
     assert!(
         lines[0].contains("\"level\":\"warn\"") && lines[0].contains("\"event\":\"test.warn\"")
@@ -62,7 +56,7 @@ fn levels_below_the_threshold_are_filtered() {
 #[test]
 fn typed_fields_round_trip_as_json() {
     let _l = common::isolate();
-    let Some(lines) = capture("fields", Level::Debug, || {
+    let lines = capture("fields", Level::Debug, || {
         log::record(Level::Info, "test.fields")
             .str("name", "tab\there \"quoted\"")
             .u64("answer", 42)
@@ -71,9 +65,7 @@ fn typed_fields_round_trip_as_json() {
             .f64("nan", f64::NAN)
             .bool("flag", true)
             .emit();
-    }) else {
-        return;
-    };
+    });
     assert_eq!(lines.len(), 1);
     let line = &lines[0];
     assert!(obs::json_is_well_formed(line), "log line is not valid JSON: {line}");
@@ -96,14 +88,13 @@ fn typed_fields_round_trip_as_json() {
 #[test]
 fn rate_cap_suppresses_and_shutdown_flushes_the_summary() {
     let _l = common::isolate();
-    let result = capture("ratecap", Level::Info, || {
+    let lines = capture("ratecap", Level::Info, || {
         log::set_rate_cap(5);
         for i in 0..20u64 {
             log::record(Level::Info, "test.burst").u64("i", i).emit();
         }
     });
     log::set_rate_cap(log::DEFAULT_RATE_CAP);
-    let Some(lines) = result else { return };
     // 5 records make it through the one-second window; shutdown flushes
     // the deterministic suppression summary for the other 15.
     let burst: Vec<&String> = lines.iter().filter(|l| l.contains("test.burst")).collect();
@@ -120,7 +111,7 @@ fn rate_cap_suppresses_and_shutdown_flushes_the_summary() {
 #[test]
 fn request_scope_stamps_request_ids() {
     let _l = common::isolate();
-    let Some(lines) = capture("reqid", Level::Info, || {
+    let lines = capture("reqid", Level::Info, || {
         {
             let _outer = RequestScope::enter(42);
             log::record(Level::Info, "test.outer").emit();
@@ -132,9 +123,7 @@ fn request_scope_stamps_request_ids() {
             log::record(Level::Info, "test.restored").emit();
         }
         log::record(Level::Info, "test.unscoped").emit();
-    }) else {
-        return;
-    };
+    });
     assert_eq!(lines.len(), 4);
     assert!(lines[0].contains("\"request_id\":42"), "outer scope: {}", lines[0]);
     assert!(lines[1].contains("\"request_id\":7"), "inner scope: {}", lines[1]);
@@ -147,11 +136,9 @@ fn engine_emits_per_stage_records_at_debug() {
     let _l = common::isolate();
     let design = QciDesign::cmos_baseline();
     let target = Target::near_term();
-    let Some(lines) = capture("engine", Level::Debug, || {
+    let lines = capture("engine", Level::Debug, || {
         engine::try_analyze(&design, &target).expect("analysis");
-    }) else {
-        return;
-    };
+    });
     let stages: Vec<&String> =
         lines.iter().filter(|l| l.contains("\"event\":\"engine.stage\"")).collect();
     assert!(
@@ -181,7 +168,7 @@ fn results_are_bit_identical_with_the_log_armed() {
     capture("identity", Level::Debug, || {
         armed = Some(engine::try_analyze(&design, &target).expect("armed analysis"));
     });
-    let Some(armed) = armed else { return };
+    let armed = armed.expect("the armed run completed");
     assert_eq!(disarmed, armed, "arming QISIM_LOG changed the verdict");
     assert_eq!(
         qisim::codec::encode_scalability(&disarmed),
@@ -194,9 +181,7 @@ fn results_are_bit_identical_with_the_log_armed() {
 fn start_refuses_a_second_sink_and_shutdown_is_idempotent() {
     let _l = common::isolate();
     let path = temp_log("exclusive");
-    if !log::start(&path.to_string_lossy(), Level::Info) {
-        return; // obs feature compiled out
-    }
+    assert!(log::start(&path.to_string_lossy(), Level::Info), "the first start() must arm");
     let other = temp_log("exclusive_other");
     assert!(
         !log::start(&other.to_string_lossy(), Level::Info),

@@ -1,8 +1,8 @@
 //! Determinism guarantees of the `qisim-par` engine, end to end: every
 //! parallel entry point must return **bit-identical** results at any
 //! thread count, and identical to a plain serial mapping of the same
-//! work. The serial (`--no-default-features --features obs`) build runs
-//! this same file, which pins the parallel build to the serial one.
+//! work. The serial (`--no-default-features`) build runs this same
+//! file, which pins the parallel build to the serial one.
 
 use qisim::experiments::run_matching;
 use qisim::scalability::{analyze, analyze_many, sweep};

@@ -273,12 +273,9 @@ fn overload_sheds_with_busy_responses_and_the_service_stays_up() {
     let stats = server.shutdown();
     assert_eq!(stats.shed, busy);
     assert_eq!(stats.ok, ok + 1);
-    // The shed path is observable through the serve.shed counter
-    // whenever observability is compiled in and enabled.
-    if qisim_obs::enabled() {
-        let after_shed = qisim_obs::snapshot().counter("serve.shed").unwrap_or(0);
-        assert_eq!(after_shed - before_shed, busy, "serve.shed must count every busy response");
-    }
+    // The shed path is observable through the serve.shed counter.
+    let after_shed = qisim_obs::snapshot().counter("serve.shed").unwrap_or(0);
+    assert_eq!(after_shed - before_shed, busy, "serve.shed must count every busy response");
 }
 
 #[test]
@@ -431,11 +428,8 @@ fn traced_requests_report_event_counts_and_explain_embeds_text() {
         .expect("traced response carries trace_events")
         .parse()
         .expect("numeric event count");
-    // With the obs feature the engine's spans land in the recorder;
-    // with the kill switch the capture is an explicit zero.
-    if qisim_obs::enabled() {
-        assert!(events > 0, "{response}");
-    }
+    // The engine's spans land in the recorder.
+    assert!(events > 0, "{response}");
     let explain = proto::pair_value(&response, "explain").expect("explain pair");
     assert!(explain.contains("qubits"), "{response}");
     // The folded report still parses even with extras up front.
@@ -447,10 +441,7 @@ fn traced_requests_report_event_counts_and_explain_embeds_text() {
 fn untraced_requests_stamp_their_id_on_every_engine_stage_record() {
     let _guard = common::isolate();
     let path = std::env::temp_dir().join(format!("qisim_serve_ids_{}.jsonl", std::process::id()));
-    // The kill-switch build refuses to arm the sink; nothing to check.
-    if !qisim_obs::log::start(&path.to_string_lossy(), qisim_obs::log::Level::Debug) {
-        return;
-    }
+    assert!(qisim_obs::log::start(&path.to_string_lossy(), qisim_obs::log::Level::Debug));
     serve_lines(Cursor::new("preset = cmos_baseline\n"), Vec::new(), &ServeConfig::default())
         .expect("stdio transport");
     assert!(qisim_obs::log::shutdown(), "the armed sink must close");

@@ -12,13 +12,6 @@ mod common;
 #[test]
 fn delta_snapshots_isolate_the_second_interval() {
     let _l = common::isolate();
-    if !obs::enabled() {
-        // Compiled with --no-default-features: snapshots stay empty and
-        // deltas of empty snapshots are empty.
-        let empty = obs::snapshot().delta_since(&obs::snapshot());
-        assert!(empty.is_empty());
-        return;
-    }
     let _ = sweep(&QciDesign::cmos_baseline(), &[64, 128, 256]);
     let first = obs::snapshot();
     let _ = sweep(&QciDesign::cmos_baseline(), &[512, 1024]);
@@ -47,9 +40,6 @@ fn openmetrics_export_of_a_live_run_validates() {
     let text = obs::openmetrics(&snap);
     assert!(obs::openmetrics_is_well_formed(&text), "{text}");
     assert!(text.ends_with("# EOF\n"));
-    if !obs::enabled() {
-        return;
-    }
     // Counter, histogram, and span families all made it out, with
     // sanitized names.
     assert!(text.contains("# TYPE power_cache_misses counter"));
@@ -66,11 +56,6 @@ fn programmatic_exporter_round_trip_writes_interval_deltas() {
     // A huge interval so every write on disk is flush- or
     // shutdown-driven — no timing dependence.
     let started = telemetry::start(&path, std::time::Duration::from_secs(3600));
-    if !obs::enabled() {
-        assert!(!started, "exporter must refuse to start when compiled out");
-        assert!(telemetry::shutdown().is_none());
-        return;
-    }
     assert!(started, "exporter failed to start");
     assert!(telemetry::armed());
 
@@ -96,9 +81,6 @@ fn programmatic_exporter_round_trip_writes_interval_deltas() {
 #[test]
 fn delta_across_a_registry_reset_reports_the_full_current_values() {
     let _l = common::isolate();
-    if !obs::enabled() {
-        return;
-    }
     // A big first interval, then a reset, then a smaller second one: the
     // current counter is *lower* than the previous snapshot's, which an
     // exporter must read as "everything restarted — the whole current
@@ -140,10 +122,6 @@ fn exporter_shutdown_flushes_the_final_partial_interval() {
     // a timer tick, so whatever the file holds after shutdown() came
     // from the final flush of the still-open partial interval.
     let started = telemetry::start(&path, std::time::Duration::from_secs(3600));
-    if !obs::enabled() {
-        assert!(!started);
-        return;
-    }
     assert!(started, "exporter failed to start");
     let _ = sweep(&QciDesign::cmos_baseline(), &[64, 128]);
     let returned = telemetry::shutdown().expect("shutdown returns the path");

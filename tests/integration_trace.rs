@@ -23,15 +23,6 @@ fn traced_two_thread_sweep_exports_valid_chrome_json() {
     par::set_threads(None);
     assert_eq!(points.len(), SWEEP_COUNTS.len());
 
-    if !obs::enabled() {
-        // Kill-switch build (--no-default-features): the recorder is
-        // inert and the exporters must degrade to an empty, well-formed
-        // timeline.
-        assert!(session.is_empty());
-        assert!(obs::trace_is_well_formed(&trace_export::chrome_trace_json(&session)));
-        return;
-    }
-
     // Timestamps are non-decreasing within every lane.
     for t in &session.threads {
         assert!(
@@ -115,9 +106,7 @@ fn results_are_bit_identical_with_tracing_armed_disarmed_and_disabled() {
     assert_eq!(armed_verdict, disarmed_verdict, "arming the recorder changed the verdict");
     assert_eq!(armed_sweep, disarmed_sweep, "arming the recorder changed the sweep");
 
-    // Recording disabled entirely (and, in the --no-default-features
-    // build where arm() above was already a no-op, compiled out): the
-    // numbers still cannot move.
+    // Recording disabled entirely: the numbers still cannot move.
     obs::set_enabled(false);
     let off_verdict = analyze(&design, &target);
     let off_sweep = sweep(&design, &SWEEP_COUNTS);
@@ -137,10 +126,6 @@ fn drained_rings_stay_reusable_across_runs() {
     let _ = analyze(&QciDesign::cmos_baseline(), &Target::near_term());
     let second = trace::TraceSession::drain();
     trace::disarm();
-    if !obs::enabled() {
-        assert!(first.is_empty() && second.is_empty());
-        return;
-    }
     assert!(first.event_count() > 0, "first run recorded");
     assert!(second.event_count() > 0, "rings kept recording after a drain");
     obs::reset();

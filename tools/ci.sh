@@ -13,12 +13,12 @@
 #   4. clippy across the whole workspace, warnings are errors
 #   5. rustdoc: the whole workspace must document cleanly (warnings are
 #      errors; qisim-par and qisim-obs additionally warn(missing_docs))
-#   6. kill-switch builds: --no-default-features strips qisim-obs
-#      instrumentation AND the qisim-par thread pool from the entire
-#      workspace and must still pass, clippy-clean (no dead code left
-#      behind in the stripped build); the serial-with-obs combination
-#      (--features obs) re-runs the determinism suite to pin the
-#      parallel build's results to the serial path
+#   6. serial build: --no-default-features strips the qisim-par thread
+#      pool from the entire workspace (observability stays on; its kill
+#      switch is the runtime qisim::obs::set_enabled) and must still
+#      pass, clippy-clean; its test run includes the determinism suite
+#      (integration_par), pinning the parallel build's results to the
+#      serial path
 #   7. observability smoke run: the observe example must emit a valid
 #      observe_registry.json with span timings and per-stage watt
 #      attribution (including a literal-name histogram recorded by the
@@ -72,14 +72,10 @@ cargo clippy --workspace --all-targets --quiet -- -D warnings
 echo "== [5/12] rustdoc (deny warnings) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
-echo "== [6/12] kill switches (--no-default-features) =="
+echo "== [6/12] serial build without qisim-par (--no-default-features) =="
 cargo build --release --no-default-features
 cargo test -q --release --no-default-features
 cargo clippy --workspace --all-targets --no-default-features --quiet -- -D warnings
-# Serial pool + live obs: the exact build the determinism docs promise
-# matches the parallel one bit for bit.
-cargo test -q --release -p qisim --no-default-features --features obs \
-    --test integration_par
 
 echo "== [7/12] observe + trace smoke run =="
 out="$(mktemp -d)"
@@ -137,9 +133,10 @@ echo "== [9/12] panic-regression gate =="
 tools/check_panics.sh
 
 echo "== [10/12] paper-suite smoke run =="
-# Cheap drivers only: Fig. 12/13/17 + Table 2 finish in seconds; the
-# minute-scale Table 1 / Fig. 8 / Fig. 11 runs stay on the full suite
-# (filters are substring matches against the experiment ids).
+# Cheap drivers only: Fig. 12/13/17 + Table 2 finish in well under a
+# second; Table 1 (about 4 s on a 2-core x86 host) and the other drivers
+# stay on the full suite (filters are substring matches against the
+# experiment ids).
 suite_out="$(cargo run --release --quiet --example paper_suite -- \
     "Fig. 12" "Fig. 13" "Fig. 17" "Table 2")"
 echo "$suite_out" | grep -q "running 4 experiment"
@@ -190,8 +187,8 @@ echo "== [12/12] admin-plane smoke run =="
 # liveness/readiness, scrape /metrics during a request burst and
 # validate the exposition with the binary's own --check-om, and chase
 # one request_id from the wire response into the JSONL records.
-# (Step 6 left the kill-switch build of the binary in target/release;
-# relink the instrumented one — cached, so this is just a link step.)
+# (Step 6 left the serial build of the binary in target/release; relink
+# the default parallel one — cached, so this is just a link step.)
 cargo build --release --quiet -p qisim-serve
 QISIM_LOG="$out/admin.log.jsonl:debug" ./target/release/qisim-serve \
     --tcp 127.0.0.1:0 --admin 127.0.0.1:0 --stop-file "$out/admin_stop" \
