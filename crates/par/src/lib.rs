@@ -22,14 +22,14 @@
 //! 2. the `QISIM_THREADS` environment variable (a positive integer);
 //! 3. [`std::thread::available_parallelism`].
 //!
-//! # Serial fallback
+//! # Serial path
 //!
-//! The `par` cargo feature (on by default) is a compile-time kill switch:
-//! built with `--no-default-features`, [`par_map`] compiles to the plain
-//! serial loop, spawns no threads, and produces bit-identical results —
-//! callers are expected to make their *work* thread-count independent
-//! (e.g. fixed chunking with per-chunk RNG streams), at which point the
-//! serial and parallel builds agree exactly.
+//! A thread count of 1 — `set_threads(Some(1))` or `QISIM_THREADS=1` —
+//! runs the plain serial loop `(0..n).map(f)`, spawns no threads, and
+//! produces bit-identical results. Callers are expected to make their
+//! *work* thread-count independent (e.g. fixed chunking with per-chunk
+//! RNG streams), at which point the serial and parallel runs agree
+//! exactly.
 //!
 //! # Examples
 //!
@@ -73,9 +73,7 @@ pub fn set_threads(n: Option<usize>) {
 }
 
 /// Parses a `QISIM_THREADS` value; `None` for anything but a positive
-/// integer. Only reachable from [`threads`] in the parallel build (the
-/// serial build pins the count to 1), hence the allow.
-#[cfg_attr(not(feature = "par"), allow(dead_code))]
+/// integer.
 fn parse_threads(raw: &str) -> Option<usize> {
     match raw.trim().parse::<usize>() {
         Ok(n) if n > 0 => Some(n),
@@ -85,31 +83,26 @@ fn parse_threads(raw: &str) -> Option<usize> {
 
 /// The number of worker threads [`par_map`] will use: the [`set_threads`]
 /// override if installed, else `QISIM_THREADS`, else the machine's
-/// available parallelism. Always at least 1; always exactly 1 when the
-/// `par` feature is compiled out.
+/// available parallelism. Always at least 1. `QISIM_THREADS` is
+/// re-read on every call, so a changed value takes effect on the next
+/// map.
 pub fn threads() -> usize {
-    #[cfg(not(feature = "par"))]
-    {
-        1
-    }
-    #[cfg(feature = "par")]
-    {
-        match THREAD_OVERRIDE.load(Ordering::Relaxed) {
-            0 => std::env::var("QISIM_THREADS")
-                .ok()
-                .as_deref()
-                .and_then(parse_threads)
-                .unwrap_or_else(|| {
-                    std::thread::available_parallelism().map(usize::from).unwrap_or(1)
-                }),
-            n => n,
+    match THREAD_OVERRIDE.load(Ordering::Relaxed) {
+        0 => {
+            std::env::var("QISIM_THREADS").ok().as_deref().and_then(parse_threads).unwrap_or_else(
+                || std::thread::available_parallelism().map(usize::from).unwrap_or(1),
+            )
         }
+        n => n,
     }
 }
 
-/// Whether the parallel path is compiled in (`par` feature).
+/// Always `true`: every build carries the thread pool, and the serial
+/// path is the runtime thread count 1 ([`set_threads`] or
+/// `QISIM_THREADS=1`). Kept because benchmark provenance records still
+/// report it.
 pub const fn is_parallel_build() -> bool {
-    cfg!(feature = "par")
+    true
 }
 
 /// Applies `f` to every element of `items`, in parallel, returning the
@@ -177,8 +170,8 @@ pub fn par_map_indices<U: Send, F: Fn(usize) -> U + Sync>(n: usize, f: F) -> Vec
     parallel_map_indices(n, workers, &f)
 }
 
-/// The scoped-thread pool behind [`par_map_indices`]. Only compiled (and
-/// only reached) when the `par` feature is on and `workers > 1`.
+/// The scoped-thread pool behind [`par_map_indices`]; only reached when
+/// `workers > 1`.
 fn parallel_map_indices<U: Send, F: Fn(usize) -> U + Sync>(
     n: usize,
     workers: usize,
@@ -332,10 +325,10 @@ mod tests {
     fn thread_resolution_prefers_override_then_env() {
         let _l = lock();
         set_threads(Some(3));
-        assert_eq!(threads(), if is_parallel_build() { 3 } else { 1 });
+        assert_eq!(threads(), 3);
         set_threads(None);
         std::env::set_var("QISIM_THREADS", "5");
-        assert_eq!(threads(), if is_parallel_build() { 5 } else { 1 });
+        assert_eq!(threads(), 5);
         std::env::set_var("QISIM_THREADS", "zero");
         assert!(threads() >= 1, "garbage env falls back to the machine");
         std::env::remove_var("QISIM_THREADS");
@@ -358,7 +351,6 @@ mod tests {
         set_threads(Some(0));
     }
 
-    #[cfg(feature = "par")]
     #[test]
     fn worker_panics_propagate() {
         let _l = lock();

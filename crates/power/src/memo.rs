@@ -32,7 +32,7 @@
 //! Health is published through `qisim-obs`: `power.cache.{hits,misses,
 //! evictions}` counters and `power.cache.{len,bytes_est}` gauges feed the
 //! telemetry exporter, and [`cache_stats`] returns the same numbers
-//! directly (independent of whether observability is compiled in).
+//! directly (independent of the `qisim_obs::set_enabled` kill switch).
 
 use crate::PowerReport;
 use qisim_hal::fridge::Fridge;
@@ -79,7 +79,8 @@ fn fnv1a(bytes: &[u8], basis: u64) -> u64 {
 }
 
 /// A point-in-time view of the memo cache's health (the same numbers the
-/// `power.cache.*` metrics publish, available without `qisim-obs`).
+/// `power.cache.*` metrics publish, kept even while `qisim-obs` is
+/// disabled).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Lookups served from the cache (process lifetime).

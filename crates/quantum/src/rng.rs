@@ -309,7 +309,7 @@ impl Geometric {
     }
 
     /// A conservative first-draw threshold for
-    /// [`Self::positions_fast_empty`] over a run of `n` trials: every
+    /// [`Self::positions_from_first`] over a run of `n` trials: every
     /// uniform draw `U` at or below it provably makes the first gap
     /// `≥ n`, so an all-survive run needs no logarithm at all.
     pub fn empty_run_threshold(&self, n: usize) -> f64 {
@@ -333,39 +333,19 @@ impl Geometric {
         (((1.0 - self.empty_run_threshold(n)) * scale).ceil() as u64).saturating_add(1)
     }
 
-    /// [`Self::positions`] with a fast path for gap-clears-the-run
-    /// draws: any draw at or below `empty_threshold` (from
-    /// [`Self::empty_run_threshold`] for the **same** `n`) provably has
-    /// gap `≥ n`, so the first one resolves "no error anywhere" and a
-    /// continuation one resolves "past the end of the run" — both
-    /// without a `ln`. (For continuation draws the bound is loose —
-    /// `n` exceeds whatever remains of the run — but loose in the
-    /// direction that only sends borderline draws down the exact path.)
+    /// [`Self::positions`] once the first uniform is already in hand
+    /// (say, drawn via [`Rng::gen_mantissa53`] and screened against
+    /// [`Self::empty_run_gate`]), with a fast path for gap-clears-the-run
+    /// draws: any continuation draw at or below `empty_threshold`
+    /// provably has gap `≥ n` and resolves "past the end of the run"
+    /// without a `ln` (the bound is loose — `n` exceeds whatever remains
+    /// of the run — but loose in the direction that only sends borderline
+    /// draws down the exact path).
     ///
-    /// Draw-for-draw identical to `positions` — it consumes the same
-    /// uniforms from `rng` and feeds `place` the same positions — which
-    /// is what lets the bit-sliced Monte-Carlo kernel use it while
-    /// staying bit-equal to the scalar reference. In the supremacy
-    /// regime (`n·p ≪ 1`) almost every run resolves on one comparison.
-    #[inline]
-    pub fn positions_fast_empty<R: Rng, F: FnMut(usize)>(
-        &self,
-        n: usize,
-        empty_threshold: f64,
-        rng: &mut R,
-        place: F,
-    ) -> bool {
-        let u = rng.gen_open01();
-        if u <= empty_threshold {
-            return false;
-        }
-        self.positions_from_first(n, u, empty_threshold, rng, place)
-    }
-
-    /// The tail of [`Self::positions_fast_empty`] once the first uniform
-    /// is already in hand (say, drawn via [`Rng::gen_mantissa53`] and
-    /// screened against [`Self::empty_run_gate`]): identical placements,
-    /// and identical draws from `rng` from here on. `first_u` must be
+    /// Draw-for-draw identical to `positions` from here on — it consumes
+    /// the same uniforms from `rng` and feeds `place` the same positions
+    /// — which is what lets the bit-sliced Monte-Carlo kernel use it
+    /// while staying bit-equal to the scalar reference. `first_u` must be
     /// the exact `gen_open01` value of the consumed draw — see
     /// [`open01_from_mantissa53`] — and `empty_threshold` must come from
     /// [`Self::empty_run_threshold`] for the same `n`.
@@ -523,15 +503,11 @@ mod tests {
                 let gate = geo.empty_run_gate(n);
                 assert!((0.0..1.0).contains(&threshold), "p={p} n={n}: {threshold}");
                 let mut slow = Xorshift64Star::seed_from_u64(0xFA57 ^ n as u64);
-                let mut fast = slow.clone();
                 let mut gated = slow.clone();
                 for round in 0..500 {
                     let mut placed_slow = Vec::new();
-                    let mut placed_fast = Vec::new();
                     let mut placed_gated = Vec::new();
                     let any_slow = geo.positions(n, &mut slow, |q| placed_slow.push(q));
-                    let any_fast =
-                        geo.positions_fast_empty(n, threshold, &mut fast, |q| placed_fast.push(q));
                     // The raw-mantissa route the bit-sliced kernel takes.
                     let m = gated.gen_mantissa53();
                     let any_gated = m < gate
@@ -542,11 +518,8 @@ mod tests {
                             &mut gated,
                             |q| placed_gated.push(q),
                         );
-                    assert_eq!(any_slow, any_fast, "p={p} n={n} round={round}");
                     assert_eq!(any_slow, any_gated, "p={p} n={n} round={round}");
-                    assert_eq!(placed_slow, placed_fast, "p={p} n={n} round={round}");
                     assert_eq!(placed_slow, placed_gated, "p={p} n={n} round={round}");
-                    assert_eq!(slow, fast, "rng states diverged at p={p} n={n} round={round}");
                     assert_eq!(slow, gated, "gated rng diverged at p={p} n={n} round={round}");
                 }
             }

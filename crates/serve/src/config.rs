@@ -10,9 +10,10 @@ use std::time::Duration;
 /// of queueing without bound (`QISIM_SERVE_QUEUE` overrides).
 pub const DEFAULT_QUEUE_DEPTH: usize = 256;
 
-/// Hard cap on one request line, in bytes. A connection that streams a
-/// longer line without a newline gets a typed error response and is
-/// closed — a misbehaving client must not grow server memory unboundedly.
+/// Hard cap on one request line, in bytes (trailing newline included).
+/// A longer line gets a typed `decode` error response on both framings.
+/// A TCP connection is then closed — a misbehaving client must not grow
+/// server memory unboundedly — while stdin framing serves the next line.
 pub const MAX_LINE_BYTES: usize = 64 * 1024;
 
 /// Runtime configuration of the serving loop.

@@ -42,8 +42,8 @@ use std::time::{Duration, Instant};
 /// re-check the stop flag and the stop file.
 const POLL_INTERVAL: Duration = Duration::from_millis(20);
 
-/// Service counters, independent of the observability feature (the
-/// `serve.*` metrics mirror these when `obs` is compiled in).
+/// Service counters, independent of the observability kill switch (the
+/// `serve.*` metrics mirror these while `qisim_obs` is enabled).
 #[derive(Debug, Default)]
 struct Stats {
     requests: AtomicU64,
@@ -246,32 +246,53 @@ fn run_traced(
     result
 }
 
+/// The typed `decode` error answering a request line longer than
+/// [`MAX_LINE_BYTES`] (trailing newline included) — one response for
+/// both framings.
+fn oversized_response(seq: u64, line: &str) -> String {
+    let error = QisimError::Decode(qisim::error::DecodeError::new(
+        1,
+        format!("request line exceeds {MAX_LINE_BYTES} bytes"),
+    ));
+    proto::error_response(Some(seq), proto::request_id(line), &error)
+}
+
 /// Serves newline-delimited requests from `input` until EOF — the
 /// stdin/stdout framing. Responses are written (and flushed) in request
 /// order, one line each; EOF is the graceful-shutdown signal.
 ///
 /// Each line runs through the same per-request function as the TCP
-/// service, so responses are bit-identical across framings.
+/// service, so responses are bit-identical across framings. A line
+/// longer than [`MAX_LINE_BYTES`] gets the same typed `decode` error the
+/// TCP service sends, and serving continues with the next line.
 ///
 /// # Errors
 ///
 /// Returns only transport failures (`input`/`output` I/O errors);
 /// request-level problems become typed `error` response lines.
 pub fn serve_lines(
-    input: impl BufRead,
+    mut input: impl BufRead,
     mut output: impl Write,
     config: &ServeConfig,
 ) -> std::io::Result<StatsSnapshot> {
     let stats = Stats::default();
     let mut seq = 0u64;
-    for line in input.lines() {
-        let line = line?;
+    let mut line = String::new();
+    loop {
+        line.clear();
+        if input.read_line(&mut line)? == 0 {
+            break;
+        }
         seq += 1;
         stats.requests.fetch_add(1, Ordering::Relaxed);
         counter!("serve.requests");
         log_request_start(seq, 0);
         let t0 = Instant::now();
-        let response = respond(config, seq, &line);
+        let response = if line.len() > MAX_LINE_BYTES {
+            oversized_response(seq, &line)
+        } else {
+            respond(config, seq, &line)
+        };
         let latency = t0.elapsed();
         observe!("serve.request_ns", latency.as_nanos() as f64);
         stats.finish(config, seq, &response, Duration::ZERO, latency);
@@ -549,11 +570,7 @@ fn oversized_line(shared: &Shared, line: &str, out: &Arc<Mutex<TcpStream>>) {
     shared.stats.requests.fetch_add(1, Ordering::Relaxed);
     counter!("serve.requests");
     let seq = shared.seq.fetch_add(1, Ordering::Relaxed) + 1;
-    let error = QisimError::Decode(qisim::error::DecodeError::new(
-        1,
-        format!("request line exceeds {MAX_LINE_BYTES} bytes"),
-    ));
-    let response = proto::error_response(Some(seq), proto::request_id(line), &error);
+    let response = oversized_response(seq, line);
     log_request_start(seq, 0);
     shared.stats.finish(&shared.config, seq, &response, Duration::ZERO, Duration::ZERO);
     write_response(out, &response);

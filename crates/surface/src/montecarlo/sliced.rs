@@ -17,9 +17,10 @@
 //! random draw or verdict:
 //!
 //! * **fast-empty sampling** — a lane with no error resolves its one
-//!   geometric draw against a precomputed threshold
-//!   ([`qisim_quantum::rng::Geometric::positions_fast_empty`]), so the
-//!   ~`(1−p)ⁿ` majority of lanes never pays a logarithm;
+//!   geometric draw against a precomputed mantissa gate
+//!   ([`qisim_quantum::rng::Geometric::empty_run_gate`], with
+//!   [`qisim_quantum::rng::Geometric::positions_from_first`] walking the
+//!   rest), so the ~`(1−p)ⁿ` majority of lanes never pays a logarithm;
 //! * **a decoder-verdict memo** — the scalar decoder is a pure function
 //!   of the syndrome, so each fallback lane first looks its gathered
 //!   syndrome up in a hash memo of the correction's logical parity
@@ -311,8 +312,8 @@ pub const SLICED_CHUNK_TRIALS: usize = 256;
 /// words) on the [`qisim_par`] pool.
 ///
 /// Global trial `t` samples from `Xorshift64Star::stream(seed, t)`, so
-/// the estimate is bit-identical at any thread count (and in the serial
-/// `--no-default-features` build), and the failure count exactly equals
+/// the estimate is bit-identical at any thread count (including the
+/// serial `QISIM_THREADS=1` loop), and the failure count exactly equals
 /// independent one-trial [`super::run_trials_reference`] runs on the
 /// same streams.
 ///

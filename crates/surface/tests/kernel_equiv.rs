@@ -1,6 +1,5 @@
-//! Always-on equivalence suite for the Monte-Carlo engine (the
-//! feature-gated `proptests.rs` twin needs a registry for the
-//! `proptest` crate; this file runs in the offline tier-1 gate).
+//! Equivalence suite for the Monte-Carlo engine over a fixed grid (its
+//! `proptests.rs` sibling checks the same contracts on drawn inputs).
 //!
 //! Pins the acceptance grid: for every `(d, p)` in
 //! `{3, 5, 7} × {0.001, 0.01, 0.1}` and a battery of seeds, the

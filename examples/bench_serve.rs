@@ -52,9 +52,8 @@ fn main() {
     let total = clients * per_client;
     println!(
         "bench_serve: {clients} client(s) x {per_client} request(s) = {total} requests, \
-         {} distinct specs, par build: {}",
-        mix.len(),
-        qisim::par::is_parallel_build()
+         {} distinct specs",
+        mix.len()
     );
 
     let server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");

@@ -233,8 +233,8 @@ fn errors_render_and_chain_like_std_errors() {
 
 /// A seeded randomized grid of near-valid knob combinations: every
 /// `try_analyze_spec` call must return `Ok` or a typed error — this test
-/// would abort on any panic escaping the engine. (The `proptest` feature
-/// gates a heavier generative version of the same property.)
+/// would abort on any panic escaping the engine. (`qisim`'s
+/// `proptests_engine.rs` checks the same property on drawn specs.)
 #[test]
 fn randomized_near_valid_knob_grid_never_panics() {
     let mut rng = Xorshift64Star::seed_from_u64(0x5157_5349_4d21);
@@ -480,8 +480,8 @@ fn sharded_power_stage_is_thread_count_independent() {
 }
 
 /// Seeded randomized topologies round-trip the codec losslessly and
-/// never panic the engine (the always-on sibling of the `proptest`
-/// suite).
+/// never panic the engine (the engine-level sibling of the codec
+/// round-trip property in `qisim`'s `proptests.rs`).
 #[test]
 fn randomized_topologies_round_trip_and_never_panic() {
     use qisim::hal::topology::LinkKind;

@@ -2,14 +2,15 @@
 //! stdin/stdout framing round-trips every paper preset bit-identically
 //! to a direct engine call, malformed requests become typed errors with
 //! the service still alive, concurrent TCP clients get the same bytes a
-//! direct `try_analyze_spec` produces, and a saturated queue sheds with
-//! an observable `busy` response instead of queueing without bound.
+//! direct `try_analyze_spec` produces, a saturated queue sheds with
+//! an observable `busy` response instead of queueing without bound, and
+//! both framings answer an over-cap line with the same typed error.
 
 use qisim::codec;
 use qisim::engine;
 use qisim::spec::Preset;
 use qisim::surface::target::Target;
-use qisim_serve::{proto, serve_lines, ServeConfig, Server};
+use qisim_serve::{proto, serve_lines, ServeConfig, Server, MAX_LINE_BYTES};
 use std::io::{BufRead, BufReader, Cursor, Write};
 use std::net::TcpStream;
 use std::time::Duration;
@@ -169,6 +170,77 @@ fn malformed_requests_get_typed_errors_and_the_service_survives() {
     assert_eq!(proto::pair_value(last, "id"), Some("alive"));
     assert_eq!(stats.errors, cases.len() as u64);
     assert_eq!(stats.ok, 1);
+}
+
+/// A request line of exactly `len` bytes, trailing newline included: a
+/// valid spec whose `name` pads it out.
+fn padded_request(id: &str, len: usize) -> String {
+    let head = format!("id = {id}; preset = cmos_baseline; name = ");
+    format!("{head}{}\n", "x".repeat(len - head.len() - 1))
+}
+
+#[test]
+fn oversized_stdin_lines_get_the_line_cap_error_and_serving_continues() {
+    let _guard = common::isolate();
+    let input = [
+        padded_request("at-cap", MAX_LINE_BYTES),
+        padded_request("over-cap", MAX_LINE_BYTES + 1),
+        padded_request("huge", 70_000),
+        "id = after; preset = cmos_baseline\n".to_string(),
+    ]
+    .concat();
+    let mut output = Vec::new();
+    let stats = serve_lines(Cursor::new(input), &mut output, &ServeConfig::default())
+        .expect("stdio transport");
+    let output = String::from_utf8(output).expect("utf-8 responses");
+    let responses: Vec<&str> = output.lines().collect();
+    assert_eq!(responses.len(), 4, "one response per request line");
+    // A line exactly at the cap is a request like any other.
+    assert_eq!(proto::response_kind(responses[0]), Some(proto::ResponseKind::Ok));
+    for (response, id) in responses[1..3].iter().zip(["over-cap", "huge"]) {
+        assert_eq!(proto::pair_value(response, "error"), Some("decode"), "{id}");
+        assert_eq!(proto::pair_value(response, "id"), Some(id));
+        assert_eq!(proto::pair_value(response, "line"), Some("1"), "{id}");
+        let reason = proto::pair_value(response, "reason").expect("reason pair");
+        assert!(reason.contains(&format!("request line exceeds {MAX_LINE_BYTES} bytes")), "{id}");
+    }
+    // The stream survives an oversized line: the next request is served.
+    assert_eq!(
+        proto::strip_request_id(responses[3]) + "\n",
+        expected_response("id = after; preset = cmos_baseline")
+    );
+    assert_eq!(stats.requests, 4);
+    assert_eq!(stats.ok, 2);
+    assert_eq!(stats.errors, 2);
+}
+
+#[test]
+fn oversized_tcp_line_gets_the_stdin_error_bytes_and_closes_the_connection() {
+    let _guard = common::isolate();
+    let line = padded_request("huge", 70_000);
+    // The first request on either framing is request_id 1, so the two
+    // answers must match byte for byte.
+    let mut stdin_output = Vec::new();
+    serve_lines(Cursor::new(line.clone()), &mut stdin_output, &ServeConfig::default())
+        .expect("stdio transport");
+    let stdin_response = String::from_utf8(stdin_output).expect("utf-8 response");
+
+    let server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");
+    let stream = TcpStream::connect(server.addr()).expect("connect");
+    let mut writer = stream.try_clone().expect("clone stream");
+    let mut reader = BufReader::new(stream);
+    writer.write_all(line.as_bytes()).expect("send");
+    let mut response = String::new();
+    reader.read_line(&mut response).expect("receive");
+    assert_eq!(response, stdin_response, "the two framings must answer identically");
+    assert_eq!(proto::pair_value(&response, "error"), Some("decode"));
+    // The rest of an oversized line is unread, so the server hangs up.
+    let mut rest = String::new();
+    assert_eq!(reader.read_line(&mut rest).expect("read after the error"), 0, "{rest}");
+    let stats = server.shutdown();
+    assert_eq!(stats.requests, 1);
+    assert_eq!(stats.errors, 1);
+    assert_eq!(stats.ok, 0);
 }
 
 #[test]

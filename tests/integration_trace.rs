@@ -46,26 +46,24 @@ fn traced_two_thread_sweep_exports_valid_chrome_json() {
     seen.sort_unstable();
     assert_eq!(seen, SWEEP_COUNTS);
 
-    if par::is_parallel_build() {
-        // Two workers ran, so the session has at least two lanes and the
-        // worker lanes carry their pool labels.
-        assert!(session.threads.len() >= 2, "lanes: {:?}", session.threads.len());
-        assert!(
-            session.threads.iter().any(|t| t.label.starts_with("qisim-par worker-")),
-            "worker lanes must be labeled"
-        );
-        // Chunk-dispatch instants carry worker id, chunk index, and
-        // queue-to-start latency.
-        let dispatch = session
-            .threads
-            .iter()
-            .flat_map(|t| &t.events)
-            .find(|e| e.name == "par.chunk.dispatch")
-            .expect("dispatch event recorded");
-        assert_eq!(dispatch.args[0].map(|a| a.0), Some("worker"));
-        assert_eq!(dispatch.args[1].map(|a| a.0), Some("chunk"));
-        assert_eq!(dispatch.args[2].map(|a| a.0), Some("queue_ns"));
-    }
+    // Two workers ran, so the session has at least two lanes and the
+    // worker lanes carry their pool labels.
+    assert!(session.threads.len() >= 2, "lanes: {:?}", session.threads.len());
+    assert!(
+        session.threads.iter().any(|t| t.label.starts_with("qisim-par worker-")),
+        "worker lanes must be labeled"
+    );
+    // Chunk-dispatch instants carry worker id, chunk index, and
+    // queue-to-start latency.
+    let dispatch = session
+        .threads
+        .iter()
+        .flat_map(|t| &t.events)
+        .find(|e| e.name == "par.chunk.dispatch")
+        .expect("dispatch event recorded");
+    assert_eq!(dispatch.args[0].map(|a| a.0), Some("worker"));
+    assert_eq!(dispatch.args[1].map(|a| a.0), Some("chunk"));
+    assert_eq!(dispatch.args[2].map(|a| a.0), Some("queue_ns"));
 
     // The Chrome export is well-formed, balanced, and labeled.
     let json = trace_export::chrome_trace_json(&session);

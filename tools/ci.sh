@@ -13,12 +13,12 @@
 #   4. clippy across the whole workspace, warnings are errors
 #   5. rustdoc: the whole workspace must document cleanly (warnings are
 #      errors; qisim-par and qisim-obs additionally warn(missing_docs))
-#   6. serial build: --no-default-features strips the qisim-par thread
-#      pool from the entire workspace (observability stays on; its kill
-#      switch is the runtime qisim::obs::set_enabled) and must still
-#      pass, clippy-clean; its test run includes the determinism suite
-#      (integration_par), pinning the parallel build's results to the
-#      serial path
+#   6. the serial path: the already-built suite again at QISIM_THREADS=1,
+#      where every parallel map runs its plain loop; then the one-build
+#      guard: no workspace manifest may declare a [features] table or a
+#      default-features entry, and no source under crates/, tests/ or
+#      examples/ may test cfg(feature ...) (the serial path and the obs
+#      kill switch are runtime switches, not builds)
 #   7. observability smoke run: the observe example must emit a valid
 #      observe_registry.json with span timings and per-stage watt
 #      attribution (including a literal-name histogram recorded by the
@@ -72,10 +72,16 @@ cargo clippy --workspace --all-targets --quiet -- -D warnings
 echo "== [5/12] rustdoc (deny warnings) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
-echo "== [6/12] serial build without qisim-par (--no-default-features) =="
-cargo build --release --no-default-features
-cargo test -q --release --no-default-features
-cargo clippy --workspace --all-targets --no-default-features --quiet -- -D warnings
+echo "== [6/12] serial path (QISIM_THREADS=1) + one-build guard =="
+QISIM_THREADS=1 cargo test -q --release --no-fail-fast
+if grep -nE '^\[features\]|default-features' Cargo.toml crates/*/Cargo.toml; then
+    echo "cargo features are not allowed: the workspace has one build" >&2
+    exit 1
+fi
+if grep -rnE 'cfg(!|_attr)?\(.*\bfeature *=' crates tests examples; then
+    echo "cfg(feature ...) is not allowed: the workspace has one build" >&2
+    exit 1
+fi
 
 echo "== [7/12] observe + trace smoke run =="
 out="$(mktemp -d)"
@@ -187,9 +193,6 @@ echo "== [12/12] admin-plane smoke run =="
 # liveness/readiness, scrape /metrics during a request burst and
 # validate the exposition with the binary's own --check-om, and chase
 # one request_id from the wire response into the JSONL records.
-# (Step 6 left the serial build of the binary in target/release; relink
-# the default parallel one — cached, so this is just a link step.)
-cargo build --release --quiet -p qisim-serve
 QISIM_LOG="$out/admin.log.jsonl:debug" ./target/release/qisim-serve \
     --tcp 127.0.0.1:0 --admin 127.0.0.1:0 --stop-file "$out/admin_stop" \
     > "$out/admin_bin.txt" 2> "$out/admin_bin.err" &
