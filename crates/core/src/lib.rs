@@ -92,6 +92,11 @@ pub use qisim_surface as surface;
 /// `armed()` probes first consume any environment-driven arming
 /// (`QISIM_LOG`, `QISIM_TRACE`, `QISIM_METRICS`) so it cannot re-arm
 /// later. Callers that run concurrently must serialize around it.
+///
+/// The engine's rare-event ladder (the `d = 23` lattice and its sampled
+/// anchor stage) is not reset: it is immutable once built and every
+/// estimate it gives is bit-identical to a fresh one, so no result can
+/// depend on whether it exists.
 pub fn reset_process_state() {
     qisim_power::clear_cache();
     qisim_power::set_cache_cap(Some(qisim_power::DEFAULT_CACHE_CAP));

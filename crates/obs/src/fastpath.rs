@@ -41,8 +41,14 @@ impl FastCounter {
     }
 }
 
-/// Macro plumbing: the per-call-site handle behind `gauge!("name", v)`.
-#[doc(hidden)]
+/// A `static` gauge handle: the per-call-site handle behind
+/// `gauge!("name", v)`, and the building block of static name tables
+/// for gauge families whose names are known at compile time (one handle
+/// per `power.stage.<label>.*` series, say), which then skip both
+/// formatting and the table lookup.
+///
+/// [`FastGauge::set`] records unconditionally; callers check
+/// [`crate::enabled`] first, as the macro does.
 #[derive(Debug)]
 pub struct FastGauge {
     name: &'static str,
@@ -50,13 +56,14 @@ pub struct FastGauge {
 }
 
 impl FastGauge {
-    #[doc(hidden)]
+    /// A handle for gauge `name`; its cell is interned on the first
+    /// [`FastGauge::set`].
     #[must_use]
     pub const fn new(name: &'static str) -> FastGauge {
         FastGauge { name, cell: OnceLock::new() }
     }
 
-    #[doc(hidden)]
+    /// Sets the gauge to `value` (last write wins).
     #[inline]
     pub fn set(&self, value: f64) {
         self.cell.get_or_init(|| GAUGES.get_static(self.name)).set(value);

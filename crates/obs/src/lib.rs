@@ -61,8 +61,9 @@ pub use export::{
     json_is_well_formed, openmetrics, openmetrics_is_well_formed, sanitize_metric_name, text_table,
     to_json,
 };
+pub use fastpath::FastGauge;
 #[doc(hidden)]
-pub use fastpath::{FastCounter, FastGauge, SpanSlot};
+pub use fastpath::{FastCounter, SpanSlot};
 pub use hist::Histogram;
 pub use log::Level;
 pub use metrics::{Snapshot, SpanStats};

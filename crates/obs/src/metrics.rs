@@ -9,9 +9,10 @@
 //! reference in a per-call-site handle ([`crate::fastpath`]) and never
 //! touch the table again; histogram samples and computed names look
 //! their cell up on every write and leak their string once, on first
-//! use. Histogram names are literals at their call sites; computed names
-//! are bounded: 5 stage labels × 7 `power.stage.*` gauges, plus 5
-//! `topology.interconnect.*` gauges.
+//! use. Histogram names are literals at their call sites. The
+//! `power.stage.*` and `topology.interconnect.*` gauge families are
+//! static [`crate::FastGauge`] tables, so no workspace call site
+//! computes a metric name.
 //!
 //! [`crate::snapshot`] walks the tables in `BTreeMap` key order, so every
 //! export is deterministically ordered. A series appears once it has

@@ -34,7 +34,7 @@ pub use memo::{
 use qisim_hal::fridge::{Fridge, Stage};
 use qisim_hal::wire::InstructionLink;
 use qisim_microarch::QciArch;
-use qisim_obs::{counter, gauge, span};
+use qisim_obs::{counter, span, FastGauge};
 use std::fmt;
 
 /// Typed failure of the runtime-power model.
@@ -336,6 +336,26 @@ pub fn try_max_qubits_with_link(
     Ok((lo, binding, landing))
 }
 
+/// One row of `power.stage.<label>.*` gauge handles per stage label.
+macro_rules! stage_gauge_rows {
+    ($($label:literal),*) => {
+        [$([
+            FastGauge::new(concat!("power.stage.", $label, ".device_static_w")),
+            FastGauge::new(concat!("power.stage.", $label, ".device_dynamic_w")),
+            FastGauge::new(concat!("power.stage.", $label, ".wire_w")),
+            FastGauge::new(concat!("power.stage.", $label, ".instr_link_w")),
+            FastGauge::new(concat!("power.stage.", $label, ".total_w")),
+            FastGauge::new(concat!("power.stage.", $label, ".budget_w")),
+            FastGauge::new(concat!("power.stage.", $label, ".utilization")),
+        ]),*]
+    };
+}
+
+/// The per-stage attribution gauges, one row per stage in [`Stage::ALL`]
+/// order, so a landing sets them without formatting or looking up a
+/// name.
+static STAGE_GAUGES: [[FastGauge; 7]; 5] = stage_gauge_rows!["50K", "4K", "1K", "100mK", "20mK"];
+
 /// Publishes per-stage watt attribution and utilization gauges for a
 /// report (called at the bisection's landing point, so the gauges show
 /// where every watt goes at the design's maximum scale).
@@ -344,14 +364,18 @@ fn record_stage_gauges(report: &PowerReport) {
         return;
     }
     for s in &report.stages {
-        let label = s.stage.label();
-        gauge!(format!("power.stage.{label}.device_static_w"), s.device_static_w);
-        gauge!(format!("power.stage.{label}.device_dynamic_w"), s.device_dynamic_w);
-        gauge!(format!("power.stage.{label}.wire_w"), s.wire_w);
-        gauge!(format!("power.stage.{label}.instr_link_w"), s.instr_link_w);
-        gauge!(format!("power.stage.{label}.total_w"), s.total_w());
-        gauge!(format!("power.stage.{label}.budget_w"), s.budget_w);
-        gauge!(format!("power.stage.{label}.utilization"), s.utilization());
+        let Some(row) = Stage::ALL.iter().position(|&stage| stage == s.stage) else {
+            continue;
+        };
+        let [static_w, dynamic_w, wire_w, link_w, total_w, budget_w, utilization] =
+            &STAGE_GAUGES[row];
+        static_w.set(s.device_static_w);
+        dynamic_w.set(s.device_dynamic_w);
+        wire_w.set(s.wire_w);
+        link_w.set(s.instr_link_w);
+        total_w.set(s.total_w());
+        budget_w.set(s.budget_w);
+        utilization.set(s.utilization());
     }
 }
 

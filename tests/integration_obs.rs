@@ -2,6 +2,7 @@
 //! never perturb the science, and an instrumented run must actually
 //! record the metrics the `BENCH_obs.json` artifact promises.
 
+use qisim::hal::fridge::Stage;
 use qisim::obs;
 use qisim::surface::target::Target;
 use qisim::{analyze, sweep, QciDesign};
@@ -53,10 +54,25 @@ fn instrumented_analysis_records_spans_counters_and_gauges() {
     // The bisection did real work.
     let iters = snap.counter("power.bisection.iters").expect("bisection counter");
     assert!(iters >= 10, "bisection iterations {iters}");
-    // Per-stage watt attribution gauges for the binding 4 K stage.
-    for g in ["power.stage.4K.device_dynamic_w", "power.stage.4K.utilization"] {
-        assert!(snap.gauge(g).is_some(), "gauge {g} missing");
+    // Per-stage watt attribution gauges: every field of every stage.
+    let fields = [
+        "device_static_w",
+        "device_dynamic_w",
+        "wire_w",
+        "instr_link_w",
+        "total_w",
+        "budget_w",
+        "utilization",
+    ];
+    for stage in Stage::ALL {
+        for field in fields {
+            let g = format!("power.stage.{}.{field}", stage.label());
+            assert!(snap.gauge(&g).is_some(), "gauge {g} missing");
+        }
     }
+    let k4 = verdict.stages.iter().find(|s| s.stage == Stage::K4).expect("4 K stage");
+    assert_eq!(snap.gauge("power.stage.4K.budget_w"), Some(k4.budget_w));
+    assert_eq!(snap.gauge("power.stage.4K.wire_w"), Some(k4.wire_w));
     // The export formats agree with the snapshot and are well-formed.
     let json = obs::report_json();
     assert!(obs::json_is_well_formed(&json), "{json}");
@@ -104,6 +120,11 @@ fn scale_out_analysis_publishes_topology_gauges() {
     assert_eq!(snap.counter("engine.fridge.shards"), Some(4));
     let heat_4k = snap.gauge("topology.interconnect.4K_w").expect("4K interconnect gauge");
     assert!(heat_4k > 0.0, "cryo coax must dissipate at 4 K: {heat_4k}");
+    let interconnect_w = verdict.scale_out.as_ref().unwrap().interconnect_w;
+    for (stage, watts) in Stage::ALL.into_iter().zip(interconnect_w) {
+        let g = format!("topology.interconnect.{}_w", stage.label());
+        assert_eq!(snap.gauge(&g), Some(watts), "gauge {g}");
+    }
     // A classic single-fridge run leaves the topology gauges untouched.
     obs::reset();
     let _ = analyze(&QciDesign::cmos_baseline(), &Target::near_term());

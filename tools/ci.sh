@@ -53,26 +53,30 @@
 #      the wire response echoes a request_id that also stamps the JSONL
 #      start/finish records and the request's engine.stage records, and
 #      the stop file shuts everything down
+#  13. repo benchmark --check: every workload runs in both orders with
+#      zero failed operations (`check: ok`), and each workload's seed-1
+#      verdict digest matches the pinned value, so a change that moves
+#      any served answer fails here
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== [1/12] release build + tests =="
+echo "== [1/13] release build + tests =="
 cargo build --release
 cargo test -q --release --no-fail-fast
 
-echo "== [2/12] tests at QISIM_THREADS=2 =="
+echo "== [2/13] tests at QISIM_THREADS=2 =="
 QISIM_THREADS=2 cargo test -q --release --no-fail-fast
 
-echo "== [3/12] rustfmt =="
+echo "== [3/13] rustfmt =="
 cargo fmt --check
 
-echo "== [4/12] clippy (deny warnings) =="
+echo "== [4/13] clippy (deny warnings) =="
 cargo clippy --workspace --all-targets --quiet -- -D warnings
 
-echo "== [5/12] rustdoc (deny warnings) =="
+echo "== [5/13] rustdoc (deny warnings) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
-echo "== [6/12] serial path (QISIM_THREADS=1) + one-build guard =="
+echo "== [6/13] serial path (QISIM_THREADS=1) + one-build guard =="
 QISIM_THREADS=1 cargo test -q --release --no-fail-fast
 if grep -nE '^\[features\]|default-features' Cargo.toml crates/*/Cargo.toml; then
     echo "cargo features are not allowed: the workspace has one build" >&2
@@ -83,7 +87,7 @@ if grep -rnE 'cfg(!|_attr)?\(.*\bfeature *=' crates tests examples; then
     exit 1
 fi
 
-echo "== [7/12] observe + trace smoke run =="
+echo "== [7/13] observe + trace smoke run =="
 out="$(mktemp -d)"
 trap 'rm -rf "$out"' EXIT
 (cd "$out" && QISIM_TRACE="$out/trace.json" QISIM_THREADS=2 cargo run --release --quiet \
@@ -117,7 +121,7 @@ python3 -c "import json,sys; json.load(open(sys.argv[1]))" "$out/trace.json" \
 grep -q "bench_obs smoke gate passed." "$out/bench_obs.txt"
 grep -q "bit_identical_with_log_armed: true" "$out/bench_obs.txt"
 
-echo "== [8/12] telemetry exporter smoke run =="
+echo "== [8/13] telemetry exporter smoke run =="
 (cd "$out" && QISIM_METRICS="$out/metrics.om:50" QISIM_THREADS=2 cargo run --release --quiet \
     --manifest-path "$OLDPWD/Cargo.toml" --example observe -- --watch > watch.txt)
 # The example validates its own exposition via openmetrics_is_well_formed
@@ -135,10 +139,10 @@ grep -q "# EOF" "$out/metrics.om"
 QISIM_METRICS="$out/metrics_det.om:50" cargo test -q --release -p qisim \
     --test integration_par
 
-echo "== [9/12] panic-regression gate =="
+echo "== [9/13] panic-regression gate =="
 tools/check_panics.sh
 
-echo "== [10/12] paper-suite smoke run =="
+echo "== [10/13] paper-suite smoke run =="
 # Cheap drivers only: Fig. 12/13/17 + Table 2 finish in well under a
 # second; Table 1 (about 4 s on a 2-core x86 host) and the other drivers
 # stay on the full suite (filters are substring matches against the
@@ -153,7 +157,7 @@ done
 # staged engine (zero relative error renders as "-").
 echo "$suite_out" | grep -q "max |rel err|"
 
-echo "== [11/12] serve smoke run =="
+echo "== [11/13] serve smoke run =="
 # Long exporter interval: the only write is bench_serve's explicit
 # flush, whose delta then covers the whole run — serve counters must be
 # nonzero in it.
@@ -188,7 +192,7 @@ touch "$out/stop"
 wait "$serve_pid"
 grep -q "done requests = 1 ok = 1" "$out/serve_bin.err"
 
-echo "== [12/12] admin-plane smoke run =="
+echo "== [12/13] admin-plane smoke run =="
 # The binary with the HTTP plane and structured logging armed: probe
 # liveness/readiness, scrape /metrics during a request burst and
 # validate the exposition with the binary's own --check-om, and chase
@@ -250,5 +254,18 @@ grep -q "\"event\":\"engine.stage\".*\"request_id\":$rid" "$out/admin.log.jsonl"
     || grep -q "\"request_id\":$rid.*\"event\":\"engine.stage\"" "$out/admin.log.jsonl" \
     || { echo "request_id $rid missing from engine.stage records" >&2; exit 1; }
 grep -q "\"outcome\":\"ok\"" "$out/admin.log.jsonl"
+
+echo "== [13/13] repo benchmark --check =="
+bench_out="$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --check)"
+echo "$bench_out" | grep -qx "check: ok" || { echo "benchmark --check failed" >&2; exit 1; }
+for pinned in serve_paper_mix:099ff2656a55f98a design_sweep_cold:029e603d2c53d709 \
+    serve_mc_estimator:ccca70cfd27c4c21; do
+    workload="${pinned%%:*}"
+    runs=$(echo "$bench_out" | grep -c "\"workload\": \"$workload\", \"attempted\"" || true)
+    matching=$(echo "$bench_out" \
+        | grep -c "\"workload\": \"$workload\", .*\"verdict_digest\": \"${pinned#*:}\"" || true)
+    test "$runs" -gt 0 && test "$runs" -eq "$matching" \
+        || { echo "$workload: verdict digest is not ${pinned#*:}" >&2; exit 1; }
+done
 
 echo "CI gate passed."
