@@ -14,10 +14,16 @@
 //! [`decode_into`] performs **zero heap allocations per call**, growing
 //! clusters from an active-frontier worklist that only visits the
 //! boundary edges of live clusters instead of rescanning every edge each
-//! round. [`decode`] wraps it for one-off use, and [`decode_reference`]
-//! preserves the original full-edge-rescan implementation as the oracle
-//! the fast engine is tested against — both produce identical
-//! corrections for every syndrome.
+//! round. Its per-call work is O(cluster), not O(lattice): the arena
+//! remembers which vertices joined a cluster and which edges grew, and
+//! the next call resets only those (plus the boundary vertex); peeling
+//! reads its roots and leaves off the same cluster set. At `d = 23` a
+//! sampled syndrome touches a handful of the 264 checks, so the per-call
+//! cost follows the defects, not the lattice. [`decode`] wraps it for
+//! one-off use, and [`decode_reference`] preserves the original
+//! full-edge-rescan implementation as the oracle the fast engine is
+//! tested against — both produce identical corrections for every
+//! syndrome.
 
 use crate::lattice::{Check, Lattice, PackedLattice};
 
@@ -123,8 +129,8 @@ impl DecodingGraph {
 }
 
 /// Frontier and peeling work counters accumulated by [`decode_into`],
-/// flushed to `qisim-obs` by the Monte-Carlo drivers (one registry
-/// update per trial batch, never per trial).
+/// flushed to `qisim-obs` by both Monte-Carlo estimators (one registry
+/// update per estimate, never per trial).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DecodeStats {
     /// Decode calls that reached the growth stage.
@@ -133,6 +139,15 @@ pub struct DecodeStats {
     pub rounds: u64,
     /// Edge half-growth steps applied (frontier edge visits).
     pub edges_grown: u64,
+}
+
+impl DecodeStats {
+    /// Adds another arena's counters to these.
+    pub(crate) fn merge(&mut self, other: DecodeStats) {
+        self.decodes += other.decodes;
+        self.rounds += other.rounds;
+        self.edges_grown += other.edges_grown;
+    }
 }
 
 /// Reusable decoder arena: every buffer [`decode_into`] needs, sized
@@ -161,8 +176,16 @@ pub struct DecoderScratch {
     touches_boundary: Vec<bool>,
     // Growth stage.
     edge_growth: Vec<u8>,
-    in_cluster: Vec<bool>,
-    /// Non-boundary vertices currently absorbed into any cluster.
+    /// Edges whose growth left 0 in the last call, recorded as it
+    /// happens: the only edges with growth, tree or removal state to
+    /// reset.
+    grown_edges: Vec<usize>,
+    /// Bitset over all `checks + 1` vertices (boundary included): the
+    /// vertices absorbed into any cluster.
+    in_cluster: Vec<u64>,
+    /// Non-boundary vertices absorbed into any cluster, in absorption
+    /// order: the growth worklist, and (with the boundary) the only
+    /// vertices whose state the next call resets.
     cluster_verts: Vec<usize>,
     /// Frontier edges collected this round (deduplicated via `edge_seen`).
     round_edges: Vec<usize>,
@@ -173,10 +196,7 @@ pub struct DecoderScratch {
     defect: Vec<bool>,
     visited: Vec<bool>,
     in_tree: Vec<bool>,
-    /// Spanning-forest entries `(edge, other)`, stored in the CSR slots
-    /// of the owning vertex (capacity bounded by the vertex degree).
-    tree_entry: Vec<(usize, usize)>,
-    tree_len: Vec<usize>,
+    /// Live spanning-forest edges incident to each vertex.
     degree: Vec<usize>,
     leaves: Vec<usize>,
     removed: Vec<bool>,
@@ -195,7 +215,8 @@ impl DecoderScratch {
             parity: vec![false; n],
             touches_boundary: vec![false; n],
             edge_growth: vec![0; e],
-            in_cluster: vec![false; n],
+            grown_edges: Vec::with_capacity(e),
+            in_cluster: vec![0; n.div_ceil(64)],
             cluster_verts: Vec::with_capacity(n),
             round_edges: Vec::with_capacity(e),
             edge_seen: vec![0; e],
@@ -204,8 +225,6 @@ impl DecoderScratch {
             defect: vec![false; n],
             visited: vec![false; n],
             in_tree: vec![false; e],
-            tree_entry: vec![(0, 0); graph.adj_edge.len()],
-            tree_len: vec![0; n],
             degree: vec![0; n],
             leaves: Vec::with_capacity(n),
             removed: vec![false; e],
@@ -248,6 +267,77 @@ impl DecoderScratch {
         let r = self.find(x);
         !self.parity[r] || self.touches_boundary[r]
     }
+
+    /// Returns `true` iff `v` was not yet in a cluster, and marks it.
+    #[inline]
+    fn absorb(&mut self, v: usize) -> bool {
+        let (word, bit) = (&mut self.in_cluster[v >> 6], 1u64 << (v & 63));
+        let fresh = *word & bit == 0;
+        *word |= bit;
+        fresh
+    }
+
+    /// Undoes everything the last [`decode_into`] call wrote. Only
+    /// cluster vertices, the boundary and grown edges ever leave their
+    /// initial state: every union, defect flip and tree edge lies on a
+    /// fully grown edge, whose endpoints are cluster vertices. (The
+    /// `edge_seen` round stamps only ever grow, so they need no reset.)
+    fn reset(&mut self, boundary: usize) {
+        for v in self.cluster_verts.drain(..).chain(std::iter::once(boundary)) {
+            self.parent[v] = v;
+            self.parity[v] = false;
+            self.touches_boundary[v] = false;
+            self.defect[v] = false;
+            self.visited[v] = false;
+            self.degree[v] = 0;
+        }
+        self.touches_boundary[boundary] = true;
+        for e in self.grown_edges.drain(..) {
+            self.edge_growth[e] = 0;
+            self.in_tree[e] = false;
+            self.removed[e] = false;
+        }
+        self.in_cluster.fill(0);
+    }
+
+    /// Depth-first spanning tree over the fully grown edges from `root`,
+    /// unless an earlier tree already reached it.
+    fn span_tree(&mut self, graph: &DecodingGraph, root: usize) {
+        if self.visited[root] {
+            return;
+        }
+        self.visited[root] = true;
+        self.stack.clear();
+        self.stack.push(root);
+        while let Some(v) = self.stack.pop() {
+            for &e in graph.adj(v) {
+                if self.edge_growth[e] < 2 || self.in_tree[e] {
+                    continue;
+                }
+                let (a, b, _) = graph.edges[e];
+                let other = if a == v { b } else { a };
+                if self.visited[other] {
+                    continue;
+                }
+                self.visited[other] = true;
+                self.in_tree[e] = true;
+                self.degree[v] += 1;
+                self.degree[other] += 1;
+                self.stack.push(other);
+            }
+        }
+    }
+}
+
+/// Visits the set bits of a bitset in ascending order.
+fn each_set_bit(words: &[u64], mut f: impl FnMut(usize)) {
+    for (w, &word) in words.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            f((w << 6) + bits.trailing_zeros() as usize);
+            bits &= bits - 1;
+        }
+    }
 }
 
 /// Decodes a packed syndrome (`u64` bitset words, one bit per check)
@@ -259,7 +349,8 @@ impl DecoderScratch {
 /// same syndrome (the equivalence suite pins this), but grows clusters
 /// from an active-frontier worklist — per round it visits only the
 /// not-yet-full edges incident to live (unfrozen) clusters, instead of
-/// rescanning the entire edge set.
+/// rescanning the entire edge set — and resets, roots and peels only
+/// the cluster vertices and grown edges, so a call costs O(cluster).
 ///
 /// # Panics
 ///
@@ -271,36 +362,18 @@ pub fn decode_into<'a>(
 ) -> &'a [usize] {
     assert_eq!(syndrome.len(), graph.syndrome_words(), "syndrome word-count mismatch");
     let s = scratch;
+    let boundary = graph.boundary();
     s.correction.clear();
-    s.cluster_verts.clear();
-
-    // Reset the per-call state. These are O(checks + edges) memsets over
-    // buffers a few hundred bytes long — no allocation, and trivially
-    // cheap next to the allocation storm the legacy path paid.
-    let n = graph.checks + 1;
-    for (i, p) in s.parent.iter_mut().enumerate() {
-        *p = i;
-    }
-    s.parity.fill(false);
-    s.touches_boundary.fill(false);
-    s.touches_boundary[graph.checks] = true;
-    s.edge_growth.fill(0);
-    s.in_cluster.fill(false);
-    s.defect.fill(false);
+    s.reset(boundary);
 
     // Seed clusters at the defects (word-wise set-bit extraction).
-    for (w, &word) in syndrome.iter().enumerate() {
-        let mut bits = word;
-        while bits != 0 {
-            let c = (w << 6) + bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            debug_assert!(c < graph.checks, "syndrome bit beyond check count");
-            s.parity[c] = true;
-            s.defect[c] = true;
-            s.in_cluster[c] = true;
-            s.cluster_verts.push(c);
-        }
-    }
+    each_set_bit(syndrome, |c| {
+        debug_assert!(c < graph.checks, "syndrome bit beyond check count");
+        s.parity[c] = true;
+        s.defect[c] = true;
+        s.absorb(c);
+        s.cluster_verts.push(c);
+    });
     if s.cluster_verts.is_empty() {
         return &s.correction;
     }
@@ -339,6 +412,9 @@ pub fn decode_into<'a>(
         s.full_edges.clear();
         for i in 0..s.round_edges.len() {
             let e = s.round_edges[i];
+            if s.edge_growth[e] == 0 {
+                s.grown_edges.push(e);
+            }
             s.edge_growth[e] += 1;
             if s.edge_growth[e] >= 2 {
                 s.full_edges.push(e);
@@ -347,11 +423,8 @@ pub fn decode_into<'a>(
         for i in 0..s.full_edges.len() {
             let (u, v, _) = graph.edges[s.full_edges[i]];
             for w in [u, v] {
-                if !s.in_cluster[w] {
-                    s.in_cluster[w] = true;
-                    if w != graph.checks {
-                        s.cluster_verts.push(w);
-                    }
+                if s.absorb(w) && w != boundary {
+                    s.cluster_verts.push(w);
                 }
             }
             s.union(u, v);
@@ -361,54 +434,36 @@ pub fn decode_into<'a>(
     // Peeling stage: build a forest of fully-grown edges, then peel
     // leaves; a leaf carrying a defect adds its edge to the correction
     // and hands the defect to its neighbor. Rooted at the boundary first
-    // so boundary-touching clusters peel toward it.
-    s.visited.fill(false);
-    s.in_tree.fill(false);
-    s.tree_len.fill(0);
-    s.removed.fill(false);
-    for root in std::iter::once(graph.boundary()).chain(0..graph.checks) {
-        if s.visited[root] {
-            continue;
-        }
-        s.visited[root] = true;
-        s.stack.clear();
-        s.stack.push(root);
-        while let Some(v) = s.stack.pop() {
-            for &e in graph.adj(v) {
-                if s.edge_growth[e] < 2 || s.in_tree[e] {
-                    continue;
-                }
-                let (a, b, _) = graph.edges[e];
-                let other = if a == v { b } else { a };
-                if s.visited[other] {
-                    continue;
-                }
-                s.visited[other] = true;
-                s.in_tree[e] = true;
-                s.tree_entry[graph.adj_off[v] + s.tree_len[v]] = (e, other);
-                s.tree_len[v] += 1;
-                s.tree_entry[graph.adj_off[other] + s.tree_len[other]] = (e, v);
-                s.tree_len[other] += 1;
-                s.stack.push(other);
-            }
-        }
+    // so boundary-touching clusters peel toward it, then at the cluster
+    // vertices in ascending order. A vertex outside every cluster (the
+    // boundary included) has no fully grown edge, so it roots an empty
+    // tree and is never a leaf: visiting only the cluster set equals
+    // scanning every vertex.
+    let in_cluster = std::mem::take(&mut s.in_cluster);
+    if PackedLattice::get_bit(&in_cluster, boundary) {
+        s.span_tree(graph, boundary);
     }
-    s.degree[..n].copy_from_slice(&s.tree_len[..n]);
+    each_set_bit(&in_cluster, |v| s.span_tree(graph, v));
     s.leaves.clear();
-    for v in 0..n {
-        if s.degree[v] == 1 && v != graph.boundary() {
+    each_set_bit(&in_cluster, |v| {
+        if s.degree[v] == 1 && v != boundary {
             s.leaves.push(v);
         }
-    }
+    });
+    s.in_cluster = in_cluster;
     while let Some(v) = s.leaves.pop() {
         if s.degree[v] == 0 {
             continue;
         }
-        let slots = &s.tree_entry[graph.adj_off[v]..graph.adj_off[v] + s.tree_len[v]];
-        let &(e, other) = slots
+        // A leaf has exactly one live tree edge, so scanning its incident
+        // edges finds the one the reference's tree list would.
+        let &e = graph
+            .adj(v)
             .iter()
-            .find(|(e, _)| s.in_tree[*e] && !s.removed[*e])
+            .find(|&&e| s.in_tree[e] && !s.removed[e])
             .expect("leaf has one live tree edge");
+        let (a, b, _) = graph.edges[e];
+        let other = if a == v { b } else { a };
         s.removed[e] = true;
         s.degree[v] -= 1;
         s.degree[other] -= 1;
@@ -417,7 +472,7 @@ pub fn decode_into<'a>(
             s.defect[v] = false;
             s.defect[other] = !s.defect[other];
         }
-        if s.degree[other] == 1 && other != graph.boundary() {
+        if s.degree[other] == 1 && other != boundary {
             s.leaves.push(other);
         }
     }
@@ -674,7 +729,7 @@ mod tests {
         // Identical corrections — same qubits, same order — on a dense
         // deterministic syndrome battery, reusing one scratch arena
         // throughout so cross-call contamination would be caught.
-        for d in [3usize, 5, 7, 9, 11] {
+        for d in [3usize, 5, 7, 9, 11, 13, 23] {
             let l = Lattice::new(d);
             let g = DecodingGraph::new(&l, false);
             let mut scratch = DecoderScratch::new(&g);
@@ -689,6 +744,49 @@ mod tests {
                 let reference = decode_reference(&g, &syn);
                 let words = PackedLattice::pack(&syn);
                 let fast = decode_into(&g, &words, &mut scratch);
+                assert_eq!(fast, &reference[..], "d={d} round={round}");
+            }
+        }
+    }
+
+    #[test]
+    fn sparse_reset_leaves_no_stale_state_between_mixed_syndromes() {
+        // One arena per distance, cycling a dense syndrome (many merged
+        // clusters), a single defect, and defects only on checks next
+        // to the boundary: every call must still equal the oracle, so
+        // state the sparse reset failed to undo would show up here.
+        for d in [3usize, 5, 13, 23] {
+            let l = Lattice::new(d);
+            let g = DecodingGraph::new(&l, false);
+            let boundary_checks: Vec<usize> = (0..g.check_count())
+                .filter(|&c| g.adj(c).iter().any(|&e| g.edges[e].1 == g.boundary()))
+                .collect();
+            let mut scratch = DecoderScratch::new(&g);
+            let mut state = 0xB0_0DA7u64 ^ (d as u64) << 40;
+            let mut next = || {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                state >> 11
+            };
+            for round in 0..240 {
+                let mut syn = vec![false; g.check_count()];
+                match round % 3 {
+                    0 => {
+                        let errs: Vec<bool> =
+                            (0..l.data_qubits()).map(|_| next() % 100 < 15).collect(); // p = 0.15
+                        syn = l.z_syndrome(&errs);
+                    }
+                    1 => {
+                        let c = next() as usize % g.check_count();
+                        syn[c] = true;
+                    }
+                    _ => {
+                        for &c in &boundary_checks {
+                            syn[c] = next() % 4 == 0;
+                        }
+                    }
+                }
+                let reference = decode_reference(&g, &syn);
+                let fast = decode_into(&g, &PackedLattice::pack(&syn), &mut scratch);
                 assert_eq!(fast, &reference[..], "d={d} round={round}");
             }
         }

@@ -173,6 +173,12 @@ pub struct PackedLattice {
     z_support_idx: Vec<usize>,
     /// Per-check offsets into `z_support_idx` (`n_z_checks + 1` entries).
     z_support_off: Vec<usize>,
+    /// The inverse table: data qubit `q`'s Z checks (0, 1 or 2 of them —
+    /// a `d = 2` corner qubit touches none) are `qubit_z_checks[
+    /// qubit_z_checks_off[q] .. qubit_z_checks_off[q+1]]`, ascending.
+    qubit_z_checks: Vec<usize>,
+    /// Per-qubit offsets into `qubit_z_checks` (`n_qubits + 1` entries).
+    qubit_z_checks_off: Vec<usize>,
     /// Logical-`Z̄` support mask (the top row).
     logical_z_mask: Vec<u64>,
     /// Logical-`Z̄` support qubit indices (the top row, ascending).
@@ -198,6 +204,23 @@ impl PackedLattice {
             }
             z_support_off.push(z_support_idx.len());
         }
+        // The inverse table by counting sort; checks are visited in
+        // ascending order, so each qubit's list comes out ascending.
+        let mut qubit_z_checks_off = vec![0usize; n_qubits + 1];
+        for &q in &z_support_idx {
+            qubit_z_checks_off[q + 1] += 1;
+        }
+        for q in 0..n_qubits {
+            qubit_z_checks_off[q + 1] += qubit_z_checks_off[q];
+        }
+        let mut cursor = qubit_z_checks_off.clone();
+        let mut qubit_z_checks = vec![0usize; z_support_idx.len()];
+        for (i, chk) in lattice.z_checks.iter().enumerate() {
+            for &q in &chk.support {
+                qubit_z_checks[cursor[q]] = i;
+                cursor[q] += 1;
+            }
+        }
         let mut logical_z_mask = vec![0u64; qubit_words];
         let logical_z_idx = lattice.logical_z();
         for &q in &logical_z_idx {
@@ -211,6 +234,8 @@ impl PackedLattice {
             z_support,
             z_support_idx,
             z_support_off,
+            qubit_z_checks,
+            qubit_z_checks_off,
             logical_z_mask,
             logical_z_idx,
         }
@@ -268,6 +293,9 @@ impl PackedLattice {
     /// Word-wise Z-syndrome of a packed X-error pattern: check `i`'s bit
     /// is the parity of `errs ∧ support(i)`. Returns `true` iff any
     /// syndrome bit is set (the caller's zero-syndrome fast-path test).
+    /// A pass over every check: the samplers build their syndromes one
+    /// error at a time instead (`flip_z_checks_of`), and this full
+    /// extraction is the residual-syndrome check and the test oracle.
     ///
     /// # Panics
     ///
@@ -290,6 +318,21 @@ impl PackedLattice {
             any |= bit;
         }
         any != 0
+    }
+
+    /// Flips the Z checks data qubit `q` touches in a packed syndrome.
+    /// Placing X errors one qubit at a time through this builds the same
+    /// syndrome [`Self::z_syndrome_into`] computes from the finished
+    /// pattern, at ≤ 2 bit flips per error instead of a pass over every
+    /// check.
+    #[inline]
+    pub(crate) fn flip_z_checks_of(&self, q: usize, syndrome: &mut [u64]) {
+        debug_assert_eq!(syndrome.len(), self.syndrome_words);
+        let checks =
+            &self.qubit_z_checks[self.qubit_z_checks_off[q]..self.qubit_z_checks_off[q + 1]];
+        for &c in checks {
+            Self::flip_bit(syndrome, c);
+        }
     }
 
     /// Whether a packed X-error pattern anticommutes with the logical
@@ -346,7 +389,8 @@ impl PackedLattice {
     /// Gathers lane `lane` of a sliced block back into the packed
     /// per-trial layout (the exact inverse of [`Self::scatter_lane`]):
     /// bit `lane` of `sliced[q]` becomes bit `q` of `packed`. Overwrites
-    /// `packed` entirely.
+    /// `packed` entirely. The bit-by-bit oracle of
+    /// [`Self::transpose_error_lanes`], which the kernel runs instead.
     ///
     /// # Panics
     ///
@@ -390,8 +434,9 @@ impl PackedLattice {
 
     /// Gathers lane `lane` of a sliced syndrome block into the packed
     /// per-trial syndrome layout [`Self::z_syndrome_into`] produces (bit
-    /// `i` = check `i`). Overwrites `syndrome` entirely, so a fallback
-    /// lane can go straight to the scalar decoder without re-extracting.
+    /// `i` = check `i`). Overwrites `syndrome` entirely. The bit-by-bit
+    /// oracle of [`Self::transpose_syndrome_lanes`], which the kernel
+    /// runs instead.
     ///
     /// # Panics
     ///
@@ -405,6 +450,35 @@ impl PackedLattice {
         for (i, word) in sliced_syndrome.iter().enumerate() {
             syndrome[i >> 6] |= (word >> lane & 1) << (i & 63);
         }
+    }
+
+    /// Transposes a sliced error block into the packed per-trial layout
+    /// of all 64 lanes at once: lane `l`'s error bitset is
+    /// `lanes[l·qubit_words .. (l+1)·qubit_words]`, exactly what
+    /// [`Self::gather_lane`] writes for lane `l`. One [`transpose64`] per
+    /// 64-qubit block instead of a bit loop per lane.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sliced` is not one word per data qubit or `lanes` is not
+    /// `64 · qubit_words` long.
+    pub fn transpose_error_lanes(&self, sliced: &[u64], lanes: &mut [u64]) {
+        assert_eq!(sliced.len(), self.n_qubits, "one sliced word per data qubit");
+        transpose_lanes(sliced, self.qubit_words, lanes);
+    }
+
+    /// Transposes a sliced syndrome block into the packed per-trial
+    /// syndrome of all 64 lanes at once: lane `l`'s syndrome is
+    /// `lanes[l·syndrome_words .. (l+1)·syndrome_words]`, exactly what
+    /// [`Self::gather_syndrome_lane`] writes for lane `l`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sliced_syndrome` is not one word per Z-check or `lanes`
+    /// is not `64 · syndrome_words` long.
+    pub fn transpose_syndrome_lanes(&self, sliced_syndrome: &[u64], lanes: &mut [u64]) {
+        assert_eq!(sliced_syndrome.len(), self.n_z_checks, "one sliced word per Z-check");
+        transpose_lanes(sliced_syndrome, self.syndrome_words, lanes);
     }
 
     /// Per-lane logical-`X̄` verdicts of a sliced 64-trial error block:
@@ -423,6 +497,61 @@ impl PackedLattice {
             acc ^= sliced_errs[q];
         }
         acc
+    }
+}
+
+/// Transposes a 64×64 bit matrix in place: afterwards bit `c` of
+/// `rows[r]` holds what bit `r` of `rows[c]` held. Six rounds of masked
+/// block swaps (32×32 down to 1×1), no per-bit loop.
+///
+/// # Examples
+///
+/// ```
+/// use qisim_surface::lattice::transpose64;
+///
+/// let mut m = [0u64; 64];
+/// m[3] = 1 << 40; // row 3, column 40
+/// transpose64(&mut m);
+/// assert_eq!(m[40], 1 << 3);
+/// assert_eq!(m.iter().map(|w| w.count_ones()).sum::<u32>(), 1);
+/// ```
+pub fn transpose64(rows: &mut [u64; 64]) {
+    let mut width = 32;
+    let mut mask = 0x0000_0000_FFFF_FFFFu64;
+    while width != 0 {
+        // Swap the upper-right and lower-left `width`-square of every
+        // `2·width` diagonal block.
+        let mut base = 0;
+        while base < 64 {
+            for r in base..base + width {
+                let t = ((rows[r] >> width) ^ rows[r + width]) & mask;
+                rows[r] ^= t << width;
+                rows[r + width] ^= t;
+            }
+            base += 2 * width;
+        }
+        width >>= 1;
+        mask ^= mask << width;
+    }
+}
+
+/// Transposes `rows` (one word per row, bit `l` = lane `l`) into 64
+/// lane-major bitsets of `words_per_lane` words: bit `i` of lane `l`'s
+/// bitset is bit `l` of `rows[i]`. Rows past `rows.len()` read as 0, so
+/// a ragged last block pads with zeros.
+fn transpose_lanes(rows: &[u64], words_per_lane: usize, lanes: &mut [u64]) {
+    assert_eq!(lanes.len(), 64 * words_per_lane, "64 lanes of {words_per_lane} words");
+    debug_assert!(rows.len() <= 64 * words_per_lane, "more rows than lane bits");
+    let mut block = [0u64; 64];
+    for b in 0..words_per_lane {
+        let lo = (64 * b).min(rows.len());
+        let chunk = &rows[lo..(lo + 64).min(rows.len())];
+        block[..chunk.len()].copy_from_slice(chunk);
+        block[chunk.len()..].fill(0);
+        transpose64(&mut block);
+        for (l, &word) in block.iter().enumerate() {
+            lanes[l * words_per_lane + b] = word;
+        }
     }
 }
 

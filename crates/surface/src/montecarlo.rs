@@ -26,7 +26,7 @@ pub mod sliced;
 pub use rare::{logical_error_rate_rare, RareEstimate};
 pub use sliced::{logical_error_rate_sliced_par, SlicedStats};
 
-use crate::decoder::{decode_reference, DecoderScratch, DecodingGraph};
+use crate::decoder::{decode_reference, DecodeStats, DecoderScratch, DecodingGraph};
 use crate::lattice::{Lattice, PackedLattice};
 use qisim_quantum::rng::{Geometric, Rng};
 
@@ -104,6 +104,13 @@ impl McScratch {
             decoder: DecoderScratch::new(graph),
         }
     }
+}
+
+/// Flushes the decoder work counters of one estimate to `qisim-obs`:
+/// both estimators call this once per estimate, never per trial.
+fn flush_decode_stats(dec: DecodeStats) {
+    qisim_obs::counter!("surface.decoder.rounds", dec.rounds);
+    qisim_obs::counter!("surface.decoder.frontier_edges", dec.edges_grown);
 }
 
 /// Bool-vec oracle for the samplers: the shared geometric-skip RNG draw

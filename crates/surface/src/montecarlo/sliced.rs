@@ -9,9 +9,14 @@
 //! check), the zero-syndrome early exit (one OR-fold), and the
 //! logical-membrane parity check all run for 64 independent trials per
 //! word op. Only lanes whose syndrome is nonzero fall back to the scalar
-//! packed decoder, one gathered lane at a time — at `p = 10⁻³` that is a
-//! few percent of trials, so the per-trial cost collapses to the
-//! word-wide sampling and extraction.
+//! packed decoder. Their packed syndromes come from one in-place 64×64
+//! bit transpose per 64-check block of the word
+//! ([`PackedLattice::transpose_syndrome_lanes`]), and their error
+//! patterns from the same transpose of the error block, done once, on the
+//! word's first memo miss ([`PackedLattice::transpose_error_lanes`]) —
+//! not from a bit loop per lane. At `d = 23` and `p ≈ 2.8·10⁻³` most
+//! lanes carry one or two errors and fall back, so the word-wide
+//! transposes and the O(cluster) decoder carry the per-trial cost.
 //!
 //! Two further fast paths carry the speedup without disturbing a single
 //! random draw or verdict:
@@ -26,8 +31,8 @@
 //!   syndrome up in a hash memo of the correction's logical parity
 //!   (`failure ⟺ parity(error) ⊕ parity(correction)`, and the error
 //!   parity is already word-wide in the logical-lane mask). Low-weight
-//!   syndromes dominate at small `p`, so warm lanes skip the decode and
-//!   even the error-lane gather entirely.
+//!   syndromes dominate at small `p`, so warm lanes skip the decode, and
+//!   a word whose fallback lanes all hit skips the error transpose.
 //!
 //! # Reference equivalence
 //!
@@ -41,7 +46,7 @@
 //! [`logical_error_rate_sliced_par`] is bit-identical at any
 //! parallelism.
 
-use super::{ErrorSampler, McEstimate};
+use super::{flush_decode_stats, ErrorSampler, McEstimate};
 use crate::decoder::{decode_into, DecodeStats, DecoderScratch, DecodingGraph};
 use crate::lattice::{Lattice, PackedLattice};
 use qisim_quantum::rng::{open01_from_mantissa53, Rng, Xorshift64Star};
@@ -97,18 +102,23 @@ impl SlicedStats {
 }
 
 /// Reusable buffers of the sliced kernel: the transposed error/syndrome
-/// blocks plus one packed trial's worth of scratch for the fallback
-/// decoder. One allocation per batch (or parallel chunk), zero per trial.
+/// blocks, the same blocks transposed back to 64 packed lanes for the
+/// fallback decoder, and its arena. One allocation per batch (or
+/// parallel chunk), zero per trial.
 #[derive(Debug, Clone)]
 pub struct SlicedScratch {
     /// Transposed errors: one word per data qubit.
     sliced_errs: Vec<u64>,
     /// Transposed syndromes: one word per Z-check.
     sliced_syn: Vec<u64>,
-    /// One gathered lane in the packed per-trial layout.
-    packed_errs: Vec<u64>,
-    /// One gathered lane's syndrome in the packed layout.
-    syndrome: Vec<u64>,
+    /// All 64 lanes' packed error bitsets, lane-major (`qubit_words`
+    /// words each); filled on the word's first memo miss.
+    lane_errs: Vec<u64>,
+    /// All 64 lanes' packed syndromes, lane-major (`syndrome_words`
+    /// words each).
+    lane_syn: Vec<u64>,
+    /// The residual syndrome the debug build checks after each decode.
+    residual: Vec<u64>,
     /// Scalar decoder arena for the fallback lanes.
     decoder: DecoderScratch,
     /// Direct-mapped decoder-verdict cache, [`MEMO_SLOTS`] slots of
@@ -132,8 +142,9 @@ impl SlicedScratch {
         SlicedScratch {
             sliced_errs: vec![0; packed.sliced_words()],
             sliced_syn: vec![0; packed.sliced_syndrome_words()],
-            packed_errs: vec![0; packed.qubit_words()],
-            syndrome: vec![0; graph.syndrome_words()],
+            lane_errs: vec![0; 64 * packed.qubit_words()],
+            lane_syn: vec![0; 64 * packed.syndrome_words()],
+            residual: vec![0; packed.syndrome_words()],
             decoder: DecoderScratch::new(graph),
             memo_keys: vec![0; MEMO_SLOTS * graph.syndrome_words()],
             memo_valid: vec![0; MEMO_SLOTS / 64],
@@ -239,40 +250,46 @@ pub fn run_trials_sliced(
         let zero_syn = any_err_mask & !any_syn_mask;
         scratch.stats.zero_syndrome_lanes += zero_syn.count_ones() as u64;
         failures += (zero_syn & logical_mask).count_ones() as usize;
-        // Fallback: gather each nonzero-syndrome lane's syndrome and
-        // either replay the decoder's cached verdict for it or run the
-        // scalar decoder on the gathered lane (and cache the verdict).
-        let words = scratch.syndrome.len();
+        // Fallback: read each nonzero-syndrome lane's packed syndrome off
+        // the transposed block and either replay the decoder's cached
+        // verdict for it or decode it (and cache the verdict).
+        let (words, qubit_words) = (packed.syndrome_words(), packed.qubit_words());
+        packed.transpose_syndrome_lanes(&scratch.sliced_syn, &mut scratch.lane_syn);
+        let mut lane_errs_ready = false;
         let mut fallback = any_syn_mask;
         while fallback != 0 {
             let lane = fallback.trailing_zeros() as usize;
             fallback &= fallback - 1;
             scratch.stats.fallback_trials += 1;
-            packed.gather_syndrome_lane(&scratch.sliced_syn, lane, &mut scratch.syndrome);
+            let syndrome = &scratch.lane_syn[lane * words..(lane + 1) * words];
             let err_parity = logical_mask >> lane & 1 == 1;
             // The decoder is a pure function of the syndrome, so the
             // logical parity of its correction replays from the cache:
             // failure ⟺ parity(error) ⊕ parity(correction).
-            let slot = syndrome_slot(&scratch.syndrome);
-            let key = &scratch.memo_keys[slot * words..(slot + 1) * words];
-            if scratch.memo_valid[slot >> 6] >> (slot & 63) & 1 == 1 && key == &*scratch.syndrome {
+            let slot = syndrome_slot(syndrome);
+            let key = &mut scratch.memo_keys[slot * words..(slot + 1) * words];
+            if scratch.memo_valid[slot >> 6] >> (slot & 63) & 1 == 1 && key == syndrome {
                 scratch.stats.memo_hits += 1;
                 let corr_parity = scratch.memo_verdict[slot >> 6] >> (slot & 63) & 1 == 1;
                 failures += (err_parity ^ corr_parity) as usize;
                 continue;
             }
-            // Claim the slot before decoding: the debug residual check
-            // below overwrites `scratch.syndrome` in debug builds.
-            scratch.memo_keys[slot * words..(slot + 1) * words].copy_from_slice(&scratch.syndrome);
-            packed.gather_lane(&scratch.sliced_errs, lane, &mut scratch.packed_errs);
-            for &q in decode_into(graph, &scratch.syndrome, &mut scratch.decoder) {
-                PackedLattice::flip_bit(&mut scratch.packed_errs, q);
+            key.copy_from_slice(syndrome);
+            if !lane_errs_ready {
+                packed.transpose_error_lanes(&scratch.sliced_errs, &mut scratch.lane_errs);
+                lane_errs_ready = true;
+            }
+            // Each lane is visited once per word, so the correction is
+            // applied in place.
+            let errs = &mut scratch.lane_errs[lane * qubit_words..(lane + 1) * qubit_words];
+            for &q in decode_into(graph, syndrome, &mut scratch.decoder) {
+                PackedLattice::flip_bit(errs, q);
             }
             debug_assert!(
-                !packed.z_syndrome_into(&scratch.packed_errs, &mut scratch.syndrome),
+                !packed.z_syndrome_into(errs, &mut scratch.residual),
                 "decoder left residual syndrome"
             );
-            let failed = packed.is_logical_x(&scratch.packed_errs);
+            let failed = packed.is_logical_x(errs);
             failures += failed as usize;
             scratch.memo_valid[slot >> 6] |= 1 << (slot & 63);
             let verdict_bit = 1u64 << (slot & 63);
@@ -299,8 +316,7 @@ fn flush_sliced_obs(trials: usize, failures: usize, stats: SlicedStats, dec: Dec
     qisim_obs::counter!("surface.montecarlo.fastpath.empty", stats.empty_lanes);
     qisim_obs::counter!("surface.montecarlo.fastpath.zero_syndrome", stats.zero_syndrome_lanes);
     qisim_obs::counter!("surface.montecarlo.decoded", stats.fallback_trials);
-    qisim_obs::counter!("surface.decoder.rounds", dec.rounds);
-    qisim_obs::counter!("surface.decoder.frontier_edges", dec.edges_grown);
+    flush_decode_stats(dec);
 }
 
 /// Trials per parallel chunk of [`logical_error_rate_sliced_par`]: four
@@ -362,9 +378,7 @@ pub fn logical_error_rate_sliced_par(
     for (f, s, d) in per_chunk {
         failures += f;
         stats.merge(s);
-        dec.decodes += d.decodes;
-        dec.rounds += d.rounds;
-        dec.edges_grown += d.edges_grown;
+        dec.merge(d);
     }
     flush_sliced_obs(trials, failures, stats, dec);
     McEstimate { logical_error: failures as f64 / trials as f64, trials, failures }

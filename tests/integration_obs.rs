@@ -133,6 +133,26 @@ fn scale_out_analysis_publishes_topology_gauges() {
 }
 
 #[test]
+fn rare_only_analysis_moves_the_decoder_counters() {
+    // The rare-event ladder decodes every non-trivial trial of the
+    // stages it samples (the anchor may already be kept from an earlier
+    // rare request, the other stages always run), so the union-find
+    // work counters must move with no sliced request in the window.
+    let _l = common::isolate();
+    let spec = qisim::spec::DesignSpec::new(qisim::spec::Preset::CmosBaseline)
+        .estimator(qisim::spec::Estimator::Rare);
+    let verdict = qisim::engine::try_analyze_spec(&spec, &Target::near_term()).expect("rare");
+    assert!(verdict.logical_error > 0.0, "{}", verdict.logical_error);
+    let snap = obs::snapshot();
+    assert_eq!(snap.counter("engine.estimator.rare"), Some(1));
+    assert_eq!(snap.counter("surface.sliced.trials"), None, "no sliced work in this window");
+    let rounds = snap.counter("surface.decoder.rounds").unwrap_or(0);
+    let edges = snap.counter("surface.decoder.frontier_edges").unwrap_or(0);
+    assert!(rounds > 0 && edges >= rounds, "rounds {rounds}, frontier edges {edges}");
+    obs::reset();
+}
+
+#[test]
 fn runtime_disable_stops_recording_mid_process() {
     let _l = common::isolate();
     obs::set_enabled(false);

@@ -9,17 +9,21 @@
 #      --no-fail-fast so one red test binary cannot hide the others
 #   2. the same test suite pinned to QISIM_THREADS=2: every parallel
 #      engine must be bit-identical at any thread count
-#   3. rustfmt check (config in rustfmt.toml)
-#   4. clippy across the whole workspace, warnings are errors
-#   5. rustdoc: the whole workspace must document cleanly (warnings are
+#   3. the qisim-surface suite in the test profile (opt-level 2, debug
+#      assertions on): the Monte-Carlo kernels' debug_assert! checks —
+#      the decoder's residual-syndrome check, the lane and slice size
+#      checks — never run in the release builds of steps 1, 2 and 7
+#   4. rustfmt check (config in rustfmt.toml)
+#   5. clippy across the whole workspace, warnings are errors
+#   6. rustdoc: the whole workspace must document cleanly (warnings are
 #      errors; qisim-par and qisim-obs additionally warn(missing_docs))
-#   6. the serial path: the already-built suite again at QISIM_THREADS=1,
+#   7. the serial path: the already-built suite again at QISIM_THREADS=1,
 #      where every parallel map runs its plain loop; then the one-build
 #      guard: no workspace manifest may declare a [features] table or a
 #      default-features entry, and no source under crates/, tests/ or
 #      examples/ may test cfg(feature ...) (the serial path and the obs
 #      kill switch are runtime switches, not builds)
-#   7. observability smoke run: the observe example must emit a valid
+#   8. observability smoke run: the observe example must emit a valid
 #      observe_registry.json with span timings and per-stage watt
 #      attribution (including a literal-name histogram recorded by the
 #      pool workers), and (run under QISIM_TRACE at QISIM_THREADS=2) a
@@ -29,54 +33,57 @@
 #      enabled-but-disarmed instrumentation overhead at <= 2% over the
 #      kill switch and asserts results stay bit-identical with
 #      QISIM_LOG armed
-#   8. telemetry exporter smoke run: the observe example's --watch mode
+#   9. telemetry exporter smoke run: the observe example's --watch mode
 #      under QISIM_METRICS + QISIM_THREADS=2 must self-validate its
 #      OpenMetrics exposition (openmetrics_is_well_formed) and leave a
 #      file with TYPE headers, histogram _bucket series, and the memo
 #      cache counters; the determinism suite then re-runs with the
 #      exporter armed to prove scraping never perturbs results
-#   9. panic-regression gate: library code must not grow panic!/unwrap/
+#  10. panic-regression gate: library code must not grow panic!/unwrap/
 #      expect sites beyond the per-file budgets in
 #      tools/panic_allowlist.txt (DESIGN.md error-handling policy)
-#  10. paper-suite smoke run: the cheap experiment drivers (Fig. 12/13/17
+#  11. paper-suite smoke run: the cheap experiment drivers (Fig. 12/13/17
 #      + Table 2) must replay their paper numbers through the staged
 #      engine (the full 19-driver suite is `--example paper_suite`)
-#  11. serve smoke run: bench_serve --smoke replays concurrent request
+#  12. serve smoke run: bench_serve --smoke replays concurrent request
 #      streams against an in-process qisim-serve TCP server (responses
 #      bit-identical to direct analysis, overload drill sheds, clean
 #      shutdown) and must leave nonzero serve_* counters in the metrics
 #      file; then the release binary itself serves one request over
 #      /dev/tcp and exits 0 via the stop file (docs/SERVING.md)
-#  12. admin-plane smoke run: the release binary with --admin and
+#  13. admin-plane smoke run: the release binary with --admin and
 #      QISIM_LOG armed at debug answers /healthz and /readyz over
 #      /dev/tcp, its /metrics scrape mid-burst validates via --check-om,
 #      the wire response echoes a request_id that also stamps the JSONL
 #      start/finish records and the request's engine.stage records, and
 #      the stop file shuts everything down
-#  13. repo benchmark --check: every workload runs in both orders with
+#  14. repo benchmark --check: every workload runs in both orders with
 #      zero failed operations (`check: ok`), and each workload's seed-1
 #      verdict digest matches the pinned value, so a change that moves
 #      any served answer fails here
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== [1/13] release build + tests =="
+echo "== [1/14] release build + tests =="
 cargo build --release
 cargo test -q --release --no-fail-fast
 
-echo "== [2/13] tests at QISIM_THREADS=2 =="
+echo "== [2/14] tests at QISIM_THREADS=2 =="
 QISIM_THREADS=2 cargo test -q --release --no-fail-fast
 
-echo "== [3/13] rustfmt =="
+echo "== [3/14] qisim-surface tests with debug assertions =="
+cargo test -q -p qisim-surface
+
+echo "== [4/14] rustfmt =="
 cargo fmt --check
 
-echo "== [4/13] clippy (deny warnings) =="
+echo "== [5/14] clippy (deny warnings) =="
 cargo clippy --workspace --all-targets --quiet -- -D warnings
 
-echo "== [5/13] rustdoc (deny warnings) =="
+echo "== [6/14] rustdoc (deny warnings) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
-echo "== [6/13] serial path (QISIM_THREADS=1) + one-build guard =="
+echo "== [7/14] serial path (QISIM_THREADS=1) + one-build guard =="
 QISIM_THREADS=1 cargo test -q --release --no-fail-fast
 if grep -nE '^\[features\]|default-features' Cargo.toml crates/*/Cargo.toml; then
     echo "cargo features are not allowed: the workspace has one build" >&2
@@ -87,7 +94,7 @@ if grep -rnE 'cfg(!|_attr)?\(.*\bfeature *=' crates tests examples; then
     exit 1
 fi
 
-echo "== [7/13] observe + trace smoke run =="
+echo "== [8/14] observe + trace smoke run =="
 out="$(mktemp -d)"
 trap 'rm -rf "$out"' EXIT
 (cd "$out" && QISIM_TRACE="$out/trace.json" QISIM_THREADS=2 cargo run --release --quiet \
@@ -121,7 +128,7 @@ python3 -c "import json,sys; json.load(open(sys.argv[1]))" "$out/trace.json" \
 grep -q "bench_obs smoke gate passed." "$out/bench_obs.txt"
 grep -q "bit_identical_with_log_armed: true" "$out/bench_obs.txt"
 
-echo "== [8/13] telemetry exporter smoke run =="
+echo "== [9/14] telemetry exporter smoke run =="
 (cd "$out" && QISIM_METRICS="$out/metrics.om:50" QISIM_THREADS=2 cargo run --release --quiet \
     --manifest-path "$OLDPWD/Cargo.toml" --example observe -- --watch > watch.txt)
 # The example validates its own exposition via openmetrics_is_well_formed
@@ -139,10 +146,10 @@ grep -q "# EOF" "$out/metrics.om"
 QISIM_METRICS="$out/metrics_det.om:50" cargo test -q --release -p qisim \
     --test integration_par
 
-echo "== [9/13] panic-regression gate =="
+echo "== [10/14] panic-regression gate =="
 tools/check_panics.sh
 
-echo "== [10/13] paper-suite smoke run =="
+echo "== [11/14] paper-suite smoke run =="
 # Cheap drivers only: Fig. 12/13/17 + Table 2 finish in well under a
 # second; Table 1 (about 4 s on a 2-core x86 host) and the other drivers
 # stay on the full suite (filters are substring matches against the
@@ -157,7 +164,7 @@ done
 # staged engine (zero relative error renders as "-").
 echo "$suite_out" | grep -q "max |rel err|"
 
-echo "== [11/13] serve smoke run =="
+echo "== [12/14] serve smoke run =="
 # Long exporter interval: the only write is bench_serve's explicit
 # flush, whose delta then covers the whole run — serve counters must be
 # nonzero in it.
@@ -192,7 +199,7 @@ touch "$out/stop"
 wait "$serve_pid"
 grep -q "done requests = 1 ok = 1" "$out/serve_bin.err"
 
-echo "== [12/13] admin-plane smoke run =="
+echo "== [13/14] admin-plane smoke run =="
 # The binary with the HTTP plane and structured logging armed: probe
 # liveness/readiness, scrape /metrics during a request burst and
 # validate the exposition with the binary's own --check-om, and chase
@@ -255,7 +262,7 @@ grep -q "\"event\":\"engine.stage\".*\"request_id\":$rid" "$out/admin.log.jsonl"
     || { echo "request_id $rid missing from engine.stage records" >&2; exit 1; }
 grep -q "\"outcome\":\"ok\"" "$out/admin.log.jsonl"
 
-echo "== [13/13] repo benchmark --check =="
+echo "== [14/14] repo benchmark --check =="
 bench_out="$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --check)"
 echo "$bench_out" | grep -qx "check: ok" || { echo "benchmark --check failed" >&2; exit 1; }
 for pinned in serve_paper_mix:099ff2656a55f98a design_sweep_cold:029e603d2c53d709 \
