@@ -48,7 +48,7 @@ use qisim_hal::wire::InstructionLink;
 use qisim_microarch::cryo_cmos::EsmProfile;
 use qisim_microarch::QciArch;
 use qisim_obs::{counter, gauge, span, FastGauge};
-use qisim_power::{MemoKey, PowerError, StagePower};
+use qisim_power::{PowerError, StagePower};
 use qisim_surface::analytic::CALIBRATION;
 use qisim_surface::montecarlo::logical_error_rate_sliced_par;
 use qisim_surface::montecarlo::rare::RareLadder;
@@ -695,8 +695,9 @@ pub fn try_analyze_many(
 }
 
 /// Fallible [`crate::scalability::sweep`]: validates the design and the
-/// qubit counts, then evaluates the utilization curve in parallel
-/// through the power memo cache.
+/// qubit counts, then evaluates the utilization curve in parallel, one
+/// direct power evaluation per point (cheaper than fingerprinting the
+/// design for the memo cache, which holds bisection landings only).
 ///
 /// # Errors
 ///
@@ -708,12 +709,12 @@ pub fn try_sweep(design: &QciDesign, qubit_counts: &[u64]) -> Result<Vec<SweepPo
     if qubit_counts.contains(&0) {
         return Err(PowerError::NoQubits.into());
     }
-    span!("scalability.sweep");
+    // Counted, not timed: a warm sweep is a few µs, where a span would
+    // be most of the disarmed-overhead budget.
     counter!("scalability.sweep.points", qubit_counts.len() as u64);
     let arch = design.arch();
     let fridge = Fridge::standard();
     let link = InstructionLink::standard();
-    let key = MemoKey::new(&arch, &fridge, &link);
     let p_l = design.physical_budget().logical_error(CODE_DISTANCE, &CALIBRATION);
     let util = |r: &qisim_power::PowerReport, stage: Stage| {
         r.stage(stage).map_or(0.0, StagePower::utilization)
@@ -722,7 +723,7 @@ pub fn try_sweep(design: &QciDesign, qubit_counts: &[u64]) -> Result<Vec<SweepPo
         if qisim_obs::trace::armed() {
             qisim_obs::trace::instant("scalability.sweep.point", &[("qubits", n as f64)]);
         }
-        let r = qisim_power::try_evaluate_memo(key, &arch, &fridge, n, &link)?;
+        let r = qisim_power::try_evaluate_with_link(&arch, &fridge, n, &link)?;
         Ok(SweepPoint {
             qubits: n,
             power_w: r.stages.iter().map(StagePower::total_w).sum(),

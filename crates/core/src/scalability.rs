@@ -256,11 +256,12 @@ impl Scalability {
                 );
             }
         }
-        // The power memo cache backs every bisection probe behind this
-        // verdict; its process-wide hit rate says how much of the work
-        // was amortized. All five numbers come from one read of the
-        // cache's own lifetime counters, so `obs::reset()` and a disabled
-        // metric store cannot split them across two windows.
+        // The power memo cache holds the bisection landing behind this
+        // verdict; its process-wide hit rate says how many analyses were
+        // answered without re-running a bisection. All five numbers come
+        // from one read of the cache's own lifetime counters, so
+        // `obs::reset()` and a disabled metric store cannot split them
+        // across two windows.
         let stats = qisim_power::cache_stats();
         if stats.hits + stats.misses > 0 {
             let _ = writeln!(
@@ -357,8 +358,8 @@ impl SweepPoint {
 /// one [`SweepPoint`] per requested qubit count.
 ///
 /// Points are evaluated **in parallel** on the [`qisim_par`] pool (one
-/// design point per task) through the power memo cache; the returned
-/// rows are always in `qubit_counts` order, independent of thread count.
+/// direct power evaluation per task); the returned rows are always in
+/// `qubit_counts` order, independent of thread count.
 ///
 /// A stage absent from a report (a custom fridge or architecture that
 /// doesn't model it) contributes utilization 0 rather than panicking.
@@ -465,8 +466,9 @@ mod tests {
 
     #[test]
     fn explain_reports_the_memo_cache_hit_rate() {
-        // The bisection behind analyze() always probes the memo cache,
-        // so the counters exist by the time explain() renders.
+        // The bisection behind analyze() always looks its landing up in
+        // the memo cache, so the counters exist by the time explain()
+        // renders.
         let s = analyze(&QciDesign::cmos_baseline(), &Target::near_term());
         let text = s.explain();
         assert!(text.contains("power memo cache"), "{text}");

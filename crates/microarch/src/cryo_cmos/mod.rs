@@ -154,7 +154,6 @@ impl CryoCmosConfig {
 
     /// Assembles the full component/wire inventory.
     pub fn build(&self) -> QciArch {
-        qisim_obs::span!("microarch.build");
         qisim_obs::counter!("microarch.builds");
         assert!(self.analog_scale > 0.0, "analog scale must be positive");
         let esm = self.esm_profile();

@@ -55,7 +55,6 @@ pub fn esm_profile(kind: RoomInterconnect) -> EsmProfile {
 
 /// Builds the 300 K QCI architecture for the chosen interconnect.
 pub fn build(kind: RoomInterconnect) -> QciArch {
-    qisim_obs::span!("microarch.build");
     qisim_obs::counter!("microarch.builds");
     let esm = esm_profile(kind);
     // The 300 K rack electronics (AWGs, readout analyzers, EOM drivers)

@@ -97,7 +97,6 @@ impl SfqConfig {
 
     /// Assembles the full component/wire inventory.
     pub fn build(&self) -> QciArch {
-        qisim_obs::span!("microarch.build");
         qisim_obs::counter!("microarch.builds");
         let tech_4k = SfqTech::new(self.family, SfqStage::Cryo4K);
         let tech_mk = SfqTech::new(self.family, SfqStage::MilliKelvin);

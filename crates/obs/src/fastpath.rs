@@ -1,7 +1,7 @@
 //! Per-call-site handles for literal-name metrics.
 //!
 //! A literal-name macro (`counter!("power.cache.hits")`,
-//! `gauge!("power.stage.4K.utilization", v)`, `span!("power.evaluate")`)
+//! `gauge!("power.stage.4K.utilization", v)`, `span!("power.max_qubits")`)
 //! plants a `static` handle at its call site. On first use the handle
 //! looks its cell up in the metric store ([`crate::metrics`]) and caches
 //! the reference; afterwards a hit costs one relaxed atomic op (counters,

@@ -1,11 +1,15 @@
-//! Power-evaluation memoization.
+//! Bisection-landing memoization.
 //!
-//! The scalability engine evaluates the same `(architecture, fridge,
-//! instruction link)` triple at many qubit counts — ~40 bisection probes
-//! per `max_qubits`, one evaluation per sweep point — and the experiment
-//! suite re-analyzes the same handful of designs over and over. Stage
-//! powers are pure functions of that triple plus the qubit count, so a
-//! process-global memo cache turns every repeat into a lookup.
+//! The scalability analysis asks one question per design: the largest
+//! qubit count the fridge can power and which stage binds there
+//! ([`crate::try_max_qubits_with_link`]). The experiment suite and a
+//! long-lived service re-ask it for the same handful of designs over and
+//! over, and the answer is a pure function of the `(architecture, fridge,
+//! instruction link)` triple, so a process-global cache keyed on that
+//! triple turns every repeat analysis into one lookup. It stores the
+//! bisection's result — `(max_qubits, binding stage, landing report)` —
+//! not its ~26 probes: nothing else reads a probe twice, and a sweep
+//! point ([`crate::try_evaluate_with_link`]) costs less than the key.
 //!
 //! The cache key is a [`MemoKey`] fingerprint: a 128-bit FNV-1a hash over
 //! the `Debug` rendering of the triple. All three types are plain data
@@ -13,43 +17,45 @@
 //! renders to equal text; 128 bits make an accidental collision between
 //! the handful of designs a process touches vanishingly unlikely.
 //! Fingerprinting walks the whole architecture (~dozens of components),
-//! which costs more than a single stage-power evaluation — callers
-//! compute the key **once per design** and reuse it across every probe
-//! ([`crate::max_qubits`] and `scalability::sweep` do exactly that).
+//! which costs more than a single stage-power evaluation, and it is
+//! computed once per analysis.
 //!
 //! # Bounded LRU
 //!
 //! The cache is a strict least-recently-used cache bounded at
-//! [`DEFAULT_CACHE_CAP`] entries (override with `QISIM_MEMO_CAP`, read
-//! once per process, or at runtime with [`set_cache_cap`]): a long-lived
-//! service sweeping thousands of designs evicts cold entries one at a
-//! time instead of growing without bound or dropping the whole working
-//! set. Recency is an intrusive doubly-linked list threaded through a
-//! slot arena, so every hit and insert is O(1) and eviction never
-//! reallocates. Caching is transparent — stage powers are pure functions
-//! of the key — so any capacity yields bit-identical reports.
+//! [`DEFAULT_CACHE_CAP`] landings (override at runtime with
+//! [`set_cache_cap`]): a long-lived service sweeping thousands of designs
+//! evicts cold entries one at a time instead of growing without bound or
+//! dropping the whole working set. Recency is an intrusive doubly-linked
+//! list threaded through a slot arena, so every hit and insert is O(1)
+//! and eviction never reallocates. Caching is transparent — a landing is
+//! a pure function of the key — so any capacity yields bit-identical
+//! results.
 //!
 //! Health is published through `qisim-obs`: `power.cache.{hits,misses,
-//! evictions}` counters and `power.cache.{len,bytes_est}` gauges feed the
-//! telemetry exporter, and [`cache_stats`] returns the same numbers
-//! directly (independent of the `qisim_obs::set_enabled` kill switch).
+//! evictions}` counters (one lookup per analysis) and
+//! `power.cache.{len,bytes_est}` gauges feed the telemetry exporter, and
+//! [`cache_stats`] returns the same numbers directly (independent of the
+//! `qisim_obs::set_enabled` kill switch).
 
 use crate::PowerReport;
-use qisim_hal::fridge::Fridge;
+use qisim_hal::fridge::{Fridge, Stage};
 use qisim_hal::wire::InstructionLink;
 use qisim_microarch::QciArch;
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
 
-/// Default entry capacity: generous enough that every in-tree workload
-/// (bisections, paper sweeps, the experiment suite) fits without a
-/// single eviction; `QISIM_MEMO_CAP` / [`set_cache_cap`] override it.
-pub const DEFAULT_CACHE_CAP: usize = 1 << 15;
+/// Default landing capacity. The whole 19-driver experiment suite
+/// bisects 22 distinct designs, so every in-tree workload fits without
+/// an eviction; [`set_cache_cap`] overrides it.
+pub const DEFAULT_CACHE_CAP: usize = 1 << 10;
 
-/// Fingerprint of one `(architecture, fridge, instruction-link)` triple;
-/// the per-design half of the memo-cache key (the other half is the
-/// qubit count). Compute it once per design and reuse it for every
-/// [`crate::evaluate_memo`] probe.
+/// One bisection's result: the maximum qubit count, the binding stage,
+/// and the landing report at `max(n, 1)` qubits.
+pub(crate) type Landing = (u64, Option<Stage>, PowerReport);
+
+/// Fingerprint of one `(architecture, fridge, instruction-link)` triple:
+/// the memo-cache key of that design's bisection landing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MemoKey {
     lo: u64,
@@ -83,17 +89,17 @@ fn fnv1a(bytes: &[u8], basis: u64) -> u64 {
 /// disabled).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
-    /// Lookups served from the cache (process lifetime).
+    /// Landing lookups served from the cache (process lifetime).
     pub hits: u64,
-    /// Lookups that fell through to a fresh evaluation.
+    /// Landing lookups that fell through to a fresh bisection.
     pub misses: u64,
     /// Entries displaced because the cache was at capacity.
     pub evictions: u64,
-    /// Entries currently resident.
+    /// Landings currently resident.
     pub len: usize,
-    /// Estimated resident bytes (slots plus per-report stage payload).
+    /// Estimated resident bytes (slots plus per-landing stage payload).
     pub bytes_est: usize,
-    /// Current entry capacity.
+    /// Current landing capacity.
     pub cap: usize,
 }
 
@@ -109,8 +115,8 @@ const NIL: usize = usize::MAX;
 /// One arena slot: the entry plus its intrusive recency links.
 #[derive(Debug)]
 struct Slot {
-    key: (MemoKey, u64),
-    report: PowerReport,
+    key: MemoKey,
+    landing: Landing,
     /// Toward more-recent (NIL at the head).
     prev: usize,
     /// Toward less-recent (NIL at the tail).
@@ -123,7 +129,7 @@ struct Slot {
 /// reallocating.
 #[derive(Debug)]
 struct LruCache {
-    map: HashMap<(MemoKey, u64), usize>,
+    map: HashMap<MemoKey, usize>,
     slots: Vec<Slot>,
     free: Vec<usize>,
     head: usize,
@@ -135,10 +141,10 @@ struct LruCache {
     bytes_est: usize,
 }
 
-/// Estimated resident cost of one entry: its slot (key, report header,
-/// links) plus the report's heap-allocated stage rows.
-fn entry_bytes(report: &PowerReport) -> usize {
-    std::mem::size_of::<Slot>() + report.stages.len() * std::mem::size_of::<crate::StagePower>()
+/// Estimated resident cost of one entry: its slot (key, landing header,
+/// links) plus the landing report's heap-allocated stage rows.
+fn entry_bytes(landing: &Landing) -> usize {
+    std::mem::size_of::<Slot>() + landing.2.stages.len() * std::mem::size_of::<crate::StagePower>()
 }
 
 impl LruCache {
@@ -180,7 +186,7 @@ impl LruCache {
     }
 
     /// Looks up an entry, marking it most-recently-used on a hit.
-    fn get(&mut self, key: (MemoKey, u64)) -> Option<PowerReport> {
+    fn get(&mut self, key: MemoKey) -> Option<Landing> {
         match self.map.get(&key).copied() {
             Some(i) => {
                 self.hits += 1;
@@ -188,7 +194,7 @@ impl LruCache {
                     self.unlink(i);
                     self.push_front(i);
                 }
-                Some(self.slots[i].report.clone())
+                Some(self.slots[i].landing.clone())
             }
             None => {
                 self.misses += 1;
@@ -199,11 +205,11 @@ impl LruCache {
 
     /// Inserts (or refreshes) an entry, evicting the least-recently-used
     /// one first when at capacity.
-    fn insert(&mut self, key: (MemoKey, u64), report: PowerReport) {
+    fn insert(&mut self, key: MemoKey, landing: Landing) {
         if let Some(&i) = self.map.get(&key) {
             self.bytes_est =
-                self.bytes_est + entry_bytes(&report) - entry_bytes(&self.slots[i].report);
-            self.slots[i].report = report;
+                self.bytes_est + entry_bytes(&landing) - entry_bytes(&self.slots[i].landing);
+            self.slots[i].landing = landing;
             if self.head != i {
                 self.unlink(i);
                 self.push_front(i);
@@ -213,8 +219,8 @@ impl LruCache {
         while self.map.len() >= self.cap {
             self.evict_tail();
         }
-        self.bytes_est += entry_bytes(&report);
-        let slot = Slot { key, report, prev: NIL, next: NIL };
+        self.bytes_est += entry_bytes(&landing);
+        let slot = Slot { key, landing, prev: NIL, next: NIL };
         let i = match self.free.pop() {
             Some(i) => {
                 self.slots[i] = slot;
@@ -236,7 +242,7 @@ impl LruCache {
         }
         self.unlink(i);
         self.map.remove(&self.slots[i].key);
-        self.bytes_est = self.bytes_est.saturating_sub(entry_bytes(&self.slots[i].report));
+        self.bytes_est = self.bytes_est.saturating_sub(entry_bytes(&self.slots[i].landing));
         self.free.push(i);
         self.evictions += 1;
     }
@@ -270,21 +276,9 @@ impl LruCache {
     }
 }
 
-/// `QISIM_MEMO_CAP` captured at first use; invalid or unset falls back
-/// to [`DEFAULT_CACHE_CAP`].
-fn env_cap() -> usize {
-    static ENV_CAP: OnceLock<usize> = OnceLock::new();
-    *ENV_CAP.get_or_init(|| {
-        std::env::var("QISIM_MEMO_CAP")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .map_or(DEFAULT_CACHE_CAP, |cap| cap.max(1))
-    })
-}
-
 fn cache() -> &'static Mutex<LruCache> {
     static CACHE: OnceLock<Mutex<LruCache>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(LruCache::new(env_cap())))
+    CACHE.get_or_init(|| Mutex::new(LruCache::new(DEFAULT_CACHE_CAP)))
 }
 
 fn locked() -> std::sync::MutexGuard<'static, LruCache> {
@@ -298,10 +292,10 @@ fn publish_size(lru: &LruCache) {
     qisim_obs::gauge!("power.cache.bytes_est", lru.bytes_est as f64);
 }
 
-/// A cached report, if this `(design, qubit count)` was evaluated before.
-/// A hit marks the entry most-recently-used.
-pub(crate) fn lookup(key: MemoKey, n_qubits: u64) -> Option<PowerReport> {
-    let hit = locked().get((key, n_qubits));
+/// The cached landing, if this design was bisected before. A hit marks
+/// the entry most-recently-used.
+pub(crate) fn lookup(key: MemoKey) -> Option<Landing> {
+    let hit = locked().get(key);
     match hit {
         Some(r) => {
             qisim_obs::counter!("power.cache.hits");
@@ -314,12 +308,12 @@ pub(crate) fn lookup(key: MemoKey, n_qubits: u64) -> Option<PowerReport> {
     }
 }
 
-/// Stores a freshly computed report, evicting the least-recently-used
+/// Stores a freshly bisected landing, evicting the least-recently-used
 /// entry when the cache is at capacity.
-pub(crate) fn store(key: MemoKey, n_qubits: u64, report: PowerReport) {
+pub(crate) fn store(key: MemoKey, landing: Landing) {
     let mut lru = locked();
     let evicted_before = lru.evictions;
-    lru.insert((key, n_qubits), report);
+    lru.insert(key, landing);
     let evicted = lru.evictions - evicted_before;
     publish_size(&lru);
     drop(lru);
@@ -337,11 +331,6 @@ pub fn clear_cache() {
     publish_size(&lru);
 }
 
-/// Number of `(design, qubit count)` reports currently cached.
-pub fn cache_len() -> usize {
-    locked().map.len()
-}
-
 /// The cache's lifetime hit/miss/eviction counts and current size — the
 /// numbers behind the `power.cache.*` metrics, available even when
 /// recording is disabled.
@@ -349,15 +338,14 @@ pub fn cache_stats() -> CacheStats {
     locked().stats()
 }
 
-/// Overrides the entry capacity at runtime: `Some(cap)` bounds the cache
-/// (evicting down immediately), `None` restores the `QISIM_MEMO_CAP` /
-/// [`DEFAULT_CACHE_CAP`] value. Tests use this instead of the
-/// read-once environment variable; capacity never affects results, only
-/// how much is re-evaluated.
+/// Overrides the landing capacity at runtime: `Some(cap)` bounds the
+/// cache (evicting down immediately), `None` restores
+/// [`DEFAULT_CACHE_CAP`]. Capacity never affects results, only how many
+/// bisections are re-run.
 pub fn set_cache_cap(cap: Option<usize>) {
     let mut lru = locked();
     let evicted_before = lru.evictions;
-    lru.set_cap(cap.unwrap_or_else(env_cap));
+    lru.set_cap(cap.unwrap_or(DEFAULT_CACHE_CAP));
     let evicted = lru.evictions - evicted_before;
     publish_size(&lru);
     drop(lru);
@@ -367,7 +355,7 @@ pub fn set_cache_cap(cap: Option<usize>) {
 }
 
 /// Serializes the unit tests that touch the process-global memo, so one
-/// test's `clear_cache` / `cache_len` never races a sibling's probes.
+/// test's `clear_cache` never races a sibling's lookups.
 #[cfg(test)]
 pub(crate) fn global_test_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
@@ -389,7 +377,7 @@ mod tests {
         assert_eq!(MemoKey::new(&a, &fridge, &link), MemoKey::new(&b, &fridge, &link));
         assert_ne!(MemoKey::new(&a, &fridge, &link), MemoKey::new(&c, &fridge, &link));
         // The fridge and link are part of the key too.
-        let big = Fridge::standard().with_budget(qisim_hal::fridge::Stage::K4, 9.0);
+        let big = Fridge::standard().with_budget(Stage::K4, 9.0);
         assert_ne!(MemoKey::new(&a, &fridge, &link), MemoKey::new(&a, &big, &link));
     }
 
@@ -397,19 +385,18 @@ mod tests {
     fn store_lookup_roundtrip_and_clear() {
         let _l = global_test_lock();
         let arch = CryoCmosConfig::baseline().build();
-        let fridge = Fridge::standard();
+        // A distinctive budget no other test is likely to bisect.
+        let fridge = Fridge::standard().with_budget(Stage::K4, 1.234_567);
         let link = InstructionLink::standard();
         let key = MemoKey::new(&arch, &fridge, &link);
-        // A distinctive qubit count no other test is likely to probe.
-        let n = 987_654_321;
         clear_cache();
-        assert_eq!(lookup(key, n), None);
-        let report = crate::evaluate_with_link(&arch, &fridge, n, &link);
-        store(key, n, report.clone());
-        assert_eq!(lookup(key, n), Some(report));
-        assert!(cache_len() >= 1);
+        assert_eq!(lookup(key), None);
+        let landing = crate::bisect(&arch, &fridge, &link).unwrap();
+        store(key, landing.clone());
+        assert_eq!(lookup(key), Some(landing));
+        assert_eq!(cache_stats().len, 1);
         clear_cache();
-        assert_eq!(cache_len(), 0);
+        assert_eq!(cache_stats().len, 0);
         assert_eq!(cache_stats().bytes_est, 0, "clear resets the size estimates");
     }
 
@@ -417,23 +404,23 @@ mod tests {
     // is shared by concurrently running tests, so eviction-order
     // assertions would race there.
 
-    fn key(i: u64) -> (MemoKey, u64) {
-        (MemoKey { lo: i, hi: !i }, i)
+    fn key(i: u64) -> MemoKey {
+        MemoKey { lo: i, hi: !i }
     }
 
-    fn report(n: u64) -> PowerReport {
-        PowerReport { n_qubits: n, stages: Vec::new() }
+    fn landing(n: u64) -> Landing {
+        (n, None, PowerReport { n_qubits: n, stages: Vec::new() })
     }
 
     #[test]
     fn lru_evicts_least_recently_used_first() {
         let mut lru = LruCache::new(3);
         for i in 0..3 {
-            lru.insert(key(i), report(i));
+            lru.insert(key(i), landing(i));
         }
         // Touch 0: it becomes most-recent, so 1 is now the coldest.
         assert!(lru.get(key(0)).is_some());
-        lru.insert(key(3), report(3));
+        lru.insert(key(3), landing(3));
         assert_eq!(lru.map.len(), 3);
         assert!(lru.get(key(1)).is_none(), "coldest entry evicted");
         assert!(lru.get(key(0)).is_some(), "recently touched entry kept");
@@ -446,24 +433,24 @@ mod tests {
     fn lru_recycles_slots_and_tracks_bytes() {
         let mut lru = LruCache::new(2);
         for i in 0..10 {
-            lru.insert(key(i), report(i));
+            lru.insert(key(i), landing(i));
         }
         assert_eq!(lru.map.len(), 2);
         assert_eq!(lru.slots.len(), 2, "evicted slots are recycled, not leaked");
         assert_eq!(lru.evictions, 8);
         assert_eq!(lru.bytes_est, 2 * std::mem::size_of::<Slot>());
         // Refreshing an existing key neither grows nor evicts.
-        lru.insert(key(9), report(99));
+        lru.insert(key(9), landing(99));
         assert_eq!(lru.map.len(), 2);
         assert_eq!(lru.evictions, 8);
-        assert_eq!(lru.get(key(9)).unwrap().n_qubits, 99);
+        assert_eq!(lru.get(key(9)).unwrap().2.n_qubits, 99);
     }
 
     #[test]
     fn lru_shrinking_cap_evicts_down_immediately() {
         let mut lru = LruCache::new(8);
         for i in 0..8 {
-            lru.insert(key(i), report(i));
+            lru.insert(key(i), landing(i));
         }
         lru.set_cap(2);
         assert_eq!(lru.map.len(), 2);
@@ -480,7 +467,7 @@ mod tests {
     #[test]
     fn lru_stats_reflect_activity() {
         let mut lru = LruCache::new(2);
-        lru.insert(key(1), report(1));
+        lru.insert(key(1), landing(1));
         assert!(lru.get(key(1)).is_some());
         assert!(lru.get(key(2)).is_none());
         let s = lru.stats();
@@ -491,25 +478,26 @@ mod tests {
 
     #[test]
     fn bounded_cache_returns_bit_identical_reports() {
-        // Thrash a capacity-2 cache across 50 distinct points: every
-        // report must equal the direct evaluation bit for bit, hit or
+        // Thrash a capacity-2 cache across 50 distinct designs: every
+        // landing must equal the direct bisection bit for bit, hit or
         // miss or evicted-and-recomputed.
+        let _l = global_test_lock();
         let arch = CryoCmosConfig::baseline().build();
-        let fridge = Fridge::standard();
         let link = InstructionLink::standard();
-        let key = MemoKey::new(&arch, &fridge, &link);
         let mut lru = LruCache::new(2);
         for round in 0..2 {
-            for n in (1..=50u64).map(|i| i * 37) {
-                let direct = crate::evaluate_with_link(&arch, &fridge, n, &link);
-                let cached = match lru.get((key, n)) {
-                    Some(r) => r,
+            for i in 1..=50u32 {
+                let fridge = Fridge::standard().with_budget(Stage::K4, 0.1 * f64::from(i));
+                let key = MemoKey::new(&arch, &fridge, &link);
+                let direct = crate::bisect(&arch, &fridge, &link).unwrap();
+                let cached = match lru.get(key) {
+                    Some(landing) => landing,
                     None => {
-                        lru.insert((key, n), direct.clone());
+                        lru.insert(key, direct.clone());
                         direct.clone()
                     }
                 };
-                assert_eq!(cached, direct, "round {round}, n {n}");
+                assert_eq!(cached, direct, "round {round}, design {i}");
             }
         }
         assert!(lru.evictions > 0, "a capacity-2 cache must have evicted");

@@ -9,8 +9,8 @@
 //!
 //! * [`logical_error_rate_sliced_par`] — the naive sampler: the
 //!   bit-sliced kernel ([`sliced`]) runs 64 trials per `u64` word op on
-//!   the [`qisim_par`] pool, with geometric-skip error placement, a
-//!   word-wide zero-syndrome early exit, and a decoder-verdict memo;
+//!   the [`qisim_par`] pool, with geometric-skip error placement and a
+//!   word-wide zero-syndrome early exit;
 //! * [`logical_error_rate_rare`] — multilevel importance sampling
 //!   ([`rare`]) for deep-tail rates no naive sampler can reach, checked
 //!   against the exact [`rare::small_p_expansion`].
@@ -302,9 +302,8 @@ mod tests {
         );
         assert!(empty > decoded, "p=0.002 is dominated by empty trials");
         assert_eq!(
-            dec.decodes + stats.memo_hits,
-            stats.fallback_trials,
-            "decoder ran (or was replayed) exactly on the slow-path trials"
+            dec.decodes, stats.fallback_trials,
+            "decoder ran exactly on the slow-path trials"
         );
         // Second batch accumulates from zero after take_stats.
         let _ = run_trials_sliced(&packed, &graph, 0.5, 10, seed, 0, &mut scratch);

@@ -12,27 +12,18 @@
 //! packed decoder. Their packed syndromes come from one in-place 64×64
 //! bit transpose per 64-check block of the word
 //! ([`PackedLattice::transpose_syndrome_lanes`]), and their error
-//! patterns from the same transpose of the error block, done once, on the
-//! word's first memo miss ([`PackedLattice::transpose_error_lanes`]) —
-//! not from a bit loop per lane. At `d = 23` and `p ≈ 2.8·10⁻³` most
+//! patterns from the same transpose of the error block, done once per
+//! word that has fallback lanes ([`PackedLattice::transpose_error_lanes`])
+//! — not from a bit loop per lane. At `d = 23` and `p ≈ 2.8·10⁻³` most
 //! lanes carry one or two errors and fall back, so the word-wide
 //! transposes and the O(cluster) decoder carry the per-trial cost.
 //!
-//! Two further fast paths carry the speedup without disturbing a single
-//! random draw or verdict:
-//!
-//! * **fast-empty sampling** — a lane with no error resolves its one
-//!   geometric draw against a precomputed mantissa gate
-//!   ([`qisim_quantum::rng::Geometric::empty_run_gate`], with
-//!   [`qisim_quantum::rng::Geometric::positions_from_first`] walking the
-//!   rest), so the ~`(1−p)ⁿ` majority of lanes never pays a logarithm;
-//! * **a decoder-verdict memo** — the scalar decoder is a pure function
-//!   of the syndrome, so each fallback lane first looks its gathered
-//!   syndrome up in a hash memo of the correction's logical parity
-//!   (`failure ⟺ parity(error) ⊕ parity(correction)`, and the error
-//!   parity is already word-wide in the logical-lane mask). Low-weight
-//!   syndromes dominate at small `p`, so warm lanes skip the decode, and
-//!   a word whose fallback lanes all hit skips the error transpose.
+//! **Fast-empty sampling** carries the rest of the speedup without
+//! disturbing a single random draw: a lane with no error resolves its one
+//! geometric draw against a precomputed mantissa gate
+//! ([`qisim_quantum::rng::Geometric::empty_run_gate`], with
+//! [`qisim_quantum::rng::Geometric::positions_from_first`] walking the
+//! rest), so the ~`(1−p)ⁿ` majority of lanes never pays a logarithm.
 //!
 //! # Reference equivalence
 //!
@@ -51,27 +42,6 @@ use crate::decoder::{decode_into, DecodeStats, DecoderScratch, DecodingGraph};
 use crate::lattice::{Lattice, PackedLattice};
 use qisim_quantum::rng::{open01_from_mantissa53, Rng, Xorshift64Star};
 
-/// Slot count of the direct-mapped decoder-verdict cache (a power of
-/// two; the hash's low bits index it). Low-weight syndromes dominate at
-/// supremacy-regime `p`, so the working set is far smaller than this; at
-/// depolarizing-strength `p` syndromes rarely repeat and conflict
-/// evictions just degrade gracefully to decoding every fallback lane.
-const MEMO_SLOTS: usize = 1 << 12;
-
-/// Multiply-xor mix of packed syndrome words into a cache slot index
-/// (SplitMix64-style finalizer). A slot conflict only costs a full-key
-/// mismatch and a re-decode — never a wrong verdict.
-#[inline]
-fn syndrome_slot(syndrome: &[u64]) -> usize {
-    let mut z = 0u64;
-    for &word in syndrome {
-        z = (z ^ word).wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(29);
-    }
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    (z ^ (z >> 31)) as usize & (MEMO_SLOTS - 1)
-}
-
 /// Per-call accounting of the sliced kernel, flushed to the `qisim-obs`
 /// registry as the `surface.sliced.*` counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -86,9 +56,6 @@ pub struct SlicedStats {
     /// Lanes gathered back to the packed layout and sent through the
     /// scalar decoder (the fallback path).
     pub fallback_trials: u64,
-    /// Fallback lanes resolved by replaying the decoder's memoized
-    /// verdict for their syndrome instead of re-decoding.
-    pub memo_hits: u64,
 }
 
 impl SlicedStats {
@@ -97,7 +64,6 @@ impl SlicedStats {
         self.empty_lanes += other.empty_lanes;
         self.zero_syndrome_lanes += other.zero_syndrome_lanes;
         self.fallback_trials += other.fallback_trials;
-        self.memo_hits += other.memo_hits;
     }
 }
 
@@ -112,7 +78,7 @@ pub struct SlicedScratch {
     /// Transposed syndromes: one word per Z-check.
     sliced_syn: Vec<u64>,
     /// All 64 lanes' packed error bitsets, lane-major (`qubit_words`
-    /// words each); filled on the word's first memo miss.
+    /// words each); filled once per word that has fallback lanes.
     lane_errs: Vec<u64>,
     /// All 64 lanes' packed syndromes, lane-major (`syndrome_words`
     /// words each).
@@ -121,18 +87,6 @@ pub struct SlicedScratch {
     residual: Vec<u64>,
     /// Scalar decoder arena for the fallback lanes.
     decoder: DecoderScratch,
-    /// Direct-mapped decoder-verdict cache, [`MEMO_SLOTS`] slots of
-    /// `syndrome_words` keys each: packed syndrome → logical parity of
-    /// the correction [`decode_into`] returns for it. The decoder is a
-    /// pure function of the syndrome, so a repeat syndrome replays its
-    /// verdict — `outcome(lane) = parity(error) ⊕ memo[syndrome]` — with
-    /// no gather of the error lane and no decode. Conflicts overwrite;
-    /// the cache persists across batches.
-    memo_keys: Vec<u64>,
-    /// Slot-validity bitset of the verdict cache.
-    memo_valid: Vec<u64>,
-    /// Slot-verdict bitset (logical parity of the slot's correction).
-    memo_verdict: Vec<u64>,
     stats: SlicedStats,
 }
 
@@ -146,9 +100,6 @@ impl SlicedScratch {
             lane_syn: vec![0; 64 * packed.syndrome_words()],
             residual: vec![0; packed.syndrome_words()],
             decoder: DecoderScratch::new(graph),
-            memo_keys: vec![0; MEMO_SLOTS * graph.syndrome_words()],
-            memo_valid: vec![0; MEMO_SLOTS / 64],
-            memo_verdict: vec![0; MEMO_SLOTS / 64],
             stats: SlicedStats::default(),
         }
     }
@@ -250,53 +201,29 @@ pub fn run_trials_sliced(
         let zero_syn = any_err_mask & !any_syn_mask;
         scratch.stats.zero_syndrome_lanes += zero_syn.count_ones() as u64;
         failures += (zero_syn & logical_mask).count_ones() as usize;
-        // Fallback: read each nonzero-syndrome lane's packed syndrome off
-        // the transposed block and either replay the decoder's cached
-        // verdict for it or decode it (and cache the verdict).
-        let (words, qubit_words) = (packed.syndrome_words(), packed.qubit_words());
-        packed.transpose_syndrome_lanes(&scratch.sliced_syn, &mut scratch.lane_syn);
-        let mut lane_errs_ready = false;
-        let mut fallback = any_syn_mask;
-        while fallback != 0 {
-            let lane = fallback.trailing_zeros() as usize;
-            fallback &= fallback - 1;
-            scratch.stats.fallback_trials += 1;
-            let syndrome = &scratch.lane_syn[lane * words..(lane + 1) * words];
-            let err_parity = logical_mask >> lane & 1 == 1;
-            // The decoder is a pure function of the syndrome, so the
-            // logical parity of its correction replays from the cache:
-            // failure ⟺ parity(error) ⊕ parity(correction).
-            let slot = syndrome_slot(syndrome);
-            let key = &mut scratch.memo_keys[slot * words..(slot + 1) * words];
-            if scratch.memo_valid[slot >> 6] >> (slot & 63) & 1 == 1 && key == syndrome {
-                scratch.stats.memo_hits += 1;
-                let corr_parity = scratch.memo_verdict[slot >> 6] >> (slot & 63) & 1 == 1;
-                failures += (err_parity ^ corr_parity) as usize;
-                continue;
-            }
-            key.copy_from_slice(syndrome);
-            if !lane_errs_ready {
-                packed.transpose_error_lanes(&scratch.sliced_errs, &mut scratch.lane_errs);
-                lane_errs_ready = true;
-            }
-            // Each lane is visited once per word, so the correction is
-            // applied in place.
-            let errs = &mut scratch.lane_errs[lane * qubit_words..(lane + 1) * qubit_words];
-            for &q in decode_into(graph, syndrome, &mut scratch.decoder) {
-                PackedLattice::flip_bit(errs, q);
-            }
-            debug_assert!(
-                !packed.z_syndrome_into(errs, &mut scratch.residual),
-                "decoder left residual syndrome"
-            );
-            let failed = packed.is_logical_x(errs);
-            failures += failed as usize;
-            scratch.memo_valid[slot >> 6] |= 1 << (slot & 63);
-            let verdict_bit = 1u64 << (slot & 63);
-            if failed ^ err_parity {
-                scratch.memo_verdict[slot >> 6] |= verdict_bit;
-            } else {
-                scratch.memo_verdict[slot >> 6] &= !verdict_bit;
+        // Fallback: read each nonzero-syndrome lane's packed syndrome and
+        // error pattern off the transposed blocks and decode it.
+        if any_syn_mask != 0 {
+            let (words, qubit_words) = (packed.syndrome_words(), packed.qubit_words());
+            packed.transpose_syndrome_lanes(&scratch.sliced_syn, &mut scratch.lane_syn);
+            packed.transpose_error_lanes(&scratch.sliced_errs, &mut scratch.lane_errs);
+            let mut fallback = any_syn_mask;
+            while fallback != 0 {
+                let lane = fallback.trailing_zeros() as usize;
+                fallback &= fallback - 1;
+                scratch.stats.fallback_trials += 1;
+                let syndrome = &scratch.lane_syn[lane * words..(lane + 1) * words];
+                // Each lane is visited once per word, so the correction
+                // is applied in place.
+                let errs = &mut scratch.lane_errs[lane * qubit_words..(lane + 1) * qubit_words];
+                for &q in decode_into(graph, syndrome, &mut scratch.decoder) {
+                    PackedLattice::flip_bit(errs, q);
+                }
+                debug_assert!(
+                    !packed.z_syndrome_into(errs, &mut scratch.residual),
+                    "decoder left residual syndrome"
+                );
+                failures += packed.is_logical_x(errs) as usize;
             }
         }
         start += active;
@@ -309,7 +236,6 @@ fn flush_sliced_obs(trials: usize, failures: usize, stats: SlicedStats, dec: Dec
     qisim_obs::counter!("surface.sliced.trials", trials as u64);
     qisim_obs::counter!("surface.sliced.words", stats.words);
     qisim_obs::counter!("surface.sliced.fallback_trials", stats.fallback_trials);
-    qisim_obs::counter!("surface.sliced.memo_hits", stats.memo_hits);
     // The Monte-Carlo series: the three fast-path counters partition the
     // trials.
     qisim_obs::counter!("surface.montecarlo.failures", failures as u64);
@@ -513,12 +439,7 @@ mod tests {
             "{stats:?}"
         );
         assert!(stats.empty_lanes > stats.fallback_trials, "p=0.002 is mostly empty lanes");
-        assert_eq!(
-            dec.decodes + stats.memo_hits,
-            stats.fallback_trials,
-            "every fallback lane is either decoded or replayed from the memo: {stats:?}"
-        );
-        assert!(stats.memo_hits > 0, "repeat low-weight syndromes must hit the memo: {stats:?}");
+        assert_eq!(dec.decodes, stats.fallback_trials, "every fallback lane is decoded: {stats:?}");
         // Second batch accumulates from zero after take_stats.
         let _ = run_trials_sliced(&packed, &graph, 0.5, 10, 3, 0, &mut scratch);
         assert_eq!(scratch.stats().words, 1);

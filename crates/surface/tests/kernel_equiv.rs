@@ -40,8 +40,8 @@ fn sliced_and_reference_kernels_agree_across_the_acceptance_grid() {
         let lattice = Lattice::new(d);
         let graph = DecodingGraph::new(&lattice, false);
         let packed = PackedLattice::new(&lattice);
-        // One scratch across the whole grid: a stale verdict-memo entry
-        // would surface as a divergence.
+        // One scratch across the whole grid: state left over from an
+        // earlier call would surface as a divergence.
         let mut scratch = SlicedScratch::new(&packed, &graph);
         for p in [0.001f64, 0.01, 0.1] {
             for seed in 0u64..8 {

@@ -174,7 +174,7 @@ fn main() {
     let _ = writeln!(json, "  \"responses_bit_identical\": {identical},");
     let _ = writeln!(json, "  \"overload_burst\": {burst},");
     let _ = writeln!(json, "  \"overload_shed\": {shed},");
-    let _ = writeln!(json, "  \"power_cache_entries\": {}", qisim::power::cache_len());
+    let _ = writeln!(json, "  \"power_cache_entries\": {}", qisim::power::cache_stats().len);
     json.push_str("}\n");
     std::fs::write("BENCH_serve.json", &json).expect("write BENCH_serve.json");
     println!("wrote BENCH_serve.json ({} bytes)", json.len());

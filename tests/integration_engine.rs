@@ -22,9 +22,8 @@ fn legacy_analyze_on(design: &QciDesign, target: &Target, fridge: &Fridge) -> Sc
     let arch = design.arch();
     let (power_limited_qubits, binding_stage) = qisim::power::max_qubits(&arch, fridge);
     let link = InstructionLink::standard();
-    let key = qisim::power::MemoKey::new(&arch, fridge, &link);
     let stages =
-        qisim::power::evaluate_memo(key, &arch, fridge, power_limited_qubits.max(1), &link).stages;
+        qisim::power::evaluate_with_link(&arch, fridge, power_limited_qubits.max(1), &link).stages;
     let logical_error = design.physical_budget().logical_error(CODE_DISTANCE, &CALIBRATION);
     let target_error = target.logical_error_target();
     Scalability {
@@ -55,9 +54,8 @@ fn legacy_cluster_power(
         None => (0, topology.worst_link_stage()),
     };
     let link = InstructionLink::standard();
-    let key = qisim::power::MemoKey::new(&arch, topology.fridge(), &link);
     let stages =
-        qisim::power::evaluate_memo(key, &arch, topology.fridge(), per_fridge.max(1), &link).stages;
+        qisim::power::evaluate_with_link(&arch, topology.fridge(), per_fridge.max(1), &link).stages;
     (per_fridge, binding, stages)
 }
 

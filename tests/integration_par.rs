@@ -83,11 +83,12 @@ fn experiment_suite_subset_is_bit_identical_across_thread_counts() {
 
 #[test]
 fn power_memo_cache_does_not_change_results() {
-    let design = QciDesign::cmos_baseline();
-    let counts = [256u64, 512, 1024];
+    let designs =
+        [QciDesign::cmos_baseline(), QciDesign::rsfq_near_term(), QciDesign::ersfq_long_term()];
+    let target = Target::near_term();
     qisim::power::clear_cache();
-    let cold = sweep(&design, &counts);
-    assert!(qisim::power::cache_len() > 0, "sweep populates the memo cache");
-    let warm = sweep(&design, &counts);
+    let cold = analyze_many(&designs, &target);
+    assert!(qisim::power::cache_stats().len > 0, "analyses populate the memo cache");
+    let warm = analyze_many(&designs, &target);
     assert_eq!(cold, warm, "cache replay must be bit-identical");
 }

@@ -3,7 +3,9 @@
 //! periodic exporter round trip, and the bounded power memo cache's
 //! bit-identity contract under thrash.
 
+use qisim::hal::fridge::{Fridge, Stage};
 use qisim::obs::{self, telemetry};
+use qisim::scalability::analyze_on;
 use qisim::surface::target::Target;
 use qisim::{analyze, sweep, QciDesign};
 
@@ -86,6 +88,7 @@ fn delta_across_a_registry_reset_reports_the_full_current_values() {
     // exporter must read as "everything restarted — the whole current
     // value is new", never as a negative (or wrapped) increment.
     for counts in [[64u64, 128], [256, 512], [1024, 2048]] {
+        obs::span!("it.telemetry.interval");
         let _ = sweep(&QciDesign::cmos_baseline(), &counts);
     }
     let before_reset = obs::snapshot();
@@ -93,6 +96,7 @@ fn delta_across_a_registry_reset_reports_the_full_current_values() {
     assert_eq!(tall, 6);
     obs::reset();
     for counts in [[96u64, 192], [384, 768]] {
+        obs::span!("it.telemetry.interval");
         let _ = sweep(&QciDesign::cmos_baseline(), &counts);
     }
     let after_reset = obs::snapshot();
@@ -104,9 +108,9 @@ fn delta_across_a_registry_reset_reports_the_full_current_values() {
         Some(4),
         "a shrunken counter means a reset: the delta is the full current value"
     );
-    // Three sweep spans before the reset, two after: the shrunken count
-    // routes the span diff through the same everything-is-new rule.
-    let spans = delta.span("scalability.sweep").expect("sweep span survives the diff");
+    // Three interval spans before the reset, two after: the shrunken
+    // count routes the span diff through the same everything-is-new rule.
+    let spans = delta.span("it.telemetry.interval").expect("interval span survives the diff");
     assert_eq!(spans.count, 2, "span stats follow the same reset rule");
     // And the delta still exports cleanly.
     assert!(obs::openmetrics_is_well_formed(&obs::openmetrics(&delta)));
@@ -140,24 +144,30 @@ fn exporter_shutdown_flushes_the_final_partial_interval() {
     obs::reset();
 }
 
-/// The ISSUE acceptance check: at `QISIM_MEMO_CAP=8` (installed here via
-/// the runtime override) a 200-point sweep must evict, stay within
-/// bounds, and produce bit-identical results to the unbounded cache.
+/// At a landing cap of 8 (the runtime override), 40 distinct designs
+/// must evict, stay within bounds, and produce bit-identical verdicts to
+/// the default-capacity cache.
 #[test]
 fn bounded_memo_cache_thrash_is_bit_identical() {
     let _l = common::isolate();
-    let counts: Vec<u64> = (1..=200u64).map(|i| 8 * i).collect();
+    let target = Target::near_term();
+    let design = QciDesign::cmos_baseline();
+    let fridges: Vec<Fridge> = (1..=40u32)
+        .map(|i| Fridge::standard().with_budget(Stage::K4, 0.25 * f64::from(i)))
+        .collect();
+    let analyze_all =
+        || -> Vec<_> { fridges.iter().map(|f| analyze_on(&design, &target, f)).collect() };
 
     qisim::power::set_cache_cap(Some(8));
     qisim::power::clear_cache();
-    let bounded = sweep(&QciDesign::cmos_baseline(), &counts);
+    let bounded = analyze_all();
     let stats = qisim::power::cache_stats();
-    assert!(stats.evictions > 0, "200 distinct points at cap 8 must evict: {stats:?}");
-    assert!(qisim::power::cache_len() <= 8, "cache exceeded its cap");
+    assert!(stats.evictions > 0, "40 distinct designs at cap 8 must evict: {stats:?}");
+    assert!(stats.len <= 8, "cache exceeded its cap");
 
     qisim::power::set_cache_cap(None);
     qisim::power::clear_cache();
-    let unbounded = sweep(&QciDesign::cmos_baseline(), &counts);
+    let unbounded = analyze_all();
     assert_eq!(bounded, unbounded, "cache bounding changed the science");
     qisim::power::clear_cache();
 }

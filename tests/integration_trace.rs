@@ -74,7 +74,7 @@ fn traced_two_thread_sweep_exports_valid_chrome_json() {
         "begin/end events must balance"
     );
     assert!(json.contains("thread_name"), "lane metadata missing");
-    assert!(json.contains("scalability.sweep"), "sweep span missing from export");
+    assert!(json.contains("\"par.map\""), "the sweep's par.map span missing from export");
 
     // The folded stacks are flamegraph.pl-shaped: `path weight` lines.
     let folded = trace_export::folded_stacks(&session);

@@ -60,7 +60,9 @@
 #  14. repo benchmark --check: every workload runs in both orders with
 #      zero failed operations (`check: ok`), and each workload's seed-1
 #      verdict digest matches the pinned value, so a change that moves
-#      any served answer fails here
+#      any served answer fails here; then a 3 s untraced design_sweep_cold
+#      run must peak at <= 12 MB RSS (the power memo holds one landing
+#      per design, not one report per bisection probe)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -274,5 +276,11 @@ for pinned in serve_paper_mix:099ff2656a55f98a design_sweep_cold:029e603d2c53d70
     test "$runs" -gt 0 && test "$runs" -eq "$matching" \
         || { echo "$workload: verdict digest is not ${pinned#*:}" >&2; exit 1; }
 done
+sweep_line="$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+    --workload design_sweep_cold --seed 1 --seconds 3 --trace 0 | tail -n 1)"
+rss="$(echo "$sweep_line" | sed -n 's/.*"peak_rss_mb": {"value": \([0-9.eE+-]*\).*/\1/p')"
+test -n "$rss" || { echo "design_sweep_cold printed no peak_rss_mb: $sweep_line" >&2; exit 1; }
+awk -v rss="$rss" 'BEGIN { exit !(rss <= 12) }' \
+    || { echo "design_sweep_cold peak_rss_mb $rss exceeds 12 MB" >&2; exit 1; }
 
 echo "CI gate passed."
