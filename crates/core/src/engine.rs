@@ -11,12 +11,14 @@
 //! `qisim-power` memo cache between stages. Every stage is wrapped in an
 //! `engine.stage.*` observability span.
 //!
-//! [`try_analyze`] / [`try_analyze_many`] / [`try_sweep`] are the
-//! batch-friendly entry points: malformed design points come back as
-//! [`QisimError`] diagnostics instead of aborting the process, which is
-//! what a design-space-search service needs. The historical infallible
-//! APIs ([`crate::scalability::analyze`] and friends) are thin wrappers
-//! over these.
+//! [`try_analyze_topology`] (a design on any fridge topology),
+//! [`try_analyze_spec`] (a validated [`DesignSpec`]) and [`try_sweep`]
+//! (a plot curve) are the batch-friendly entry points: malformed design
+//! points come back as [`QisimError`] diagnostics instead of aborting the
+//! process, which is what a design-space-search service needs. The
+//! infallible [`crate::scalability::analyze`] and
+//! [`crate::scalability::analyze_on`] wrap [`try_analyze_topology`] for
+//! the one-shot paper drivers.
 //!
 //! # Examples
 //!
@@ -24,11 +26,18 @@
 //!
 //! ```
 //! use qisim::engine::{AnalysisPlan, PlanStage};
+//! use qisim::hal::topology::FridgeTopology;
+//! use qisim::spec::Estimator;
 //! use qisim::QciDesign;
 //! use qisim_surface::target::Target;
 //!
 //! # fn main() -> Result<(), qisim::error::QisimError> {
-//! let mut plan = AnalysisPlan::new(&QciDesign::cmos_baseline(), &Target::near_term())?;
+//! let mut plan = AnalysisPlan::with_topology(
+//!     &QciDesign::cmos_baseline(),
+//!     &Target::near_term(),
+//!     &FridgeTopology::standard(),
+//!     Estimator::Packed,
+//! )?;
 //! assert_eq!(plan.next_stage(), Some(PlanStage::Inventory));
 //! plan.run_next()?; // inventory
 //! assert!(plan.inventory().is_some());
@@ -184,53 +193,19 @@ pub struct AnalysisPlan {
 }
 
 impl AnalysisPlan {
-    /// Plans an analysis on the standard refrigerator.
+    /// Plans an analysis across a whole [`FridgeTopology`], with the
+    /// logical-error stage run by the chosen [`Estimator`]. A
+    /// single-fridge topology runs the classic pipeline
+    /// ([`FridgeTopology::standard`] is the standard refrigerator, and
+    /// [`Estimator::Packed`] the calibrated analytic fit); with N > 1
+    /// fridges the power stage folds interconnect heat into the stage
+    /// budgets, bisects once for every (identical) fridge, and the
+    /// verdict gains a [`crate::scalability::ScaleOut`] block.
     ///
     /// # Errors
     ///
     /// Returns [`QisimError::Config`] for an invalid design knob or
     /// [`QisimError::Target`] for a malformed target.
-    pub fn new(design: &QciDesign, target: &Target) -> Result<Self, QisimError> {
-        AnalysisPlan::on(design, target, &Fridge::standard())
-    }
-
-    /// Plans an analysis on a custom refrigerator (§7.1 what-ifs).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`AnalysisPlan::new`].
-    pub fn on(design: &QciDesign, target: &Target, fridge: &Fridge) -> Result<Self, QisimError> {
-        AnalysisPlan::with_estimator(design, target, fridge, Estimator::Packed)
-    }
-
-    /// Plans an analysis whose logical-error stage runs the chosen
-    /// [`Estimator`] ([`AnalysisPlan::on`] is the [`Estimator::Packed`]
-    /// shorthand; `Packed` plans are bit-identical to the pre-knob
-    /// pipeline).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`AnalysisPlan::new`].
-    pub fn with_estimator(
-        design: &QciDesign,
-        target: &Target,
-        fridge: &Fridge,
-        estimator: Estimator,
-    ) -> Result<Self, QisimError> {
-        let topology = FridgeTopology::standard().with_fridge(fridge.clone());
-        AnalysisPlan::with_topology(design, target, &topology, estimator)
-    }
-
-    /// Plans an analysis across a whole [`FridgeTopology`] — the general
-    /// form behind every other constructor. A single-fridge topology
-    /// runs the classic pipeline bit-for-bit; with N > 1 fridges the
-    /// power stage folds interconnect heat into the stage budgets,
-    /// bisects once for every (identical) fridge, and the verdict gains a
-    /// [`crate::scalability::ScaleOut`] block.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`AnalysisPlan::new`].
     pub fn with_topology(
         design: &QciDesign,
         target: &Target,
@@ -581,57 +556,17 @@ pub fn validate_target(target: &Target) -> Result<(), TargetError> {
     Ok(())
 }
 
-/// Fallible [`crate::scalability::analyze`]: validates the design point,
-/// then runs the staged pipeline on the standard refrigerator.
-///
-/// # Errors
-///
-/// Returns [`QisimError::Config`] / [`QisimError::Target`] for invalid
-/// inputs and propagates any stage failure.
-pub fn try_analyze(design: &QciDesign, target: &Target) -> Result<Scalability, QisimError> {
-    try_analyze_on(design, target, &Fridge::standard())
-}
-
-/// Fallible [`crate::scalability::analyze_on`].
-///
-/// # Errors
-///
-/// Same as [`try_analyze`].
-pub fn try_analyze_on(
-    design: &QciDesign,
-    target: &Target,
-    fridge: &Fridge,
-) -> Result<Scalability, QisimError> {
-    try_analyze_with(design, target, fridge, Estimator::Packed)
-}
-
-/// Fallible analysis with an explicit logical-error [`Estimator`]
-/// (the general form behind [`try_analyze_on`]; `Packed` verdicts are
-/// bit-identical to the pre-knob pipeline).
-///
-/// # Errors
-///
-/// Same as [`try_analyze`].
-pub fn try_analyze_with(
-    design: &QciDesign,
-    target: &Target,
-    fridge: &Fridge,
-    estimator: Estimator,
-) -> Result<Scalability, QisimError> {
-    span!("scalability.analyze");
-    counter!("scalability.analyze.calls");
-    AnalysisPlan::with_estimator(design, target, fridge, estimator)?.run()
-}
-
-/// Fallible analysis across a whole [`FridgeTopology`]: the scale-out
-/// entry point. A single-fridge topology is bit-identical to
-/// [`try_analyze_with`] on its fridge; with N > 1 fridges the verdict
+/// Analyzes a design across a whole [`FridgeTopology`] with the chosen
+/// logical-error [`Estimator`]: validates the design point, then runs
+/// every stage of an [`AnalysisPlan`]. A single-fridge topology gives
+/// the classic verdict on its fridge; with N > 1 fridges the verdict
 /// carries a [`crate::scalability::ScaleOut`] block and
 /// `power_limited_qubits` is the cluster total.
 ///
 /// # Errors
 ///
-/// Same as [`try_analyze`].
+/// Returns [`QisimError::Config`] / [`QisimError::Target`] for invalid
+/// inputs and propagates any stage failure.
 pub fn try_analyze_topology(
     design: &QciDesign,
     target: &Target,
@@ -659,45 +594,16 @@ pub fn try_analyze_spec(spec: &DesignSpec, target: &Target) -> Result<Scalabilit
     Ok(verdict)
 }
 
-/// Fallible [`crate::scalability::analyze_many`]: every design is
-/// validated, then analyzed concurrently on the [`qisim_par`] pool.
-/// Results are in `designs` order and bit-identical to mapping
-/// [`try_analyze`] serially; the first error (in `designs` order) wins.
+/// Per-stage utilization curve for scalability plots (Fig. 12/13/17),
+/// one [`SweepPoint`] per requested qubit count, in `qubit_counts`
+/// order. Validates the design and the qubit counts, then evaluates the
+/// points in a plain serial loop, one direct power evaluation per point
+/// (cheaper than fingerprinting the design for the memo cache, which
+/// holds bisection landings only). A warm point costs well under a
+/// microsecond, far less than spawning pool threads for it.
 ///
-/// # Errors
-///
-/// Returns the first design's [`QisimError`], if any.
-pub fn try_analyze_many(
-    designs: &[QciDesign],
-    target: &Target,
-) -> Result<Vec<Scalability>, QisimError> {
-    span!("scalability.analyze_many");
-    counter!("scalability.analyze_many.designs", designs.len() as u64);
-    qisim_par::par_map_indices(designs.len(), |i| {
-        if qisim_obs::trace::armed() {
-            qisim_obs::trace::instant("scalability.analyze_many.design", &[("design", i as f64)]);
-        }
-        // Per-candidate latency distribution: the autotuner workload is
-        // thousands of these points, so its p50/p99 is the service's
-        // headline histogram.
-        let t0 = qisim_obs::enabled().then(std::time::Instant::now);
-        let verdict = try_analyze(&designs[i], target);
-        if let Some(t0) = t0 {
-            qisim_obs::observe!(
-                "scalability.analyze_many.point_ns",
-                t0.elapsed().as_nanos() as f64
-            );
-        }
-        verdict
-    })
-    .into_iter()
-    .collect()
-}
-
-/// Fallible [`crate::scalability::sweep`]: validates the design and the
-/// qubit counts, then evaluates the utilization curve in parallel, one
-/// direct power evaluation per point (cheaper than fingerprinting the
-/// design for the memo cache, which holds bisection landings only).
+/// A stage absent from a report (a custom fridge or architecture that
+/// doesn't model it) contributes utilization 0.
 ///
 /// # Errors
 ///
@@ -719,21 +625,22 @@ pub fn try_sweep(design: &QciDesign, qubit_counts: &[u64]) -> Result<Vec<SweepPo
     let util = |r: &qisim_power::PowerReport, stage: Stage| {
         r.stage(stage).map_or(0.0, StagePower::utilization)
     };
-    qisim_par::par_map(qubit_counts, |&n| {
-        if qisim_obs::trace::armed() {
-            qisim_obs::trace::instant("scalability.sweep.point", &[("qubits", n as f64)]);
-        }
-        let r = qisim_power::try_evaluate_with_link(&arch, &fridge, n, &link)?;
-        Ok(SweepPoint {
-            qubits: n,
-            power_w: r.stages.iter().map(StagePower::total_w).sum(),
-            util_4k: util(&r, Stage::K4),
-            util_mk: util(&r, Stage::Mk100).max(util(&r, Stage::Mk20)),
-            logical_error: p_l,
+    qubit_counts
+        .iter()
+        .map(|&n| {
+            if qisim_obs::trace::armed() {
+                qisim_obs::trace::instant("scalability.sweep.point", &[("qubits", n as f64)]);
+            }
+            let r = qisim_power::try_evaluate_with_link(&arch, &fridge, n, &link)?;
+            Ok(SweepPoint {
+                qubits: n,
+                power_w: r.stages.iter().map(StagePower::total_w).sum(),
+                util_4k: util(&r, Stage::K4),
+                util_mk: util(&r, Stage::Mk100).max(util(&r, Stage::Mk20)),
+                logical_error: p_l,
+            })
         })
-    })
-    .into_iter()
-    .collect()
+        .collect()
 }
 
 #[cfg(test)]
@@ -742,10 +649,23 @@ mod tests {
     use crate::error::ConfigError;
     use qisim_microarch::CryoCmosConfig;
 
+    /// A plan on the standard refrigerator with the analytic estimator.
+    fn standard_plan(design: &QciDesign, target: &Target) -> Result<AnalysisPlan, QisimError> {
+        AnalysisPlan::with_topology(design, target, &FridgeTopology::standard(), Estimator::Packed)
+    }
+
+    /// One analysis on the standard refrigerator.
+    fn analyze_standard(
+        design: &QciDesign,
+        target: &Target,
+        estimator: Estimator,
+    ) -> Result<Scalability, QisimError> {
+        try_analyze_topology(design, target, &FridgeTopology::standard(), estimator)
+    }
+
     #[test]
     fn plan_runs_stages_in_order() {
-        let mut plan =
-            AnalysisPlan::new(&QciDesign::cmos_baseline(), &Target::near_term()).unwrap();
+        let mut plan = standard_plan(&QciDesign::cmos_baseline(), &Target::near_term()).unwrap();
         let mut ran = Vec::new();
         while let Some(stage) = plan.run_next().unwrap() {
             ran.push(stage);
@@ -763,8 +683,7 @@ mod tests {
 
     #[test]
     fn plan_artifacts_feed_the_verdict() {
-        let mut plan =
-            AnalysisPlan::new(&QciDesign::rsfq_baseline(), &Target::near_term()).unwrap();
+        let mut plan = standard_plan(&QciDesign::rsfq_baseline(), &Target::near_term()).unwrap();
         let verdict = plan.run().unwrap();
         let power = plan.stage_powers().unwrap();
         assert_eq!(power.power_limited_qubits, verdict.power_limited_qubits);
@@ -779,9 +698,9 @@ mod tests {
     fn invalid_designs_are_rejected_at_plan_time() {
         let bad =
             QciDesign::CryoCmos(CryoCmosConfig { drive_fdm: 0, ..CryoCmosConfig::baseline() });
-        let err = AnalysisPlan::new(&bad, &Target::near_term()).unwrap_err();
+        let err = standard_plan(&bad, &Target::near_term()).unwrap_err();
         assert!(matches!(err, QisimError::Config(ConfigError::OutOfRange { .. })), "{err:?}");
-        assert!(try_analyze(&bad, &Target::near_term()).is_err());
+        assert!(analyze_standard(&bad, &Target::near_term(), Estimator::Packed).is_err());
     }
 
     #[test]
@@ -789,7 +708,7 @@ mod tests {
         let mut t = Target::near_term();
         t.logical_ops = 0.0;
         assert!(matches!(
-            try_analyze(&QciDesign::cmos_baseline(), &t),
+            analyze_standard(&QciDesign::cmos_baseline(), &t, Estimator::Packed),
             Err(QisimError::Target(TargetError::InvalidOps { .. }))
         ));
         let mut t = Target::near_term();
@@ -807,28 +726,26 @@ mod tests {
     fn estimators_route_the_logical_error_stage() {
         let design = QciDesign::cmos_baseline();
         let t = Target::near_term();
-        let fridge = Fridge::standard();
         // Packed is the default and stays bit-identical to the
-        // historical entry points.
-        let packed = try_analyze_with(&design, &t, &fridge, Estimator::Packed).unwrap();
-        assert_eq!(packed, try_analyze_on(&design, &t, &fridge).unwrap());
-        assert_eq!(packed, try_analyze(&design, &t).unwrap());
+        // infallible entry point.
+        let packed = analyze_standard(&design, &t, Estimator::Packed).unwrap();
+        assert_eq!(packed, crate::scalability::analyze(&design, &t));
         // The Monte-Carlo estimators replace only the logical-error
         // number; the power side of the verdict is untouched.
         for est in [Estimator::Sliced, Estimator::Rare] {
-            let mc = try_analyze_with(&design, &t, &fridge, est).unwrap();
+            let mc = analyze_standard(&design, &t, est).unwrap();
             assert_eq!(mc.power_limited_qubits, packed.power_limited_qubits);
             assert_eq!(mc.stages, packed.stages);
             assert!((0.0..=1.0).contains(&mc.logical_error), "{est:?}: {}", mc.logical_error);
             // Fixed seed: the verdict is reproducible call to call.
-            assert_eq!(mc, try_analyze_with(&design, &t, &fridge, est).unwrap(), "{est:?}");
+            assert_eq!(mc, analyze_standard(&design, &t, est).unwrap(), "{est:?}");
         }
         // The baseline's operating point is deep below threshold, so the
         // finite sliced batch sees no failures while the splitting
         // ladder still resolves a nonzero tail estimate.
-        let sliced = try_analyze_with(&design, &t, &fridge, Estimator::Sliced).unwrap();
+        let sliced = analyze_standard(&design, &t, Estimator::Sliced).unwrap();
         assert_eq!(sliced.logical_error, 0.0);
-        let rare = try_analyze_with(&design, &t, &fridge, Estimator::Rare).unwrap();
+        let rare = analyze_standard(&design, &t, Estimator::Rare).unwrap();
         assert!(rare.logical_error > 0.0 && rare.logical_error < 1e-6, "{}", rare.logical_error);
         assert!(rare.error_ok);
     }
@@ -864,13 +781,7 @@ mod tests {
         let t = Target::near_term();
         let spec = DesignSpec::new(Preset::CmosBaseline).estimator(Estimator::Sliced);
         let via_spec = try_analyze_spec(&spec, &t).unwrap();
-        let direct = try_analyze_with(
-            &QciDesign::cmos_baseline(),
-            &t,
-            &Fridge::standard(),
-            Estimator::Sliced,
-        )
-        .unwrap();
+        let direct = analyze_standard(&QciDesign::cmos_baseline(), &t, Estimator::Sliced).unwrap();
         assert_eq!(via_spec.logical_error, direct.logical_error);
         assert_eq!(via_spec.power_limited_qubits, direct.power_limited_qubits);
     }
@@ -881,7 +792,9 @@ mod tests {
         let spec = DesignSpec::new(Preset::CmosBaseline).name("svc-design-7");
         let verdict = try_analyze_spec(&spec, &Target::near_term()).unwrap();
         assert_eq!(verdict.design, "svc-design-7");
-        let plain = try_analyze(&QciDesign::cmos_baseline(), &Target::near_term()).unwrap();
+        let plain =
+            analyze_standard(&QciDesign::cmos_baseline(), &Target::near_term(), Estimator::Packed)
+                .unwrap();
         assert_eq!(verdict.power_limited_qubits, plain.power_limited_qubits);
     }
 }

@@ -14,10 +14,10 @@
 //! * [`QisimError::Target`] — a roadmap target is malformed.
 //!
 //! The error-handling policy (DESIGN.md §error handling): **libraries
-//! return `Result`, binaries and examples may unwrap.** The historical
-//! infallible APIs (`analyze`, `sweep`, …) survive as thin wrappers that
-//! panic with the typed error's `Display` text, so the paper drivers
-//! keep their exact behavior.
+//! return `Result`, binaries and examples may unwrap.** The infallible
+//! `analyze` and `analyze_on` survive as thin wrappers that panic with
+//! the typed error's `Display` text, so the paper drivers keep their
+//! exact behavior.
 
 use qisim_hal::fridge::Stage;
 use qisim_power::PowerError;

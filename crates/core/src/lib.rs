@@ -21,9 +21,9 @@
 //! 5. **scalability** — [`scalability::analyze`] combines (3) and (4)
 //!    into the manageable qubit scale.
 //!
-//! The pipeline has two front doors. The historical infallible API
-//! ([`scalability::analyze`] and friends) panics on malformed inputs and
-//! suits one-shot paper drivers. The **fallible engine** ([`engine`])
+//! The pipeline has two kinds of front door. The infallible
+//! [`scalability::analyze`] and [`scalability::analyze_on`] panic on
+//! malformed inputs and suit one-shot paper drivers. The **fallible engine** ([`engine`])
 //! returns typed [`error::QisimError`] diagnostics, exposes the pipeline
 //! as a staged [`engine::AnalysisPlan`], and pairs with validated,
 //! serializable [`spec::DesignSpec`]s and the [`codec`] text format —
@@ -67,10 +67,10 @@ pub mod scalability;
 pub mod spec;
 
 pub use config::QciDesign;
-pub use engine::{try_analyze, try_analyze_many, try_analyze_on, try_sweep, AnalysisPlan};
+pub use engine::{try_sweep, AnalysisPlan};
 pub use error::QisimError;
 pub use opts::{apply, apply_all, Opt};
-pub use scalability::{analyze, analyze_on, sweep, Scalability};
+pub use scalability::{analyze, analyze_on, Scalability};
 pub use spec::{DesignSpec, Preset};
 
 // Re-export the component crates so downstream users need only `qisim`.

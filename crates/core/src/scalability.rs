@@ -11,8 +11,9 @@
 
 use crate::config::QciDesign;
 use crate::engine;
+use crate::spec::Estimator;
 use qisim_hal::fridge::{Fridge, Stage};
-use qisim_hal::topology::LinkKind;
+use qisim_hal::topology::{FridgeTopology, LinkKind};
 use qisim_power::StagePower;
 use qisim_surface::target::Target;
 use std::fmt::Write as _;
@@ -308,25 +309,27 @@ impl Scalability {
 
 /// Analyzes a design against a roadmap target on the standard fridge.
 ///
-/// Infallible wrapper over [`engine::try_analyze`]: panics with the
-/// typed diagnostic's text on a malformed design or target (DESIGN.md
-/// error-handling policy — batch callers should use the `try_*` API).
+/// Infallible: panics with the typed diagnostic's text on a malformed
+/// design or target (DESIGN.md error-handling policy — batch callers
+/// should use [`engine::try_analyze_topology`] or
+/// [`engine::try_analyze_spec`]).
 pub fn analyze(design: &QciDesign, target: &Target) -> Scalability {
     analyze_on(design, target, &Fridge::standard())
 }
 
 /// [`analyze`] with a custom refrigerator (future-capacity what-ifs,
-/// §7.1).
+/// §7.1): a one-fridge [`engine::try_analyze_topology`] with the
+/// analytic [`Estimator::Packed`] logical-error stage.
 pub fn analyze_on(design: &QciDesign, target: &Target, fridge: &Fridge) -> Scalability {
+    let topology = FridgeTopology::standard().with_fridge(fridge.clone());
     // Allowlisted panic (tools/panic_allowlist.txt): infallible wrapper.
-    engine::try_analyze_on(design, target, fridge).unwrap_or_else(|e| panic!("{e}"))
+    engine::try_analyze_topology(design, target, &topology, Estimator::Packed)
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// One row of a scalability utilization curve (the Fig. 12/13/17 plot
-/// data): a design evaluated at one qubit count.
-///
-/// Replaces the old `(u64, f64, f64, f64)` tuple return of [`sweep`],
-/// whose field order callers had to guess.
+/// data that [`engine::try_sweep`] returns): a design evaluated at one
+/// qubit count.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SweepPoint {
     /// Evaluated qubit count.
@@ -352,34 +355,6 @@ impl SweepPoint {
     pub fn fits(&self) -> bool {
         self.utilization() <= 1.0
     }
-}
-
-/// Per-stage utilization curve for scalability plots (Fig. 12/13/17),
-/// one [`SweepPoint`] per requested qubit count.
-///
-/// Points are evaluated **in parallel** on the [`qisim_par`] pool (one
-/// direct power evaluation per task); the returned rows are always in
-/// `qubit_counts` order, independent of thread count.
-///
-/// A stage absent from a report (a custom fridge or architecture that
-/// doesn't model it) contributes utilization 0 rather than panicking.
-///
-/// Infallible wrapper over [`engine::try_sweep`] (panics on a malformed
-/// design or a zero qubit count).
-pub fn sweep(design: &QciDesign, qubit_counts: &[u64]) -> Vec<SweepPoint> {
-    // Allowlisted panic (tools/panic_allowlist.txt): infallible wrapper.
-    engine::try_sweep(design, qubit_counts).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Analyzes many designs against one target concurrently: one task per
-/// design point, each including its own power bisection. Results are in
-/// `designs` order and bit-identical to mapping [`analyze`] serially.
-///
-/// Infallible wrapper over [`engine::try_analyze_many`] (panics on the
-/// first malformed design).
-pub fn analyze_many(designs: &[QciDesign], target: &Target) -> Vec<Scalability> {
-    // Allowlisted panic (tools/panic_allowlist.txt): infallible wrapper.
-    engine::try_analyze_many(designs, target).unwrap_or_else(|e| panic!("{e}"))
 }
 
 #[cfg(test)]
@@ -477,14 +452,14 @@ mod tests {
 
     #[test]
     fn explain_reports_the_estimator_counters_once_they_exist() {
-        use crate::engine::try_analyze_with;
-        use crate::spec::Estimator;
+        use crate::engine::try_analyze_topology;
         let t = Target::near_term();
         let d = QciDesign::cmos_baseline();
+        let standard = FridgeTopology::standard();
         // Run both estimators so their process-wide counters exist
         // before explain() renders.
-        try_analyze_with(&d, &t, &Fridge::standard(), Estimator::Sliced).unwrap();
-        let rare = try_analyze_with(&d, &t, &Fridge::standard(), Estimator::Rare).unwrap();
+        try_analyze_topology(&d, &t, &standard, Estimator::Sliced).unwrap();
+        let rare = try_analyze_topology(&d, &t, &standard, Estimator::Rare).unwrap();
         let text = rare.explain();
         assert!(text.contains("sliced MC engine"), "{text}");
         assert!(text.contains("resolved word-wide"), "{text}");
@@ -505,7 +480,7 @@ mod tests {
 
     #[test]
     fn sweep_produces_monotone_utilizations() {
-        let rows = sweep(&QciDesign::cmos_baseline(), &[64, 128, 256, 512]);
+        let rows = engine::try_sweep(&QciDesign::cmos_baseline(), &[64, 128, 256, 512]).unwrap();
         assert_eq!(rows.len(), 4);
         for (row, &n) in rows.iter().zip(&[64u64, 128, 256, 512]) {
             assert_eq!(row.qubits, n, "rows must stay in input order");
@@ -527,7 +502,8 @@ mod tests {
         let serial: Vec<Scalability> = designs.iter().map(|d| analyze(d, &t)).collect();
         for threads in [1usize, 3] {
             qisim_par::set_threads(Some(threads));
-            assert_eq!(analyze_many(&designs, &t), serial, "{threads} threads");
+            let pooled = qisim_par::par_map(&designs, |d| analyze(d, &t));
+            assert_eq!(pooled, serial, "{threads} threads");
         }
         qisim_par::set_threads(None);
     }

@@ -1,4 +1,4 @@
-//! Property-based tests of the fallible staged engine: `try_analyze` is
+//! Property-based tests of the fallible staged engine: `try_analyze_spec` is
 //! panic-free over randomized near-valid knob grids, and the codec
 //! round-trips arbitrary well-formed specs.
 //!

@@ -2,7 +2,7 @@
 //! it is off, and what does it cost when everything is on?
 //!
 //! Three configurations run the same fixed sweep (a
-//! `qisim::sweep` utilization curve of the paper baseline over a fixed
+//! `qisim::try_sweep` utilization curve of the paper baseline over a fixed
 //! qubit-count grid, single-threaded, min-of-reps):
 //!
 //! 1. **off** — `qisim::obs::set_enabled(false)`: the runtime kill
@@ -48,7 +48,7 @@ const SWEEP_COUNTS: [u64; 9] = [64, 128, 256, 512, 1024, 2048, 4096, 16384, 6553
 /// the (warm) power memo — the steady-state production workload whose
 /// overhead budget the gate protects.
 fn sweep_once(design: &QciDesign) {
-    std::hint::black_box(qisim::sweep(design, &SWEEP_COUNTS));
+    std::hint::black_box(qisim::try_sweep(design, &SWEEP_COUNTS)).expect("valid sweep");
 }
 
 /// Min-of-reps timing of the fixed sweep under whatever observability
@@ -91,7 +91,7 @@ fn main() {
     qisim::obs::reset();
     let design = QciDesign::cmos_baseline();
     let target = Target::near_term();
-    let baseline_verdict = engine::try_analyze(&design, &target).expect("warmup");
+    let baseline_verdict = qisim::analyze(&design, &target);
     sweep_once(&design); // warm the power memo before any timing
 
     // 1. The gate: recording enabled but nothing armed must be free
@@ -127,7 +127,7 @@ fn main() {
     qisim::obs::trace::arm();
     qisim::obs::telemetry::start(&om_path, Duration::from_millis(100));
     let armed_ms = measure_ms(reps, iters);
-    let armed_verdict = engine::try_analyze(&design, &target).expect("armed analysis");
+    let armed_verdict = qisim::analyze(&design, &target);
 
     // The registry dump for the artifact: one armed pass over every
     // paper preset and both targets, so the committed BENCH_obs.json
@@ -170,7 +170,7 @@ fn main() {
     json.push_str("{\n");
     let _ = writeln!(
         json,
-        "  \"workload\": \"single-threaded qisim::sweep of the paper baseline over a fixed 9-point qubit grid, \
+        "  \"workload\": \"single-threaded qisim::try_sweep of the paper baseline over a fixed 9-point qubit grid, \
          {iters} iterations x {reps} reps min-of-reps, under three observability \
          configurations (kill switch / enabled-disarmed / log+trace+metrics armed); \
          registry dump from an armed full paper sweep\",",

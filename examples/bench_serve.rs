@@ -109,7 +109,7 @@ fn main() {
         wall.as_secs_f64() * 1e3
     );
     println!(
-        "  responses bit-identical to direct try_analyze: {identical}; \
+        "  responses bit-identical to direct try_analyze_spec: {identical}; \
          server counters: requests = {} ok = {} errors = {} shed = {}",
         stats.requests, stats.ok, stats.errors, stats.shed
     );

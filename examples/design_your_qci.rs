@@ -68,8 +68,9 @@ fn main() {
     // Stage-by-stage execution: stop after Power for a watts-only
     // question, then finish for the verdict.
     let design = spec.build().expect("validated spec");
-    let fridge = spec.fridge().expect("validated budgets");
-    let mut plan = AnalysisPlan::on(&design, &near, &fridge).expect("validated inputs");
+    let topology = spec.topology().expect("validated budgets");
+    let mut plan = AnalysisPlan::with_topology(&design, &near, &topology, spec.chosen_estimator())
+        .expect("validated inputs");
     while plan.stage_powers().is_none() {
         plan.run_next().expect("paper design");
     }

@@ -24,8 +24,9 @@
 //! programmatically on `metrics.om`.
 
 use qisim::obs::{self, telemetry, trace, trace_export};
+use qisim::par::par_map;
 use qisim::surface::target::Target;
-use qisim::{analyze, sweep, QciDesign};
+use qisim::{analyze, try_sweep, QciDesign};
 use std::time::Duration;
 
 fn main() {
@@ -37,8 +38,11 @@ fn main() {
     trace::arm();
     let target = Target::near_term();
 
-    for design in [QciDesign::cmos_baseline(), QciDesign::rsfq_near_term()] {
-        let verdict = analyze(&design, &target);
+    // One pool task per design: traced, the analyses land on the
+    // qisim-par worker lanes and the pool records its queue-wait
+    // histogram.
+    let designs = [QciDesign::cmos_baseline(), QciDesign::rsfq_near_term()];
+    for verdict in par_map(&designs, |design| analyze(design, &target)) {
         print!("{}", verdict.explain());
         println!(
             "  manageable scale: {} qubits (target provisions {})\n",
@@ -47,10 +51,9 @@ fn main() {
         );
     }
 
-    // A utilization sweep adds histogram samples on top of the spans the
-    // analyses recorded — and, traced, scatters per-point instants
-    // across the qisim-par worker lanes.
-    let _ = sweep(&QciDesign::cmos_baseline(), &[64, 128, 256, 512, 1024]);
+    // A utilization sweep adds its point counter on top of the spans the
+    // analyses recorded — and, traced, one instant per point.
+    let _ = try_sweep(&QciDesign::cmos_baseline(), &[64, 128, 256, 512, 1024]);
 
     println!("{}", obs::report_text());
 
@@ -122,13 +125,13 @@ fn watch_intervals(target: &Target) {
 
     // Interval 1: first batch, then force an export and mark the
     // interval boundary with a snapshot.
-    let _ = qisim::try_analyze_many(&designs, target);
+    let _ = par_map(&designs, |design| analyze(design, target));
     telemetry::flush_now();
     let mid = obs::snapshot();
 
     // Interval 2: second batch; its delta against `mid` holds only this
     // interval's samples.
-    let _ = qisim::try_analyze_many(&designs, target);
+    let _ = par_map(&designs, |design| analyze(design, target));
     telemetry::flush_now();
     let delta = obs::snapshot().delta_since(&mid);
 

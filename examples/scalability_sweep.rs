@@ -4,8 +4,8 @@
 //!
 //! Run with `cargo run --example scalability_sweep`.
 
-use qisim::scalability::analyze_many;
-use qisim::{analyze, sweep, QciDesign};
+use qisim::par::par_map;
+use qisim::{analyze, try_sweep, QciDesign};
 use qisim_surface::target::Target;
 
 fn main() {
@@ -25,9 +25,8 @@ fn main() {
         QciDesign::cmos_long_term(),
         QciDesign::ersfq_long_term(),
     ];
-    // One parallel task per design point (each runs its own bisection).
-    for s in analyze_many(&designs, &near) {
-        let design = designs.iter().find(|d| d.name() == s.design).expect("by name");
+    // One pool task per design point (each runs its own bisection).
+    for (design, s) in designs.iter().zip(par_map(&designs, |d| analyze(d, &near))) {
         println!(
             "{:<48} {:>12} {:>9} {:>12.2e} {:>6} {:>6}",
             truncate(&s.design, 48),
@@ -41,7 +40,8 @@ fn main() {
 
     println!("\nPer-stage utilization sweep of the 4K CMOS baseline (Fig. 13a):");
     println!("{:>8} {:>10} {:>10} {:>11}", "qubits", "4K util", "mK util", "total W");
-    for pt in sweep(&QciDesign::cmos_baseline(), &[128, 256, 512, 666, 1024, 1399]) {
+    let counts = [128, 256, 512, 666, 1024, 1399];
+    for pt in try_sweep(&QciDesign::cmos_baseline(), &counts).expect("valid sweep") {
         println!("{:>8} {:>10.3} {:>10.3} {:>11.4}", pt.qubits, pt.util_4k, pt.util_mk, pt.power_w);
     }
 }

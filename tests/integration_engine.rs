@@ -1,17 +1,18 @@
-//! Integration tests of the fallible staged engine: the new `try_*`
-//! entry points must be **bit-identical** to the historical infallible
-//! pipeline for every paper design, and every malformed input must come
-//! back as the right typed [`QisimError`] variant instead of a panic.
+//! Integration tests of the fallible staged engine: its entry points
+//! must be **bit-identical** to the legacy one-shot pipeline for every
+//! paper design, and every malformed input must come back as the right
+//! typed [`QisimError`] variant instead of a panic.
 
 use qisim::engine::{self, AnalysisPlan, PlanStage};
 use qisim::error::{ConfigError, QisimError, TargetError};
 use qisim::hal::fridge::{Fridge, Stage};
+use qisim::hal::topology::FridgeTopology;
 use qisim::hal::wire::InstructionLink;
 use qisim::microarch::cryo_cmos::CryoCmosConfig;
 use qisim::microarch::sfq::SfqConfig;
 use qisim::power::{PowerError, StagePower};
 use qisim::quantum::rng::{Rng, Xorshift64Star};
-use qisim::spec::{DesignSpec, Preset};
+use qisim::spec::{DesignSpec, Estimator, Preset};
 use qisim::surface::analytic::CALIBRATION;
 use qisim::surface::target::{Target, CODE_DISTANCE};
 use qisim::{scalability, QciDesign, Scalability};
@@ -37,6 +38,16 @@ fn legacy_analyze_on(design: &QciDesign, target: &Target, fridge: &Fridge) -> Sc
         esm_cycle_ns: design.esm_cycle_ns(),
         scale_out: None,
     }
+}
+
+/// A fallible analysis on the standard refrigerator.
+fn try_standard(design: &QciDesign, target: &Target) -> Result<Scalability, QisimError> {
+    engine::try_analyze_topology(design, target, &FridgeTopology::standard(), Estimator::Packed)
+}
+
+/// A staged plan on the standard refrigerator.
+fn standard_plan(design: &QciDesign, target: &Target) -> Result<AnalysisPlan, QisimError> {
+    AnalysisPlan::with_topology(design, target, &FridgeTopology::standard(), Estimator::Packed)
 }
 
 /// A verbatim copy of the historical sharded power stage, kept as the
@@ -84,7 +95,7 @@ fn staged_path_is_bit_identical_to_the_legacy_pipeline() {
     for target in [Target::near_term(), Target::long_term()] {
         for design in paper_designs() {
             let legacy = legacy_analyze_on(&design, &target, &Fridge::standard());
-            let staged = engine::try_analyze(&design, &target).expect("paper design");
+            let staged = try_standard(&design, &target).expect("paper design");
             assert_eq!(staged, legacy, "{} vs {}", staged.design, target.name);
             // The infallible wrapper is the same staged path.
             assert_eq!(scalability::analyze(&design, &target), legacy);
@@ -102,36 +113,19 @@ fn staged_path_matches_legacy_on_custom_fridges() {
     for fridge in &fridges {
         for design in [QciDesign::cmos_baseline(), QciDesign::rsfq_baseline()] {
             let legacy = legacy_analyze_on(&design, &t, fridge);
-            let staged = engine::try_analyze_on(&design, &t, fridge).expect("paper design");
+            let one_fridge = FridgeTopology::standard().with_fridge(fridge.clone());
+            let staged = engine::try_analyze_topology(&design, &t, &one_fridge, Estimator::Packed)
+                .expect("paper design");
             assert_eq!(staged, legacy);
+            // The infallible custom-fridge wrapper is the same staged path.
+            assert_eq!(scalability::analyze_on(&design, &t, fridge), legacy);
         }
     }
 }
 
 #[test]
-fn try_sweep_matches_the_infallible_sweep() {
-    let counts = [64u64, 256, 1024, 4096];
-    for design in [QciDesign::cmos_baseline(), QciDesign::rsfq_near_term()] {
-        let legacy = scalability::sweep(&design, &counts);
-        let fallible = engine::try_sweep(&design, &counts).expect("valid sweep");
-        assert_eq!(fallible, legacy);
-    }
-}
-
-#[test]
-fn try_analyze_many_matches_serial_try_analyze() {
-    let t = Target::near_term();
-    let designs = paper_designs();
-    let many = engine::try_analyze_many(&designs, &t).expect("paper designs");
-    let serial: Vec<_> =
-        designs.iter().map(|d| engine::try_analyze(d, &t).expect("paper design")).collect();
-    assert_eq!(many, serial);
-}
-
-#[test]
 fn plan_exposes_every_intermediate_artifact() {
-    let mut plan =
-        AnalysisPlan::new(&QciDesign::cmos_baseline(), &Target::near_term()).expect("valid");
+    let mut plan = standard_plan(&QciDesign::cmos_baseline(), &Target::near_term()).expect("valid");
     assert_eq!(plan.next_stage(), Some(PlanStage::Inventory));
     let mut ran = Vec::new();
     while let Some(stage) = plan.run_next().expect("paper design") {
@@ -188,17 +182,12 @@ fn invalid_raw_designs_and_targets_are_typed() {
     let t = Target::near_term();
     let bad = QciDesign::CryoCmos(CryoCmosConfig { drive_fdm: 0, ..CryoCmosConfig::baseline() });
     assert!(matches!(
-        engine::try_analyze(&bad, &t),
+        try_standard(&bad, &t),
         Err(QisimError::Config(ConfigError::OutOfRange { knob: "drive_fdm", .. }))
     ));
     assert!(matches!(
         engine::try_sweep(&bad, &[64]),
         Err(QisimError::Config(ConfigError::OutOfRange { .. }))
-    ));
-    // One bad design poisons an analyze_many batch with the same error.
-    assert!(matches!(
-        engine::try_analyze_many(&[QciDesign::cmos_baseline(), bad], &t),
-        Err(QisimError::Config(_))
     ));
     // A zero qubit count is the power model's typed refusal.
     assert!(matches!(
@@ -209,13 +198,13 @@ fn invalid_raw_designs_and_targets_are_typed() {
     let mut t0 = Target::near_term();
     t0.logical_ops = f64::INFINITY;
     assert!(matches!(
-        engine::try_analyze(&QciDesign::cmos_baseline(), &t0),
+        try_standard(&QciDesign::cmos_baseline(), &t0),
         Err(QisimError::Target(TargetError::InvalidOps { .. }))
     ));
     let mut t0 = Target::near_term();
     t0.logical_qubits = 0;
     assert!(matches!(
-        engine::try_analyze(&QciDesign::cmos_baseline(), &t0),
+        try_standard(&QciDesign::cmos_baseline(), &t0),
         Err(QisimError::Target(TargetError::NoLogicalQubits))
     ));
 }
@@ -285,23 +274,19 @@ fn randomized_near_valid_knob_grid_never_panics() {
 /// `with_topology` directly and through a spec carrying `fridges = 1`.
 #[test]
 fn single_fridge_topology_is_bit_identical_for_every_preset_and_target() {
-    use qisim::hal::topology::{FridgeTopology, LinkKind};
+    use qisim::hal::topology::LinkKind;
     for target in [Target::near_term(), Target::long_term()] {
         for design in paper_designs() {
-            let classic = engine::try_analyze(&design, &target).expect("paper design");
+            let classic = legacy_analyze_on(&design, &target, &Fridge::standard());
             // Even with link knobs configured, one fridge has no peers:
             // the classic path runs verbatim.
             for topology in [
                 FridgeTopology::standard(),
                 FridgeTopology::standard().with_link(LinkKind::Photonic).with_links_per_fridge(64),
             ] {
-                let topo = engine::try_analyze_topology(
-                    &design,
-                    &target,
-                    &topology,
-                    qisim::spec::Estimator::Packed,
-                )
-                .expect("paper design");
+                let topo =
+                    engine::try_analyze_topology(&design, &target, &topology, Estimator::Packed)
+                        .expect("paper design");
                 assert_eq!(topo, classic, "{} vs {}", classic.design, target.name);
                 assert_eq!(topo.scale_out, None);
             }
@@ -326,12 +311,11 @@ fn single_fridge_topology_is_bit_identical_for_every_preset_and_target() {
 /// names the binding constraint end to end.
 #[test]
 fn multi_fridge_analysis_aggregates_and_attributes() {
-    use qisim::hal::topology::{FridgeTopology, LinkKind};
+    use qisim::hal::topology::LinkKind;
     use qisim::scalability::ScaleOutBinding;
-    use qisim::spec::Estimator;
     let t = Target::near_term();
     let design = QciDesign::cmos_baseline();
-    let single = engine::try_analyze(&design, &t).expect("paper design");
+    let single = try_standard(&design, &t).expect("paper design");
     let topology = FridgeTopology::standard().with_fridges(4).with_link(LinkKind::CryoCoax);
     let clustered =
         engine::try_analyze_topology(&design, &t, &topology, Estimator::Packed).expect("cluster");
@@ -370,7 +354,6 @@ fn multi_fridge_analysis_aggregates_and_attributes() {
 #[test]
 fn interconnect_can_bind_a_starved_stage() {
     use qisim::scalability::ScaleOutBinding;
-    use qisim::spec::Estimator;
     let t = Target::near_term();
     // 64 photonic links against a 1 uW mixing-chamber budget: the
     // photodetectors alone (~790 nW each) bury the stage.
@@ -399,8 +382,7 @@ fn interconnect_can_bind_a_starved_stage() {
 /// stage matches [`legacy_cluster_power`] bit for bit.
 #[test]
 fn cluster_power_stage_is_bit_identical_to_the_sharded_oracle() {
-    use qisim::hal::topology::{FridgeTopology, LinkKind};
-    use qisim::spec::Estimator;
+    use qisim::hal::topology::LinkKind;
     let t = Target::near_term();
     let budgets = [
         Fridge::standard(),
@@ -452,8 +434,6 @@ fn cluster_power_stage_is_bit_identical_to_the_sharded_oracle() {
 /// at every thread count, and bigger clusters scale linearly.
 #[test]
 fn sharded_power_stage_is_thread_count_independent() {
-    use qisim::hal::topology::FridgeTopology;
-    use qisim::spec::Estimator;
     let t = Target::near_term();
     let design = QciDesign::rsfq_near_term();
     let topology = FridgeTopology::standard().with_fridges(6);
@@ -524,7 +504,7 @@ fn randomized_topologies_round_trip_and_never_panic() {
 #[test]
 fn plan_power_artifact_backs_the_verdict() {
     let mut plan =
-        AnalysisPlan::new(&QciDesign::rsfq_near_term(), &Target::near_term()).expect("valid");
+        standard_plan(&QciDesign::rsfq_near_term(), &Target::near_term()).expect("valid");
     let verdict = plan.run().expect("paper design");
     let power = plan.stage_powers().expect("power artifact");
     assert_eq!(power.power_limited_qubits, verdict.power_limited_qubits);

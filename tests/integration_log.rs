@@ -7,7 +7,7 @@
 use qisim::obs::log::{self, Level};
 use qisim::obs::{self, RequestScope};
 use qisim::surface::target::Target;
-use qisim::{engine, QciDesign};
+use qisim::{analyze, QciDesign};
 use std::path::PathBuf;
 
 mod common;
@@ -137,7 +137,7 @@ fn engine_emits_per_stage_records_at_debug() {
     let design = QciDesign::cmos_baseline();
     let target = Target::near_term();
     let lines = capture("engine", Level::Debug, || {
-        engine::try_analyze(&design, &target).expect("analysis");
+        analyze(&design, &target);
     });
     let stages: Vec<&String> =
         lines.iter().filter(|l| l.contains("\"event\":\"engine.stage\"")).collect();
@@ -163,10 +163,10 @@ fn results_are_bit_identical_with_the_log_armed() {
     let _l = common::isolate();
     let design = QciDesign::rsfq_near_term();
     let target = Target::long_term();
-    let disarmed = engine::try_analyze(&design, &target).expect("disarmed analysis");
+    let disarmed = analyze(&design, &target);
     let mut armed = None;
     capture("identity", Level::Debug, || {
-        armed = Some(engine::try_analyze(&design, &target).expect("armed analysis"));
+        armed = Some(analyze(&design, &target));
     });
     let armed = armed.expect("the armed run completed");
     assert_eq!(disarmed, armed, "arming QISIM_LOG changed the verdict");

@@ -5,7 +5,7 @@
 use qisim::hal::fridge::Stage;
 use qisim::obs;
 use qisim::surface::target::Target;
-use qisim::{analyze, sweep, QciDesign};
+use qisim::{analyze, try_sweep, QciDesign};
 
 mod common;
 
@@ -32,9 +32,9 @@ fn sweep_is_bit_identical_with_obs_on_and_off() {
     let _l = common::isolate();
     let counts = [64u64, 256, 1024];
     obs::set_enabled(true);
-    let on = sweep(&QciDesign::cmos_baseline(), &counts);
+    let on = try_sweep(&QciDesign::cmos_baseline(), &counts).expect("valid sweep");
     obs::set_enabled(false);
-    let off = sweep(&QciDesign::cmos_baseline(), &counts);
+    let off = try_sweep(&QciDesign::cmos_baseline(), &counts).expect("valid sweep");
     obs::set_enabled(true);
     assert_eq!(on, off);
     obs::reset();

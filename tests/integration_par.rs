@@ -5,11 +5,12 @@
 //! or `QISIM_THREADS=1`), so these tests pin every parallel run to it.
 
 use qisim::experiments::run_matching;
-use qisim::scalability::{analyze, analyze_many, sweep};
+use qisim::par::par_map;
+use qisim::scalability::Scalability;
 use qisim::surface::montecarlo::logical_error_rate_sliced_par;
 use qisim::surface::target::Target;
 use qisim::surface::Lattice;
-use qisim::QciDesign;
+use qisim::{analyze, try_sweep, QciDesign};
 
 /// Runs `f` once per thread-count override and asserts every result is
 /// identical (`PartialEq`) to the 1-thread baseline.
@@ -29,13 +30,19 @@ fn assert_thread_count_invariant<T: PartialEq + std::fmt::Debug>(f: impl Fn() ->
     baseline.unwrap()
 }
 
+/// One pool task per design, each running its own bisection.
+fn analyze_batch(designs: &[QciDesign], target: &Target) -> Vec<Scalability> {
+    par_map(designs, |d| analyze(d, target))
+}
+
 #[test]
 fn sweep_is_bit_identical_across_thread_counts_and_matches_serial() {
     let design = QciDesign::cmos_baseline();
     let counts: Vec<u64> = (1..=12).map(|i| i * 128).collect();
-    let points = assert_thread_count_invariant(|| sweep(&design, &counts));
+    let points =
+        assert_thread_count_invariant(|| try_sweep(&design, &counts).expect("valid sweep"));
     assert_eq!(points.len(), counts.len());
-    // Strictly increasing qubit counts survive the parallel reordering.
+    // Rows come back in the requested order.
     for (pt, n) in points.iter().zip(&counts) {
         assert_eq!(pt.qubits, *n);
     }
@@ -50,7 +57,7 @@ fn analyze_many_is_bit_identical_across_thread_counts_and_matches_serial() {
         QciDesign::ersfq_long_term(),
     ];
     let target = Target::near_term();
-    let verdicts = assert_thread_count_invariant(|| analyze_many(&designs, &target));
+    let verdicts = assert_thread_count_invariant(|| analyze_batch(&designs, &target));
     // The batched bisections agree with one-at-a-time analysis.
     let serial: Vec<_> = designs.iter().map(|d| analyze(d, &target)).collect();
     assert_eq!(verdicts, serial);
@@ -87,8 +94,8 @@ fn power_memo_cache_does_not_change_results() {
         [QciDesign::cmos_baseline(), QciDesign::rsfq_near_term(), QciDesign::ersfq_long_term()];
     let target = Target::near_term();
     qisim::power::clear_cache();
-    let cold = analyze_many(&designs, &target);
+    let cold = analyze_batch(&designs, &target);
     assert!(qisim::power::cache_stats().len > 0, "analyses populate the memo cache");
-    let warm = analyze_many(&designs, &target);
+    let warm = analyze_batch(&designs, &target);
     assert_eq!(cold, warm, "cache replay must be bit-identical");
 }

@@ -7,16 +7,16 @@ use qisim::hal::fridge::{Fridge, Stage};
 use qisim::obs::{self, telemetry};
 use qisim::scalability::analyze_on;
 use qisim::surface::target::Target;
-use qisim::{analyze, sweep, QciDesign};
+use qisim::{analyze, try_sweep, QciDesign};
 
 mod common;
 
 #[test]
 fn delta_snapshots_isolate_the_second_interval() {
     let _l = common::isolate();
-    let _ = sweep(&QciDesign::cmos_baseline(), &[64, 128, 256]);
+    let _ = try_sweep(&QciDesign::cmos_baseline(), &[64, 128, 256]).expect("valid sweep");
     let first = obs::snapshot();
-    let _ = sweep(&QciDesign::cmos_baseline(), &[512, 1024]);
+    let _ = try_sweep(&QciDesign::cmos_baseline(), &[512, 1024]).expect("valid sweep");
     let second = obs::snapshot();
 
     let delta = second.delta_since(&first);
@@ -89,7 +89,7 @@ fn delta_across_a_registry_reset_reports_the_full_current_values() {
     // value is new", never as a negative (or wrapped) increment.
     for counts in [[64u64, 128], [256, 512], [1024, 2048]] {
         obs::span!("it.telemetry.interval");
-        let _ = sweep(&QciDesign::cmos_baseline(), &counts);
+        let _ = try_sweep(&QciDesign::cmos_baseline(), &counts).expect("valid sweep");
     }
     let before_reset = obs::snapshot();
     let tall = before_reset.counter("scalability.sweep.points").expect("first interval counted");
@@ -97,7 +97,7 @@ fn delta_across_a_registry_reset_reports_the_full_current_values() {
     obs::reset();
     for counts in [[96u64, 192], [384, 768]] {
         obs::span!("it.telemetry.interval");
-        let _ = sweep(&QciDesign::cmos_baseline(), &counts);
+        let _ = try_sweep(&QciDesign::cmos_baseline(), &counts).expect("valid sweep");
     }
     let after_reset = obs::snapshot();
 
@@ -127,7 +127,7 @@ fn exporter_shutdown_flushes_the_final_partial_interval() {
     // from the final flush of the still-open partial interval.
     let started = telemetry::start(&path, std::time::Duration::from_secs(3600));
     assert!(started, "exporter failed to start");
-    let _ = sweep(&QciDesign::cmos_baseline(), &[64, 128]);
+    let _ = try_sweep(&QciDesign::cmos_baseline(), &[64, 128]).expect("valid sweep");
     let returned = telemetry::shutdown().expect("shutdown returns the path");
     assert_eq!(returned, path);
 

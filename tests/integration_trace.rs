@@ -1,11 +1,11 @@
-//! Integration tests for the flight recorder: a traced two-thread sweep
+//! Integration tests for the flight recorder: a traced two-thread run
 //! must export a valid Chrome `trace_event` timeline with per-worker
 //! lanes, and arming the recorder must never perturb the science.
 
 use qisim::obs::{self, trace, trace_export};
 use qisim::par;
 use qisim::surface::target::Target;
-use qisim::{analyze, sweep, QciDesign};
+use qisim::{analyze, try_sweep, QciDesign};
 
 mod common;
 
@@ -17,11 +17,16 @@ fn traced_two_thread_sweep_exports_valid_chrome_json() {
     par::set_threads(Some(2));
     trace::arm();
     trace::clear();
-    let points = sweep(&QciDesign::cmos_baseline(), &SWEEP_COUNTS);
+    let points = try_sweep(&QciDesign::cmos_baseline(), &SWEEP_COUNTS).expect("valid sweep");
+    // The sweep is a plain loop; the pool lanes come from a two-design
+    // analysis batch in the same session.
+    let designs = [QciDesign::cmos_baseline(), QciDesign::rsfq_baseline()];
+    let verdicts = par::par_map(&designs, |d| analyze(d, &Target::near_term()));
     let session = trace::TraceSession::drain();
     trace::disarm();
     par::set_threads(None);
     assert_eq!(points.len(), SWEEP_COUNTS.len());
+    assert_eq!(verdicts.len(), designs.len());
 
     // Timestamps are non-decreasing within every lane.
     for t in &session.threads {
@@ -46,8 +51,8 @@ fn traced_two_thread_sweep_exports_valid_chrome_json() {
     seen.sort_unstable();
     assert_eq!(seen, SWEEP_COUNTS);
 
-    // Two workers ran, so the session has at least two lanes and the
-    // worker lanes carry their pool labels.
+    // Two pool workers ran the analyses, so the session has at least two
+    // lanes and the worker lanes carry their pool labels.
     assert!(session.threads.len() >= 2, "lanes: {:?}", session.threads.len());
     assert!(
         session.threads.iter().any(|t| t.label.starts_with("qisim-par worker-")),
@@ -74,7 +79,7 @@ fn traced_two_thread_sweep_exports_valid_chrome_json() {
         "begin/end events must balance"
     );
     assert!(json.contains("thread_name"), "lane metadata missing");
-    assert!(json.contains("\"par.map\""), "the sweep's par.map span missing from export");
+    assert!(json.contains("\"par.map\""), "the batch's par.map span missing from export");
 
     // The folded stacks are flamegraph.pl-shaped: `path weight` lines.
     let folded = trace_export::folded_stacks(&session);
@@ -87,6 +92,39 @@ fn traced_two_thread_sweep_exports_valid_chrome_json() {
 }
 
 #[test]
+fn traced_two_thread_sweep_stays_on_the_calling_thread() {
+    let _l = common::isolate();
+    par::set_threads(Some(2));
+    trace::arm();
+    trace::clear();
+    let points = try_sweep(&QciDesign::cmos_baseline(), &SWEEP_COUNTS).expect("valid sweep");
+    let session = trace::TraceSession::drain();
+    trace::disarm();
+    par::set_threads(None);
+    assert_eq!(points.len(), SWEEP_COUNTS.len());
+
+    // A warm sweep point costs far less than a thread spawn, so even
+    // with two threads available the sweep opens no pool region.
+    for t in &session.threads {
+        assert!(
+            !t.label.starts_with("qisim-par worker-"),
+            "worker lane {} ({}) recorded {} event(s)",
+            t.lane,
+            t.label,
+            t.events.len()
+        );
+        assert!(t.events.iter().all(|e| e.name != "par.map"), "the sweep opened a par.map span");
+    }
+    let point_lanes = session
+        .threads
+        .iter()
+        .filter(|t| t.events.iter().any(|e| e.name == "scalability.sweep.point"))
+        .count();
+    assert_eq!(point_lanes, 1, "every sweep point must run on the calling thread");
+    obs::reset();
+}
+
+#[test]
 fn results_are_bit_identical_with_tracing_armed_disarmed_and_disabled() {
     let _l = common::isolate();
     let design = QciDesign::cmos_baseline();
@@ -95,19 +133,19 @@ fn results_are_bit_identical_with_tracing_armed_disarmed_and_disabled() {
     trace::arm();
     trace::clear();
     let armed_verdict = analyze(&design, &target);
-    let armed_sweep = sweep(&design, &SWEEP_COUNTS);
+    let armed_sweep = try_sweep(&design, &SWEEP_COUNTS).expect("valid sweep");
     trace::clear();
     trace::disarm();
 
     let disarmed_verdict = analyze(&design, &target);
-    let disarmed_sweep = sweep(&design, &SWEEP_COUNTS);
+    let disarmed_sweep = try_sweep(&design, &SWEEP_COUNTS).expect("valid sweep");
     assert_eq!(armed_verdict, disarmed_verdict, "arming the recorder changed the verdict");
     assert_eq!(armed_sweep, disarmed_sweep, "arming the recorder changed the sweep");
 
     // Recording disabled entirely: the numbers still cannot move.
     obs::set_enabled(false);
     let off_verdict = analyze(&design, &target);
-    let off_sweep = sweep(&design, &SWEEP_COUNTS);
+    let off_sweep = try_sweep(&design, &SWEEP_COUNTS).expect("valid sweep");
     obs::set_enabled(true);
     assert_eq!(armed_verdict, off_verdict);
     assert_eq!(armed_sweep, off_sweep);

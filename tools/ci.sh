@@ -42,9 +42,9 @@
 #  10. panic-regression gate: library code must not grow panic!/unwrap/
 #      expect sites beyond the per-file budgets in
 #      tools/panic_allowlist.txt (DESIGN.md error-handling policy)
-#  11. paper-suite smoke run: the cheap experiment drivers (Fig. 12/13/17
-#      + Table 2) must replay their paper numbers through the staged
-#      engine (the full 19-driver suite is `--example paper_suite`)
+#  11. paper-suite run: all 19 experiment drivers must run, and the
+#      headline scalability drivers (Fig. 12/13/17 + Table 2) must replay
+#      their paper numbers through the staged engine
 #  12. serve smoke run: bench_serve --smoke replays concurrent request
 #      streams against an in-process qisim-serve TCP server (responses
 #      bit-identical to direct analysis, overload drill sheds, clean
@@ -151,14 +151,11 @@ QISIM_METRICS="$out/metrics_det.om:50" cargo test -q --release -p qisim \
 echo "== [10/14] panic-regression gate =="
 tools/check_panics.sh
 
-echo "== [11/14] paper-suite smoke run =="
-# Cheap drivers only: Fig. 12/13/17 + Table 2 finish in well under a
-# second; Table 1 (about 4 s on a 2-core x86 host) and the other drivers
-# stay on the full suite (filters are substring matches against the
-# experiment ids).
-suite_out="$(cargo run --release --quiet --example paper_suite -- \
-    "Fig. 12" "Fig. 13" "Fig. 17" "Table 2")"
-echo "$suite_out" | grep -q "running 4 experiment"
+echo "== [11/14] paper-suite run =="
+# Every driver, the ablations and what-ifs included: the whole suite
+# takes about 2.2 s serially on a 2-core x86 host.
+suite_out="$(cargo run --release --quiet --example paper_suite)"
+echo "$suite_out" | grep -q "running 19 experiment"
 for id in "Fig. 12" "Fig. 13" "Fig. 17" "Table 2"; do
     echo "$suite_out" | grep -q "$id" || { echo "missing $id" >&2; exit 1; }
 done
@@ -172,7 +169,7 @@ echo "== [12/14] serve smoke run =="
 # nonzero in it.
 (cd "$out" && QISIM_METRICS="$out/serve.om:600000" cargo run --release --quiet \
     --manifest-path "$OLDPWD/Cargo.toml" --example bench_serve -- --smoke > serve.txt)
-grep -q "responses bit-identical to direct try_analyze: true" "$out/serve.txt"
+grep -q "responses bit-identical to direct try_analyze_spec: true" "$out/serve.txt"
 grep -q "clean shutdown: drained, all threads joined" "$out/serve.txt"
 grep -q "sample response: ok = 1; qisim scalability v1" "$out/serve.txt"
 grep -Eq "^serve_requests_total [1-9]" "$out/serve.om"
