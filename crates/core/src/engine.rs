@@ -59,8 +59,8 @@ use qisim_microarch::QciArch;
 use qisim_obs::{counter, gauge, span, FastGauge};
 use qisim_power::{PowerError, StagePower};
 use qisim_surface::analytic::CALIBRATION;
-use qisim_surface::montecarlo::logical_error_rate_sliced_par;
 use qisim_surface::montecarlo::rare::RareLadder;
+use qisim_surface::montecarlo::McContext;
 use qisim_surface::target::{Target, CODE_DISTANCE};
 use qisim_surface::Lattice;
 use std::sync::OnceLock;
@@ -75,18 +75,26 @@ const RARE_ESTIMATOR_TRIALS: usize = 2_000;
 /// reproducible across calls, batches, and thread counts.
 const ESTIMATOR_SEED: u64 = 0x51_C0DE;
 
-/// The [`Estimator::Rare`] ladder at `d = 23`: the decoding graph and
-/// packed lattice, built on the first rare request, and the
-/// `p`-independent anchor stage, which that request samples and every
-/// later one reuses. All of it is fixed by `CODE_DISTANCE`,
-/// `RARE_ESTIMATOR_TRIALS` and `ESTIMATOR_SEED`, and every estimate
-/// equals a fresh `logical_error_rate_rare` bit for bit, so
+/// The `d = 23` Monte-Carlo context both estimators share: the decoding
+/// graph, packed lattice and lone-error verdict table, built on the
+/// first Monte-Carlo request. It is fixed by `CODE_DISTANCE`, and every
+/// estimate on it equals one on a fresh context bit for bit, so
 /// [`crate::reset_process_state`] leaves it in place.
-fn rare_ladder() -> &'static RareLadder {
-    static LADDER: OnceLock<RareLadder> = OnceLock::new();
+fn monte_carlo_context() -> &'static McContext {
+    static CONTEXT: OnceLock<McContext> = OnceLock::new();
+    CONTEXT.get_or_init(|| McContext::new(&Lattice::new(CODE_DISTANCE as usize)))
+}
+
+/// The [`Estimator::Rare`] ladder on [`monte_carlo_context`], with the
+/// `p`-independent anchor stage that the first rare request samples and
+/// every later one reuses. It is fixed by `RARE_ESTIMATOR_TRIALS` and
+/// `ESTIMATOR_SEED`, and every estimate equals a fresh
+/// `logical_error_rate_rare` bit for bit, so
+/// [`crate::reset_process_state`] leaves it in place too.
+fn rare_ladder() -> &'static RareLadder<'static> {
+    static LADDER: OnceLock<RareLadder<'static>> = OnceLock::new();
     LADDER.get_or_init(|| {
-        let lattice = Lattice::new(CODE_DISTANCE as usize);
-        RareLadder::new(&lattice, RARE_ESTIMATOR_TRIALS, ESTIMATOR_SEED)
+        RareLadder::new(monte_carlo_context(), RARE_ESTIMATOR_TRIALS, ESTIMATOR_SEED)
     })
 }
 
@@ -459,8 +467,8 @@ impl AnalysisPlan {
             Estimator::Sliced => {
                 counter!("engine.estimator.sliced");
                 let p = budget.effective_error(&CALIBRATION).clamp(0.0, 1.0);
-                let lattice = Lattice::new(CODE_DISTANCE as usize);
-                logical_error_rate_sliced_par(&lattice, p, SLICED_ESTIMATOR_TRIALS, ESTIMATOR_SEED)
+                monte_carlo_context()
+                    .sliced_estimate(p, SLICED_ESTIMATOR_TRIALS, ESTIMATOR_SEED)
                     .logical_error
             }
             Estimator::Rare => {

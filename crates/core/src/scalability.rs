@@ -284,12 +284,16 @@ impl Scalability {
         if let Some(trials) = snap.counter("surface.sliced.trials") {
             let words = snap.counter("surface.sliced.words").unwrap_or(0);
             let fallback = snap.counter("surface.sliced.fallback_trials").unwrap_or(0);
+            let isolated = snap.counter("surface.montecarlo.fastpath.isolated").unwrap_or(0);
             if trials > 0 {
+                let share = |n: u64| 100.0 * n as f64 / trials as f64;
                 let _ = writeln!(
                     out,
                     "  sliced MC engine: {trials} trials across {words} lattice words, \
-                     {fallback} decoder fallbacks ({:.1}% resolved word-wide, process-wide)",
-                    100.0 * (trials.saturating_sub(fallback)) as f64 / trials as f64,
+                     {fallback} decoder fallbacks ({:.1}% resolved word-wide, {:.1}% by \
+                     lone-error verdicts, process-wide)",
+                    share(trials.saturating_sub(fallback).saturating_sub(isolated)),
+                    share(isolated),
                 );
             }
         }
@@ -463,6 +467,7 @@ mod tests {
         let text = rare.explain();
         assert!(text.contains("sliced MC engine"), "{text}");
         assert!(text.contains("resolved word-wide"), "{text}");
+        assert!(text.contains("by lone-error verdicts"), "{text}");
         assert!(text.contains("rare-event sampler"), "{text}");
         assert!(text.contains("ladder stages carrying weight"), "{text}");
     }

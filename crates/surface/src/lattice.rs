@@ -156,6 +156,9 @@ impl Lattice {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PackedLattice {
+    /// Code distance `d`: data qubit `q` sits at row `q / d`, column
+    /// `q % d` of the data grid.
+    d: usize,
     /// Data-qubit count (`d²`).
     n_qubits: usize,
     /// `u64` words per qubit bitset.
@@ -227,6 +230,7 @@ impl PackedLattice {
             Self::set_bit(&mut logical_z_mask, q);
         }
         PackedLattice {
+            d: lattice.d,
             n_qubits,
             qubit_words,
             n_z_checks,
@@ -239,6 +243,11 @@ impl PackedLattice {
             logical_z_mask,
             logical_z_idx,
         }
+    }
+
+    /// Code distance `d`.
+    pub(crate) fn distance(&self) -> usize {
+        self.d
     }
 
     /// Data-qubit count (`d²`).

@@ -15,6 +15,23 @@
 //!   ([`rare`]) for deep-tail rates no naive sampler can reach, checked
 //!   against the exact [`rare::small_p_expansion`].
 //!
+//! Both run on an [`McContext`]: the decoding graph, the packed lattice
+//! and the lone-error verdict table of one lattice, built once. A
+//! caller that estimates repeatedly on one lattice keeps the context;
+//! the two free functions build a fresh one per call.
+//!
+//! # The isolated-error shortcut
+//!
+//! A trial is *isolated* when its X errors sit pairwise at Chebyshev
+//! distance ≥ 4 on the `d × d` data grid (qubit `q` at row `q / d`,
+//! column `q % d`). The union-find correction of an isolated trial is
+//! exactly the symmetric difference of its errors' lone corrections, so
+//! its failure verdict — the parity of the corrected pattern on the
+//! logical-`Z̄` row, which is linear — is the XOR of one precomputed
+//! lone-error verdict per error, and the trial needs no decode. Both estimators take the shortcut for trials of at
+//! most 8 errors; the debug builds re-decode every such trial and assert
+//! the verdicts agree.
+//!
 //! [`run_trials_reference`] is the test oracle: bool-vec storage, the
 //! naive syndrome, and the allocate-per-call [`decode_reference`], on
 //! the same geometric-skip draw sequence. Fed the sliced kernel's
@@ -26,7 +43,7 @@ pub mod sliced;
 pub use rare::{logical_error_rate_rare, RareEstimate};
 pub use sliced::{logical_error_rate_sliced_par, SlicedStats};
 
-use crate::decoder::{decode_reference, DecodeStats, DecoderScratch, DecodingGraph};
+use crate::decoder::{decode_into, decode_reference, DecodeStats, DecoderScratch, DecodingGraph};
 use crate::lattice::{Lattice, PackedLattice};
 use qisim_quantum::rng::{Geometric, Rng};
 
@@ -39,6 +56,113 @@ pub struct McEstimate {
     pub trials: usize,
     /// Failures observed.
     pub failures: usize,
+}
+
+/// Chebyshev distance on the data grid at and beyond which X errors
+/// decode independently. At 3 the rule breaks: 20 of the 5,160
+/// distance-3 pairs at `d = 23` decode differently from their lone
+/// corrections.
+const ISOLATION_DISTANCE: usize = 4;
+
+/// Most errors a trial may carry and still take the isolated-error
+/// shortcut; the sliced kernel records at most this many positions per
+/// lane, and heavier trials always decode.
+pub(crate) const ISOLATED_MAX_ERRORS: usize = 8;
+
+/// A lattice prepared once for both Monte-Carlo estimators: its decoding
+/// graph, its packed layout and its lone-error verdict table (one decode
+/// per data qubit). [`McContext::sliced_estimate`] and
+/// [`rare::RareLadder`] read it; neither rebuilds it.
+///
+/// # Panics
+///
+/// [`McContext::new`] panics if the lattice has more than 2¹⁶ data
+/// qubits: error positions are stored as `u16`.
+///
+/// # Examples
+///
+/// ```
+/// use qisim_surface::{montecarlo, Lattice};
+/// use qisim_surface::montecarlo::McContext;
+///
+/// let lattice = Lattice::new(5);
+/// let context = McContext::new(&lattice);
+/// let kept = context.sliced_estimate(0.02, 1000, 23);
+/// assert_eq!(kept, montecarlo::logical_error_rate_sliced_par(&lattice, 0.02, 1000, 23));
+/// ```
+#[derive(Debug, Clone)]
+pub struct McContext {
+    graph: DecodingGraph,
+    packed: PackedLattice,
+    lone: LoneVerdicts,
+}
+
+impl McContext {
+    /// Builds the graph and packed lattice of `lattice` and decodes each
+    /// lone error once.
+    pub fn new(lattice: &Lattice) -> Self {
+        let graph = DecodingGraph::new(lattice, false);
+        let packed = PackedLattice::new(lattice);
+        let lone = LoneVerdicts::new(&packed, &graph);
+        McContext { graph, packed, lone }
+    }
+}
+
+/// The failure verdict of every lone X error, and the isolation test
+/// that lets a trial combine them instead of decoding.
+#[derive(Debug, Clone)]
+struct LoneVerdicts {
+    /// Code distance: the data grid is `d × d`.
+    d: usize,
+    /// Bit `q` set: the decoder turns a lone error on qubit `q` into a
+    /// logical failure (some qubits at `d = 3`, none from `d = 5` on).
+    fails: Vec<u64>,
+}
+
+impl LoneVerdicts {
+    /// Decodes a lone error on every data qubit, on an arena of its own
+    /// so no estimator's decoder counters move.
+    fn new(packed: &PackedLattice, graph: &DecodingGraph) -> Self {
+        let n = packed.data_qubits();
+        assert!(n <= 1 << 16, "error positions are u16: at most 2^16 data qubits, got {n}");
+        let mut fails = vec![0u64; packed.qubit_words()];
+        let mut scratch = McScratch::new(packed, graph);
+        for q in 0..n {
+            if scratch.decoded_verdict(packed, graph, &[q as u16]) {
+                PackedLattice::set_bit(&mut fails, q);
+            }
+        }
+        LoneVerdicts { d: packed.distance(), fails }
+    }
+
+    /// The failure verdict of a trial whose errors sit at `positions`
+    /// (ascending), when the trial is isolated: at most
+    /// [`ISOLATED_MAX_ERRORS`] errors, pairwise at Chebyshev distance
+    /// ≥ [`ISOLATION_DISTANCE`]. `None` means the trial must be decoded.
+    #[inline]
+    fn isolated_verdict(&self, positions: &[u16]) -> Option<bool> {
+        if positions.len() > ISOLATED_MAX_ERRORS {
+            return None;
+        }
+        let d = self.d;
+        let mut fails = false;
+        for (i, &a) in positions.iter().enumerate() {
+            let (row_a, col_a) = (usize::from(a) / d, usize::from(a) % d);
+            // Ascending positions have non-decreasing rows: once a later
+            // error is ISOLATION_DISTANCE rows down, so are the rest.
+            for &b in &positions[i + 1..] {
+                let (row_b, col_b) = (usize::from(b) / d, usize::from(b) % d);
+                if row_b - row_a >= ISOLATION_DISTANCE {
+                    break;
+                }
+                if col_a.abs_diff(col_b) < ISOLATION_DISTANCE {
+                    return None;
+                }
+            }
+            fails ^= PackedLattice::get_bit(&self.fails, usize::from(a));
+        }
+        Some(fails)
+    }
 }
 
 /// How one trial's X errors are placed. Built once per batch so the
@@ -104,6 +228,44 @@ impl McScratch {
             decoder: DecoderScratch::new(graph),
         }
     }
+
+    /// Places X errors at `positions` into the error bitset and builds
+    /// their Z syndrome alongside — each qubit flips its ≤ 2 checks
+    /// ([`PackedLattice::flip_z_checks_of`]), which equals
+    /// [`PackedLattice::z_syndrome_into`] of the finished pattern.
+    fn place(&mut self, packed: &PackedLattice, positions: &[u16]) {
+        self.errs.fill(0);
+        self.syndrome.fill(0);
+        for &q in positions {
+            PackedLattice::set_bit(&mut self.errs, usize::from(q));
+            packed.flip_z_checks_of(usize::from(q), &mut self.syndrome);
+        }
+    }
+
+    /// The failure verdict of the trial with X errors at `positions`:
+    /// placed, decoded (skipped on a zero syndrome) and checked against
+    /// the logical-`Z̄` row.
+    fn decoded_verdict(
+        &mut self,
+        packed: &PackedLattice,
+        graph: &DecodingGraph,
+        positions: &[u16],
+    ) -> bool {
+        self.place(packed, positions);
+        if self.syndrome.iter().any(|&w| w != 0) {
+            for &q in decode_into(graph, &self.syndrome, &mut self.decoder) {
+                PackedLattice::flip_bit(&mut self.errs, q);
+            }
+        }
+        packed.is_logical_x(&self.errs)
+    }
+}
+
+/// [`McScratch::decoded_verdict`] on freshly allocated buffers, so the
+/// decoder counters the estimators flush never move: the debug builds
+/// check every isolated-error verdict against it.
+fn decoded_verdict(packed: &PackedLattice, graph: &DecodingGraph, positions: &[u16]) -> bool {
+    McScratch::new(packed, graph).decoded_verdict(packed, graph, positions)
 }
 
 /// Flushes the decoder work counters of one estimate to `qisim-obs`:
@@ -150,7 +312,7 @@ pub fn run_trials_reference<R: Rng>(
 mod tests {
     use super::sliced::{run_trials_sliced, SlicedScratch, SLICED_CHUNK_TRIALS};
     use super::*;
-    use qisim_quantum::rng::Xorshift64Star;
+    use qisim_quantum::rng::{Rng, Xorshift64Star};
 
     #[test]
     fn zero_physical_error_never_fails() {
@@ -269,10 +431,25 @@ mod tests {
         }
     }
 
+    /// Whether the flagged errors are isolated: at most
+    /// [`ISOLATED_MAX_ERRORS`] of them, every pair at Chebyshev distance
+    /// ≥ [`ISOLATION_DISTANCE`] on the `d × d` grid.
+    fn is_isolated(d: usize, errs: &[bool]) -> bool {
+        let at: Vec<(usize, usize)> =
+            (0..errs.len()).filter(|&q| errs[q]).map(|q| (q / d, q % d)).collect();
+        at.len() <= ISOLATED_MAX_ERRORS
+            && at.iter().enumerate().all(|(i, a)| {
+                at[i + 1..]
+                    .iter()
+                    .all(|b| a.0.abs_diff(b.0).max(a.1.abs_diff(b.1)) >= ISOLATION_DISTANCE)
+            })
+    }
+
     #[test]
     fn fast_path_counters_partition_the_trials() {
         // Classify each trial with the bool-vec oracle on its own stream:
-        // the kernel's three fast-path counters must match class by class.
+        // the kernel's three fast-path counters and its decoded count
+        // must match class by class.
         let l = Lattice::new(7);
         let graph = DecodingGraph::new(&l, false);
         let packed = PackedLattice::new(&l);
@@ -282,7 +459,7 @@ mod tests {
         let (stats, dec) = scratch.take_stats();
         let sampler = ErrorSampler::new(p);
         let n = l.data_qubits();
-        let (mut empty, mut zero_syndrome, mut decoded) = (0u64, 0u64, 0u64);
+        let (mut empty, mut zero_syndrome, mut isolated, mut decoded) = (0u64, 0u64, 0u64, 0u64);
         for t in 0..trials {
             let mut rng = Xorshift64Star::stream(seed, t as u64);
             let mut errs = vec![false; n];
@@ -290,17 +467,25 @@ mod tests {
                 empty += 1;
             } else if l.z_syndrome(&errs).iter().all(|b| !b) {
                 zero_syndrome += 1;
+            } else if is_isolated(l.d, &errs) {
+                isolated += 1;
             } else {
                 decoded += 1;
             }
         }
-        assert_eq!(empty + zero_syndrome + decoded, trials as u64);
+        assert_eq!(empty + zero_syndrome + isolated + decoded, trials as u64);
         assert_eq!(
-            (stats.empty_lanes, stats.zero_syndrome_lanes, stats.fallback_trials),
-            (empty, zero_syndrome, decoded),
+            (
+                stats.empty_lanes,
+                stats.zero_syndrome_lanes,
+                stats.isolated_lanes,
+                stats.fallback_trials
+            ),
+            (empty, zero_syndrome, isolated, decoded),
             "{stats:?}"
         );
         assert!(empty > decoded, "p=0.002 is dominated by empty trials");
+        assert!(isolated > decoded && decoded > 0, "most error trials are isolated: {stats:?}");
         assert_eq!(
             dec.decodes, stats.fallback_trials,
             "decoder ran exactly on the slow-path trials"
@@ -308,7 +493,161 @@ mod tests {
         // Second batch accumulates from zero after take_stats.
         let _ = run_trials_sliced(&packed, &graph, 0.5, 10, seed, 0, &mut scratch);
         let second = scratch.stats();
-        assert_eq!(second.empty_lanes + second.zero_syndrome_lanes + second.fallback_trials, 10);
+        let classified = second.empty_lanes
+            + second.zero_syndrome_lanes
+            + second.isolated_lanes
+            + second.fallback_trials;
+        assert_eq!(classified, 10, "{second:?}");
+    }
+
+    /// The decoder's correction of X errors at `positions`, as a sorted
+    /// set.
+    fn correction(
+        packed: &PackedLattice,
+        graph: &DecodingGraph,
+        decoder: &mut DecoderScratch,
+        positions: &[usize],
+    ) -> Vec<usize> {
+        let mut syndrome = vec![0u64; packed.syndrome_words()];
+        for &q in positions {
+            packed.flip_z_checks_of(q, &mut syndrome);
+        }
+        let mut fix = decode_into(graph, &syndrome, decoder).to_vec();
+        fix.sort_unstable();
+        fix
+    }
+
+    /// The symmetric difference of sorted sets, sorted.
+    fn symmetric_difference<'a>(sets: impl IntoIterator<Item = &'a Vec<usize>>) -> Vec<usize> {
+        let mut odd = std::collections::BTreeSet::new();
+        for &q in sets.into_iter().flatten() {
+            if !odd.insert(q) {
+                odd.remove(&q);
+            }
+        }
+        odd.into_iter().collect()
+    }
+
+    fn chebyshev(d: usize, a: usize, b: usize) -> usize {
+        (a / d).abs_diff(b / d).max((a % d).abs_diff(b % d))
+    }
+
+    #[test]
+    fn isolated_pairs_decode_as_the_symmetric_difference_of_lone_corrections() {
+        // Exhaustive over every pair at Chebyshev distance ≥ 4: the
+        // premise of the isolated-error shortcut. (At distance 3 it fails
+        // for 20 pairs at d = 23.)
+        for d in [5usize, 9, 13, 23] {
+            let l = Lattice::new(d);
+            let graph = DecodingGraph::new(&l, false);
+            let packed = PackedLattice::new(&l);
+            let mut decoder = DecoderScratch::new(&graph);
+            let n = l.data_qubits();
+            let lone: Vec<Vec<usize>> =
+                (0..n).map(|q| correction(&packed, &graph, &mut decoder, &[q])).collect();
+            let mut pairs = 0usize;
+            for a in 0..n {
+                for b in a + 1..n {
+                    if chebyshev(d, a, b) < ISOLATION_DISTANCE {
+                        continue;
+                    }
+                    pairs += 1;
+                    assert_eq!(
+                        correction(&packed, &graph, &mut decoder, &[a, b]),
+                        symmetric_difference([&lone[a], &lone[b]]),
+                        "d={d}: errors {a} and {b}"
+                    );
+                }
+            }
+            assert!(pairs > n, "d={d}: only {pairs} isolated pairs");
+        }
+    }
+
+    #[test]
+    fn isolated_error_sets_take_the_lone_verdicts() {
+        // Seeded isolated sets of 3–8 errors: the correction is the
+        // symmetric difference of the lone corrections, and the shortcut
+        // verdict equals the full decode's.
+        for d in [13usize, 17, 23] {
+            let l = Lattice::new(d);
+            let context = McContext::new(&l);
+            let (packed, graph) = (&context.packed, &context.graph);
+            let mut decoder = DecoderScratch::new(graph);
+            let n = l.data_qubits();
+            let lone: Vec<Vec<usize>> =
+                (0..n).map(|q| correction(packed, graph, &mut decoder, &[q])).collect();
+            let mut rng = Xorshift64Star::seed_from_u64(0x150_1A7E ^ d as u64);
+            let mut sets = 0usize;
+            while sets < 2000 {
+                let k = 3 + rng.gen_below(6) as usize;
+                let mut set: Vec<usize> = Vec::with_capacity(k);
+                for _ in 0..64 {
+                    let q = rng.gen_below(n as u64) as usize;
+                    if set.iter().all(|&s| chebyshev(d, s, q) >= ISOLATION_DISTANCE) {
+                        set.push(q);
+                        if set.len() == k {
+                            break;
+                        }
+                    }
+                }
+                if set.len() < k {
+                    continue;
+                }
+                set.sort_unstable();
+                sets += 1;
+                assert_eq!(
+                    correction(packed, graph, &mut decoder, &set),
+                    symmetric_difference(set.iter().map(|&q| &lone[q])),
+                    "d={d}: errors {set:?}"
+                );
+                let positions: Vec<u16> = set.iter().map(|&q| q as u16).collect();
+                assert_eq!(
+                    context.lone.isolated_verdict(&positions),
+                    Some(decoded_verdict(packed, graph, &positions)),
+                    "d={d}: errors {set:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn isolation_test_rejects_close_and_heavy_trials() {
+        let context = McContext::new(&Lattice::new(23));
+        let lone = &context.lone;
+        assert_eq!(lone.isolated_verdict(&[0, 4]), Some(false), "four columns apart");
+        assert_eq!(lone.isolated_verdict(&[0, 3]), None, "three columns apart");
+        assert_eq!(lone.isolated_verdict(&[3, 23 * 3]), None, "diagonal, distance 3");
+        assert_eq!(lone.isolated_verdict(&[3, 23 * 4]), Some(false), "four rows apart");
+        let spread: Vec<u16> = (0..9).map(|i| (i % 3 * 8 + i / 3 * 8 * 23) as u16).collect();
+        assert_eq!(lone.isolated_verdict(&spread[..8]), Some(false));
+        assert_eq!(lone.isolated_verdict(&spread), None, "more than ISOLATED_MAX_ERRORS");
+    }
+
+    #[test]
+    fn lone_verdicts_match_a_direct_decode_of_every_qubit() {
+        // The table through the bool-vec reference decoder, qubit by
+        // qubit. d = 2 detects no lone error reliably, and d = 3
+        // miscorrects three, so the table is not all-false; from d = 5 on
+        // every lone error is corrected.
+        for d in [2usize, 3, 5, 7, 23] {
+            let l = Lattice::new(d);
+            let context = McContext::new(&l);
+            let mut failing = 0usize;
+            for q in 0..l.data_qubits() {
+                let mut errs = vec![false; l.data_qubits()];
+                errs[q] = true;
+                for c in decode_reference(&context.graph, &l.z_syndrome(&errs)) {
+                    errs[c] ^= true;
+                }
+                let fails = l.is_logical_x(&errs);
+                assert_eq!(context.lone.isolated_verdict(&[q as u16]), Some(fails), "d={d} q={q}");
+                failing += fails as usize;
+            }
+            assert_eq!(failing > 0, d <= 3, "d={d}: {failing} failing lone errors");
+            if d == 3 {
+                assert_eq!(failing, 3, "d = 3 miscorrects three lone errors");
+            }
+        }
     }
 
     #[test]

@@ -20,19 +20,29 @@
 //!   inverse-variance weighting, yielding a point estimate and a 95 %
 //!   normal-approximation confidence interval.
 //!
-//! Each stage draws from its own `Xorshift64Star::stream(seed, j)`, so
-//! the stages are independent [`qisim_par`] tasks: sampling returns the
-//! flip count `k` of every failing trial, and the weights are summed
-//! afterwards in stage and trial order — the same float operations as a
-//! serial loop, so the estimate is bit-identical at any thread count.
+//! An estimate runs in two phases on the [`qisim_par`] pool:
+//!
+//! 1. **Sample.** Each stage draws its trials serially from its own
+//!    `Xorshift64Star::stream(seed, j)`, one task per stage, and stores
+//!    their error positions compactly (`u16` positions, `u32` offsets).
+//! 2. **Decode.** Every sampled trial is settled in fixed
+//!    `RARE_CHUNK_TRIALS`-trial (250) chunks, so the densest stage no longer
+//!    sets the wall time alone. Isolated trials (see [`super`]) take the
+//!    lone-error verdicts and skip the decoder. A chunk returns the flip
+//!    count `k` of every failing trial; a stage's failure list is its
+//!    chunk lists concatenated in trial order, and the weights are summed
+//!    afterwards in stage and trial order — the same float operations as
+//!    a serial loop, so the estimate is bit-identical at any thread count.
+//!
 //! Stage 0 sits at `Q_TOP` for every `p < Q_TOP`; its failure list does
 //! not depend on `p`, so a [`RareLadder`] samples it once and reuses it.
-//! Each trial's syndrome is built while its errors are placed (≤ 2
-//! check flips per error), not by a pass over every check. At `d = 23`
-//! with 2,000 trials per stage (the engine's rare estimator, four
-//! ladder stages at `p ≈ 1.3–2.8·10⁻³`) an estimate on a 2-core x86
-//! host takes 14–29 ms with the anchor kept and 56–79 ms for the first
-//! one, which samples it.
+//! Each trial's syndrome is built from its positions (≤ 2 check flips
+//! per error), not by a pass over every check. At `d = 23` with 2,000
+//! trials per stage (the engine's rare estimator, four ladder stages at
+//! `p ≈ 1.3–2.8·10⁻³`) an estimate on a 2-core x86 host at 2 threads
+//! takes 3.5–7.5 ms with the anchor kept, and a fresh
+//! [`logical_error_rate_rare`], which builds its context and samples the
+//! anchor, 17–21 ms.
 //!
 //! The estimate is cross-checkable against [`small_p_expansion`]: the
 //! **exact** leading-order expansion `p_L(p) = Σ_k N_k·pᵏ(1−p)^(n−k)`
@@ -43,10 +53,11 @@
 //! 4·10⁻¹³`, where naive MC would need over 10¹² trials per expected
 //! failure).
 
-use super::{flush_decode_stats, ErrorSampler, McScratch};
-use crate::decoder::{decode_into, DecodeStats, DecodingGraph};
-use crate::lattice::{Lattice, PackedLattice};
+use super::{decoded_verdict, flush_decode_stats, ErrorSampler, McContext, McScratch};
+use crate::decoder::DecodeStats;
+use crate::lattice::Lattice;
 use qisim_quantum::rng::Xorshift64Star;
+use std::ops::Range;
 use std::sync::OnceLock;
 
 /// Result of a rare-event importance-sampling estimation.
@@ -99,57 +110,73 @@ struct StageEstimate {
     failures: usize,
 }
 
-/// Samples one trial into `scratch`: the error bitset, and its Z
-/// syndrome built while sampling — each placed qubit flips its ≤ 2
-/// checks ([`PackedLattice::flip_z_checks_of`]), which equals
-/// [`PackedLattice::z_syndrome_into`] of the finished pattern. Returns
-/// the flip count `k` (0 when nothing flipped).
-fn sample_trial(
-    packed: &PackedLattice,
-    sampler: &ErrorSampler,
-    rng: &mut Xorshift64Star,
-    scratch: &mut McScratch,
-) -> usize {
-    scratch.errs.fill(0);
-    scratch.syndrome.fill(0);
-    let (errs, syndrome) = (&mut scratch.errs, &mut scratch.syndrome);
-    let mut k = 0usize;
-    sampler.sample(packed.data_qubits(), rng, |q| {
-        PackedLattice::set_bit(errs, q);
-        packed.flip_z_checks_of(q, syndrome);
-        k += 1;
-    });
-    k
+/// Trials per decode task of [`RareLadder::estimate`]'s second phase.
+const RARE_CHUNK_TRIALS: usize = 250;
+
+/// One ladder stage's sampled trials, stored compactly: trial `t`'s
+/// error positions, ascending, are `positions[offsets[t]..offsets[t +
+/// 1]]`.
+struct StageSamples {
+    positions: Vec<u16>,
+    offsets: Vec<u32>,
 }
 
-/// Samples one ladder stage at biased rate `q` and decodes every trial;
-/// returns the flipped-qubit count `k` of each failing trial, in trial
-/// order, and the stage's decoder work counters. The list depends only
-/// on `(lattice, q, trials, rng)` — never on the target rate `p` — which
-/// is what lets [`RareLadder`] keep the anchor stage's list for every
-/// `p`.
-fn sample_stage(
-    packed: &PackedLattice,
-    graph: &DecodingGraph,
-    q: f64,
-    trials: usize,
-    rng: &mut Xorshift64Star,
-    scratch: &mut McScratch,
-) -> (Vec<usize>, DecodeStats) {
+impl StageSamples {
+    /// The error positions of trial `t`.
+    fn trial(&self, t: usize) -> &[u16] {
+        &self.positions[self.offsets[t] as usize..self.offsets[t + 1] as usize]
+    }
+}
+
+/// Samples `trials` trials at biased rate `q` over `n` data qubits from
+/// `rng`, storing only their error positions. The draws depend only on
+/// `(n, q, trials, rng)` — never on the target rate `p` — which is what
+/// lets [`RareLadder`] keep the anchor stage's failure list for every
+/// `p`. `n ≤ 2¹⁶` by the [`McContext`] size check.
+fn sample_stage(n: usize, q: f64, trials: usize, rng: &mut Xorshift64Star) -> StageSamples {
     let sampler = ErrorSampler::new(q);
-    let mut failing = Vec::new();
+    let expected = q * n as f64 * trials as f64;
+    let mut positions = Vec::with_capacity((expected * 1.05) as usize + 64);
+    let mut offsets = Vec::with_capacity(trials + 1);
+    offsets.push(0u32);
     for _ in 0..trials {
-        let k = sample_trial(packed, &sampler, rng, scratch);
-        if k == 0 {
+        sampler.sample(n, rng, |qubit| positions.push(qubit as u16));
+        assert!(positions.len() <= u32::MAX as usize, "a ladder stage holds < 2^32 errors");
+        offsets.push(positions.len() as u32);
+    }
+    StageSamples { positions, offsets }
+}
+
+/// Settles the sampled trials `trials` of one stage: returns the flip
+/// count `k` of each failing trial, in trial order, and the decoder
+/// work counters. Isolated trials take the XOR of their lone-error
+/// verdicts (re-decoded and compared in debug builds); the rest decode.
+fn decode_chunk(
+    context: &McContext,
+    samples: &StageSamples,
+    trials: Range<usize>,
+) -> (Vec<usize>, DecodeStats) {
+    let (packed, graph) = (&context.packed, &context.graph);
+    let mut scratch = McScratch::new(packed, graph);
+    let mut failing = Vec::new();
+    for t in trials {
+        let positions = samples.trial(t);
+        if positions.is_empty() {
             continue; // no errors → no failure → zero weight
         }
-        if scratch.syndrome.iter().any(|&w| w != 0) {
-            for &qubit in decode_into(graph, &scratch.syndrome, &mut scratch.decoder) {
-                PackedLattice::flip_bit(&mut scratch.errs, qubit);
+        let fails = match context.lone.isolated_verdict(positions) {
+            Some(fails) => {
+                debug_assert_eq!(
+                    fails,
+                    decoded_verdict(packed, graph, positions),
+                    "isolated-error verdict disagrees with the decoder: {positions:?}"
+                );
+                fails
             }
-        }
-        if packed.is_logical_x(&scratch.errs) {
-            failing.push(k);
+            None => scratch.decoded_verdict(packed, graph, positions),
+        };
+        if fails {
+            failing.push(positions.len());
         }
     }
     (failing, scratch.decoder.take_stats())
@@ -179,7 +206,7 @@ fn weigh_stage(failing: &[usize], n: usize, p: f64, q: f64, trials: usize) -> St
     StageEstimate { mean, var, failures: failing.len() }
 }
 
-/// The splitting ladder for one lattice, trial count and seed.
+/// The splitting ladder for one [`McContext`], trial count and seed.
 ///
 /// Stage 0 samples at `q₀ = Q_TOP` on `Xorshift64Star::stream(seed, 0)`
 /// whatever the target rate, so its failing trials — and their flip
@@ -194,18 +221,18 @@ fn weigh_stage(failing: &[usize], n: usize, p: f64, q: f64, trials: usize) -> St
 ///
 /// ```
 /// use qisim_surface::{montecarlo, Lattice};
-/// use qisim_surface::montecarlo::rare::RareLadder;
+/// use qisim_surface::montecarlo::{rare::RareLadder, McContext};
 ///
 /// let lattice = Lattice::new(3);
-/// let ladder = RareLadder::new(&lattice, 2000, 7);
+/// let context = McContext::new(&lattice);
+/// let ladder = RareLadder::new(&context, 2000, 7);
 /// let _ = ladder.estimate(1e-3); // samples and keeps the anchor
 /// let fresh = montecarlo::logical_error_rate_rare(&lattice, 1e-4, 2000, 7);
 /// assert_eq!(ladder.estimate(1e-4), fresh);
 /// ```
 #[derive(Debug)]
-pub struct RareLadder {
-    graph: DecodingGraph,
-    packed: PackedLattice,
+pub struct RareLadder<'a> {
+    context: &'a McContext,
     trials_per_stage: usize,
     seed: u64,
     /// `k` of every failing stage-0 trial, in trial order; set by the
@@ -213,28 +240,23 @@ pub struct RareLadder {
     anchor: OnceLock<Vec<usize>>,
 }
 
-impl RareLadder {
-    /// Builds the decoding graph and packed lattice; samples nothing.
+impl<'a> RareLadder<'a> {
+    /// A ladder over `context`'s lattice; samples nothing.
     ///
     /// # Panics
     ///
     /// Panics if `trials_per_stage < 2`.
-    pub fn new(lattice: &Lattice, trials_per_stage: usize, seed: u64) -> Self {
+    pub fn new(context: &'a McContext, trials_per_stage: usize, seed: u64) -> Self {
         assert!(trials_per_stage >= 2, "need at least two trials per stage");
-        RareLadder {
-            graph: DecodingGraph::new(lattice, false),
-            packed: PackedLattice::new(lattice),
-            trials_per_stage,
-            seed,
-            anchor: OnceLock::new(),
-        }
+        RareLadder { context, trials_per_stage, seed, anchor: OnceLock::new() }
     }
 
     /// Estimates the logical-X error rate at `p`: samples every stage
     /// the kept anchor does not cover as one [`qisim_par`] task (stage
-    /// `j` on `Xorshift64Star::stream(seed, j)`, with its own scratch),
-    /// then weighs and combines the stages in ladder order. See
-    /// [`logical_error_rate_rare`] for the estimate itself.
+    /// `j` on `Xorshift64Star::stream(seed, j)`), decodes their trials in
+    /// 250-trial tasks, then weighs and combines the
+    /// stages in ladder order. See [`logical_error_rate_rare`] for the
+    /// estimate itself.
     ///
     /// # Panics
     ///
@@ -246,25 +268,35 @@ impl RareLadder {
         let anchored = rates[0] == Q_TOP;
         let anchor = self.anchor.get().filter(|_| anchored);
         let first = usize::from(anchor.is_some());
-        let (packed, graph) = (&self.packed, &self.graph);
-        let sampled = qisim_par::par_map_indices(rates.len() - first, |i| {
+        let (n, trials) = (self.context.packed.data_qubits(), self.trials_per_stage);
+        let samples = qisim_par::par_map_indices(rates.len() - first, |i| {
             let j = first + i;
-            let mut scratch = McScratch::new(packed, graph);
             let mut rng = Xorshift64Star::stream(self.seed, j as u64);
-            sample_stage(packed, graph, rates[j], self.trials_per_stage, &mut rng, &mut scratch)
+            sample_stage(n, rates[j], trials, &mut rng)
+        });
+        let per_stage = trials.div_ceil(RARE_CHUNK_TRIALS);
+        let chunks = qisim_par::par_map_indices(samples.len() * per_stage, |c| {
+            let start = c % per_stage * RARE_CHUNK_TRIALS;
+            let end = trials.min(start + RARE_CHUNK_TRIALS);
+            decode_chunk(self.context, &samples[c / per_stage], start..end)
         });
         let mut dec = DecodeStats::default();
-        for &(_, stats) in &sampled {
-            dec.merge(stats);
+        let mut sampled = Vec::with_capacity(rates.len() - first);
+        for stage in chunks.chunks(per_stage) {
+            let mut failing = Vec::new();
+            for (chunk, stats) in stage {
+                failing.extend_from_slice(chunk);
+                dec.merge(*stats);
+            }
+            sampled.push(failing);
         }
         flush_decode_stats(dec);
-        let n = packed.data_qubits();
-        let stages = anchor.into_iter().chain(sampled.iter().map(|(failing, _)| failing));
+        let stages = anchor.into_iter().chain(&sampled);
         let mut num = 0.0f64;
         let mut den = 0.0f64;
         let mut contributing = 0usize;
         for (&q, failing) in rates.iter().zip(stages) {
-            let stage = weigh_stage(failing, n, p, q, self.trials_per_stage);
+            let stage = weigh_stage(failing, n, p, q, trials);
             if stage.failures == 0 {
                 continue;
             }
@@ -274,11 +306,11 @@ impl RareLadder {
         }
         if anchored && anchor.is_none() {
             // This run sampled stage 0 itself; keep it for the next one.
-            if let Some((stage0, _)) = sampled.into_iter().next() {
+            if let Some(stage0) = sampled.into_iter().next() {
                 let _ = self.anchor.set(stage0);
             }
         }
-        let trials = self.trials_per_stage * rates.len();
+        let trials = trials * rates.len();
         qisim_obs::counter!("surface.rare.trials", trials as u64);
         qisim_obs::counter!("surface.rare.stage_weights", contributing as u64);
         if den == 0.0 {
@@ -308,14 +340,14 @@ impl RareLadder {
 ///
 /// Runs [`stage_rates`]`(p).len()` stages of `trials_per_stage` trials
 /// each (stage `j` on `Xorshift64Star::stream(seed, j)` — deterministic
-/// for a given `(p, trials_per_stage, seed)` at any thread count), one
-/// [`qisim_par`] task per stage, then combines the contributing stages
-/// by inverse variance. When **no** stage observes a failure the
+/// for a given `(p, trials_per_stage, seed)` at any thread count) on the
+/// [`qisim_par`] pool, then combines the contributing stages by inverse
+/// variance. When **no** stage observes a failure the
 /// estimate is 0 with a degenerate interval `[0, 0]` and `stages == 0` —
 /// the caller can widen `trials_per_stage` or read `stages` to detect
-/// it. This is one estimate on a fresh [`RareLadder`]; repeat estimates
-/// on one lattice should keep the ladder, which samples the
-/// `p`-independent anchor stage once.
+/// it. This is one estimate on a fresh [`McContext`] and [`RareLadder`];
+/// repeat estimates on one lattice should keep both: the ladder samples
+/// the `p`-independent anchor stage once.
 ///
 /// # Panics
 ///
@@ -338,7 +370,7 @@ pub fn logical_error_rate_rare(
     seed: u64,
 ) -> RareEstimate {
     assert!(p > 0.0 && p < 1.0, "rare-event estimation needs 0 < p < 1, got {p}");
-    RareLadder::new(lattice, trials_per_stage, seed).estimate(p)
+    RareLadder::new(&McContext::new(lattice), trials_per_stage, seed).estimate(p)
 }
 
 /// Visits every `k`-combination of `0..n` in lexicographic order.
@@ -383,28 +415,18 @@ fn each_combination<F: FnMut(&[usize])>(n: usize, k: usize, mut f: F) {
 /// Panics if `p` is outside `[0, 1)`.
 pub fn small_p_expansion(lattice: &Lattice, max_weight: usize, p: f64) -> f64 {
     assert!((0.0..1.0).contains(&p), "expansion rate must be in [0, 1)");
-    let graph = DecodingGraph::new(lattice, false);
-    let packed = PackedLattice::new(lattice);
-    let mut scratch = McScratch::new(&packed, &graph);
+    let context = McContext::new(lattice);
+    let (packed, graph) = (&context.packed, &context.graph);
+    let mut scratch = McScratch::new(packed, graph);
+    let mut positions = Vec::with_capacity(max_weight);
     let n = lattice.data_qubits();
     let mut total = 0.0f64;
     for k in 1..=max_weight.min(n) {
         let mut failing = 0u64;
         each_combination(n, k, |pattern| {
-            scratch.errs.fill(0);
-            scratch.syndrome.fill(0);
-            for &q in pattern {
-                PackedLattice::set_bit(&mut scratch.errs, q);
-                packed.flip_z_checks_of(q, &mut scratch.syndrome);
-            }
-            if scratch.syndrome.iter().any(|&w| w != 0) {
-                for &q in decode_into(&graph, &scratch.syndrome, &mut scratch.decoder) {
-                    PackedLattice::flip_bit(&mut scratch.errs, q);
-                }
-            }
-            if packed.is_logical_x(&scratch.errs) {
-                failing += 1;
-            }
+            positions.clear();
+            positions.extend(pattern.iter().map(|&q| q as u16));
+            failing += u64::from(scratch.decoded_verdict(packed, graph, &positions));
         });
         total += failing as f64 * p.powi(k as i32) * (1.0 - p).powi((n - k) as i32);
     }
@@ -415,6 +437,8 @@ pub fn small_p_expansion(lattice: &Lattice, max_weight: usize, p: f64) -> f64 {
 mod tests {
     use super::super::logical_error_rate_sliced_par;
     use super::*;
+    use crate::decoder::{decode_into, DecodingGraph};
+    use crate::lattice::PackedLattice;
 
     #[test]
     fn ladder_is_descending_and_anchored() {
@@ -433,8 +457,9 @@ mod tests {
     fn position_built_syndromes_equal_the_full_extraction() {
         // d = 2 has corner qubits no Z check touches; d = 23 is the
         // production lattice. Every trial of every ladder rate (and a
-        // dense q = 0.5) must carry exactly the syndrome a full
-        // extraction of its finished error pattern gives.
+        // dense q = 0.5) must store strictly ascending in-range positions
+        // and carry exactly the syndrome a full extraction of its
+        // finished error pattern gives.
         for d in [2usize, 3, 5, 23] {
             let l = Lattice::new(d);
             let graph = DecodingGraph::new(&l, false);
@@ -443,12 +468,15 @@ mod tests {
             let mut full = vec![0u64; packed.syndrome_words()];
             let rates = stage_rates(1e-3).into_iter().chain([0.5]);
             for (j, q) in rates.enumerate() {
-                let sampler = ErrorSampler::new(q);
                 let mut rng = Xorshift64Star::stream(0x5_1D ^ d as u64, j as u64);
+                let samples = sample_stage(packed.data_qubits(), q, 300, &mut rng);
                 for t in 0..300 {
-                    let k = sample_trial(&packed, &sampler, &mut rng, &mut scratch);
+                    let positions = samples.trial(t);
+                    assert!(positions.windows(2).all(|w| w[0] < w[1]), "d={d} q={q} trial={t}");
+                    assert!(positions.iter().all(|&q| usize::from(q) < l.data_qubits()));
+                    scratch.place(&packed, positions);
                     let weight: u32 = scratch.errs.iter().map(|w| w.count_ones()).sum();
-                    assert_eq!(k, weight as usize, "d={d} q={q} trial={t}");
+                    assert_eq!(positions.len(), weight as usize, "d={d} q={q} trial={t}");
                     let any = packed.z_syndrome_into(&scratch.errs, &mut full);
                     assert_eq!(scratch.syndrome, full, "d={d} q={q} trial={t}");
                     assert_eq!(scratch.syndrome.iter().any(|&w| w != 0), any);
@@ -458,8 +486,9 @@ mod tests {
     }
 
     /// The serial ladder as it stood before the stages ran in parallel:
-    /// one scratch, stages sampled and weighed in order in one loop. The
-    /// bit-identity oracle for [`RareLadder::estimate`].
+    /// one scratch, stages sampled, decoded trial by trial — isolated or
+    /// not — and weighed in order in one loop. The bit-identity oracle
+    /// for [`RareLadder::estimate`].
     fn run_stage(
         packed: &PackedLattice,
         graph: &DecodingGraph,
@@ -559,18 +588,21 @@ mod tests {
         // Cold: a fresh ladder samples the anchor as one more task.
         // Warm: a ladder that kept the anchor from an earlier estimate.
         // p = 0.2 is the single-stage ladder that never uses the anchor.
+        // 300 trials make a full and a ragged decode chunk per stage; at
+        // d = 23 most erroneous trials below the anchor are isolated.
         let trials = 300;
-        for d in [3usize, 5, 7] {
+        for d in [3usize, 5, 7, 23] {
             let l = Lattice::new(d);
+            let context = McContext::new(&l);
             for seed in [1u64, 0x51_C0DE, 0xDEAD_BEEF] {
-                let warm = RareLadder::new(&l, trials, seed);
+                let warm = RareLadder::new(&context, trials, seed);
                 let _ = warm.estimate(0.05);
                 assert!(warm.anchor.get().is_some(), "d={d} seed={seed}: anchor not kept");
                 for p in [0.2, 0.02, 1e-3, 1e-5, 1e-8] {
                     let want = bits(&serial_oracle(&l, p, trials, seed));
                     for threads in [1usize, 2, 8] {
                         qisim_par::set_threads(Some(threads));
-                        let cold = RareLadder::new(&l, trials, seed).estimate(p);
+                        let cold = RareLadder::new(&context, trials, seed).estimate(p);
                         let fresh = logical_error_rate_rare(&l, p, trials, seed);
                         let reused = warm.estimate(p);
                         qisim_par::set_threads(None);

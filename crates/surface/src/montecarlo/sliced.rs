@@ -14,9 +14,15 @@
 //! ([`PackedLattice::transpose_syndrome_lanes`]), and their error
 //! patterns from the same transpose of the error block, done once per
 //! word that has fallback lanes ([`PackedLattice::transpose_error_lanes`])
-//! — not from a bit loop per lane. At `d = 23` and `p ≈ 2.8·10⁻³` most
-//! lanes carry one or two errors and fall back, so the word-wide
-//! transposes and the O(cluster) decoder carry the per-trial cost.
+//! — not from a bit loop per lane.
+//!
+//! **Isolated lanes** skip even that. The pass that places a lane's
+//! errors also records up to 8 of their positions; a lane whose recorded errors are pairwise isolated (see
+//! [`super`]) gets its verdict as the XOR of the lone-error verdict
+//! table and is never transposed or decoded. At `d = 23` and `p ≈
+//! 1.3–2.8·10⁻³` most nonzero-syndrome lanes carry one or two far-apart
+//! errors, so the fallback shrinks from ~61 % of the lanes to ~4 %, and
+//! the transposes run only for words that still have a lane to decode.
 //!
 //! **Fast-empty sampling** carries the rest of the speedup without
 //! disturbing a single random draw: a lane with no error resolves its one
@@ -37,7 +43,10 @@
 //! [`logical_error_rate_sliced_par`] is bit-identical at any
 //! parallelism.
 
-use super::{flush_decode_stats, ErrorSampler, McEstimate};
+use super::{
+    decoded_verdict, flush_decode_stats, ErrorSampler, LoneVerdicts, McContext, McEstimate,
+    ISOLATED_MAX_ERRORS,
+};
 use crate::decoder::{decode_into, DecodeStats, DecoderScratch, DecodingGraph};
 use crate::lattice::{Lattice, PackedLattice};
 use qisim_quantum::rng::{open01_from_mantissa53, Rng, Xorshift64Star};
@@ -53,6 +62,9 @@ pub struct SlicedStats {
     /// Lanes with errors but an all-zero syndrome: decode skipped, only
     /// the word-wide logical parity check ran.
     pub zero_syndrome_lanes: u64,
+    /// Lanes with a nonzero syndrome whose errors are isolated: verdict
+    /// read off the lone-error table, decode skipped.
+    pub isolated_lanes: u64,
     /// Lanes gathered back to the packed layout and sent through the
     /// scalar decoder (the fallback path).
     pub fallback_trials: u64,
@@ -63,14 +75,16 @@ impl SlicedStats {
         self.words += other.words;
         self.empty_lanes += other.empty_lanes;
         self.zero_syndrome_lanes += other.zero_syndrome_lanes;
+        self.isolated_lanes += other.isolated_lanes;
         self.fallback_trials += other.fallback_trials;
     }
 }
 
 /// Reusable buffers of the sliced kernel: the transposed error/syndrome
-/// blocks, the same blocks transposed back to 64 packed lanes for the
-/// fallback decoder, and its arena. One allocation per batch (or
-/// parallel chunk), zero per trial.
+/// blocks, each lane's first error positions, the same blocks transposed
+/// back to 64 packed lanes for the fallback decoder, and its arena —
+/// plus the lone-error verdict table the isolated lanes read. One
+/// allocation per batch (or parallel chunk), zero per trial.
 #[derive(Debug, Clone)]
 pub struct SlicedScratch {
     /// Transposed errors: one word per data qubit.
@@ -85,21 +99,43 @@ pub struct SlicedScratch {
     lane_syn: Vec<u64>,
     /// The residual syndrome the debug build checks after each decode.
     residual: Vec<u64>,
+    /// Each lane's first [`ISOLATED_MAX_ERRORS`] error positions, in
+    /// sampling (ascending) order.
+    lane_pos: [[u16; ISOLATED_MAX_ERRORS]; 64],
+    /// Each lane's error count, saturating: above
+    /// [`ISOLATED_MAX_ERRORS`] the lane always decodes.
+    lane_len: [u8; 64],
     /// Scalar decoder arena for the fallback lanes.
     decoder: DecoderScratch,
+    /// Lone-error verdicts of the lattice `packed` and `graph` describe.
+    lone: LoneVerdicts,
     stats: SlicedStats,
 }
 
 impl SlicedScratch {
-    /// Allocates scratch sized for `packed` and `graph`.
+    /// Allocates scratch sized for `packed` and `graph` and decodes each
+    /// lone error once for the verdict table.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lattice has more than 2¹⁶ data qubits.
     pub fn new(packed: &PackedLattice, graph: &DecodingGraph) -> Self {
+        Self::with_lone(packed, graph, LoneVerdicts::new(packed, graph))
+    }
+
+    /// Scratch sized for `packed` and `graph`, reading `lone`, their
+    /// verdict table.
+    fn with_lone(packed: &PackedLattice, graph: &DecodingGraph, lone: LoneVerdicts) -> Self {
         SlicedScratch {
             sliced_errs: vec![0; packed.sliced_words()],
             sliced_syn: vec![0; packed.sliced_syndrome_words()],
             lane_errs: vec![0; 64 * packed.qubit_words()],
             lane_syn: vec![0; 64 * packed.syndrome_words()],
             residual: vec![0; packed.syndrome_words()],
+            lane_pos: [[0; ISOLATED_MAX_ERRORS]; 64],
+            lane_len: [0; 64],
             decoder: DecoderScratch::new(graph),
+            lone,
             stats: SlicedStats::default(),
         }
     }
@@ -120,6 +156,7 @@ impl SlicedScratch {
 /// The bit-sliced sample-extract-check kernel: returns the number of
 /// logical failures in `trials` rounds, where global trial `first_trial
 /// + i` samples from `Xorshift64Star::stream(seed, first_trial + i)`.
+/// `scratch` must come from the same `packed` and `graph`.
 ///
 /// Public so the equivalence suite can drive it directly against 64
 /// per-lane reference runs.
@@ -149,8 +186,10 @@ pub fn run_trials_sliced(
         let active_mask = if active == 64 { !0u64 } else { (1u64 << active) - 1 };
         scratch.stats.words += 1;
         scratch.sliced_errs.fill(0);
+        scratch.lane_len = [0; 64];
         // Sample errors lane by lane, straight into the transposed
-        // layout: lane l of word q is qubit q in trial start + l.
+        // layout: lane l of word q is qubit q in trial start + l. Each
+        // lane also records its first positions for the isolation test.
         let mut any_err_mask = 0u64;
         let base = (first_trial + start) as u64;
         if let ErrorSampler::Skip(geo) = &sampler {
@@ -171,8 +210,12 @@ pub fn run_trials_sliced(
                 let _ = rng.next_u64(); // pass 1 consumed this draw
                 let bit = 1u64 << l;
                 let errs = &mut scratch.sliced_errs;
+                let (pos, len) = (&mut scratch.lane_pos[l], &mut scratch.lane_len[l]);
                 let u = open01_from_mantissa53(first[l]);
-                if geo.positions_from_first(n, u, empty_threshold, &mut rng, |q| errs[q] |= bit) {
+                if geo.positions_from_first(n, u, empty_threshold, &mut rng, |q| {
+                    errs[q] |= bit;
+                    record(pos, len, q);
+                }) {
                     any_err_mask |= bit;
                 }
             }
@@ -182,7 +225,11 @@ pub fn run_trials_sliced(
             for (l, rng) in lanes.iter_mut().take(active).enumerate() {
                 let bit = 1u64 << l;
                 let errs = &mut scratch.sliced_errs;
-                if sampler.sample(n, rng, |q| errs[q] |= bit) {
+                let (pos, len) = (&mut scratch.lane_pos[l], &mut scratch.lane_len[l]);
+                if sampler.sample(n, rng, |q| {
+                    errs[q] |= bit;
+                    record(pos, len, q);
+                }) {
                     any_err_mask |= bit;
                 }
             }
@@ -201,13 +248,40 @@ pub fn run_trials_sliced(
         let zero_syn = any_err_mask & !any_syn_mask;
         scratch.stats.zero_syndrome_lanes += zero_syn.count_ones() as u64;
         failures += (zero_syn & logical_mask).count_ones() as usize;
-        // Fallback: read each nonzero-syndrome lane's packed syndrome and
-        // error pattern off the transposed blocks and decode it.
-        if any_syn_mask != 0 {
+        // Fast path 3, per lane: isolated errors take the XOR of their
+        // lone verdicts; every other nonzero-syndrome lane decodes.
+        let mut decode_mask = 0u64;
+        let mut syn_lanes = any_syn_mask;
+        while syn_lanes != 0 {
+            let lane = syn_lanes.trailing_zeros() as usize;
+            syn_lanes &= syn_lanes - 1;
+            let len = usize::from(scratch.lane_len[lane]);
+            let positions = &scratch.lane_pos[lane][..len.min(ISOLATED_MAX_ERRORS)];
+            let verdict = if len <= ISOLATED_MAX_ERRORS {
+                scratch.lone.isolated_verdict(positions)
+            } else {
+                None
+            };
+            match verdict {
+                Some(fails) => {
+                    debug_assert_eq!(
+                        fails,
+                        decoded_verdict(packed, graph, positions),
+                        "isolated-error verdict disagrees with the decoder: {positions:?}"
+                    );
+                    scratch.stats.isolated_lanes += 1;
+                    failures += fails as usize;
+                }
+                None => decode_mask |= 1u64 << lane,
+            }
+        }
+        // Fallback: read each remaining lane's packed syndrome and error
+        // pattern off the transposed blocks and decode it.
+        if decode_mask != 0 {
             let (words, qubit_words) = (packed.syndrome_words(), packed.qubit_words());
             packed.transpose_syndrome_lanes(&scratch.sliced_syn, &mut scratch.lane_syn);
             packed.transpose_error_lanes(&scratch.sliced_errs, &mut scratch.lane_errs);
-            let mut fallback = any_syn_mask;
+            let mut fallback = decode_mask;
             while fallback != 0 {
                 let lane = fallback.trailing_zeros() as usize;
                 fallback &= fallback - 1;
@@ -231,16 +305,28 @@ pub fn run_trials_sliced(
     failures
 }
 
+/// Appends error position `q` to a lane's record: stored while the lane
+/// has at most [`ISOLATED_MAX_ERRORS`] errors, counted (saturating) past
+/// that. `q < 2¹⁶` by the [`LoneVerdicts`] size check.
+#[inline]
+fn record(pos: &mut [u16; ISOLATED_MAX_ERRORS], len: &mut u8, q: usize) {
+    if let Some(slot) = pos.get_mut(usize::from(*len)) {
+        *slot = q as u16;
+    }
+    *len = len.saturating_add(1);
+}
+
 /// Flushes sliced-kernel counters to the `qisim-obs` registry.
 fn flush_sliced_obs(trials: usize, failures: usize, stats: SlicedStats, dec: DecodeStats) {
     qisim_obs::counter!("surface.sliced.trials", trials as u64);
     qisim_obs::counter!("surface.sliced.words", stats.words);
     qisim_obs::counter!("surface.sliced.fallback_trials", stats.fallback_trials);
-    // The Monte-Carlo series: the three fast-path counters partition the
-    // trials.
+    // The Monte-Carlo series: the three fast-path counters and the
+    // decoded count partition the trials.
     qisim_obs::counter!("surface.montecarlo.failures", failures as u64);
     qisim_obs::counter!("surface.montecarlo.fastpath.empty", stats.empty_lanes);
     qisim_obs::counter!("surface.montecarlo.fastpath.zero_syndrome", stats.zero_syndrome_lanes);
+    qisim_obs::counter!("surface.montecarlo.fastpath.isolated", stats.isolated_lanes);
     qisim_obs::counter!("surface.montecarlo.decoded", stats.fallback_trials);
     flush_decode_stats(dec);
 }
@@ -249,9 +335,8 @@ fn flush_sliced_obs(trials: usize, failures: usize, stats: SlicedStats, dec: Dec
 /// whole 64-trial lane words.
 pub const SLICED_CHUNK_TRIALS: usize = 256;
 
-/// Estimates the logical-X error rate with the bit-sliced kernel,
-/// running [`SLICED_CHUNK_TRIALS`]-trial chunks (whole 64-trial lane
-/// words) on the [`qisim_par`] pool.
+/// Estimates the logical-X error rate with the bit-sliced kernel: one
+/// [`McContext::sliced_estimate`] on a context built for this call.
 ///
 /// Global trial `t` samples from `Xorshift64Star::stream(seed, t)`, so
 /// the estimate is bit-identical at any thread count (including the
@@ -279,35 +364,48 @@ pub fn logical_error_rate_sliced_par(
     trials: usize,
     seed: u64,
 ) -> McEstimate {
-    assert!((0.0..=1.0).contains(&p), "physical error rate must be a probability");
-    assert!(trials > 0, "need at least one trial");
-    qisim_obs::span!("surface.montecarlo.sliced.par");
-    let graph = DecodingGraph::new(lattice, false);
-    let packed = PackedLattice::new(lattice);
-    let per_chunk: Vec<(usize, SlicedStats, DecodeStats)> =
-        qisim_par::par_map_chunked(trials, SLICED_CHUNK_TRIALS, |_, start, len| {
-            let mut scratch = SlicedScratch::new(&packed, &graph);
-            let t0 = qisim_obs::enabled().then(std::time::Instant::now);
-            let failures = run_trials_sliced(&packed, &graph, p, len, seed, start, &mut scratch);
-            if let Some(t0) = t0 {
-                qisim_obs::observe!(
-                    "surface.montecarlo.trial_batch_ns",
-                    t0.elapsed().as_nanos() as f64
-                );
-            }
-            let (stats, dec) = scratch.take_stats();
-            (failures, stats, dec)
-        });
-    let mut failures = 0usize;
-    let mut stats = SlicedStats::default();
-    let mut dec = DecodeStats::default();
-    for (f, s, d) in per_chunk {
-        failures += f;
-        stats.merge(s);
-        dec.merge(d);
+    McContext::new(lattice).sliced_estimate(p, trials, seed)
+}
+
+impl McContext {
+    /// Estimates the logical-X error rate with the bit-sliced kernel,
+    /// running [`SLICED_CHUNK_TRIALS`]-trial chunks (whole 64-trial lane
+    /// words) on the [`qisim_par`] pool; see
+    /// [`logical_error_rate_sliced_par`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is outside `[0, 1]` or `trials == 0`.
+    pub fn sliced_estimate(&self, p: f64, trials: usize, seed: u64) -> McEstimate {
+        assert!((0.0..=1.0).contains(&p), "physical error rate must be a probability");
+        assert!(trials > 0, "need at least one trial");
+        qisim_obs::span!("surface.montecarlo.sliced.par");
+        let (packed, graph) = (&self.packed, &self.graph);
+        let per_chunk: Vec<(usize, SlicedStats, DecodeStats)> =
+            qisim_par::par_map_chunked(trials, SLICED_CHUNK_TRIALS, |_, start, len| {
+                let mut scratch = SlicedScratch::with_lone(packed, graph, self.lone.clone());
+                let t0 = qisim_obs::enabled().then(std::time::Instant::now);
+                let failures = run_trials_sliced(packed, graph, p, len, seed, start, &mut scratch);
+                if let Some(t0) = t0 {
+                    qisim_obs::observe!(
+                        "surface.montecarlo.trial_batch_ns",
+                        t0.elapsed().as_nanos() as f64
+                    );
+                }
+                let (stats, dec) = scratch.take_stats();
+                (failures, stats, dec)
+            });
+        let mut failures = 0usize;
+        let mut stats = SlicedStats::default();
+        let mut dec = DecodeStats::default();
+        for (f, s, d) in per_chunk {
+            failures += f;
+            stats.merge(s);
+            dec.merge(d);
+        }
+        flush_sliced_obs(trials, failures, stats, dec);
+        McEstimate { logical_error: failures as f64 / trials as f64, trials, failures }
     }
-    flush_sliced_obs(trials, failures, stats, dec);
-    McEstimate { logical_error: failures as f64 / trials as f64, trials, failures }
 }
 
 #[cfg(test)]
@@ -434,11 +532,15 @@ mod tests {
         let (stats, dec) = scratch.take_stats();
         assert_eq!(stats.words, (trials as u64).div_ceil(64));
         assert_eq!(
-            stats.empty_lanes + stats.zero_syndrome_lanes + stats.fallback_trials,
+            stats.empty_lanes
+                + stats.zero_syndrome_lanes
+                + stats.isolated_lanes
+                + stats.fallback_trials,
             trials as u64,
             "{stats:?}"
         );
         assert!(stats.empty_lanes > stats.fallback_trials, "p=0.002 is mostly empty lanes");
+        assert!(stats.isolated_lanes > stats.fallback_trials, "most error lanes are isolated");
         assert_eq!(dec.decodes, stats.fallback_trials, "every fallback lane is decoded: {stats:?}");
         // Second batch accumulates from zero after take_stats.
         let _ = run_trials_sliced(&packed, &graph, 0.5, 10, 3, 0, &mut scratch);
