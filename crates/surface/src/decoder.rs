@@ -19,8 +19,10 @@
 //! the next call resets only those (plus the boundary vertex); peeling
 //! reads its roots and leaves off the same cluster set. At `d = 23` a
 //! sampled syndrome touches a handful of the 264 checks, so the per-call
-//! cost follows the defects, not the lattice. [`decode`] wraps it for
-//! one-off use, and [`decode_reference`] preserves the original
+//! cost follows the defects, not the lattice. The Monte-Carlo verdict
+//! path runs its two stages itself and often skips the peel (see
+//! [`crate::montecarlo`]). [`decode`] wraps it for one-off use, and
+//! [`decode_reference`] preserves the original
 //! full-edge-rescan implementation as the oracle the fast engine is
 //! tested against — both produce identical corrections for every
 //! syndrome.
@@ -128,7 +130,7 @@ impl DecodingGraph {
     }
 }
 
-/// Frontier and peeling work counters accumulated by [`decode_into`],
+/// Frontier and peeling work counters accumulated in a decoder arena,
 /// flushed to `qisim-obs` by both Monte-Carlo estimators (one registry
 /// update per estimate, never per trial).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -139,6 +141,10 @@ pub struct DecodeStats {
     pub rounds: u64,
     /// Edge half-growth steps applied (frontier edge visits).
     pub edges_grown: u64,
+    /// Decodes whose failure verdict was read off a row no fully grown
+    /// edge touches, so the spanning-tree peel never ran (the rest of
+    /// `decodes` peeled).
+    pub peels_skipped: u64,
 }
 
 impl DecodeStats {
@@ -147,6 +153,7 @@ impl DecodeStats {
         self.decodes += other.decodes;
         self.rounds += other.rounds;
         self.edges_grown += other.edges_grown;
+        self.peels_skipped += other.peels_skipped;
     }
 }
 
@@ -202,7 +209,7 @@ pub struct DecoderScratch {
     removed: Vec<bool>,
     stack: Vec<usize>,
     correction: Vec<usize>,
-    stats: DecodeStats,
+    pub(crate) stats: DecodeStats,
 }
 
 impl DecoderScratch {
@@ -245,6 +252,16 @@ impl DecoderScratch {
         std::mem::take(&mut self.stats)
     }
 
+    /// The data qubits of the edges the last [`grow`] grew fully: a
+    /// superset of the correction [`peel`] would return, since peeling
+    /// walks fully grown edges only.
+    pub(crate) fn fully_grown_qubits<'a>(
+        &'a self,
+        graph: &'a DecodingGraph,
+    ) -> impl Iterator<Item = usize> + 'a {
+        self.grown_edges.iter().filter(|&&e| self.edge_growth[e] >= 2).map(|&e| graph.edges[e].2)
+    }
+
     fn find(&mut self, mut x: usize) -> usize {
         while self.parent[x] != x {
             self.parent[x] = self.parent[self.parent[x]];
@@ -283,6 +300,7 @@ impl DecoderScratch {
     /// fully grown edge, whose endpoints are cluster vertices. (The
     /// `edge_seen` round stamps only ever grow, so they need no reset.)
     fn reset(&mut self, boundary: usize) {
+        self.correction.clear();
         for v in self.cluster_verts.drain(..).chain(std::iter::once(boundary)) {
             self.parent[v] = v;
             self.parity[v] = false;
@@ -360,10 +378,21 @@ pub fn decode_into<'a>(
     syndrome: &[u64],
     scratch: &'a mut DecoderScratch,
 ) -> &'a [usize] {
+    if grow(graph, syndrome, scratch) {
+        peel(graph, scratch)
+    } else {
+        &scratch.correction
+    }
+}
+
+/// The growth stage of [`decode_into`]: resets the arena (clearing the
+/// correction) and grows clusters from the defects of `syndrome` until
+/// every cluster is frozen. Returns `false` on a zero syndrome, which
+/// needs no peel. Afterwards [`DecoderScratch::fully_grown_qubits`]
+/// lists every qubit [`peel`] may put in the correction.
+pub(crate) fn grow(graph: &DecodingGraph, syndrome: &[u64], s: &mut DecoderScratch) -> bool {
     assert_eq!(syndrome.len(), graph.syndrome_words(), "syndrome word-count mismatch");
-    let s = scratch;
     let boundary = graph.boundary();
-    s.correction.clear();
     s.reset(boundary);
 
     // Seed clusters at the defects (word-wise set-bit extraction).
@@ -375,15 +404,15 @@ pub fn decode_into<'a>(
         s.cluster_verts.push(c);
     });
     if s.cluster_verts.is_empty() {
-        return &s.correction;
+        return false;
     }
     s.stats.decodes += 1;
 
-    // Growth stage: edges gain support in halves; an edge with full
-    // support merges its endpoints. Grow all unfrozen clusters in lock
-    // step until every cluster is frozen. The frontier worklist visits
-    // exactly the edges the legacy full scan would have grown: growth<2
-    // edges incident to an in-cluster, unfrozen, non-boundary vertex.
+    // Edges gain support in halves; an edge with full support merges its
+    // endpoints. Grow all unfrozen clusters in lock step until every
+    // cluster is frozen. The frontier worklist visits exactly the edges
+    // the legacy full scan would have grown: growth<2 edges incident to
+    // an in-cluster, unfrozen, non-boundary vertex.
     loop {
         s.round_stamp += 1;
         let stamp = s.round_stamp;
@@ -405,7 +434,7 @@ pub fn decode_into<'a>(
         // No live cluster, or live clusters with no growable edge left
         // (all remaining defects pair through the boundary): stop.
         if !any_active || s.round_edges.is_empty() {
-            break;
+            return true;
         }
         s.stats.rounds += 1;
         s.stats.edges_grown += s.round_edges.len() as u64;
@@ -430,15 +459,19 @@ pub fn decode_into<'a>(
             s.union(u, v);
         }
     }
+}
 
-    // Peeling stage: build a forest of fully-grown edges, then peel
-    // leaves; a leaf carrying a defect adds its edge to the correction
-    // and hands the defect to its neighbor. Rooted at the boundary first
-    // so boundary-touching clusters peel toward it, then at the cluster
-    // vertices in ascending order. A vertex outside every cluster (the
-    // boundary included) has no fully grown edge, so it roots an empty
-    // tree and is never a leaf: visiting only the cluster set equals
-    // scanning every vertex.
+/// The peeling stage of [`decode_into`], run once after a [`grow`] that
+/// returned `true`: builds a forest of the fully grown edges, then peels
+/// leaves; a leaf carrying a defect adds its edge to the correction and
+/// hands the defect to its neighbor. Returns the correction.
+pub(crate) fn peel<'a>(graph: &DecodingGraph, s: &'a mut DecoderScratch) -> &'a [usize] {
+    // Rooted at the boundary first so boundary-touching clusters peel
+    // toward it, then at the cluster vertices in ascending order. A
+    // vertex outside every cluster (the boundary included) has no fully
+    // grown edge, so it roots an empty tree and is never a leaf: visiting
+    // only the cluster set equals scanning every vertex.
+    let boundary = graph.boundary();
     let in_cluster = std::mem::take(&mut s.in_cluster);
     if PackedLattice::get_bit(&in_cluster, boundary) {
         s.span_tree(graph, boundary);

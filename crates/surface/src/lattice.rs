@@ -344,6 +344,14 @@ impl PackedLattice {
         }
     }
 
+    /// Parity of a packed X-error pattern on row `row` of the data grid.
+    /// Every row is a logical-`Z̄` representative, so on a zero-syndrome
+    /// pattern this equals [`Self::is_logical_x`].
+    #[inline]
+    pub(crate) fn row_parity(&self, errs: &[u64], row: usize) -> bool {
+        (row * self.d..(row + 1) * self.d).fold(false, |acc, q| acc ^ Self::get_bit(errs, q))
+    }
+
     /// Whether a packed X-error pattern anticommutes with the logical
     /// `Z̄` membrane (odd overlap with the top row): the failure verdict.
     #[inline]
@@ -398,8 +406,8 @@ impl PackedLattice {
     /// Gathers lane `lane` of a sliced block back into the packed
     /// per-trial layout (the exact inverse of [`Self::scatter_lane`]):
     /// bit `lane` of `sliced[q]` becomes bit `q` of `packed`. Overwrites
-    /// `packed` entirely. The bit-by-bit oracle of
-    /// [`Self::transpose_error_lanes`], which the kernel runs instead.
+    /// `packed` entirely. The sliced kernel reads a lane with too many
+    /// errors to record their positions back through this.
     ///
     /// # Panics
     ///
@@ -443,9 +451,7 @@ impl PackedLattice {
 
     /// Gathers lane `lane` of a sliced syndrome block into the packed
     /// per-trial syndrome layout [`Self::z_syndrome_into`] produces (bit
-    /// `i` = check `i`). Overwrites `syndrome` entirely. The bit-by-bit
-    /// oracle of [`Self::transpose_syndrome_lanes`], which the kernel
-    /// runs instead.
+    /// `i` = check `i`). Overwrites `syndrome` entirely.
     ///
     /// # Panics
     ///
@@ -459,35 +465,6 @@ impl PackedLattice {
         for (i, word) in sliced_syndrome.iter().enumerate() {
             syndrome[i >> 6] |= (word >> lane & 1) << (i & 63);
         }
-    }
-
-    /// Transposes a sliced error block into the packed per-trial layout
-    /// of all 64 lanes at once: lane `l`'s error bitset is
-    /// `lanes[l·qubit_words .. (l+1)·qubit_words]`, exactly what
-    /// [`Self::gather_lane`] writes for lane `l`. One [`transpose64`] per
-    /// 64-qubit block instead of a bit loop per lane.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sliced` is not one word per data qubit or `lanes` is not
-    /// `64 · qubit_words` long.
-    pub fn transpose_error_lanes(&self, sliced: &[u64], lanes: &mut [u64]) {
-        assert_eq!(sliced.len(), self.n_qubits, "one sliced word per data qubit");
-        transpose_lanes(sliced, self.qubit_words, lanes);
-    }
-
-    /// Transposes a sliced syndrome block into the packed per-trial
-    /// syndrome of all 64 lanes at once: lane `l`'s syndrome is
-    /// `lanes[l·syndrome_words .. (l+1)·syndrome_words]`, exactly what
-    /// [`Self::gather_syndrome_lane`] writes for lane `l`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sliced_syndrome` is not one word per Z-check or `lanes`
-    /// is not `64 · syndrome_words` long.
-    pub fn transpose_syndrome_lanes(&self, sliced_syndrome: &[u64], lanes: &mut [u64]) {
-        assert_eq!(sliced_syndrome.len(), self.n_z_checks, "one sliced word per Z-check");
-        transpose_lanes(sliced_syndrome, self.syndrome_words, lanes);
     }
 
     /// Per-lane logical-`X̄` verdicts of a sliced 64-trial error block:
@@ -506,61 +483,6 @@ impl PackedLattice {
             acc ^= sliced_errs[q];
         }
         acc
-    }
-}
-
-/// Transposes a 64×64 bit matrix in place: afterwards bit `c` of
-/// `rows[r]` holds what bit `r` of `rows[c]` held. Six rounds of masked
-/// block swaps (32×32 down to 1×1), no per-bit loop.
-///
-/// # Examples
-///
-/// ```
-/// use qisim_surface::lattice::transpose64;
-///
-/// let mut m = [0u64; 64];
-/// m[3] = 1 << 40; // row 3, column 40
-/// transpose64(&mut m);
-/// assert_eq!(m[40], 1 << 3);
-/// assert_eq!(m.iter().map(|w| w.count_ones()).sum::<u32>(), 1);
-/// ```
-pub fn transpose64(rows: &mut [u64; 64]) {
-    let mut width = 32;
-    let mut mask = 0x0000_0000_FFFF_FFFFu64;
-    while width != 0 {
-        // Swap the upper-right and lower-left `width`-square of every
-        // `2·width` diagonal block.
-        let mut base = 0;
-        while base < 64 {
-            for r in base..base + width {
-                let t = ((rows[r] >> width) ^ rows[r + width]) & mask;
-                rows[r] ^= t << width;
-                rows[r + width] ^= t;
-            }
-            base += 2 * width;
-        }
-        width >>= 1;
-        mask ^= mask << width;
-    }
-}
-
-/// Transposes `rows` (one word per row, bit `l` = lane `l`) into 64
-/// lane-major bitsets of `words_per_lane` words: bit `i` of lane `l`'s
-/// bitset is bit `l` of `rows[i]`. Rows past `rows.len()` read as 0, so
-/// a ragged last block pads with zeros.
-fn transpose_lanes(rows: &[u64], words_per_lane: usize, lanes: &mut [u64]) {
-    assert_eq!(lanes.len(), 64 * words_per_lane, "64 lanes of {words_per_lane} words");
-    debug_assert!(rows.len() <= 64 * words_per_lane, "more rows than lane bits");
-    let mut block = [0u64; 64];
-    for b in 0..words_per_lane {
-        let lo = (64 * b).min(rows.len());
-        let chunk = &rows[lo..(lo + 64).min(rows.len())];
-        block[..chunk.len()].copy_from_slice(chunk);
-        block[chunk.len()..].fill(0);
-        transpose64(&mut block);
-        for (l, &word) in block.iter().enumerate() {
-            lanes[l * words_per_lane + b] = word;
-        }
     }
 }
 
@@ -659,7 +581,7 @@ mod tests {
         assert_eq!(PackedLattice::pack(&[false, true, false]), vec![0b10]);
     }
 
-    /// Deterministic packed error patterns for the transpose tests.
+    /// Deterministic packed error patterns for the scatter/gather tests.
     fn pseudo_random_trials(packed: &PackedLattice, count: usize, mut state: u64) -> Vec<Vec<u64>> {
         (0..count)
             .map(|_| {
@@ -758,5 +680,25 @@ mod tests {
         let w2: usize =
             l.x_checks.iter().chain(&l.z_checks).filter(|c| c.support.len() == 2).count();
         assert_eq!(w2, 2 * (7 - 1));
+    }
+
+    #[test]
+    fn every_row_is_a_logical_z_representative() {
+        // The premise of the Monte-Carlo free-row verdicts: a Z string
+        // along any row commutes with every X check and anticommutes
+        // with logical X̄, so it reads the same logical parity as the top
+        // row on any zero-syndrome pattern.
+        for d in [2usize, 3, 5, 23] {
+            let l = Lattice::new(d);
+            let lx = l.logical_x();
+            for row in 0..d {
+                let on_row = |q: &&usize| *q / d == row;
+                for chk in &l.x_checks {
+                    let overlap = chk.support.iter().filter(on_row).count();
+                    assert_eq!(overlap % 2, 0, "d={d} row={row}: X check at {:?}", chk.pos);
+                }
+                assert_eq!(lx.iter().filter(on_row).count() % 2, 1, "d={d} row={row}");
+            }
+        }
     }
 }

@@ -40,9 +40,9 @@
 //! per error), not by a pass over every check. At `d = 23` with 2,000
 //! trials per stage (the engine's rare estimator, four ladder stages at
 //! `p ≈ 1.3–2.8·10⁻³`) an estimate on a 2-core x86 host at 2 threads
-//! takes 3.5–7.5 ms with the anchor kept, and a fresh
+//! takes 2.3–5.3 ms (median 2.9) with the anchor kept, and a fresh
 //! [`logical_error_rate_rare`], which builds its context and samples the
-//! anchor, 17–21 ms.
+//! anchor, 15–18 ms (median 16–17).
 //!
 //! The estimate is cross-checkable against [`small_p_expansion`]: the
 //! **exact** leading-order expansion `p_L(p) = Σ_k N_k·pᵏ(1−p)^(n−k)`

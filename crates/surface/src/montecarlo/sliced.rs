@@ -8,21 +8,25 @@
 //! *lane* `l`. Error placement, Z-syndrome extraction (2–4 word XORs per
 //! check), the zero-syndrome early exit (one OR-fold), and the
 //! logical-membrane parity check all run for 64 independent trials per
-//! word op. Only lanes whose syndrome is nonzero fall back to the scalar
-//! packed decoder. Their packed syndromes come from one in-place 64×64
-//! bit transpose per 64-check block of the word
-//! ([`PackedLattice::transpose_syndrome_lanes`]), and their error
-//! patterns from the same transpose of the error block, done once per
-//! word that has fallback lanes ([`PackedLattice::transpose_error_lanes`])
-//! — not from a bit loop per lane.
+//! word op. Only lanes whose syndrome is nonzero leave the word-wide
+//! path.
 //!
-//! **Isolated lanes** skip even that. The pass that places a lane's
-//! errors also records up to 8 of their positions; a lane whose recorded errors are pairwise isolated (see
-//! [`super`]) gets its verdict as the XOR of the lone-error verdict
-//! table and is never transposed or decoded. At `d = 23` and `p ≈
+//! **Isolated lanes** skip the decoder. The pass that places a lane's
+//! errors also records up to 8 of their positions; a lane whose recorded
+//! errors are pairwise isolated (see [`super`]) gets its verdict as the
+//! XOR of the lone-error verdict table. At `d = 23` and `p ≈
 //! 1.3–2.8·10⁻³` most nonzero-syndrome lanes carry one or two far-apart
-//! errors, so the fallback shrinks from ~61 % of the lanes to ~4 %, and
-//! the transposes run only for words that still have a lane to decode.
+//! errors, so only ~4 % of the lanes decode. There, 32,768 trials on a
+//! kept [`McContext`] take 0.7–2.0 ms (median 1.1) on a 2-core x86 host
+//! at 2 threads.
+//!
+//! **Decoded lanes** go through the scalar verdict path every decoded
+//! trial shares (`McScratch::verdict`, see [`super`]): a lane with at
+//! most 8 errors is placed from its recorded positions, and a heavier
+//! one is read back out of the sliced blocks
+//! ([`PackedLattice::gather_lane`], [`PackedLattice::gather_syndrome_lane`]).
+//! Most of them skip the spanning-tree peel, because some row of the
+//! data grid stays outside every cluster.
 //!
 //! **Fast-empty sampling** carries the rest of the speedup without
 //! disturbing a single random draw: a lane with no error resolves its one
@@ -45,9 +49,9 @@
 
 use super::{
     decoded_verdict, flush_decode_stats, ErrorSampler, LoneVerdicts, McContext, McEstimate,
-    ISOLATED_MAX_ERRORS,
+    McScratch, ISOLATED_MAX_ERRORS,
 };
-use crate::decoder::{decode_into, DecodeStats, DecoderScratch, DecodingGraph};
+use crate::decoder::{DecodeStats, DecodingGraph};
 use crate::lattice::{Lattice, PackedLattice};
 use qisim_quantum::rng::{open01_from_mantissa53, Rng, Xorshift64Star};
 
@@ -81,32 +85,24 @@ impl SlicedStats {
 }
 
 /// Reusable buffers of the sliced kernel: the transposed error/syndrome
-/// blocks, each lane's first error positions, the same blocks transposed
-/// back to 64 packed lanes for the fallback decoder, and its arena —
-/// plus the lone-error verdict table the isolated lanes read. One
-/// allocation per batch (or parallel chunk), zero per trial.
+/// blocks, each lane's first error positions, the scalar verdict scratch
+/// the fallback lanes decode on, and the lone-error verdict table the
+/// isolated lanes read. One allocation per batch (or parallel chunk),
+/// zero per trial.
 #[derive(Debug, Clone)]
 pub struct SlicedScratch {
     /// Transposed errors: one word per data qubit.
     sliced_errs: Vec<u64>,
     /// Transposed syndromes: one word per Z-check.
     sliced_syn: Vec<u64>,
-    /// All 64 lanes' packed error bitsets, lane-major (`qubit_words`
-    /// words each); filled once per word that has fallback lanes.
-    lane_errs: Vec<u64>,
-    /// All 64 lanes' packed syndromes, lane-major (`syndrome_words`
-    /// words each).
-    lane_syn: Vec<u64>,
-    /// The residual syndrome the debug build checks after each decode.
-    residual: Vec<u64>,
     /// Each lane's first [`ISOLATED_MAX_ERRORS`] error positions, in
     /// sampling (ascending) order.
     lane_pos: [[u16; ISOLATED_MAX_ERRORS]; 64],
     /// Each lane's error count, saturating: above
     /// [`ISOLATED_MAX_ERRORS`] the lane always decodes.
     lane_len: [u8; 64],
-    /// Scalar decoder arena for the fallback lanes.
-    decoder: DecoderScratch,
+    /// Packed buffers and decoder arena for the fallback lanes.
+    mc: McScratch,
     /// Lone-error verdicts of the lattice `packed` and `graph` describe.
     lone: LoneVerdicts,
     stats: SlicedStats,
@@ -129,12 +125,9 @@ impl SlicedScratch {
         SlicedScratch {
             sliced_errs: vec![0; packed.sliced_words()],
             sliced_syn: vec![0; packed.sliced_syndrome_words()],
-            lane_errs: vec![0; 64 * packed.qubit_words()],
-            lane_syn: vec![0; 64 * packed.syndrome_words()],
-            residual: vec![0; packed.syndrome_words()],
             lane_pos: [[0; ISOLATED_MAX_ERRORS]; 64],
             lane_len: [0; 64],
-            decoder: DecoderScratch::new(graph),
+            mc: McScratch::new(packed, graph),
             lone,
             stats: SlicedStats::default(),
         }
@@ -147,9 +140,9 @@ impl SlicedScratch {
     }
 
     /// Returns and resets the accumulated counters (decoder work
-    /// counters travel separately via the inner arena).
+    /// counters travel separately via the decoder arena).
     pub fn take_stats(&mut self) -> (SlicedStats, DecodeStats) {
-        (std::mem::take(&mut self.stats), self.decoder.take_stats())
+        (std::mem::take(&mut self.stats), self.mc.decoder.take_stats())
     }
 }
 
@@ -249,21 +242,17 @@ pub fn run_trials_sliced(
         scratch.stats.zero_syndrome_lanes += zero_syn.count_ones() as u64;
         failures += (zero_syn & logical_mask).count_ones() as usize;
         // Fast path 3, per lane: isolated errors take the XOR of their
-        // lone verdicts; every other nonzero-syndrome lane decodes.
-        let mut decode_mask = 0u64;
+        // lone verdicts. Every other nonzero-syndrome lane decodes from
+        // its recorded positions, or, past ISOLATED_MAX_ERRORS, from its
+        // error and syndrome bits gathered off the sliced blocks.
         let mut syn_lanes = any_syn_mask;
         while syn_lanes != 0 {
             let lane = syn_lanes.trailing_zeros() as usize;
             syn_lanes &= syn_lanes - 1;
             let len = usize::from(scratch.lane_len[lane]);
-            let positions = &scratch.lane_pos[lane][..len.min(ISOLATED_MAX_ERRORS)];
-            let verdict = if len <= ISOLATED_MAX_ERRORS {
-                scratch.lone.isolated_verdict(positions)
-            } else {
-                None
-            };
-            match verdict {
-                Some(fails) => {
+            let fails = if len <= ISOLATED_MAX_ERRORS {
+                let positions = &scratch.lane_pos[lane][..len];
+                if let Some(fails) = scratch.lone.isolated_verdict(positions) {
                     debug_assert_eq!(
                         fails,
                         decoded_verdict(packed, graph, positions),
@@ -271,34 +260,17 @@ pub fn run_trials_sliced(
                     );
                     scratch.stats.isolated_lanes += 1;
                     failures += fails as usize;
+                    continue;
                 }
-                None => decode_mask |= 1u64 << lane,
-            }
-        }
-        // Fallback: read each remaining lane's packed syndrome and error
-        // pattern off the transposed blocks and decode it.
-        if decode_mask != 0 {
-            let (words, qubit_words) = (packed.syndrome_words(), packed.qubit_words());
-            packed.transpose_syndrome_lanes(&scratch.sliced_syn, &mut scratch.lane_syn);
-            packed.transpose_error_lanes(&scratch.sliced_errs, &mut scratch.lane_errs);
-            let mut fallback = decode_mask;
-            while fallback != 0 {
-                let lane = fallback.trailing_zeros() as usize;
-                fallback &= fallback - 1;
-                scratch.stats.fallback_trials += 1;
-                let syndrome = &scratch.lane_syn[lane * words..(lane + 1) * words];
-                // Each lane is visited once per word, so the correction
-                // is applied in place.
-                let errs = &mut scratch.lane_errs[lane * qubit_words..(lane + 1) * qubit_words];
-                for &q in decode_into(graph, syndrome, &mut scratch.decoder) {
-                    PackedLattice::flip_bit(errs, q);
-                }
-                debug_assert!(
-                    !packed.z_syndrome_into(errs, &mut scratch.residual),
-                    "decoder left residual syndrome"
-                );
-                failures += packed.is_logical_x(errs) as usize;
-            }
+                scratch.mc.decoded_verdict(packed, graph, positions)
+            } else {
+                let mc = &mut scratch.mc;
+                packed.gather_lane(&scratch.sliced_errs, lane, &mut mc.errs);
+                packed.gather_syndrome_lane(&scratch.sliced_syn, lane, &mut mc.syndrome);
+                mc.verdict(packed, graph)
+            };
+            scratch.stats.fallback_trials += 1;
+            failures += fails as usize;
         }
         start += active;
     }

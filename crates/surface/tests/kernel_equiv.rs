@@ -5,14 +5,12 @@
 //! `{3, 5, 7} × {0.001, 0.01, 0.1}` and a battery of seeds, plus the
 //! production distance `d = 23` at `p ∈ {0.002, 0.05}`, the bit-sliced
 //! kernel and per-lane runs of the bool-vec reference must count
-//! **identical** failures from the same RNG streams; the word-wide lane
-//! transposes must equal the per-lane gathers; and the arena decoder
+//! **identical** failures from the same RNG streams; and the arena decoder
 //! must clear every syndrome it is handed while matching the oracle's
 //! correction up to `d = 23`.
 
 use qisim_quantum::rng::{Rng, Xorshift64Star};
 use qisim_surface::decoder::{decode_into, decode_reference, DecoderScratch, DecodingGraph};
-use qisim_surface::lattice::transpose64;
 use qisim_surface::montecarlo::run_trials_reference;
 use qisim_surface::montecarlo::sliced::{run_trials_sliced, SlicedScratch};
 use qisim_surface::{Lattice, PackedLattice};
@@ -71,62 +69,6 @@ fn sliced_and_reference_kernels_agree_at_the_production_distance() {
         let fast = run_trials_sliced(&packed, &graph, p, trials as usize, seed, 0, &mut scratch);
         assert_eq!(fast, reference_failures(&lattice, &graph, p, trials, seed), "p={p}");
         assert_eq!(fast > 0, p > 0.01, "p={p}: {fast} failures");
-    }
-}
-
-#[test]
-fn transpose64_matches_the_bit_by_bit_definition() {
-    let mut rng = Xorshift64Star::seed_from_u64(0x7A_05E);
-    for round in 0..8 {
-        let rows: [u64; 64] = std::array::from_fn(|_| match round {
-            0 => 0,
-            1 => !0,
-            _ => rng.next_u64(),
-        });
-        let mut t = rows;
-        transpose64(&mut t);
-        for (r, &row) in rows.iter().enumerate() {
-            for (c, &col) in t.iter().enumerate() {
-                assert_eq!(row >> c & 1, col >> r & 1, "round={round} r={r} c={c}");
-            }
-        }
-        transpose64(&mut t);
-        assert_eq!(t, rows, "round={round}: a transpose is its own inverse");
-    }
-}
-
-#[test]
-fn lane_transposes_equal_the_per_lane_gathers() {
-    // d = 8 fills exactly one 64-qubit block; d = 2, 3, 9 and 23 end in
-    // a ragged one (errors and syndromes alike).
-    for d in [2usize, 3, 8, 9, 23] {
-        let lattice = Lattice::new(d);
-        let packed = PackedLattice::new(&lattice);
-        let mut rng = Xorshift64Star::seed_from_u64(0x1A_4E5 ^ d as u64);
-        for density in [0.02f64, 0.3] {
-            let mut sliced = vec![0u64; packed.sliced_words()];
-            for word in sliced.iter_mut() {
-                for lane in 0..64 {
-                    *word |= u64::from(rng.gen_f64() < density) << lane;
-                }
-            }
-            let mut sliced_syn = vec![0u64; packed.sliced_syndrome_words()];
-            let _ = packed.z_syndrome_sliced(&sliced, &mut sliced_syn);
-            let (qw, sw) = (packed.qubit_words(), packed.syndrome_words());
-            let mut lane_errs = vec![!0u64; 64 * qw];
-            let mut lane_syn = vec![!0u64; 64 * sw];
-            packed.transpose_error_lanes(&sliced, &mut lane_errs);
-            packed.transpose_syndrome_lanes(&sliced_syn, &mut lane_syn);
-            let mut errs = vec![0u64; qw];
-            let mut syn = vec![0u64; sw];
-            for lane in 0..64 {
-                packed.gather_lane(&sliced, lane, &mut errs);
-                packed.gather_syndrome_lane(&sliced_syn, lane, &mut syn);
-                let case = format!("d={d} density={density} lane={lane}");
-                assert_eq!(&lane_errs[lane * qw..(lane + 1) * qw], &errs[..], "errors, {case}");
-                assert_eq!(&lane_syn[lane * sw..(lane + 1) * sw], &syn[..], "syndrome, {case}");
-            }
-        }
     }
 }
 

@@ -11,8 +11,11 @@
 #      engine must be bit-identical at any thread count
 #   3. the qisim-surface suite in the test profile (opt-level 2, debug
 #      assertions on): the Monte-Carlo kernels' debug_assert! checks —
-#      the decoder's residual-syndrome check, the lane and slice size
-#      checks — never run in the release builds of steps 1, 2 and 7
+#      every decoded verdict also peels and checks that the correction
+#      leaves no syndrome and that a free-row verdict equals the full
+#      peel's, every isolated-error verdict is re-decoded, and the lane
+#      and slice sizes are checked — never run in the release builds of
+#      steps 1, 2 and 7
 #   4. rustfmt check (config in rustfmt.toml)
 #   5. clippy across the whole workspace, warnings are errors
 #   6. rustdoc: the whole workspace must document cleanly (warnings are
