@@ -191,7 +191,6 @@ pub struct AnalysisPlan {
     target: Target,
     topology: FridgeTopology,
     estimator: Estimator,
-    link: InstructionLink,
     inventory: Option<QciArch>,
     schedule: Option<EsmSchedule>,
     power: Option<PowerArtifact>,
@@ -227,7 +226,6 @@ impl AnalysisPlan {
             target: *target,
             topology: topology.clone(),
             estimator,
-            link: InstructionLink::standard(),
             inventory: None,
             schedule: None,
             power: None,
@@ -359,17 +357,18 @@ impl AnalysisPlan {
         let design = self.design;
         let arch: &QciArch = self.inventory.get_or_insert_with(|| design.arch());
         let fridge = self.topology.fridge();
+        let link = InstructionLink::standard();
         let (per_fridge, binding, mut stages) = match self.topology.effective_fridge() {
             Some(eff) => {
                 let (n, binding, landing) =
-                    qisim_power::try_max_qubits_with_link(arch, &eff, &self.link)?;
+                    qisim_power::try_max_qubits_with_link(arch, &eff, &link)?;
                 (n, binding, landing.stages)
             }
             // The interconnect eats some stage's budget whole: zero
             // qubits per fridge, and the worst-loaded stage (total_cmp
             // ordering inside worst_link_stage) names the culprit.
             None => {
-                let one = qisim_power::try_evaluate_with_link(arch, fridge, 1, &self.link)?;
+                let one = qisim_power::try_evaluate_with_link(arch, fridge, 1, &link)?;
                 (0, self.topology.worst_link_stage(), one.stages)
             }
         };

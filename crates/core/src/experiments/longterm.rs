@@ -8,10 +8,11 @@ use qisim_error::readout_cmos::{CmosReadoutModel, MultiRound};
 use qisim_error::readout_sfq::SfqReadoutModel;
 use qisim_error::workload::seeded_rng;
 use qisim_hal::fridge::{Fridge, Stage};
+use qisim_hal::wire::InstructionLink;
 use qisim_microarch::cryo_cmos::{CryoCmosConfig, READOUT_NS};
 use qisim_microarch::sfq::{ReadoutSchedule, SfqConfig};
 use qisim_microarch::DecisionKind;
-use qisim_power::{evaluate, max_qubits};
+use qisim_power::{max_qubits, try_evaluate_with_link};
 use qisim_surface::target::{Target, CODE_DISTANCE};
 
 /// Fig. 17 — long-term scalability: advanced 4 K CMOS (63,883 qubits)
@@ -94,8 +95,10 @@ pub fn fig18() -> Experiment {
     let masked = CryoCmosConfig::long_term();
     let n = scalability::LONG_TERM_QUBITS;
     let fridge = Fridge::standard();
-    let report = evaluate(&unmasked.build(), &fridge, n);
-    let k4 = report.stage(Stage::K4).expect("4K row");
+    let k4 = try_evaluate_with_link(&unmasked.build(), &fridge, n, &InstructionLink::standard())
+        .ok()
+        .and_then(|report| report.stage(Stage::K4).copied())
+        .expect("4K row");
     let wire_share = k4.instr_link_w / k4.total_w();
     let bw_cut = 1.0
         - masked.build().instr_bandwidth_bps_per_qubit

@@ -152,6 +152,7 @@ pub fn apply_all(design: &QciDesign, opts: &[Opt]) -> Result<QciDesign, ApplyOpt
 mod tests {
     use super::*;
     use qisim_hal::fridge::{Fridge, Stage};
+    use qisim_hal::wire::InstructionLink;
     use qisim_power::max_qubits;
 
     #[test]
@@ -217,8 +218,9 @@ mod tests {
         });
         let n = 62_208;
         let f = Fridge::standard();
-        let with = qisim_power::evaluate(&base.arch(), &f, n);
-        let without = qisim_power::evaluate(&unmasked.arch(), &f, n);
+        let link = InstructionLink::standard();
+        let with = qisim_power::try_evaluate_with_link(&base.arch(), &f, n, &link).unwrap();
+        let without = qisim_power::try_evaluate_with_link(&unmasked.arch(), &f, n, &link).unwrap();
         let w_link = with.stage(Stage::K4).unwrap().instr_link_w;
         let wo_link = without.stage(Stage::K4).unwrap().instr_link_w;
         assert!(w_link < 0.2 * wo_link, "masked {w_link} vs unmasked {wo_link}");

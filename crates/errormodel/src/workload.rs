@@ -34,11 +34,6 @@ impl ErrorRates {
         ErrorRates { one_q: 8.17e-7, two_q: 7.8e-4, readout: 1.0e-3, t1_us: 122.0, t2_us: 118.0 }
     }
 
-    /// Table 2's SFQ operating point.
-    pub fn sfq_table2() -> Self {
-        ErrorRates { one_q: 1.18e-4, two_q: 1.09e-3, readout: 1.48e-2, t1_us: 122.0, t2_us: 118.0 }
-    }
-
     /// Pauli-twirled idle-decoherence probabilities `(p_x, p_y, p_z)` for
     /// an idle window of `t_ns`.
     pub fn idle_paulis(&self, t_ns: f64) -> (f64, f64, f64) {

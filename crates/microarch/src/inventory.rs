@@ -273,11 +273,6 @@ impl QciArch {
     pub fn component(&self, name: &str) -> Option<&Component> {
         self.components.iter().find(|c| c.name == name)
     }
-
-    /// Mutable access to a component by exact name.
-    pub fn component_mut(&mut self, name: &str) -> Option<&mut Component> {
-        self.components.iter_mut().find(|c| c.name == name)
-    }
 }
 
 #[cfg(test)]

@@ -277,11 +277,6 @@ pub fn shutdown() -> bool {
     true
 }
 
-/// Changes the minimum written level of the armed sink.
-pub fn set_level(level: Level) {
-    MIN_LEVEL.store(level as u8, Ordering::Relaxed);
-}
-
 /// Overrides the per-second record cap (clamped to at least 1); see
 /// [`DEFAULT_RATE_CAP`].
 pub fn set_rate_cap(records_per_second: u32) {

@@ -6,20 +6,27 @@
 //! loads, and 300K→4K instruction-link heat per refrigerator stage, and
 //! checks the totals against the dilution refrigerator's cooling budgets.
 //!
+//! Two questions, three doors: [`try_evaluate_with_link`] accounts one
+//! design at `n` qubits, and [`max_qubits`] (or
+//! [`try_max_qubits_with_link`], which also hands back the landing
+//! report) bisects for the largest `n` the stage budgets allow.
+//!
 //! # Examples
 //!
 //! ```
-//! use qisim_power::{evaluate, max_qubits};
+//! use qisim_power::{max_qubits, try_evaluate_with_link};
 //! use qisim_microarch::CryoCmosConfig;
 //! use qisim_hal::fridge::{Fridge, Stage};
+//! use qisim_hal::wire::InstructionLink;
 //!
 //! let arch = CryoCmosConfig::baseline().build();
 //! let fridge = Fridge::standard();
-//! let report = evaluate(&arch, &fridge, 1024);
+//! let report = try_evaluate_with_link(&arch, &fridge, 1024, &InstructionLink::standard())?;
 //! assert!(!report.fits()); // the baseline dies before 1,024 qubits...
 //! let (max, binding) = max_qubits(&arch, &fridge);
 //! assert!(max < 1024);     // ...at the 4 K stage (Fig. 13a)
 //! assert_eq!(binding, Some(Stage::K4));
+//! # Ok::<(), qisim_power::PowerError>(())
 //! ```
 
 #![warn(missing_docs)]
@@ -37,9 +44,7 @@ use std::fmt;
 
 /// Typed failure of the runtime-power model.
 ///
-/// Library entry points return this through the `try_*` functions; the
-/// infallible wrappers ([`evaluate`], [`max_qubits`], …) keep their
-/// historical panic behavior for the paper drivers. `qisim`'s
+/// [`try_evaluate_with_link`] returns it for a zero qubit count. `qisim`'s
 /// `QisimError::Power` variant wraps this error and exposes it through
 /// [`std::error::Error::source`], so callers can match on the concrete
 /// power failure across the crate boundary.
@@ -55,8 +60,6 @@ pub enum PowerError {
 impl fmt::Display for PowerError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            // Exactly the historical `assert!` message, so the
-            // infallible wrappers panic with the same text as before.
             PowerError::NoQubits => f.write_str("need at least one qubit"),
         }
     }
@@ -132,48 +135,9 @@ impl PowerReport {
     }
 }
 
-/// Evaluates a design's per-stage power at `n_qubits` using the standard
-/// 6 Gb/s instruction link.
-///
-/// # Panics
-///
-/// Panics if `n_qubits == 0`; use [`try_evaluate`] for a typed error.
-pub fn evaluate(arch: &QciArch, fridge: &Fridge, n_qubits: u64) -> PowerReport {
-    evaluate_with_link(arch, fridge, n_qubits, &InstructionLink::standard())
-}
-
-/// Fallible [`evaluate`]: zero qubits is a [`PowerError::NoQubits`]
-/// diagnostic instead of a process abort.
-///
-/// # Errors
-///
-/// Returns [`PowerError::NoQubits`] when `n_qubits == 0`.
-pub fn try_evaluate(
-    arch: &QciArch,
-    fridge: &Fridge,
-    n_qubits: u64,
-) -> Result<PowerReport, PowerError> {
-    try_evaluate_with_link(arch, fridge, n_qubits, &InstructionLink::standard())
-}
-
-/// Evaluates with a custom instruction link (future-technology what-ifs).
-///
-/// # Panics
-///
-/// Panics if `n_qubits == 0`; use [`try_evaluate_with_link`] for a typed
-/// error.
-pub fn evaluate_with_link(
-    arch: &QciArch,
-    fridge: &Fridge,
-    n_qubits: u64,
-    link: &InstructionLink,
-) -> PowerReport {
-    // Allowlisted panic (tools/panic_allowlist.txt): the infallible
-    // wrapper keeps the historical abort-with-message behavior.
-    try_evaluate_with_link(arch, fridge, n_qubits, link).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible [`evaluate_with_link`].
+/// Evaluates a design's per-stage power at `n_qubits` over an
+/// instruction link (§4.3; `InstructionLink::standard()` is the paper's
+/// 6 Gb/s link).
 ///
 /// # Errors
 ///
@@ -187,6 +151,16 @@ pub fn try_evaluate_with_link(
     if n_qubits == 0 {
         return Err(PowerError::NoQubits);
     }
+    Ok(stage_powers(arch, fridge, n_qubits, link))
+}
+
+/// The per-stage accounting at `n_qubits ≥ 1`.
+fn stage_powers(
+    arch: &QciArch,
+    fridge: &Fridge,
+    n_qubits: u64,
+    link: &InstructionLink,
+) -> PowerReport {
     // Counted, not timed: a span's two clock reads would add ~20 % to
     // this sub-µs call.
     counter!("power.evaluate.calls");
@@ -205,89 +179,70 @@ pub fn try_evaluate_with_link(
             budget_w: fridge.budget_w(stage),
         })
         .collect();
-    Ok(PowerReport { n_qubits, stages })
+    PowerReport { n_qubits, stages }
 }
 
-/// The maximum qubit count the refrigerator can power for this design,
-/// and the stage that binds at that scale (§4.3 → Fig. 12/13/17).
+/// The maximum qubit count the refrigerator can power for this design
+/// over the standard instruction link, and the stage that binds at that
+/// scale (§4.3 → Fig. 12/13/17).
 ///
 /// Binary search over qubit count (power is monotone in `n`). The
 /// result is cached per design in the [`memo`] cache, so re-analyzing a
 /// design — the experiment suite does this constantly — costs one
 /// lookup.
 pub fn max_qubits(arch: &QciArch, fridge: &Fridge) -> (u64, Option<Stage>) {
-    max_qubits_with_link(arch, fridge, &InstructionLink::standard())
-}
-
-/// Fallible [`max_qubits`]. The bisection itself only ever probes
-/// `n ≥ 1`, so this currently cannot fail on any constructible input;
-/// the `Result` keeps the signature honest as the model grows fallible
-/// inputs (custom fridges, link models).
-///
-/// # Errors
-///
-/// Propagates any [`PowerError`] raised by a bisection probe.
-pub fn try_max_qubits(arch: &QciArch, fridge: &Fridge) -> Result<(u64, Option<Stage>), PowerError> {
-    let (n, binding, _) = try_max_qubits_with_link(arch, fridge, &InstructionLink::standard())?;
-    Ok((n, binding))
-}
-
-/// [`max_qubits`] with a custom instruction link.
-pub fn max_qubits_with_link(
-    arch: &QciArch,
-    fridge: &Fridge,
-    link: &InstructionLink,
-) -> (u64, Option<Stage>) {
-    // Allowlisted panic (tools/panic_allowlist.txt): infallible wrapper.
-    let (n, binding, _) =
-        try_max_qubits_with_link(arch, fridge, link).unwrap_or_else(|e| panic!("{e}"));
+    let (n, binding, _) = landing(arch, fridge, &InstructionLink::standard());
     (n, binding)
 }
 
-/// Fallible [`max_qubits_with_link`] that also hands back the landing
-/// report: the probe at `max(n, 1)` qubits, whose per-stage watts are
-/// the design's attribution at its power-limited scale.
-///
-/// A repeat call is one [`memo`] lookup; either way the landing
-/// publishes the `power.stage.*` attribution gauges.
+/// [`max_qubits`] over any instruction link, also handing back the
+/// landing report: the probe at `max(n, 1)` qubits, whose per-stage
+/// watts are the design's attribution at its power-limited scale.
 ///
 /// # Errors
 ///
-/// Propagates any [`PowerError`] raised by a bisection probe.
+/// Never: every bisection probe is at `n ≥ 1`. The `Result` stays
+/// because the repository benchmark (`benchmark/src/layers.rs`) calls
+/// this signature.
 pub fn try_max_qubits_with_link(
     arch: &QciArch,
     fridge: &Fridge,
     link: &InstructionLink,
 ) -> Result<(u64, Option<Stage>, PowerReport), PowerError> {
+    Ok(landing(arch, fridge, link))
+}
+
+/// The memoized bisection landing. A repeat call is one [`memo`]
+/// lookup; either way the landing publishes the `power.stage.*`
+/// attribution gauges.
+fn landing(arch: &QciArch, fridge: &Fridge, link: &InstructionLink) -> memo::Landing {
     span!("power.max_qubits");
     let key = MemoKey::new(arch, fridge, link);
     let landing = match memo::lookup(key) {
         Some(landing) => landing,
         None => {
-            let landing = bisect(arch, fridge, link)?;
+            let landing = bisect(arch, fridge, link);
             memo::store(key, landing.clone());
             landing
         }
     };
     record_stage_gauges(&landing.2);
-    Ok(landing)
+    landing
 }
 
-/// The uncached bisection behind [`try_max_qubits_with_link`].
-fn bisect(
-    arch: &QciArch,
-    fridge: &Fridge,
-    link: &InstructionLink,
-) -> Result<memo::Landing, PowerError> {
-    let probe = |n: u64| try_evaluate_with_link(arch, fridge, n, link);
-    let first = probe(1)?;
+/// The uncached bisection behind [`landing`]. It doubles from 1, halves
+/// between two bounds that are both ≥ 1 and closes at those bounds, so
+/// every probe is at `n ≥ 1`.
+fn bisect(arch: &QciArch, fridge: &Fridge, link: &InstructionLink) -> memo::Landing {
+    let probe = |n: u64| stage_powers(arch, fridge, n, link);
+    let first = probe(1);
     if !first.fits() {
         let binding = first.binding_stage();
-        return Ok((0, binding, first));
+        return (0, binding, first);
     }
     let mut lo = 1u64; // fits
     let mut hi = 2u64;
-    while probe(hi)?.fits() {
+    while probe(hi).fits() {
         counter!("power.bisection.iters");
         if qisim_obs::trace::armed() {
             qisim_obs::trace::instant("power.bisection.probe", &[("qubits", hi as f64)]);
@@ -295,7 +250,7 @@ fn bisect(
         lo = hi;
         hi *= 2;
         if hi > 1 << 40 {
-            return Ok((lo, None, probe(lo)?)); // effectively unbounded by power
+            return (lo, None, probe(lo)); // effectively unbounded by power
         }
     }
     while hi - lo > 1 {
@@ -304,14 +259,14 @@ fn bisect(
         if qisim_obs::trace::armed() {
             qisim_obs::trace::instant("power.bisection.probe", &[("qubits", mid as f64)]);
         }
-        if probe(mid)?.fits() {
+        if probe(mid).fits() {
             lo = mid;
         } else {
             hi = mid;
         }
     }
-    let binding = probe(hi)?.binding_stage();
-    Ok((lo, binding, probe(lo)?))
+    let binding = probe(hi).binding_stage();
+    (lo, binding, probe(lo))
 }
 
 /// One row of `power.stage.<label>.*` gauge handles per stage label.
@@ -361,6 +316,11 @@ fn record_stage_gauges(report: &PowerReport) {
 mod tests {
     use super::*;
     use qisim_microarch::{CryoCmosConfig, DecisionKind, RoomInterconnect, SfqConfig};
+
+    /// One evaluation over the standard link.
+    fn evaluate(arch: &QciArch, fridge: &Fridge, n_qubits: u64) -> PowerReport {
+        try_evaluate_with_link(arch, fridge, n_qubits, &InstructionLink::standard()).unwrap()
+    }
 
     #[test]
     fn report_structure() {
@@ -505,7 +465,7 @@ mod tests {
         for fridge in [Fridge::standard(), Fridge::standard().with_budget(Stage::K4, 1e-9)] {
             let (n, binding, landing) = try_max_qubits_with_link(&arch, &fridge, &link).unwrap();
             assert_eq!((n, binding), max_qubits(&arch, &fridge));
-            assert_eq!(landing, evaluate_with_link(&arch, &fridge, n.max(1), &link));
+            assert_eq!(landing, evaluate(&arch, &fridge, n.max(1)));
         }
     }
 
@@ -515,19 +475,9 @@ mod tests {
         let arch = CryoCmosConfig::baseline().build();
         let fridge = Fridge::standard();
         let link = InstructionLink::standard();
-        let err = try_evaluate(&arch, &fridge, 0).unwrap_err();
+        let err = try_evaluate_with_link(&arch, &fridge, 0, &link).unwrap_err();
         assert_eq!(err, PowerError::NoQubits);
         assert_eq!(err.to_string(), "need at least one qubit");
-        assert_eq!(try_evaluate_with_link(&arch, &fridge, 0, &link), Err(PowerError::NoQubits));
-    }
-
-    #[test]
-    fn try_paths_match_infallible_paths() {
-        let _l = memo::global_test_lock();
-        let arch = SfqConfig::baseline_rsfq().build();
-        let fridge = Fridge::standard();
-        assert_eq!(try_evaluate(&arch, &fridge, 512).unwrap(), evaluate(&arch, &fridge, 512));
-        assert_eq!(try_max_qubits(&arch, &fridge).unwrap(), max_qubits(&arch, &fridge));
     }
 
     #[test]

@@ -391,7 +391,7 @@ mod tests {
         let key = MemoKey::new(&arch, &fridge, &link);
         clear_cache();
         assert_eq!(lookup(key), None);
-        let landing = crate::bisect(&arch, &fridge, &link).unwrap();
+        let landing = crate::bisect(&arch, &fridge, &link);
         store(key, landing.clone());
         assert_eq!(lookup(key), Some(landing));
         assert_eq!(cache_stats().len, 1);
@@ -489,7 +489,7 @@ mod tests {
             for i in 1..=50u32 {
                 let fridge = Fridge::standard().with_budget(Stage::K4, 0.1 * f64::from(i));
                 let key = MemoKey::new(&arch, &fridge, &link);
-                let direct = crate::bisect(&arch, &fridge, &link).unwrap();
+                let direct = crate::bisect(&arch, &fridge, &link);
                 let cached = match lru.get(key) {
                     Some(landing) => landing,
                     None => {

@@ -10,9 +10,6 @@
 use crate::complex::C64;
 use crate::matrix::CMatrix;
 
-/// Right-hand side evaluation count heuristic: RK4 uses four per step.
-const RK4_STAGES: usize = 4;
-
 /// Integrates `dψ/dt = -i H(t) ψ` from `t0` over `duration` with `steps`
 /// fixed RK4 steps, renormalizing after every step.
 ///
@@ -201,12 +198,6 @@ where
         rho = &rho + &incr.scaled(C64::from(dt / 6.0));
     }
     rho
-}
-
-/// Estimated floating-point work of one Schrödinger integration, used by the
-/// cycle-level profiler to budget simulation effort.
-pub fn estimated_rhs_evals(steps: usize) -> usize {
-    steps * RK4_STAGES
 }
 
 /// Normalizes a state vector in place. No-op on the zero vector.

@@ -46,19 +46,6 @@ impl CMatrix {
         m
     }
 
-    /// Builds a matrix from nested row slices.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the rows have inconsistent lengths or `rows` is empty.
-    pub fn from_rows(rows: &[&[C64]]) -> Self {
-        assert!(!rows.is_empty(), "matrix must have at least one row");
-        let cols = rows[0].len();
-        assert!(rows.iter().all(|r| r.len() == cols), "ragged rows");
-        let data = rows.iter().flat_map(|r| r.iter().copied()).collect();
-        CMatrix { rows: rows.len(), cols, data }
-    }
-
     /// Builds a square matrix from a flat row-major slice.
     ///
     /// # Panics
@@ -97,11 +84,6 @@ impl CMatrix {
     pub fn dim(&self) -> usize {
         assert_eq!(self.rows, self.cols, "dim() requires a square matrix");
         self.rows
-    }
-
-    /// Raw row-major data view.
-    pub fn as_slice(&self) -> &[C64] {
-        &self.data
     }
 
     /// Conjugate transpose (dagger).
@@ -178,11 +160,6 @@ impl CMatrix {
             *slot = acc;
         }
         out
-    }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|z| z.norm_sqr()).sum::<f64>().sqrt()
     }
 
     /// Maximum elementwise absolute difference to `other`.

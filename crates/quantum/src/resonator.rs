@@ -180,12 +180,6 @@ impl Trajectory {
     pub fn photon_numbers(&self) -> Vec<f64> {
         self.amplitudes.iter().map(|a| a.norm_sqr()).collect()
     }
-
-    /// Mean photon number across the trajectory.
-    pub fn mean_photons(&self) -> f64 {
-        let n = self.amplitudes.len() as f64;
-        self.amplitudes.iter().map(|a| a.norm_sqr()).sum::<f64>() / n
-    }
 }
 
 #[cfg(test)]

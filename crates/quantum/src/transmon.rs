@@ -61,19 +61,6 @@ impl Transmon {
         Transmon::new(5.0, -0.33, 3)
     }
 
-    /// Bare (lab-frame) Hamiltonian `ω·n + (α/2)·n(n−1)` in rad/ns.
-    pub fn bare_hamiltonian(&self) -> CMatrix {
-        let omega = ghz_to_rad(self.freq_ghz);
-        let alpha = ghz_to_rad(self.anharmonicity_ghz);
-        let entries: Vec<C64> = (0..self.levels)
-            .map(|k| {
-                let n = k as f64;
-                C64::from(omega * n + alpha / 2.0 * n * (n - 1.0))
-            })
-            .collect();
-        CMatrix::diag(&entries)
-    }
-
     /// Hamiltonian in the frame rotating at `freq_ghz + detuning_ghz`:
     /// `−Δ·n + (α/2)·n(n−1)` where `Δ = 2π·detuning_ghz`.
     pub fn rotating_hamiltonian(&self, detuning_ghz: f64) -> CMatrix {
@@ -103,14 +90,6 @@ impl Transmon {
     /// `detuning_ghz` with the given instantaneous I/Q amplitudes.
     pub fn driven_hamiltonian(&self, detuning_ghz: f64, i_amp: f64, q_amp: f64) -> CMatrix {
         &self.rotating_hamiltonian(detuning_ghz) + &self.drive_hamiltonian(i_amp, q_amp)
-    }
-
-    /// Projector onto the computational (two lowest) levels.
-    pub fn computational_projector(&self) -> CMatrix {
-        let mut p = CMatrix::zeros(self.levels, self.levels);
-        p[(0, 0)] = C64::ONE;
-        p[(1, 1)] = C64::ONE;
-        p
     }
 }
 

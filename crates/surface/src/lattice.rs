@@ -102,25 +102,10 @@ impl Lattice {
             .collect()
     }
 
-    /// Syndrome of a Z-error pattern: which X-checks flip.
-    pub fn x_syndrome(&self, z_errors: &[bool]) -> Vec<bool> {
-        assert_eq!(z_errors.len(), self.data_qubits(), "one flag per data qubit");
-        self.x_checks
-            .iter()
-            .map(|chk| chk.support.iter().filter(|&&q| z_errors[q]).count() % 2 == 1)
-            .collect()
-    }
-
     /// Whether an X-error pattern (after correction) implements logical
     /// `X̄`: odd overlap (anticommutation) with the logical-Z̄ row.
     pub fn is_logical_x(&self, x_errors: &[bool]) -> bool {
         self.logical_z().iter().filter(|&&q| x_errors[q]).count() % 2 == 1
-    }
-
-    /// Whether a Z-error pattern implements logical `Z̄`: odd overlap
-    /// with the logical-X̄ column.
-    pub fn is_logical_z(&self, z_errors: &[bool]) -> bool {
-        self.logical_x().iter().filter(|&&q| z_errors[q]).count() % 2 == 1
     }
 
     /// The paper's per-logical-qubit physical-qubit count `2(d+1)²`

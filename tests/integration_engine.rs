@@ -24,7 +24,9 @@ fn legacy_analyze_on(design: &QciDesign, target: &Target, fridge: &Fridge) -> Sc
     let (power_limited_qubits, binding_stage) = qisim::power::max_qubits(&arch, fridge);
     let link = InstructionLink::standard();
     let stages =
-        qisim::power::evaluate_with_link(&arch, fridge, power_limited_qubits.max(1), &link).stages;
+        qisim::power::try_evaluate_with_link(&arch, fridge, power_limited_qubits.max(1), &link)
+            .unwrap()
+            .stages;
     let logical_error = design.physical_budget().logical_error(CODE_DISTANCE, &CALIBRATION);
     let target_error = target.logical_error_target();
     Scalability {
@@ -66,7 +68,9 @@ fn legacy_cluster_power(
     };
     let link = InstructionLink::standard();
     let stages =
-        qisim::power::evaluate_with_link(&arch, topology.fridge(), per_fridge.max(1), &link).stages;
+        qisim::power::try_evaluate_with_link(&arch, topology.fridge(), per_fridge.max(1), &link)
+            .unwrap()
+            .stages;
     (per_fridge, binding, stages)
 }
 
@@ -512,4 +516,39 @@ fn plan_power_artifact_backs_the_verdict() {
     assert_eq!(power.stages, verdict.stages);
     let total: f64 = verdict.stages.iter().map(StagePower::total_w).sum();
     assert!(total > 0.0);
+}
+
+/// Every preset's power landing on the standard fridge, and one
+/// multi-fridge spec whose photonic links shift the binding stage, pinned
+/// exactly; a warm (memoized) analysis equals the cold one.
+#[test]
+fn power_landings_are_pinned_cold_and_warm() {
+    use qisim::hal::topology::LinkKind;
+    use Preset::*;
+    let mut cases: Vec<(DesignSpec, u64, Stage)> = [
+        (RoomCoax, 386, Stage::Mk100),
+        (RoomMicrostrip, 735, Stage::Mk100),
+        (RoomPhotonic, 67, Stage::Mk20),
+        (CmosBaseline, 704, Stage::K4),
+        (CmosNearTerm, 1472, Stage::K4),
+        (CmosLongTerm, 78_880, Stage::K4),
+        (RsfqBaseline, 186, Stage::Mk20),
+        (RsfqNearTerm, 1204, Stage::K4),
+        (ErsfqLongTerm, 73_046, Stage::K4),
+    ]
+    .into_iter()
+    .map(|(preset, n, stage)| (DesignSpec::new(preset), n, stage))
+    .collect();
+    let cluster =
+        DesignSpec::new(RsfqNearTerm).fridges(4).link(LinkKind::Photonic).links_per_fridge(16);
+    cases.push((cluster, 4 * 824, Stage::Mk20));
+    let t = Target::near_term();
+    for (spec, n, stage) in cases {
+        let name = spec.display_name();
+        qisim::power::clear_cache();
+        let cold = engine::try_analyze_spec(&spec, &t).expect("valid spec");
+        assert_eq!((cold.power_limited_qubits, cold.binding_stage), (n, Some(stage)), "{name}");
+        let warm = engine::try_analyze_spec(&spec, &t).expect("valid spec");
+        assert_eq!(warm, cold, "{name}");
+    }
 }

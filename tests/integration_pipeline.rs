@@ -5,8 +5,9 @@
 use qisim::cyclesim::{qasm, simulate, workloads, TimingModel};
 use qisim::errormodel::workload::{seeded_rng, ErrorRates, WorkloadSim};
 use qisim::hal::fridge::{Fridge, Stage};
+use qisim::hal::wire::InstructionLink;
 use qisim::microarch::sfq::ReadoutSchedule;
-use qisim::power::evaluate;
+use qisim::power::try_evaluate_with_link;
 use qisim::QciDesign;
 
 #[test]
@@ -63,6 +64,7 @@ fn sfq_readout_schedules_propagate_to_cycle_times() {
 #[test]
 fn power_reports_are_complete_for_every_design() {
     let fridge = Fridge::standard();
+    let link = InstructionLink::standard();
     for design in [
         QciDesign::room_coax(),
         QciDesign::room_photonic(),
@@ -70,7 +72,7 @@ fn power_reports_are_complete_for_every_design() {
         QciDesign::rsfq_baseline(),
         QciDesign::ersfq_long_term(),
     ] {
-        let report = evaluate(&design.arch(), &fridge, 256);
+        let report = try_evaluate_with_link(&design.arch(), &fridge, 256, &link).unwrap();
         assert_eq!(report.stages.len(), 5, "{}", design.name());
         let total: f64 = report.stages.iter().map(|s| s.total_w()).sum();
         assert!(total > 0.0, "{} reports zero power", design.name());

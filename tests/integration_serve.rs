@@ -249,10 +249,19 @@ fn concurrent_tcp_clients_get_bit_identical_ordered_responses() {
     let server =
         Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind an OS-assigned port");
     let addr = server.addr();
-    let preset_ids: Vec<&str> = Preset::ALL.iter().map(|p| p.id()).collect();
+    // The nine presets plus three knob overrides.
+    let mut mix: Vec<String> = Preset::ALL.iter().map(|p| format!("preset = {}", p.id())).collect();
+    mix.extend(
+        [
+            "preset = cmos_long_term; masked_isa = true",
+            "preset = ersfq_long_term; fast_driving = true",
+            "preset = cmos_baseline; decision = memoryless; drive_bits = 6",
+        ]
+        .map(String::from),
+    );
     let mut clients = Vec::new();
     for client in 0..4 {
-        let preset_ids = preset_ids.clone();
+        let mix = mix.clone();
         clients.push(std::thread::spawn(move || {
             let stream = TcpStream::connect(addr).expect("connect");
             let mut writer = stream.try_clone().expect("clone stream");
@@ -261,9 +270,9 @@ fn concurrent_tcp_clients_get_bit_identical_ordered_responses() {
             // come back in request order with matching ids.
             let lines: Vec<String> = (0..24)
                 .map(|i| {
-                    let preset = preset_ids[(client + i) % preset_ids.len()];
+                    let spec = &mix[(client + i) % mix.len()];
                     let target = if i % 3 == 0 { "target = long_term; " } else { "" };
-                    format!("id = c{client}-{i}; {target}preset = {preset}")
+                    format!("id = c{client}-{i}; {target}{spec}")
                 })
                 .collect();
             for line in &lines {
