@@ -587,8 +587,10 @@ pub fn try_analyze_topology(
 
 /// Analyzes a validated [`DesignSpec`]: builds the design and the
 /// (possibly budget-overridden, possibly multi-fridge) topology, runs
-/// the staged pipeline with the spec's chosen [`Estimator`], and stamps
-/// the spec's display name on the verdict.
+/// the staged pipeline with the spec's chosen [`Estimator`], and names
+/// the verdict after the spec's `name` override when it sets one (the
+/// verdict otherwise carries the built design's name, which is the
+/// spec's display name).
 ///
 /// # Errors
 ///
@@ -597,7 +599,9 @@ pub fn try_analyze_spec(spec: &DesignSpec, target: &Target) -> Result<Scalabilit
     let design = spec.build()?;
     let topology = spec.topology()?;
     let mut verdict = try_analyze_topology(&design, target, &topology, spec.chosen_estimator())?;
-    verdict.design = spec.display_name();
+    if let Some(name) = &spec.name {
+        verdict.design.clone_from(name);
+    }
     Ok(verdict)
 }
 

@@ -34,14 +34,16 @@
 //! assert!(matches!(err, QisimError::Config(_)));
 //! ```
 
+use crate::codec::KnobValue;
 use crate::config::QciDesign;
-use crate::error::{ConfigError, QisimError};
+use crate::error::{ConfigError, DecodeError, QisimError};
 use crate::opts::Opt;
 use qisim_hal::fridge::{Fridge, Stage};
 use qisim_hal::topology::{FridgeTopology, LinkKind};
 use qisim_microarch::cryo_cmos::{CryoCmosConfig, MULTI_ROUND_READOUT_NS};
 use qisim_microarch::sfq::{BitgenKind, JpmSharing, SfqConfig};
 use qisim_microarch::DecisionKind;
+use std::fmt::Write as _;
 
 /// Validated range of the CMOS drive FDM degree (`drive_fdm`). The
 /// paper's designs use 20–32; one cable cannot multiplex more than 64
@@ -212,6 +214,109 @@ pub struct DesignSpec {
     pub(crate) link: Option<LinkKind>,
     pub(crate) links_per_fridge: Option<u32>,
     pub(crate) shared_controllers: Option<bool>,
+}
+
+/// The technology a spec knob exists on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Tech {
+    /// Valid on every preset.
+    Any,
+    /// Cryo-CMOS presets only.
+    Cmos,
+    /// SFQ presets only.
+    Sfq,
+}
+
+/// One spec override key: the single declaration the codec's encoder and
+/// reader and [`DesignSpec::build`]'s technology check all read.
+pub(crate) struct Knob {
+    /// The document key; `budget.<stage>` stands for one key per stage.
+    pub(crate) key: &'static str,
+    /// The technology the knob exists on.
+    pub(crate) tech: Tech,
+    /// Whether the spec sets the override.
+    pub(crate) is_set: fn(&DesignSpec) -> bool,
+    /// Appends the override's `key = value` line(s), if set.
+    pub(crate) encode: fn(&DesignSpec, &mut String),
+    /// Records the value of `key` read at `line`.
+    pub(crate) decode: fn(&mut DesignSpec, usize, &str, &str) -> Result<(), DecodeError>,
+}
+
+/// The table row of an `Option` field named like its key.
+macro_rules! knob {
+    ($tech:ident, $field:ident) => {
+        Knob {
+            key: stringify!($field),
+            tech: Tech::$tech,
+            is_set: |spec| spec.$field.is_some(),
+            encode: |spec, out| {
+                if let Some(v) = &spec.$field {
+                    v.write_pair(stringify!($field), out);
+                }
+            },
+            decode: |spec, line, key, value| {
+                spec.$field = Some(KnobValue::read(line, key, value)?);
+                Ok(())
+            },
+        }
+    };
+}
+
+/// Every spec override key, in encode order (`preset` heads every
+/// document and is not an override). The CMOS knobs precede the SFQ
+/// knobs, so a room-temperature preset reports a CMOS mismatch first.
+pub(crate) static KNOBS: [Knob; 17] = [
+    knob!(Any, name),
+    knob!(Any, estimator),
+    knob!(Cmos, drive_fdm),
+    knob!(Cmos, drive_bits),
+    knob!(Cmos, decision),
+    knob!(Cmos, masked_isa),
+    knob!(Cmos, readout_ns),
+    knob!(Cmos, analog_scale),
+    knob!(Sfq, bs),
+    knob!(Sfq, bitgen),
+    knob!(Sfq, sharing),
+    knob!(Sfq, fast_driving),
+    Knob {
+        key: "budget.<stage>",
+        tech: Tech::Any,
+        is_set: |spec| spec.budgets_w.iter().any(Option::is_some),
+        encode: |spec, out| {
+            for (stage, w) in Stage::ALL.iter().zip(spec.budgets_w) {
+                if let Some(w) = w {
+                    let _ = writeln!(out, "budget.{stage} = {w}");
+                }
+            }
+        },
+        decode: |spec, line, key, value| {
+            spec.budgets_w[budget_stage(line, key)?] = Some(KnobValue::read(line, key, value)?);
+            Ok(())
+        },
+    },
+    knob!(Any, fridges),
+    knob!(Any, link),
+    knob!(Any, links_per_fridge),
+    knob!(Any, shared_controllers),
+];
+
+/// The table row declaring a spec key (`None` for an unknown key; an
+/// unknown stage label in a `budget.` key is its own diagnostic).
+pub(crate) fn knob_for(line: usize, key: &str) -> Result<Option<&'static Knob>, DecodeError> {
+    if key.starts_with("budget.") {
+        budget_stage(line, key)?;
+        return Ok(KNOBS.iter().find(|k| k.key == "budget.<stage>"));
+    }
+    Ok(KNOBS.iter().find(|k| k.key == key))
+}
+
+/// The [`Stage::ALL`] index a `budget.<stage>` key names.
+fn budget_stage(line: usize, key: &str) -> Result<usize, DecodeError> {
+    let label = key.strip_prefix("budget.").unwrap_or(key);
+    Stage::ALL
+        .iter()
+        .position(|s| s.label() == label)
+        .ok_or_else(|| DecodeError::new(line, format!("unknown fridge stage `{label}`")))
 }
 
 impl DesignSpec {
@@ -419,34 +524,34 @@ impl DesignSpec {
             check_range("links_per_fridge", links, LINKS_RANGE)?;
         }
         let base = self.preset.design();
+        let tech = match base {
+            QciDesign::Room(_) => Tech::Any,
+            QciDesign::CryoCmos(_) => Tech::Cmos,
+            QciDesign::Sfq(_) => Tech::Sfq,
+        };
+        if let Some(knob) =
+            KNOBS.iter().find(|k| k.tech != Tech::Any && k.tech != tech && (k.is_set)(self))
+        {
+            return Err(ConfigError::KnobMismatch { knob: knob.key, design: base.name() }.into());
+        }
         let design = match base {
-            QciDesign::Room(_) => {
-                self.reject_cmos_knobs(&base)?;
-                self.reject_sfq_knobs(&base)?;
-                base
-            }
-            QciDesign::CryoCmos(cfg) => {
-                self.reject_sfq_knobs(&base)?;
-                QciDesign::CryoCmos(CryoCmosConfig {
-                    drive_fdm: self.drive_fdm.unwrap_or(cfg.drive_fdm),
-                    drive_bits: self.drive_bits.unwrap_or(cfg.drive_bits),
-                    decision: self.decision.unwrap_or(cfg.decision),
-                    masked_isa: self.masked_isa.unwrap_or(cfg.masked_isa),
-                    readout_ns: self.readout_ns.unwrap_or(cfg.readout_ns),
-                    analog_scale: self.analog_scale.unwrap_or(cfg.analog_scale),
-                    ..cfg
-                })
-            }
-            QciDesign::Sfq(cfg) => {
-                self.reject_cmos_knobs(&base)?;
-                QciDesign::Sfq(SfqConfig {
-                    bs: self.bs.unwrap_or(cfg.bs),
-                    bitgen: self.bitgen.unwrap_or(cfg.bitgen),
-                    sharing: self.sharing.unwrap_or(cfg.sharing),
-                    fast_driving: self.fast_driving.unwrap_or(cfg.fast_driving),
-                    ..cfg
-                })
-            }
+            QciDesign::Room(_) => base,
+            QciDesign::CryoCmos(cfg) => QciDesign::CryoCmos(CryoCmosConfig {
+                drive_fdm: self.drive_fdm.unwrap_or(cfg.drive_fdm),
+                drive_bits: self.drive_bits.unwrap_or(cfg.drive_bits),
+                decision: self.decision.unwrap_or(cfg.decision),
+                masked_isa: self.masked_isa.unwrap_or(cfg.masked_isa),
+                readout_ns: self.readout_ns.unwrap_or(cfg.readout_ns),
+                analog_scale: self.analog_scale.unwrap_or(cfg.analog_scale),
+                ..cfg
+            }),
+            QciDesign::Sfq(cfg) => QciDesign::Sfq(SfqConfig {
+                bs: self.bs.unwrap_or(cfg.bs),
+                bitgen: self.bitgen.unwrap_or(cfg.bitgen),
+                sharing: self.sharing.unwrap_or(cfg.sharing),
+                fast_driving: self.fast_driving.unwrap_or(cfg.fast_driving),
+                ..cfg
+            }),
         };
         validate_design(&design)?;
         Ok(design)
@@ -511,46 +616,6 @@ impl DesignSpec {
     /// scale-out block in their verdict.
     pub fn has_scale_out(&self) -> bool {
         self.fridges.is_some_and(|n| n > 1)
-    }
-
-    fn reject_cmos_knobs(&self, design: &QciDesign) -> Result<(), ConfigError> {
-        let mismatch = |knob| ConfigError::KnobMismatch { knob, design: design.name() };
-        if self.drive_fdm.is_some() {
-            return Err(mismatch("drive_fdm"));
-        }
-        if self.drive_bits.is_some() {
-            return Err(mismatch("drive_bits"));
-        }
-        if self.decision.is_some() {
-            return Err(mismatch("decision"));
-        }
-        if self.masked_isa.is_some() {
-            return Err(mismatch("masked_isa"));
-        }
-        if self.readout_ns.is_some() {
-            return Err(mismatch("readout_ns"));
-        }
-        if self.analog_scale.is_some() {
-            return Err(mismatch("analog_scale"));
-        }
-        Ok(())
-    }
-
-    fn reject_sfq_knobs(&self, design: &QciDesign) -> Result<(), ConfigError> {
-        let mismatch = |knob| ConfigError::KnobMismatch { knob, design: design.name() };
-        if self.bs.is_some() {
-            return Err(mismatch("bs"));
-        }
-        if self.bitgen.is_some() {
-            return Err(mismatch("bitgen"));
-        }
-        if self.sharing.is_some() {
-            return Err(mismatch("sharing"));
-        }
-        if self.fast_driving.is_some() {
-            return Err(mismatch("fast_driving"));
-        }
-        Ok(())
     }
 }
 
@@ -680,7 +745,28 @@ mod tests {
             other => panic!("wrong variant: {other:?}"),
         }
         assert!(DesignSpec::new(Preset::RoomCoax).bs(1).build().is_err());
-        assert!(DesignSpec::new(Preset::RoomCoax).masked_isa(true).build().is_err());
+        // A room-temperature preset reports its CMOS knobs before its SFQ
+        // knobs, each group in table order.
+        let err = DesignSpec::new(Preset::RoomCoax).bs(1).readout_ns(1.0).masked_isa(true).build();
+        assert!(
+            matches!(
+                &err,
+                Err(QisimError::Config(ConfigError::KnobMismatch { knob: "masked_isa", .. }))
+            ),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn every_knob_has_a_row_in_the_serving_manual() {
+        let manual = include_str!("../../../docs/SERVING.md");
+        for knob in &KNOBS {
+            assert!(
+                manual.contains(&format!("\n| `{}` ", knob.key)),
+                "docs/SERVING.md's request-key table lacks `{}`",
+                knob.key
+            );
+        }
     }
 
     #[test]

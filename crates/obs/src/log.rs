@@ -37,7 +37,7 @@
 //!   (`stderr` is the one magic path; the suffix after the last colon is
 //!   a level name — `debug`, `info`, `warn`, `error` — defaulting to
 //!   `info`);
-//! - programmatically, via [`start`] / [`start_stderr`] / [`shutdown`] —
+//! - programmatically, via [`start`] / [`shutdown`] —
 //!   the API the tests and `qisim-serve` use.
 //!
 //! # Rate limiting
@@ -198,7 +198,7 @@ fn env_spec() -> &'static Option<(String, Level)> {
 /// logger armed.
 fn init_from_env() -> bool {
     match env_spec() {
-        Some((path, level)) if path == "stderr" => start_stderr(*level),
+        Some((path, level)) if path == "stderr" => arm(*level, || Some(SinkOut::Stderr)),
         Some((path, level)) => {
             let armed = start(path, *level);
             if !armed {
@@ -228,33 +228,23 @@ pub fn armed(level: Level) -> bool {
 /// at `path` (created/truncated). Returns `false` (changing nothing)
 /// when a sink is already armed or the file cannot be created.
 pub fn start(path: &str, level: Level) -> bool {
+    arm(level, || std::fs::File::create(path).ok().map(SinkOut::File))
+}
+
+/// Arms the logger at `level` on the sink `open` yields — unless a sink
+/// is already armed (changing nothing) or `open` fails (leaving the
+/// logger off).
+fn arm(level: Level, open: impl FnOnce() -> Option<SinkOut>) -> bool {
     let mut slot = sink_slot();
     if slot.is_some() {
         return false;
     }
-    let Ok(file) = std::fs::File::create(path) else {
+    let Some(out) = open() else {
         ARMED.store(STATE_OFF, Ordering::Relaxed);
         return false;
     };
     *slot = Some(Sink {
-        out: SinkOut::File(file),
-        window_start_ns: crate::trace::now_ns(),
-        written_in_window: 0,
-        suppressed_in_window: 0,
-    });
-    MIN_LEVEL.store(level as u8, Ordering::Relaxed);
-    ARMED.store(STATE_ON, Ordering::Relaxed);
-    true
-}
-
-/// Arms the logger writing to stderr. Same contract as [`start`].
-pub fn start_stderr(level: Level) -> bool {
-    let mut slot = sink_slot();
-    if slot.is_some() {
-        return false;
-    }
-    *slot = Some(Sink {
-        out: SinkOut::Stderr,
+        out,
         window_start_ns: crate::trace::now_ns(),
         written_in_window: 0,
         suppressed_in_window: 0,

@@ -3,7 +3,6 @@
 //! (one table in `docs/SERVING.md` documents them all).
 
 use std::path::PathBuf;
-use std::time::Duration;
 
 /// Default bound on the number of accepted-but-unanswered requests.
 /// Past it the service sheds load with a typed `busy` response instead
@@ -34,10 +33,6 @@ pub struct ServeConfig {
     /// requests); `None` keeps traces in-memory (the response still
     /// carries the event count).
     pub trace_dir: Option<PathBuf>,
-    /// Artificial delay before the TCP worker answers each request — a
-    /// fault-injection knob for backpressure tests, benches, and operator
-    /// drills (`Duration::ZERO` in production).
-    pub request_delay: Duration,
     /// Slow-request threshold: a request whose end-to-end latency
     /// exceeds this many milliseconds gets a `serve.request.slow` warn
     /// log record and bumps the `serve.slow` counter (`None` = no
@@ -55,7 +50,6 @@ impl Default for ServeConfig {
             queue_depth: DEFAULT_QUEUE_DEPTH,
             stop_file: None,
             trace_dir: None,
-            request_delay: Duration::ZERO,
             slow_ms: None,
             admin_addr: None,
         }
@@ -66,9 +60,8 @@ impl ServeConfig {
     /// The default configuration with every `QISIM_SERVE_*` environment
     /// override applied: `QISIM_SERVE_QUEUE` (a positive integer),
     /// `QISIM_SERVE_STOP`, `QISIM_SERVE_TRACE_DIR` (paths),
-    /// `QISIM_SERVE_DELAY_MS` (a non-negative integer; fault injection,
-    /// see [`ServeConfig::request_delay`]), `QISIM_SLOW_MS` (a
-    /// positive integer, see [`ServeConfig::slow_ms`]), and
+    /// `QISIM_SLOW_MS` (a positive integer, see
+    /// [`ServeConfig::slow_ms`]), and
     /// `QISIM_SERVE_ADMIN` (a bind address, see
     /// [`ServeConfig::admin_addr`]).
     pub fn from_env() -> Self {
@@ -78,12 +71,6 @@ impl ServeConfig {
         }
         config.stop_file = env_path("QISIM_SERVE_STOP");
         config.trace_dir = env_path("QISIM_SERVE_TRACE_DIR");
-        if let Some(ms) = std::env::var("QISIM_SERVE_DELAY_MS")
-            .ok()
-            .and_then(|raw| raw.trim().parse::<u64>().ok())
-        {
-            config.request_delay = Duration::from_millis(ms);
-        }
         config.slow_ms = env_positive("QISIM_SLOW_MS").map(|n| n as u64);
         config.admin_addr = env_path("QISIM_SERVE_ADMIN").map(|p| p.to_string_lossy().into_owned());
         config
@@ -120,7 +107,6 @@ mod tests {
         assert_eq!(c.queue_depth, DEFAULT_QUEUE_DEPTH);
         assert_eq!(c.stop_file, None);
         assert_eq!(c.trace_dir, None);
-        assert_eq!(c.request_delay, Duration::ZERO);
         assert_eq!(c.slow_ms, None);
         assert_eq!(c.admin_addr, None);
     }

@@ -10,23 +10,20 @@
 //!
 //! Flags layer over the `QISIM_SERVE_*` environment (flag wins):
 //! `--queue N`, `--stop-file PATH`, `--trace-dir PATH`,
-//! `--delay-ms N`, `--slow-ms N`, `--admin ADDR`. Counters go to stderr
+//! `--slow-ms N`, `--admin ADDR`. Counters go to stderr
 //! on shutdown; responses are the only thing written to stdout.
 
 use qisim_serve::{serve_lines, AdminServer, ServeConfig, Server, StatsSnapshot};
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::time::Duration;
 
 const USAGE: &str = "usage: qisim-serve [--stdio | --tcp ADDR | --check-om PATH] \
-[--queue N] [--stop-file PATH] [--trace-dir PATH] [--delay-ms N] [--slow-ms N] \
-[--admin ADDR]
+[--queue N] [--stop-file PATH] [--trace-dir PATH] [--slow-ms N] [--admin ADDR]
     --stdio            serve newline-delimited requests stdin -> stdout (default)
     --tcp ADDR         listen on ADDR (e.g. 127.0.0.1:7878; port 0 = OS-assigned)
     --queue N          bounded queue depth before shedding  (env QISIM_SERVE_QUEUE)
     --stop-file PATH   stop gracefully when PATH appears    (env QISIM_SERVE_STOP)
     --trace-dir PATH   write per-request trace JSON here    (env QISIM_SERVE_TRACE_DIR)
-    --delay-ms N       fault injection: delay each request  (env QISIM_SERVE_DELAY_MS)
     --slow-ms N        warn-log requests slower than N ms   (env QISIM_SLOW_MS)
     --admin ADDR       HTTP admin plane: /metrics /healthz /readyz /statusz
                        (TCP mode only; env QISIM_SERVE_ADMIN)
@@ -91,13 +88,6 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<(Mode, ServeConfig),
             "--queue" => config.queue_depth = positive(&flag, &value("--queue")?)?,
             "--stop-file" => config.stop_file = Some(PathBuf::from(value("--stop-file")?)),
             "--trace-dir" => config.trace_dir = Some(PathBuf::from(value("--trace-dir")?)),
-            "--delay-ms" => {
-                let raw = value("--delay-ms")?;
-                let ms = raw.trim().parse::<u64>().map_err(|_| {
-                    format!("`--delay-ms` needs a non-negative integer, got `{raw}`")
-                })?;
-                config.request_delay = Duration::from_millis(ms);
-            }
             "--slow-ms" => config.slow_ms = Some(positive(&flag, &value("--slow-ms")?)? as u64),
             "--admin" => config.admin_addr = Some(value("--admin")?),
             other => return Err(format!("unknown flag `{other}`")),

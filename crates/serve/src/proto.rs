@@ -55,7 +55,7 @@
 //! [`strip_request_id`] removes the pair for byte-identity comparisons
 //! against direct engine output.
 
-use qisim::codec;
+use qisim::codec::{self, KeyReader};
 use qisim::error::{DecodeError, QisimError};
 use qisim::scalability::Scalability;
 use qisim::spec::DesignSpec;
@@ -124,21 +124,24 @@ impl Request {
     }
 }
 
+/// The control keys a request line may carry besides its spec pairs.
+const CONTROL_KEYS: [&str; 4] = ["id", "target", "trace", "explain"];
+
 /// Parses one request line (without its trailing newline).
 ///
 /// # Errors
 ///
 /// Returns [`QisimError::Decode`] for an empty line, a pair without
 /// `=`, an unknown/duplicate control value, or any spec-document
-/// failure ([`codec::parse_spec`]); diagnostics are pair-anchored the
+/// failure ([`codec::read_spec`]); diagnostics are pair-anchored the
 /// way codec documents are line-anchored.
 pub fn parse_request_line(line: &str) -> Result<Request, QisimError> {
-    let mut id: Option<String> = None;
-    let mut target: Option<TargetKind> = None;
-    let mut trace: Option<bool> = None;
-    let mut explain: Option<bool> = None;
-    let mut spec_doc = String::from(codec::SPEC_HEADER);
-    spec_doc.push('\n');
+    let (mut id, mut target, mut trace, mut explain) = (None, TargetKind::NearTerm, false, false);
+    let mut reader = KeyReader::default();
+    // Spec pairs are lines 2.. of the spec document they fold (line 1
+    // is its header); they are read once every control key checks out.
+    let mut spec_pairs = Vec::new();
+    let mut spec_line = 1;
     let mut pairs = 0usize;
     for segment in line.split(';') {
         let segment = segment.trim();
@@ -152,54 +155,31 @@ pub fn parse_request_line(line: &str) -> Result<Request, QisimError> {
             );
         };
         let (key, value) = (key.trim(), value.trim());
-        let dup = |set: bool| {
-            if set {
-                Err(DecodeError::new(1, format!("duplicate key `{key}`")))
-            } else {
-                Ok(())
+        if !CONTROL_KEYS.contains(&key) {
+            spec_line += 1;
+            // A `#` key folds a comment line of the document.
+            if !key.starts_with('#') {
+                spec_pairs.push(Ok((spec_line, key, value)));
             }
-        };
+            continue;
+        }
+        reader.claim(1, key, Some(()))?;
         match key {
-            "id" => {
-                dup(id.is_some())?;
-                if value.is_empty() {
-                    return Err(DecodeError::new(1, "empty `id` value").into());
-                }
-                id = Some(value.to_string());
-            }
+            "id" if value.is_empty() => return Err(DecodeError::new(1, "empty `id` value").into()),
+            "id" => id = Some(value.to_string()),
             "target" => {
-                dup(target.is_some())?;
-                target = Some(
-                    TargetKind::from_label(value)
-                        .ok_or_else(|| DecodeError::new(1, format!("unknown target `{value}`")))?,
-                );
+                target = TargetKind::from_label(value)
+                    .ok_or_else(|| DecodeError::new(1, format!("unknown target `{value}`")))?;
             }
-            "trace" => {
-                dup(trace.is_some())?;
-                trace = Some(parse_flag(key, value)?);
-            }
-            "explain" => {
-                dup(explain.is_some())?;
-                explain = Some(parse_flag(key, value)?);
-            }
-            _ => {
-                // A spec-document line; the codec parses (and rejects)
-                // it with the rest of the document below.
-                let _ = writeln!(spec_doc, "{key} = {value}");
-            }
+            "trace" => trace = parse_flag(key, value)?,
+            _ => explain = parse_flag(key, value)?,
         }
     }
     if pairs == 0 {
         return Err(DecodeError::new(1, "empty request line (no `key = value` pairs)").into());
     }
-    let spec = codec::parse_spec(&spec_doc)?;
-    Ok(Request {
-        id,
-        target: target.unwrap_or_default(),
-        trace: trace.unwrap_or(false),
-        explain: explain.unwrap_or(false),
-        spec,
-    })
+    let spec = codec::read_spec(2, spec_pairs)?;
+    Ok(Request { id, target, trace, explain, spec })
 }
 
 /// Parses a `0`/`1` control flag.
@@ -427,25 +407,44 @@ mod tests {
         assert_eq!(parse_request_line("preset = rsfq_baseline").unwrap(), plain);
     }
 
+    /// Every decode diagnostic of a request line, pinned to its exact
+    /// `(line, reason)`: control-key failures anchor at line 1, and spec
+    /// pairs count from line 2 the way the spec document they fold does.
     #[test]
     fn empty_and_malformed_request_lines_are_typed_errors() {
-        for line in ["", "   ", ";", "; ;"] {
-            let err = parse_request_line(line).unwrap_err();
-            let QisimError::Decode(e) = err else { panic!("expected decode error") };
-            assert_eq!(e.line, 1);
-            assert!(e.reason.contains("empty request line"), "{e}");
+        let empty = "empty request line (no `key = value` pairs)";
+        let request_cases: Vec<(&str, usize, &str)> = vec![
+            ("", 1, empty),
+            ("   ", 1, empty),
+            (";", 1, empty),
+            (" ; ;", 1, empty),
+            ("preset = cmos_baseline; what even", 1, "expected `key = value`, found `what even`"),
+            ("id = a; id = b; preset = cmos_baseline", 1, "duplicate key `id`"),
+            ("target = long_term; target = near_term", 1, "duplicate key `target`"),
+            ("trace = 1; trace = 1; preset = cmos_baseline", 1, "duplicate key `trace`"),
+            ("id = ; preset = cmos_baseline", 1, "empty `id` value"),
+            ("target = warp; preset = cmos_baseline", 1, "unknown target `warp`"),
+            ("trace = yes; preset = cmos_baseline", 1, "`trace` must be 0 or 1, found `yes`"),
+            ("preset = cmos_baseline; explain = 2", 1, "`explain` must be 0 or 1, found `2`"),
+            ("bs = x; preset = rsfq_baseline; trace = 2", 1, "`trace` must be 0 or 1, found `2`"),
+            ("id = 1", 2, "missing key `preset`"),
+            ("id = 1; drive_bits = 6; preset = cmos_baseline", 2, "first key must be `preset`"),
+            ("preset = warp_drive", 2, "unknown preset `warp_drive`"),
+            ("id = c; preset = rsfq_baseline; bs = 6; bs = 7", 4, "duplicate key `bs`"),
+            ("preset = cmos_baseline; preset = rsfq_baseline", 3, "duplicate key `preset`"),
+            ("preset = rsfq_baseline; target = long_term; bs = x", 3, "cannot parse `x` for `bs`"),
+            ("preset = rsfq_baseline; # note = x; bs = y", 4, "cannot parse `y` for `bs`"),
+            ("preset = cmos_baseline; budget.3K = 1", 3, "unknown fridge stage `3K`"),
+            ("preset = cmos_baseline; link = warp", 3, "unknown link `warp`"),
+            ("preset = cmos_baseline; frobnicate = 1", 3, "unknown key `frobnicate`"),
+        ];
+        for (line, at, reason) in request_cases {
+            let got = match parse_request_line(line) {
+                Err(QisimError::Decode(e)) => (e.line, e.reason),
+                other => panic!("expected a decode error for {line:?}, got {other:?}"),
+            };
+            assert_eq!(got, (at, reason.to_string()), "request line {line:?}");
         }
-        let err = parse_request_line("preset = cmos_baseline; what even").unwrap_err();
-        assert!(err.to_string().contains("key = value"), "{err}");
-        let err = parse_request_line("target = warp").unwrap_err();
-        assert!(err.to_string().contains("unknown target"), "{err}");
-        let err = parse_request_line("trace = yes; preset = cmos_baseline").unwrap_err();
-        assert!(err.to_string().contains("must be 0 or 1"), "{err}");
-        let err = parse_request_line("id = a; id = b; preset = cmos_baseline").unwrap_err();
-        assert!(err.to_string().contains("duplicate key `id`"), "{err}");
-        // Spec failures keep the codec's diagnostics (pair 1 = doc line 2).
-        let err = parse_request_line("preset = warp_drive").unwrap_err();
-        assert!(err.to_string().contains("unknown preset"), "{err}");
     }
 
     #[test]

@@ -3,11 +3,11 @@
 //! both answering every request through one per-request function.
 //!
 //! Every request follows the same path: parse ([`crate::proto`]) →
-//! validate (`DesignSpec::build` / `topology`) → analyze through
-//! [`qisim::engine::try_analyze_topology`] with the request's topology
-//! and estimator → render. All requests share the process-wide
-//! `qisim_power::memo` LRU, so a hot working set answers from cache no
-//! matter which client asked first.
+//! analyze through [`qisim::engine::try_analyze_spec`] (which validates
+//! the spec and runs the request's topology and estimator) → render.
+//! All requests share the process-wide `qisim_power::memo` LRU, so a
+//! hot working set answers from cache no matter which client asked
+//! first.
 //!
 //! A request can never take the process down: malformed lines, invalid
 //! knobs, and engine failures all become typed `error` responses, and a
@@ -27,9 +27,7 @@ use crate::config::{ServeConfig, MAX_LINE_BYTES};
 use crate::proto::{self, Request};
 use qisim::engine;
 use qisim::error::QisimError;
-use qisim::hal::topology::FridgeTopology;
 use qisim::scalability::Scalability;
-use qisim::QciDesign;
 use qisim_obs::{counter, gauge, observe};
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Write};
@@ -130,73 +128,38 @@ impl Stats {
     }
 }
 
-/// A parsed, validated request ready for analysis.
-struct Prepared {
-    seq: u64,
-    request: Request,
-    design: QciDesign,
-    topology: FridgeTopology,
-}
-
-/// Parses and validates one request line into a [`Prepared`] analysis.
-fn prepare(seq: u64, line: &str) -> Result<Prepared, QisimError> {
-    let request = proto::parse_request_line(line.trim_end_matches(['\n', '\r']))?;
-    let design = request.spec.build()?;
-    let topology = request.spec.topology()?;
-    Ok(Prepared { seq, request, design, topology })
-}
-
-impl Prepared {
-    /// Runs the staged engine on this request's design, target,
-    /// topology, and estimator.
-    fn analyze(&self) -> Result<Scalability, QisimError> {
-        engine::try_analyze_topology(
-            &self.design,
-            &self.request.target.target(),
-            &self.topology,
-            self.request.spec.chosen_estimator(),
-        )
-    }
-}
-
 /// Answers one request line — the single path both framings take:
-/// parse and validate, analyze inside the request's
-/// [`qisim_obs::RequestScope`] (so engine-stage log records and spans
-/// carry the id), render. Responses are bit-identical to a direct
-/// `try_analyze_spec` of the same request.
+/// parse, analyze through [`engine::try_analyze_spec`] inside the
+/// request's [`qisim_obs::RequestScope`] (so engine-stage log records
+/// and spans carry the id), render. Responses are bit-identical to a
+/// direct `try_analyze_spec` of the same request.
 fn respond(config: &ServeConfig, seq: u64, line: &str) -> String {
-    let prepared = match prepare(seq, line) {
-        Ok(prepared) => prepared,
+    let request = match proto::parse_request_line(line.trim_end_matches(['\n', '\r'])) {
+        Ok(request) => request,
         Err(error) => return proto::error_response(Some(seq), proto::request_id(line), &error),
     };
     let _scope = qisim_obs::RequestScope::enter(seq);
     let mut extras: Vec<(&str, String)> = Vec::new();
-    let result = if prepared.request.trace {
-        run_traced(config, &prepared, &mut extras)
+    let result = if request.trace {
+        run_traced(config, seq, &request, &mut extras)
     } else {
-        prepared.analyze()
+        analyze(&request)
     };
-    render_response(&prepared, result, extras)
-}
-
-/// Renders the response line for one prepared request, stamping the
-/// spec's display name on success (the `try_analyze_spec` contract).
-fn render_response(
-    prepared: &Prepared,
-    result: Result<Scalability, QisimError>,
-    mut extras: Vec<(&str, String)>,
-) -> String {
-    let id = prepared.request.id.as_deref();
+    let id = request.id.as_deref();
     match result {
-        Ok(mut verdict) => {
-            verdict.design = prepared.request.spec.display_name();
-            if prepared.request.explain {
+        Ok(verdict) => {
+            if request.explain {
                 extras.push(("explain", verdict.explain().trim_end().replace('\n', " | ")));
             }
-            proto::ok_response(Some(prepared.seq), id, &extras, &verdict)
+            proto::ok_response(Some(seq), id, &extras, &verdict)
         }
-        Err(error) => proto::error_response(Some(prepared.seq), id, &error),
+        Err(error) => proto::error_response(Some(seq), id, &error),
     }
+}
+
+/// Runs the staged engine on a request's spec and target.
+fn analyze(request: &Request) -> Result<Scalability, QisimError> {
+    engine::try_analyze_spec(&request.spec, &request.target.target())
 }
 
 /// Emits the `serve.request.start` log record for one received line.
@@ -220,24 +183,25 @@ fn log_request_start(seq: u64, queue_depth: usize) {
 /// operator's full-run trace.
 fn run_traced(
     config: &ServeConfig,
-    prepared: &Prepared,
+    seq: u64,
+    request: &Request,
     extras: &mut Vec<(&str, String)>,
 ) -> Result<Scalability, QisimError> {
     static TRACE_LOCK: Mutex<()> = Mutex::new(());
     let _guard = TRACE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     if qisim_obs::trace::armed() {
         extras.push(("trace_events", "0".to_string()));
-        return prepared.analyze();
+        return analyze(request);
     }
     qisim_obs::trace::arm();
     qisim_obs::trace::clear();
-    let result = prepared.analyze();
+    let result = analyze(request);
     let session = qisim_obs::TraceSession::drain();
     qisim_obs::trace::disarm();
     let events: usize = session.threads.iter().map(|t| t.events.len()).sum();
     extras.push(("trace_events", events.to_string()));
     if let Some(dir) = &config.trace_dir {
-        let path = dir.join(format!("req-{}.trace.json", prepared.seq));
+        let path = dir.join(format!("req-{seq}.trace.json"));
         // Best-effort: an unwritable trace dir must not fail the request.
         if std::fs::create_dir_all(dir).is_ok() {
             let _ = std::fs::write(path, qisim_obs::trace_export::chrome_trace_json(&session));
@@ -629,9 +593,6 @@ fn worker_loop(shared: Arc<Shared>) {
         // The wait-in-queue interval ends here, when the job pops.
         let queue_wait = job.t0.elapsed();
         gauge!("serve.inflight", (depth + 1) as f64);
-        if !shared.config.request_delay.is_zero() {
-            std::thread::sleep(shared.config.request_delay);
-        }
         let response = respond(&shared.config, job.seq, &job.line);
         let latency = job.t0.elapsed();
         observe!("serve.request_ns", latency.as_nanos() as f64);

@@ -13,7 +13,6 @@ use qisim::surface::target::Target;
 use qisim_serve::{proto, serve_lines, ServeConfig, Server, MAX_LINE_BYTES};
 use std::io::{BufRead, BufReader, Cursor, Write};
 use std::net::TcpStream;
-use std::time::Duration;
 
 mod common;
 
@@ -307,20 +306,16 @@ fn concurrent_tcp_clients_get_bit_identical_ordered_responses() {
 fn overload_sheds_with_busy_responses_and_the_service_stays_up() {
     let _guard = common::isolate();
     let before_shed = qisim_obs::snapshot().counter("serve.shed").unwrap_or(0);
-    let config = ServeConfig {
-        queue_depth: 1,
-        // Fault injection: make each request slow so a pipelined burst
-        // must overflow the depth-1 queue.
-        request_delay: Duration::from_millis(25),
-        ..ServeConfig::default()
-    };
+    let config = ServeConfig { queue_depth: 1, ..ServeConfig::default() };
     let server = Server::bind("127.0.0.1:0", config).expect("bind");
     let stream = TcpStream::connect(server.addr()).expect("connect");
     let mut writer = stream.try_clone().expect("clone stream");
     let mut reader = BufReader::new(stream);
     const BURST: usize = 16;
+    // A rare-event estimate takes milliseconds, so a pipelined burst of
+    // them must overflow the depth-1 queue.
     for i in 0..BURST {
-        writeln!(writer, "id = {i}; preset = cmos_baseline").expect("send");
+        writeln!(writer, "id = {i}; preset = cmos_baseline; estimator = rare").expect("send");
     }
     let mut ok = 0u64;
     let mut busy = 0u64;
@@ -429,6 +424,8 @@ fn invalid_topology_requests_get_typed_errors() {
         ("id = fk; preset = cmos_baseline; fridges = 2000", "config", "fridges"),
         ("id = lp; preset = cmos_baseline; links_per_fridge = 0", "config", "links_per_fridge"),
         ("id = s; preset = cmos_baseline; budget.3K = 1", "decode", "unknown fridge stage `3K`"),
+        // Tracing changes nothing about an invalid spec's error.
+        ("id = t; trace = 1; preset = cmos_baseline; fridges = 0", "config", "fridges"),
     ];
     let mut input = String::new();
     for (line, _, _) in &cases {
@@ -452,6 +449,8 @@ fn invalid_topology_requests_get_typed_errors() {
         let reason = proto::pair_value(response, "reason").expect("reason pair");
         assert!(reason.contains(needle), "{line:?} -> {response}");
     }
+    let untraced = responses[1].replace("request_id = 2; id = f0", "request_id = 6; id = t");
+    assert_eq!(responses[5], untraced, "a traced invalid spec fails like an untraced one");
     let last = responses.last().expect("final response");
     assert_eq!(proto::response_kind(last), Some(proto::ResponseKind::Ok));
     assert_eq!(stats.errors, cases.len() as u64);

@@ -51,10 +51,11 @@
 #      headline scalability drivers (Fig. 12/13/17 + Table 2) must replay
 #      their paper numbers through the staged engine
 #  12. serve smoke run: the release binary serves one request over
-#      /dev/tcp, answers it with the expected response line, and exits 0
-#      via the stop file with every request accounted for (docs/SERVING.md);
-#      concurrency, bit-identity and the overload drill are tested in
-#      tests/integration_serve.rs
+#      /dev/tcp, answers it with the expected response line, answers a
+#      malformed line (a duplicate knob) with the exact typed decode
+#      error, and exits 0 via the stop file with every request accounted
+#      for (docs/SERVING.md); concurrency, bit-identity and the overload
+#      drill are tested in tests/integration_serve.rs
 #  13. admin-plane smoke run: the release binary with --admin and
 #      QISIM_LOG armed at debug answers /healthz and /readyz over
 #      /dev/tcp, its /metrics scrape mid-burst validates via --check-om
@@ -171,8 +172,9 @@ echo "$suite_out" | grep -q "max |rel err|"
 
 echo "== [12/14] serve smoke run =="
 # The binary end to end: answer one request over TCP with a well-formed
-# response line, then shut down gracefully when the stop file appears
-# (exit code 0 and a final tally of one ok request, or the gate fails).
+# response line and a malformed one with its exact decode error, then
+# shut down gracefully when the stop file appears (exit code 0 and a
+# final tally of one ok request and one error, or the gate fails).
 ./target/release/qisim-serve --tcp 127.0.0.1:0 --stop-file "$out/stop" \
     > "$out/serve_bin.txt" 2> "$out/serve_bin.err" &
 serve_pid=$!
@@ -185,14 +187,19 @@ test -n "$port" || { echo "qisim-serve never reported its port" >&2; exit 1; }
 exec 3<>"/dev/tcp/127.0.0.1/$port"
 printf 'id = ci; preset = cmos_baseline\n' >&3
 IFS= read -r response <&3
-exec 3<&- 3>&-
 case "$response" in
     "ok = 1; request_id = "*"; id = ci; qisim scalability v1"*) ;;
     *) echo "malformed serve response: $response" >&2; exit 1;;
 esac
+printf 'id = ci2; preset = cmos_baseline; drive_bits = 6; drive_bits = 7\n' >&3
+IFS= read -r response <&3
+exec 3<&- 3>&-
+expected='error = decode; request_id = 2; id = ci2; line = 4; reason = decode error: line 4: duplicate key `drive_bits`'
+test "$response" = "$expected" \
+    || { echo "unexpected decode-error response: $response" >&2; exit 1; }
 touch "$out/stop"
 wait "$serve_pid"
-grep -q "done requests = 1 ok = 1" "$out/serve_bin.err"
+grep -q "done requests = 2 ok = 1 errors = 1" "$out/serve_bin.err"
 
 echo "== [13/14] admin-plane smoke run =="
 # The binary with the HTTP plane and structured logging armed: probe
