@@ -285,13 +285,17 @@ impl Scalability {
             let words = snap.counter("surface.sliced.words").unwrap_or(0);
             let fallback = snap.counter("surface.sliced.fallback_trials").unwrap_or(0);
             let isolated = snap.counter("surface.montecarlo.fastpath.isolated").unwrap_or(0);
+            let singles = snap.counter("surface.montecarlo.singles_settled").unwrap_or(0);
+            let split_fallbacks = snap.counter("surface.montecarlo.split_fallbacks").unwrap_or(0);
             if trials > 0 {
                 let share = |n: u64| 100.0 * n as f64 / trials as f64;
                 let _ = writeln!(
                     out,
                     "  sliced MC engine: {trials} trials across {words} lattice words, \
                      {fallback} decoder fallbacks ({:.1}% resolved word-wide, {:.1}% by \
-                     lone-error verdicts, process-wide)",
+                     lone-error verdicts, process-wide); decoded trials of both estimators \
+                     settled {singles} single errors from lone verdicts, with \
+                     {split_fallbacks} split fallbacks",
                     share(trials.saturating_sub(fallback).saturating_sub(isolated)),
                     share(isolated),
                 );
@@ -468,6 +472,8 @@ mod tests {
         assert!(text.contains("sliced MC engine"), "{text}");
         assert!(text.contains("resolved word-wide"), "{text}");
         assert!(text.contains("by lone-error verdicts"), "{text}");
+        assert!(text.contains("single errors from lone verdicts"), "{text}");
+        assert!(text.contains("split fallbacks"), "{text}");
         assert!(text.contains("rare-event sampler"), "{text}");
         assert!(text.contains("ladder stages carrying weight"), "{text}");
     }

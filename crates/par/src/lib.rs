@@ -120,12 +120,13 @@ pub fn par_map<T: Sync, U: Send, F: Fn(&T) -> U + Sync>(items: &[T], f: F) -> Ve
     par_map_indices(items.len(), |i| f(&items[i]))
 }
 
-/// [`par_map_indices`] over fixed-size chunks of the range `0..n`: task
-/// `i` receives `(i, start, len)` where `start = i·chunk` and `len` is
-/// `chunk` except for the final remainder chunk. The chunk grid depends
-/// only on `(n, chunk)` — never on the thread count — so callers that
-/// derive per-chunk state (an RNG stream, a scratch arena) from the chunk
-/// index get bit-identical aggregates at any parallelism.
+/// [`par_map_indices_with`] over fixed-size chunks of the range `0..n`:
+/// task `i` receives its worker's state and `(i, start, len)` where
+/// `start = i·chunk` and `len` is `chunk` except for the final remainder
+/// chunk. The chunk grid depends only on `(n, chunk)` — never on the
+/// thread count — so callers that derive per-chunk work (an RNG stream)
+/// from the chunk index, and keep per-worker state (a scratch arena) that
+/// no result depends on, get bit-identical aggregates at any parallelism.
 ///
 /// The bit-sliced Monte-Carlo engine drives this with `chunk` a multiple
 /// of 64, so every parallel work unit is a whole number of 64-trial
@@ -140,19 +141,20 @@ pub fn par_map<T: Sync, U: Send, F: Fn(&T) -> U + Sync>(items: &[T], f: F) -> Ve
 /// ```
 /// use qisim_par::par_map_chunked;
 ///
-/// let spans = par_map_chunked(10, 4, |i, start, len| (i, start, len));
+/// let spans = par_map_chunked(10, 4, || (), |_, i, start, len| (i, start, len));
 /// assert_eq!(spans, vec![(0, 0, 4), (1, 4, 4), (2, 8, 2)]);
-/// assert_eq!(par_map_chunked(0, 4, |i, _, _| i), Vec::<usize>::new());
+/// assert_eq!(par_map_chunked(0, 4, || (), |_, i, _, _| i), Vec::<usize>::new());
 /// ```
-pub fn par_map_chunked<U: Send, F: Fn(usize, usize, usize) -> U + Sync>(
-    n: usize,
-    chunk: usize,
-    f: F,
-) -> Vec<U> {
+pub fn par_map_chunked<S, U, I, F>(n: usize, chunk: usize, init: I, f: F) -> Vec<U>
+where
+    U: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize, usize, usize) -> U + Sync,
+{
     assert!(chunk > 0, "chunk size must be positive");
-    par_map_indices(n.div_ceil(chunk), |i| {
+    par_map_indices_with(n.div_ceil(chunk), init, |state, i| {
         let start = i * chunk;
-        f(i, start, chunk.min(n - start))
+        f(state, i, start, chunk.min(n - start))
     })
 }
 
@@ -160,23 +162,58 @@ pub fn par_map_chunked<U: Send, F: Fn(usize, usize, usize) -> U + Sync>(
 /// design-grid building block (the caller derives per-task state, such as
 /// an RNG stream, from the index alone).
 pub fn par_map_indices<U: Send, F: Fn(usize) -> U + Sync>(n: usize, f: F) -> Vec<U> {
+    par_map_indices_with(n, || (), |_, i| f(i))
+}
+
+/// [`par_map_indices`] with per-worker state: a worker calls `init` once,
+/// before its first task, and hands the state to every task it runs —
+/// so `init` runs once on the serial path and at most [`threads`] times
+/// in parallel. Which tasks share a state depends on the scheduling, so
+/// a task's result must not depend on what earlier tasks left in it
+/// (reusable buffers, not accumulators). Results are in input order.
+///
+/// # Panics
+///
+/// Propagates the first worker panic (after all workers have stopped).
+///
+/// # Examples
+///
+/// ```
+/// use qisim_par::par_map_indices_with;
+///
+/// // One buffer per worker, reused by every task that worker runs.
+/// let sums = par_map_indices_with(4, Vec::new, |buf: &mut Vec<usize>, i| {
+///     buf.clear();
+///     buf.extend(0..=i);
+///     buf.iter().sum::<usize>()
+/// });
+/// assert_eq!(sums, vec![0, 1, 3, 6]);
+/// ```
+pub fn par_map_indices_with<S, U, I, F>(n: usize, init: I, f: F) -> Vec<U>
+where
+    U: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize) -> U + Sync,
+{
     let workers = threads().min(n);
     counter!("par.map.calls");
     counter!("par.tasks", n as u64);
     gauge!("par.workers", workers.max(1) as f64);
     if workers <= 1 {
-        return (0..n).map(f).collect();
+        let mut state = None;
+        return (0..n).map(|i| f(state.get_or_insert_with(&init), i)).collect();
     }
-    parallel_map_indices(n, workers, &f)
+    parallel_map_indices(n, workers, &init, &f)
 }
 
-/// The scoped-thread pool behind [`par_map_indices`]; only reached when
-/// `workers > 1`.
-fn parallel_map_indices<U: Send, F: Fn(usize) -> U + Sync>(
-    n: usize,
-    workers: usize,
-    f: &F,
-) -> Vec<U> {
+/// The scoped-thread pool behind [`par_map_indices_with`]; only reached
+/// when `workers > 1`.
+fn parallel_map_indices<S, U, I, F>(n: usize, workers: usize, init: &I, f: &F) -> Vec<U>
+where
+    U: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize) -> U + Sync,
+{
     qisim_obs::span!("par.map");
     let next = AtomicUsize::new(0);
     let mut slots: Vec<Option<U>> = Vec::with_capacity(n);
@@ -194,6 +231,7 @@ fn parallel_map_indices<U: Send, F: Fn(usize) -> U + Sync>(
                         qisim_obs::trace::set_thread_label(&format!("qisim-par worker-{w}"));
                     }
                     let started = std::time::Instant::now();
+                    let mut state = None;
                     let mut local: Vec<(usize, U)> = Vec::new();
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
@@ -216,7 +254,7 @@ fn parallel_map_indices<U: Send, F: Fn(usize) -> U + Sync>(
                                 ],
                             );
                         }
-                        local.push((i, f(i)));
+                        local.push((i, f(state.get_or_insert_with(init), i)));
                     }
                     (local, started.elapsed())
                 })
@@ -301,7 +339,7 @@ mod tests {
         for (n, chunk) in [(0usize, 64usize), (63, 64), (64, 64), (65, 64), (257, 64), (256, 256)] {
             for threads in [1usize, 3] {
                 set_threads(Some(threads));
-                let spans = par_map_chunked(n, chunk, |i, start, len| (i, start, len));
+                let spans = par_map_chunked(n, chunk, || (), |_, i, start, len| (i, start, len));
                 let mut covered = 0usize;
                 for (i, &(idx, start, len)) in spans.iter().enumerate() {
                     assert_eq!(idx, i);
@@ -318,7 +356,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "chunk size")]
     fn zero_chunk_is_rejected() {
-        let _ = par_map_chunked(8, 0, |i, _, _| i);
+        let _ = par_map_chunked(8, 0, || (), |_, i, _, _| i);
     }
 
     #[test]
@@ -362,6 +400,59 @@ mod tests {
                 }
                 i
             })
+        });
+        set_threads(None);
+        assert!(result.is_err(), "panic must cross the pool");
+    }
+
+    #[test]
+    fn worker_state_is_built_once_per_worker_and_outputs_stay_in_order() {
+        let _l = lock();
+        let expect: Vec<usize> = (0..100).map(|i| i * 3).collect();
+        for n in [1usize, 2, 8] {
+            set_threads(Some(n));
+            let inits = AtomicUsize::new(0);
+            let out = par_map_indices_with(
+                100,
+                || {
+                    inits.fetch_add(1, Ordering::Relaxed);
+                    Vec::<usize>::new()
+                },
+                |buf, i| {
+                    // A reused buffer: cleared by every task, so no
+                    // result depends on which tasks shared it.
+                    buf.clear();
+                    buf.extend([i; 3]);
+                    buf.iter().sum::<usize>()
+                },
+            );
+            assert_eq!(out, expect, "threads = {n}");
+            let inits = inits.load(Ordering::Relaxed);
+            if n == 1 {
+                assert_eq!(inits, 1, "the serial path builds one state");
+            } else {
+                assert!((1..=threads()).contains(&inits), "threads = {n}: {inits} inits");
+            }
+        }
+        set_threads(None);
+    }
+
+    #[test]
+    fn worker_state_panics_propagate() {
+        let _l = lock();
+        set_threads(Some(2));
+        let result = std::panic::catch_unwind(|| {
+            par_map_indices_with(
+                16,
+                || 0usize,
+                |runs, i| {
+                    *runs += 1;
+                    if i == 7 {
+                        panic!("boom at 7");
+                    }
+                    i
+                },
+            )
         });
         set_threads(None);
         assert!(result.is_err(), "panic must cross the pool");

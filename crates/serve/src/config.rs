@@ -25,9 +25,10 @@ pub struct ServeConfig {
     /// Bounded accept queue depth; requests past it are shed with a
     /// `busy` response ([`DEFAULT_QUEUE_DEPTH`]).
     pub queue_depth: usize,
-    /// Graceful-shutdown signal file: the TCP accept loop polls for this
-    /// path and stops the service once it exists (`None` = no file
-    /// polling; stdin/stdout framing stops at EOF instead).
+    /// Graceful-shutdown signal file: the TCP service's worker polls for
+    /// this path (every 20 ms) and stops the service once it exists
+    /// (`None` = no file polling; stdin/stdout framing stops at EOF
+    /// instead).
     pub stop_file: Option<PathBuf>,
     /// Directory for per-request Chrome-trace dumps (`trace = 1`
     /// requests); `None` keeps traces in-memory (the response still

@@ -31,13 +31,14 @@ use qisim::scalability::Scalability;
 use qisim_obs::{counter, gauge, observe};
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-/// How often blocked loops (accept poll, worker wait, connection reads)
-/// re-check the stop flag and the stop file.
+/// How often the timed waits (the worker's queue wait, connection reads)
+/// re-check the stop flag, and the worker the stop file. The accept loop
+/// blocks instead: every stop path wakes it with a connection of its own.
 const POLL_INTERVAL: Duration = Duration::from_millis(20);
 
 /// Service counters, independent of the observability kill switch (the
@@ -283,6 +284,9 @@ struct Shared {
     work: Condvar,
     stop: AtomicBool,
     seq: AtomicU64,
+    /// Where [`Shared::begin_stop`] connects to wake the blocked accept
+    /// loop: the bound address, or loopback when it is unspecified.
+    wake_addr: SocketAddr,
 }
 
 impl Shared {
@@ -292,6 +296,22 @@ impl Shared {
 
     fn stopping(&self) -> bool {
         self.stop.load(Ordering::Relaxed)
+    }
+
+    /// Raises the stop flag, wakes the worker, and wakes the accept
+    /// loop with a throwaway connection it drops on seeing the flag.
+    /// Every stop path goes through here.
+    fn begin_stop(&self) {
+        if self.stop.swap(true, Ordering::Relaxed) {
+            return;
+        }
+        self.work.notify_all();
+        let _ = TcpStream::connect_timeout(&self.wake_addr, Duration::from_secs(1));
+    }
+
+    /// Whether the configured stop file exists.
+    fn stop_file_exists(&self) -> bool {
+        self.config.stop_file.as_ref().is_some_and(|path| path.exists())
     }
 }
 
@@ -351,8 +371,14 @@ impl Server {
     /// nothing.
     pub fn bind(addr: impl ToSocketAddrs, config: ServeConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
+        let mut wake_addr = addr;
+        if addr.ip().is_unspecified() {
+            wake_addr.set_ip(match addr {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
         let shared = Arc::new(Shared {
             config,
             stats: Stats::default(),
@@ -360,6 +386,7 @@ impl Server {
             work: Condvar::new(),
             stop: AtomicBool::new(false),
             seq: AtomicU64::new(0),
+            wake_addr,
         });
         let conns: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>> = Arc::default();
         let accept = std::thread::Builder::new().name("qisim-serve-accept".into()).spawn({
@@ -412,8 +439,7 @@ impl Server {
     }
 
     fn stop_and_join(&mut self) {
-        self.shared.stop.store(true, Ordering::Relaxed);
-        self.shared.work.notify_all();
+        self.shared.begin_stop();
         if let Some(handle) = self.accept.take() {
             let _ = handle.join();
         }
@@ -434,29 +460,23 @@ impl Drop for Server {
     }
 }
 
-/// Accepts connections until stopped; also the stop-file poller.
+/// Accepts connections until stopped. `accept` blocks; a stop wakes it
+/// with a connection of its own ([`Shared::begin_stop`]), which is
+/// dropped unserved.
 fn accept_loop(
     listener: TcpListener,
     shared: Arc<Shared>,
     conns: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
 ) {
     loop {
+        let accepted = listener.accept();
         if shared.stopping() {
             return;
         }
-        if let Some(stop_file) = &shared.config.stop_file {
-            if stop_file.exists() {
-                shared.stop.store(true, Ordering::Relaxed);
-                shared.work.notify_all();
-                return;
-            }
-        }
-        match listener.accept() {
+        match accepted {
             Ok((stream, _peer)) => {
                 counter!("serve.connections");
-                if stream.set_nonblocking(false).is_err()
-                    || stream.set_read_timeout(Some(POLL_INTERVAL)).is_err()
-                {
+                if stream.set_read_timeout(Some(POLL_INTERVAL)).is_err() {
                     continue;
                 }
                 // Request/response lines are tiny; leaving Nagle on costs
@@ -470,10 +490,8 @@ fn accept_loop(
                     conns.lock().unwrap_or_else(|e| e.into_inner()).push(handle);
                 }
             }
-            // Non-blocking accept: idle poll, re-check stop conditions.
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL_INTERVAL);
-            }
+            // A failed accept (say, out of file descriptors): back off
+            // rather than spin.
             Err(_) => std::thread::sleep(POLL_INTERVAL),
         }
     }
@@ -572,24 +590,37 @@ fn enqueue(shared: &Shared, line: &str, out: &Arc<Mutex<TcpStream>>) {
 /// through [`respond`], writes the response back, and keeps draining
 /// after a stop request until the queue is empty (accepted requests are
 /// always answered). Jobs leave in accept order, so a pipelined
-/// connection reads its answers in the order it sent them.
+/// connection reads its answers in the order it sent them. It also polls
+/// the stop file, at most once per [`POLL_INTERVAL`].
 fn worker_loop(shared: Arc<Shared>) {
+    let mut stop_file_checked = Instant::now();
     loop {
-        let (job, depth) = {
+        if stop_file_checked.elapsed() >= POLL_INTERVAL {
+            stop_file_checked = Instant::now();
+            if shared.stop_file_exists() {
+                shared.begin_stop();
+            }
+        }
+        let next = {
             let mut queue = shared.lock_queue();
             loop {
                 if let Some(job) = queue.pop_front() {
-                    break (job, queue.len());
+                    break Some((job, queue.len()));
                 }
                 if shared.stopping() {
                     return;
                 }
-                queue = match shared.work.wait_timeout(queue, POLL_INTERVAL) {
-                    Ok((guard, _)) => guard,
-                    Err(e) => e.into_inner().0,
+                let (guard, wait) = match shared.work.wait_timeout(queue, POLL_INTERVAL) {
+                    Ok(woken) => woken,
+                    Err(e) => e.into_inner(),
                 };
+                queue = guard;
+                if wait.timed_out() {
+                    break None; // idle: go check the stop file
+                }
             }
         };
+        let Some((job, depth)) = next else { continue };
         // The wait-in-queue interval ends here, when the job pops.
         let queue_wait = job.t0.elapsed();
         gauge!("serve.inflight", (depth + 1) as f64);

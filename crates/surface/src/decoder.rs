@@ -35,29 +35,43 @@ use crate::lattice::{Check, Lattice, PackedLattice};
 /// Adjacency is stored CSR-style (a flat offset table plus a flat
 /// edge-id array), built from a `Vec`-indexed qubit→check table:
 /// construction touches no hash map, so the edge and adjacency order is
-/// deterministic by construction, not by hasher state.
+/// deterministic by construction, not by hasher state. Vertex and edge
+/// ids fit in `u16` (the graph of a lattice of at most 2¹⁶ data qubits),
+/// so the growth stage walks `u16` copies of the endpoints and the
+/// adjacency.
 #[derive(Debug, Clone)]
 pub struct DecodingGraph {
     /// Number of check vertices (boundary vertex is index `checks`).
     checks: usize,
     /// `edges[e] = (u, v, data_qubit)`.
     edges: Vec<(usize, usize, usize)>,
+    /// `ends[e] = [u, v]`: the endpoints of `edges[e]` as `u16`.
+    ends: Vec<[u16; 2]>,
     /// CSR offsets: vertex `v`'s incident edge ids live at
     /// `adj_edge[adj_off[v]..adj_off[v + 1]]`.
-    adj_off: Vec<usize>,
+    adj_off: Vec<u32>,
     /// CSR payload: incident edge ids, grouped per vertex in ascending
     /// edge-id order.
-    adj_edge: Vec<usize>,
+    adj_edge: Vec<u16>,
 }
 
 /// The virtual boundary vertex id of a graph with `n` checks is `n`.
 impl DecodingGraph {
     /// Builds the graph for the given check family (`x = true` decodes Z
     /// errors from X-checks).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lattice has more than 2¹⁶ data qubits: vertex and
+    /// edge ids are `u16`.
     pub fn new(lattice: &Lattice, x_checks: bool) -> Self {
         let checks: &[Check] = if x_checks { &lattice.x_checks } else { &lattice.z_checks };
         let n = checks.len();
         let n_qubits = lattice.data_qubits();
+        assert!(
+            n_qubits <= 1 << 16,
+            "decoder ids are u16: at most 2^16 data qubits, got {n_qubits}"
+        );
         // Vec-indexed qubit → (up to two) touching checks: same-type
         // checks tile the lattice, so two is the structural maximum.
         let mut touch = vec![[usize::MAX; 2]; n_qubits];
@@ -84,7 +98,7 @@ impl DecodingGraph {
         // CSR adjacency: count degrees, prefix-sum, fill. Filling in
         // ascending edge order reproduces the per-vertex edge order the
         // old `Vec<Vec<usize>>` build produced.
-        let mut adj_off = vec![0usize; n + 2];
+        let mut adj_off = vec![0u32; n + 2];
         for &(u, v, _) in &edges {
             adj_off[u + 1] += 1;
             adj_off[v + 1] += 1;
@@ -93,14 +107,15 @@ impl DecodingGraph {
             adj_off[i] += adj_off[i - 1];
         }
         let mut cursor = adj_off.clone();
-        let mut adj_edge = vec![0usize; 2 * edges.len()];
+        let mut adj_edge = vec![0u16; 2 * edges.len()];
         for (e, &(u, v, _)) in edges.iter().enumerate() {
-            adj_edge[cursor[u]] = e;
-            cursor[u] += 1;
-            adj_edge[cursor[v]] = e;
-            cursor[v] += 1;
+            for w in [u, v] {
+                adj_edge[cursor[w] as usize] = e as u16;
+                cursor[w] += 1;
+            }
         }
-        DecodingGraph { checks: n, edges, adj_off, adj_edge }
+        let ends = edges.iter().map(|&(u, v, _)| [u as u16, v as u16]).collect();
+        DecodingGraph { checks: n, edges, ends, adj_off, adj_edge }
     }
 
     /// The boundary vertex id.
@@ -125,14 +140,16 @@ impl DecodingGraph {
 
     /// The edge ids incident to vertex `v`.
     #[inline]
-    fn adj(&self, v: usize) -> &[usize] {
-        &self.adj_edge[self.adj_off[v]..self.adj_off[v + 1]]
+    fn adj(&self, v: usize) -> &[u16] {
+        &self.adj_edge[self.adj_off[v] as usize..self.adj_off[v + 1] as usize]
     }
 }
 
 /// Frontier and peeling work counters accumulated in a decoder arena,
 /// flushed to `qisim-obs` by both Monte-Carlo estimators (one registry
-/// update per estimate, never per trial).
+/// update per estimate, never per trial), with the two counters of the
+/// split verdict that decodes only a trial's interacting errors (see
+/// [`crate::montecarlo`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DecodeStats {
     /// Decode calls that reached the growth stage.
@@ -145,6 +162,12 @@ pub struct DecodeStats {
     /// edge touches, so the spanning-tree peel never ran (the rest of
     /// `decodes` peeled).
     pub peels_skipped: u64,
+    /// Errors of decoded trials settled from the lone-error verdict
+    /// table instead of the decoder.
+    pub singles_settled: u64,
+    /// Split verdicts a guard rejected: the trial decoded whole after
+    /// its remainder had decoded (two decodes for one trial).
+    pub split_fallbacks: u64,
 }
 
 impl DecodeStats {
@@ -154,8 +177,17 @@ impl DecodeStats {
         self.rounds += other.rounds;
         self.edges_grown += other.edges_grown;
         self.peels_skipped += other.peels_skipped;
+        self.singles_settled += other.singles_settled;
+        self.split_fallbacks += other.split_fallbacks;
     }
 }
+
+/// [`DecoderScratch::flags`] bit: the cluster rooted here holds an odd
+/// number of defects (meaningful at roots).
+const ODD: u8 = 1;
+/// [`DecoderScratch::flags`] bit: the cluster rooted here touches the
+/// boundary (meaningful at roots).
+const BOUNDARY: u8 = 2;
 
 /// Reusable decoder arena: every buffer [`decode_into`] needs, sized
 /// once for a [`DecodingGraph`] and reused across trials so the hot
@@ -178,27 +210,31 @@ impl DecodeStats {
 #[derive(Debug, Clone)]
 pub struct DecoderScratch {
     // Union-find over `checks + 1` vertices.
-    parent: Vec<usize>,
-    parity: Vec<bool>,
-    touches_boundary: Vec<bool>,
+    parent: Vec<u16>,
+    /// [`ODD`] and [`BOUNDARY`] bits per vertex.
+    flags: Vec<u8>,
+    /// Clusters that are odd and touch no boundary: growth runs while
+    /// any is left.
+    live: usize,
     // Growth stage.
     edge_growth: Vec<u8>,
     /// Edges whose growth left 0 in the last call, recorded as it
     /// happens: the only edges with growth, tree or removal state to
     /// reset.
-    grown_edges: Vec<usize>,
+    grown_edges: Vec<u16>,
     /// Bitset over all `checks + 1` vertices (boundary included): the
-    /// vertices absorbed into any cluster.
+    /// vertices absorbed into any cluster, and (with the boundary) the
+    /// only vertices whose state the next call resets.
     in_cluster: Vec<u64>,
-    /// Non-boundary vertices absorbed into any cluster, in absorption
-    /// order: the growth worklist, and (with the boundary) the only
-    /// vertices whose state the next call resets.
-    cluster_verts: Vec<usize>,
+    /// Non-boundary cluster vertices that may still have an incident
+    /// edge to grow, in absorption order: the growth worklist. A vertex
+    /// leaves once every incident edge is fully grown.
+    frontier: Vec<u16>,
     /// Frontier edges collected this round (deduplicated via `edge_seen`).
-    round_edges: Vec<usize>,
+    round_edges: Vec<u16>,
     edge_seen: Vec<u64>,
     round_stamp: u64,
-    full_edges: Vec<usize>,
+    full_edges: Vec<u16>,
     // Peeling stage.
     defect: Vec<bool>,
     visited: Vec<bool>,
@@ -217,14 +253,16 @@ impl DecoderScratch {
     pub fn new(graph: &DecodingGraph) -> Self {
         let n = graph.checks + 1;
         let e = graph.edges.len();
+        let mut flags = vec![0; n];
+        flags[graph.boundary()] = BOUNDARY;
         DecoderScratch {
-            parent: (0..n).collect(),
-            parity: vec![false; n],
-            touches_boundary: vec![false; n],
+            parent: (0..n).map(|v| v as u16).collect(),
+            flags,
+            live: 0,
             edge_growth: vec![0; e],
             grown_edges: Vec::with_capacity(e),
             in_cluster: vec![0; n.div_ceil(64)],
-            cluster_verts: Vec::with_capacity(n),
+            frontier: Vec::with_capacity(n),
             round_edges: Vec::with_capacity(e),
             edge_seen: vec![0; e],
             round_stamp: 0,
@@ -259,30 +297,87 @@ impl DecoderScratch {
         &'a self,
         graph: &'a DecodingGraph,
     ) -> impl Iterator<Item = usize> + 'a {
-        self.grown_edges.iter().filter(|&&e| self.edge_growth[e] >= 2).map(|&e| graph.edges[e].2)
+        self.grown_edges
+            .iter()
+            .map(|&e| usize::from(e))
+            .filter(|&e| self.edge_growth[e] >= 2)
+            .map(|e| graph.edges[e].2)
     }
 
-    fn find(&mut self, mut x: usize) -> usize {
-        while self.parent[x] != x {
-            self.parent[x] = self.parent[self.parent[x]];
-            x = self.parent[x];
+    /// Appends the footprint of the last [`grow`], ascending and
+    /// deduplicated: to `verts` the endpoints of its grown edges, the
+    /// boundary excluded (every cluster vertex among them: a defect grows
+    /// all its edges, and every other cluster vertex ends a full edge);
+    /// to `edges` every edge incident to a non-boundary cluster vertex,
+    /// which includes every grown edge (only those vertices grow edges). Another growth that
+    /// reaches none of `verts` and grows none of `edges` runs beside this
+    /// one without touching it (see [`crate::montecarlo`]).
+    pub(crate) fn footprint(
+        &self,
+        graph: &DecodingGraph,
+        verts: &mut Vec<u16>,
+        edges: &mut Vec<u16>,
+    ) {
+        let boundary = graph.boundary();
+        let (v0, e0) = (verts.len(), edges.len());
+        each_set_bit(&self.in_cluster, |v| {
+            if v != boundary {
+                edges.extend_from_slice(graph.adj(v));
+            }
+        });
+        for &e in &self.grown_edges {
+            verts
+                .extend(graph.ends[usize::from(e)].iter().filter(|&&v| usize::from(v) != boundary));
         }
-        x
+        for (ids, from) in [(verts, v0), (edges, e0)] {
+            ids[from..].sort_unstable();
+            let mut kept = from;
+            for i in from..ids.len() {
+                if kept == from || ids[i] != ids[kept - 1] {
+                    ids[kept] = ids[i];
+                    kept += 1;
+                }
+            }
+            ids.truncate(kept);
+        }
     }
 
-    fn union(&mut self, a: usize, b: usize) {
-        let (ra, rb) = (self.find(a), self.find(b));
+    /// Whether the last [`grow`] absorbed any of `verts` into a cluster
+    /// or grew any of `edges`: the guard test of a split verdict.
+    #[inline]
+    pub(crate) fn reaches(&self, verts: &[u16], edges: &[u16]) -> bool {
+        verts.iter().any(|&v| PackedLattice::get_bit(&self.in_cluster, usize::from(v)))
+            || edges.iter().any(|&e| self.edge_growth[usize::from(e)] != 0)
+    }
+
+    #[inline]
+    fn find(&mut self, x: u16) -> u16 {
+        let mut x = usize::from(x);
+        while usize::from(self.parent[x]) != x {
+            self.parent[x] = self.parent[usize::from(self.parent[x])];
+            x = usize::from(self.parent[x]);
+        }
+        x as u16
+    }
+
+    /// Merges the clusters of `a` and `b`, keeping the live-cluster
+    /// count: a cluster is live while its flags are exactly [`ODD`].
+    fn union(&mut self, a: u16, b: u16) {
+        let (ra, rb) = (usize::from(self.find(a)), usize::from(self.find(b)));
         if ra != rb {
-            self.parent[ra] = rb;
-            let p = self.parity[ra] ^ self.parity[rb];
-            self.parity[rb] = p;
-            self.touches_boundary[rb] |= self.touches_boundary[ra];
+            let (fa, fb) = (self.flags[ra], self.flags[rb]);
+            let merged = (fa ^ fb) & ODD | (fa | fb) & BOUNDARY;
+            self.live -= usize::from(fa == ODD) + usize::from(fb == ODD);
+            self.live += usize::from(merged == ODD);
+            self.parent[ra] = rb as u16;
+            self.flags[rb] = merged;
         }
     }
 
-    fn is_frozen(&mut self, x: usize) -> bool {
+    #[inline]
+    fn is_frozen(&mut self, x: u16) -> bool {
         let r = self.find(x);
-        !self.parity[r] || self.touches_boundary[r]
+        self.flags[usize::from(r)] != ODD
     }
 
     /// Returns `true` iff `v` was not yet in a cluster, and marks it.
@@ -301,21 +396,27 @@ impl DecoderScratch {
     /// `edge_seen` round stamps only ever grow, so they need no reset.)
     fn reset(&mut self, boundary: usize) {
         self.correction.clear();
-        for v in self.cluster_verts.drain(..).chain(std::iter::once(boundary)) {
-            self.parent[v] = v;
-            self.parity[v] = false;
-            self.touches_boundary[v] = false;
-            self.defect[v] = false;
-            self.visited[v] = false;
-            self.degree[v] = 0;
-        }
-        self.touches_boundary[boundary] = true;
+        self.frontier.clear();
+        let in_cluster = std::mem::take(&mut self.in_cluster);
+        each_set_bit(&in_cluster, |v| self.reset_vertex(v));
+        self.in_cluster = in_cluster;
+        self.in_cluster.fill(0);
+        self.reset_vertex(boundary);
+        self.flags[boundary] = BOUNDARY;
         for e in self.grown_edges.drain(..) {
+            let e = usize::from(e);
             self.edge_growth[e] = 0;
             self.in_tree[e] = false;
             self.removed[e] = false;
         }
-        self.in_cluster.fill(0);
+    }
+
+    fn reset_vertex(&mut self, v: usize) {
+        self.parent[v] = v as u16;
+        self.flags[v] = 0;
+        self.defect[v] = false;
+        self.visited[v] = false;
+        self.degree[v] = 0;
     }
 
     /// Depth-first spanning tree over the fully grown edges from `root`,
@@ -329,6 +430,7 @@ impl DecoderScratch {
         self.stack.push(root);
         while let Some(v) = self.stack.pop() {
             for &e in graph.adj(v) {
+                let e = usize::from(e);
                 if self.edge_growth[e] < 2 || self.in_tree[e] {
                     continue;
                 }
@@ -395,70 +497,85 @@ pub(crate) fn grow(graph: &DecodingGraph, syndrome: &[u64], s: &mut DecoderScrat
     let boundary = graph.boundary();
     s.reset(boundary);
 
-    // Seed clusters at the defects (word-wise set-bit extraction).
+    // Seed clusters at the defects (word-wise set-bit extraction): each
+    // is a live cluster of its own.
     each_set_bit(syndrome, |c| {
         debug_assert!(c < graph.checks, "syndrome bit beyond check count");
-        s.parity[c] = true;
+        s.flags[c] = ODD;
         s.defect[c] = true;
         s.absorb(c);
-        s.cluster_verts.push(c);
+        s.frontier.push(c as u16);
     });
-    if s.cluster_verts.is_empty() {
+    s.live = s.frontier.len();
+    if s.live == 0 {
         return false;
     }
     s.stats.decodes += 1;
 
     // Edges gain support in halves; an edge with full support merges its
-    // endpoints. Grow all unfrozen clusters in lock step until every
-    // cluster is frozen. The frontier worklist visits exactly the edges
-    // the legacy full scan would have grown: growth<2 edges incident to
-    // an in-cluster, unfrozen, non-boundary vertex.
-    loop {
+    // endpoints. Grow all live clusters in lock step until none is left.
+    // The frontier worklist visits exactly the edges the legacy full
+    // scan would have grown: growth<2 edges incident to an in-cluster,
+    // unfrozen, non-boundary vertex. A vertex whose incident edges are
+    // all full has nothing left to grow and leaves the worklist; a frozen
+    // one stays, since a merge can make its cluster live again.
+    while s.live > 0 {
         s.round_stamp += 1;
         let stamp = s.round_stamp;
         s.round_edges.clear();
-        let mut any_active = false;
-        for idx in 0..s.cluster_verts.len() {
-            let v = s.cluster_verts[idx];
-            if s.is_frozen(v) {
-                continue;
-            }
-            any_active = true;
-            for &e in graph.adj(v) {
-                if s.edge_growth[e] < 2 && s.edge_seen[e] != stamp {
-                    s.edge_seen[e] = stamp;
-                    s.round_edges.push(e);
+        let mut kept = 0;
+        for idx in 0..s.frontier.len() {
+            let v = s.frontier[idx];
+            let mut open = true;
+            if !s.is_frozen(v) {
+                open = false;
+                for &e in graph.adj(usize::from(v)) {
+                    let i = usize::from(e);
+                    if s.edge_growth[i] < 2 {
+                        open = true;
+                        if s.edge_seen[i] != stamp {
+                            s.edge_seen[i] = stamp;
+                            s.round_edges.push(e);
+                        }
+                    }
                 }
             }
+            if open {
+                s.frontier[kept] = v;
+                kept += 1;
+            }
         }
-        // No live cluster, or live clusters with no growable edge left
-        // (all remaining defects pair through the boundary): stop.
-        if !any_active || s.round_edges.is_empty() {
-            return true;
+        s.frontier.truncate(kept);
+        // Live clusters with no growable edge left (all remaining
+        // defects pair through the boundary): stop.
+        if s.round_edges.is_empty() {
+            break;
         }
         s.stats.rounds += 1;
         s.stats.edges_grown += s.round_edges.len() as u64;
         s.full_edges.clear();
         for i in 0..s.round_edges.len() {
             let e = s.round_edges[i];
-            if s.edge_growth[e] == 0 {
+            let growth = &mut s.edge_growth[usize::from(e)];
+            if *growth == 0 {
                 s.grown_edges.push(e);
             }
-            s.edge_growth[e] += 1;
-            if s.edge_growth[e] >= 2 {
+            *growth += 1;
+            if *growth >= 2 {
                 s.full_edges.push(e);
             }
         }
         for i in 0..s.full_edges.len() {
-            let (u, v, _) = graph.edges[s.full_edges[i]];
+            let [u, v] = graph.ends[usize::from(s.full_edges[i])];
             for w in [u, v] {
-                if s.absorb(w) && w != boundary {
-                    s.cluster_verts.push(w);
+                if s.absorb(usize::from(w)) && usize::from(w) != boundary {
+                    s.frontier.push(w);
                 }
             }
             s.union(u, v);
         }
     }
+    true
 }
 
 /// The peeling stage of [`decode_into`], run once after a [`grow`] that
@@ -490,10 +607,11 @@ pub(crate) fn peel<'a>(graph: &DecodingGraph, s: &'a mut DecoderScratch) -> &'a 
         }
         // A leaf has exactly one live tree edge, so scanning its incident
         // edges finds the one the reference's tree list would.
-        let &e = graph
+        let e = graph
             .adj(v)
             .iter()
-            .find(|&&e| s.in_tree[e] && !s.removed[e])
+            .map(|&e| usize::from(e))
+            .find(|&e| s.in_tree[e] && !s.removed[e])
             .expect("leaf has one live tree edge");
         let (a, b, _) = graph.edges[e];
         let other = if a == v { b } else { a };
@@ -631,7 +749,7 @@ pub fn decode_reference(graph: &DecodingGraph, syndrome: &[bool]) -> Vec<usize> 
         visited[root] = true;
         let mut stack = vec![root];
         while let Some(v) = stack.pop() {
-            for &e in graph.adj(v) {
+            for e in graph.adj(v).iter().map(|&e| usize::from(e)) {
                 if edge_growth[e] < 2 || in_tree[e] {
                     continue;
                 }
@@ -748,10 +866,10 @@ mod tests {
         assert_eq!(g.boundary(), l.z_checks.len());
         assert_eq!(g.check_count(), l.z_checks.len());
         // CSR adjacency covers both endpoints of every edge.
-        assert_eq!(g.adj_off[g.checks + 1], 2 * g.edge_count());
+        assert_eq!(g.adj_off[g.checks + 1] as usize, 2 * g.edge_count());
         for v in 0..=g.checks {
             for &e in g.adj(v) {
-                let (a, b, _) = g.edges[e];
+                let (a, b, _) = g.edges[usize::from(e)];
                 assert!(a == v || b == v, "edge {e} listed at foreign vertex {v}");
             }
         }
@@ -792,7 +910,7 @@ mod tests {
             let l = Lattice::new(d);
             let g = DecodingGraph::new(&l, false);
             let boundary_checks: Vec<usize> = (0..g.check_count())
-                .filter(|&c| g.adj(c).iter().any(|&e| g.edges[e].1 == g.boundary()))
+                .filter(|&c| g.adj(c).iter().any(|&e| g.edges[usize::from(e)].1 == g.boundary()))
                 .collect();
             let mut scratch = DecoderScratch::new(&g);
             let mut state = 0xB0_0DA7u64 ^ (d as u64) << 40;

@@ -171,6 +171,9 @@ pub struct PackedLattice {
     logical_z_mask: Vec<u64>,
     /// Logical-`Z̄` support qubit indices (the top row, ascending).
     logical_z_idx: Vec<usize>,
+    /// `grid[q] = [q / d, q % d]`: the row and column of each data
+    /// qubit, so the Monte-Carlo hot paths read them instead of dividing.
+    grid: Vec<[u16; 2]>,
 }
 
 impl PackedLattice {
@@ -227,12 +230,20 @@ impl PackedLattice {
             qubit_z_checks_off,
             logical_z_mask,
             logical_z_idx,
+            grid: (0..n_qubits).map(|q| [(q / lattice.d) as u16, (q % lattice.d) as u16]).collect(),
         }
     }
 
     /// Code distance `d`.
     pub(crate) fn distance(&self) -> usize {
         self.d
+    }
+
+    /// The row and column of data qubit `q` on the `d × d` grid.
+    #[inline]
+    pub(crate) fn row_col(&self, q: usize) -> (usize, usize) {
+        let [row, col] = self.grid[q];
+        (usize::from(row), usize::from(col))
     }
 
     /// Data-qubit count (`d²`).

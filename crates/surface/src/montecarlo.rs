@@ -20,18 +20,39 @@
 //! caller that estimates repeatedly on one lattice keeps the context;
 //! the two free functions build a fresh one per call.
 //!
-//! # The isolated-error shortcut
+//! # Settling isolated errors
 //!
-//! A trial is *isolated* when its X errors sit pairwise at Chebyshev
-//! distance ≥ 4 on the `d × d` data grid (qubit `q` at row `q / d`,
-//! column `q % d`). The union-find correction of an isolated trial is
-//! exactly the symmetric difference of its errors' lone corrections, so
-//! its failure verdict — the parity of the corrected pattern on the
-//! logical-`Z̄` row, which is linear — is the XOR of one precomputed
-//! lone-error verdict per error, and the trial needs no decode. Both
-//! estimators take the shortcut for trials of at most 8 errors; the
-//! debug builds re-decode every such trial and assert the verdicts
-//! agree.
+//! Qubit `q` sits at row `q / d`, column `q % d` of the `d × d` data
+//! grid. An error of a trial is a *single* when no other error of the
+//! trial lies within Chebyshev distance < 4 of it; the trial's other
+//! errors are its *remainder*. Both estimators settle every trial
+//! through one function (`McScratch::settle`):
+//!
+//! * **All singles** (the trial is *isolated*): the union-find
+//!   correction is exactly the symmetric difference of the errors' lone
+//!   corrections, so the failure verdict — the parity of the corrected
+//!   pattern on the logical-`Z̄` row, which is linear — is the XOR of one
+//!   precomputed lone-error verdict per error, and nothing decodes.
+//! * **Singles and a remainder**: only the remainder decodes. Each
+//!   qubit's *guard* is recorded with its lone verdict: the footprint of
+//!   its lone-error growth — the cluster vertices (boundary excluded),
+//!   the endpoints of the grown edges, the grown edges and every edge
+//!   incident to the cluster. When the remainder's growth absorbs no
+//!   guard vertex of any single and grows no guard edge, the verdict is
+//!   the remainder's XOR the singles' lone verdicts; otherwise the trial
+//!   decodes whole.
+//! * **No single**: the trial decodes whole.
+//!
+//! Why a clear guard makes the split exact: with disjoint footprints the
+//! joint growth is, round by round, the disjoint union of the separate
+//! growths — no edge grows from both sides, no cluster merges across,
+//! and a cluster that touches the boundary freezes either way. The
+//! peeling forest splits the same way: the boundary-rooted depth-first
+//! search visits each group's vertices in the same order, and peeling a
+//! tree yields the same correction in any order. The correction is the
+//! disjoint union of the two, and the verdict, a parity, is the XOR.
+//! The debug builds re-decode every trial that skipped a decode on a
+//! fresh arena and assert the verdicts agree.
 //!
 //! # Free-row verdicts
 //!
@@ -60,6 +81,7 @@ pub use sliced::{logical_error_rate_sliced_par, SlicedStats};
 use crate::decoder::{decode_reference, grow, peel, DecodeStats, DecoderScratch, DecodingGraph};
 use crate::lattice::{Lattice, PackedLattice};
 use qisim_quantum::rng::{Geometric, Rng};
+use std::sync::Arc;
 
 /// Result of a logical-error-rate estimation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -78,20 +100,15 @@ pub struct McEstimate {
 /// corrections.
 const ISOLATION_DISTANCE: usize = 4;
 
-/// Most errors a trial may carry and still take the isolated-error
-/// shortcut; the sliced kernel records at most this many positions per
-/// lane, and heavier trials always decode.
-pub(crate) const ISOLATED_MAX_ERRORS: usize = 8;
-
 /// A lattice prepared once for both Monte-Carlo estimators: its decoding
-/// graph, its packed layout and its lone-error verdict table (one decode
-/// per data qubit). [`McContext::sliced_estimate`] and
+/// graph, its packed layout and its lone-error verdicts and guards (one
+/// decode per data qubit). [`McContext::sliced_estimate`] and
 /// [`rare::RareLadder`] read it; neither rebuilds it.
 ///
 /// # Panics
 ///
 /// [`McContext::new`] panics if the lattice has more than 2¹⁶ data
-/// qubits: error positions are stored as `u16`.
+/// qubits: error positions and decoder ids are stored as `u16`.
 ///
 /// # Examples
 ///
@@ -108,7 +125,7 @@ pub(crate) const ISOLATED_MAX_ERRORS: usize = 8;
 pub struct McContext {
     graph: DecodingGraph,
     packed: PackedLattice,
-    lone: LoneVerdicts,
+    lone: Arc<LoneVerdicts>,
 }
 
 impl McContext {
@@ -117,65 +134,88 @@ impl McContext {
     pub fn new(lattice: &Lattice) -> Self {
         let graph = DecodingGraph::new(lattice, false);
         let packed = PackedLattice::new(lattice);
-        let lone = LoneVerdicts::new(&packed, &graph);
+        let lone = Arc::new(LoneVerdicts::new(&packed, &graph));
         McContext { graph, packed, lone }
     }
 }
 
-/// The failure verdict of every lone X error, and the isolation test
-/// that lets a trial combine them instead of decoding.
-#[derive(Debug, Clone)]
+/// The failure verdict and the guard of every lone X error (see the
+/// module docs): what lets a trial settle its single errors without
+/// decoding them.
+#[derive(Debug)]
 struct LoneVerdicts {
-    /// Code distance: the data grid is `d × d`.
-    d: usize,
     /// Bit `q` set: the decoder turns a lone error on qubit `q` into a
     /// logical failure (some qubits at `d = 3`, none from `d = 5` on).
     fails: Vec<u64>,
+    /// Qubit `q`'s guard vertices are `guard_verts[guard_vert_off[q] as
+    /// usize..guard_vert_off[q + 1] as usize]`.
+    guard_vert_off: Vec<u32>,
+    guard_verts: Vec<u16>,
+    /// Qubit `q`'s guard edges, laid out like its vertices.
+    guard_edge_off: Vec<u32>,
+    guard_edges: Vec<u16>,
 }
 
 impl LoneVerdicts {
     /// Decodes a lone error on every data qubit, on an arena of its own
-    /// so no estimator's decoder counters move.
+    /// so no estimator's decoder counters move, and records its verdict
+    /// and the footprint of its growth.
     fn new(packed: &PackedLattice, graph: &DecodingGraph) -> Self {
         let n = packed.data_qubits();
         assert!(n <= 1 << 16, "error positions are u16: at most 2^16 data qubits, got {n}");
-        let mut fails = vec![0u64; packed.qubit_words()];
+        let mut lone = LoneVerdicts {
+            fails: vec![0u64; packed.qubit_words()],
+            guard_vert_off: vec![0],
+            guard_verts: Vec::new(),
+            guard_edge_off: vec![0],
+            guard_edges: Vec::new(),
+        };
         let mut scratch = McScratch::new(packed, graph);
         for q in 0..n {
             if scratch.decoded_verdict(packed, graph, &[q as u16]) {
-                PackedLattice::set_bit(&mut fails, q);
+                PackedLattice::set_bit(&mut lone.fails, q);
             }
+            scratch.decoder.footprint(graph, &mut lone.guard_verts, &mut lone.guard_edges);
+            lone.guard_vert_off.push(lone.guard_verts.len() as u32);
+            lone.guard_edge_off.push(lone.guard_edges.len() as u32);
         }
-        LoneVerdicts { d: packed.distance(), fails }
+        lone
     }
 
-    /// The failure verdict of a trial whose errors sit at `positions`
-    /// (ascending), when the trial is isolated: at most
-    /// [`ISOLATED_MAX_ERRORS`] errors, pairwise at Chebyshev distance
-    /// ≥ [`ISOLATION_DISTANCE`]. `None` means the trial must be decoded.
+    /// Whether a lone error on qubit `q` decodes into a logical failure.
     #[inline]
-    fn isolated_verdict(&self, positions: &[u16]) -> Option<bool> {
-        if positions.len() > ISOLATED_MAX_ERRORS {
-            return None;
+    fn fails(&self, q: u16) -> bool {
+        PackedLattice::get_bit(&self.fails, usize::from(q))
+    }
+
+    /// Whether the growth in `decoder` reaches qubit `q`'s guard, so a
+    /// single at `q` may interact with it.
+    #[inline]
+    fn guard_reached(&self, q: u16, decoder: &DecoderScratch) -> bool {
+        let q = usize::from(q);
+        let verts = self.guard_vert_off[q] as usize..self.guard_vert_off[q + 1] as usize;
+        let edges = self.guard_edge_off[q] as usize..self.guard_edge_off[q + 1] as usize;
+        decoder.reaches(&self.guard_verts[verts], &self.guard_edges[edges])
+    }
+}
+
+/// How [`McScratch::settle`] reached a trial's failure verdict.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Settled {
+    /// Every error is a single: the XOR of their lone verdicts, no
+    /// decode.
+    Isolated(bool),
+    /// Through the decoder: the whole trial, or its remainder with the
+    /// singles' lone verdicts XORed in.
+    Decoded(bool),
+}
+
+impl Settled {
+    /// The failure verdict, however it was reached.
+    fn fails(self) -> bool {
+        match self {
+            Settled::Isolated(fails) | Settled::Decoded(fails) => fails,
         }
-        let d = self.d;
-        let mut fails = false;
-        for (i, &a) in positions.iter().enumerate() {
-            let (row_a, col_a) = (usize::from(a) / d, usize::from(a) % d);
-            // Ascending positions have non-decreasing rows: once a later
-            // error is ISOLATION_DISTANCE rows down, so are the rest.
-            for &b in &positions[i + 1..] {
-                let (row_b, col_b) = (usize::from(b) / d, usize::from(b) % d);
-                if row_b - row_a >= ISOLATION_DISTANCE {
-                    break;
-                }
-                if col_a.abs_diff(col_b) < ISOLATION_DISTANCE {
-                    return None;
-                }
-            }
-            fails ^= PackedLattice::get_bit(&self.fails, usize::from(a));
-        }
-        Some(fails)
     }
 }
 
@@ -224,15 +264,20 @@ impl ErrorSampler {
 }
 
 /// Reusable buffers for decoding one packed trial at a time: the error
-/// and syndrome bitsets, the rows the clusters reach, and the decoder
-/// arena. Every decoded verdict goes through [`McScratch::verdict`];
-/// each caller allocates one per call or chunk, zero per trial.
+/// and syndrome bitsets, the rows the clusters reach, which errors of a
+/// trial are singles, and the decoder arena. Every
+/// verdict goes through [`McScratch::settle`] or [`McScratch::verdict`];
+/// each pool worker allocates one per estimate, zero per trial.
 #[derive(Debug, Clone)]
 struct McScratch {
     errs: Vec<u64>,
     syndrome: Vec<u64>,
     /// Bit `r` set: a fully grown edge of the last growth is on row `r`.
     grown_rows: Vec<u64>,
+    /// `near[i]`: error `i` of the trial being settled has another error
+    /// within Chebyshev distance < [`ISOLATION_DISTANCE`] (it belongs to
+    /// the remainder).
+    near: Vec<bool>,
     decoder: DecoderScratch,
 }
 
@@ -243,6 +288,7 @@ impl McScratch {
             errs: vec![0; packed.qubit_words()],
             syndrome: vec![0; graph.syndrome_words()],
             grown_rows: vec![0; packed.distance().div_ceil(64)],
+            near: Vec::new(),
             decoder: DecoderScratch::new(graph),
         }
     }
@@ -260,7 +306,88 @@ impl McScratch {
         }
     }
 
-    /// The failure verdict of the trial with X errors at `positions`.
+    /// The failure verdict of the trial with X errors at `positions`
+    /// (ascending), decoding only the errors that may interact (see the
+    /// module docs). `lone` must come from the same `packed` and `graph`.
+    fn settle(
+        &mut self,
+        packed: &PackedLattice,
+        graph: &DecodingGraph,
+        lone: &LoneVerdicts,
+        positions: &[u16],
+    ) -> Settled {
+        let singles = self.mark_singles(packed, positions);
+        if singles == positions.len() {
+            let fails = positions.iter().fold(false, |acc, &q| acc ^ lone.fails(q));
+            debug_assert_eq!(
+                fails,
+                decoded_verdict(packed, graph, positions),
+                "isolated-error verdict disagrees with the decoder: {positions:?}"
+            );
+            return Settled::Isolated(fails);
+        }
+        if singles == 0 {
+            return Settled::Decoded(self.decoded_verdict(packed, graph, positions));
+        }
+        // Place the remainder alone (as `place` would).
+        self.errs.fill(0);
+        self.syndrome.fill(0);
+        for (&q, _) in positions.iter().zip(&self.near).filter(|(_, &near)| near) {
+            PackedLattice::set_bit(&mut self.errs, usize::from(q));
+            packed.flip_z_checks_of(usize::from(q), &mut self.syndrome);
+        }
+        // A remainder with no syndrome (a boundary stabilizer) grows
+        // nothing; such trials are rare enough to decode whole.
+        if !grow(graph, &self.syndrome, &mut self.decoder) {
+            return Settled::Decoded(self.decoded_verdict(packed, graph, positions));
+        }
+        let mut singles_fail = false;
+        for (&q, &near) in positions.iter().zip(&self.near) {
+            if near {
+                continue;
+            }
+            if lone.guard_reached(q, &self.decoder) {
+                self.decoder.stats.split_fallbacks += 1;
+                return Settled::Decoded(self.decoded_verdict(packed, graph, positions));
+            }
+            singles_fail ^= lone.fails(q);
+        }
+        self.decoder.stats.singles_settled += singles as u64;
+        let fails = self.grown_verdict(packed, graph) ^ singles_fail;
+        debug_assert_eq!(
+            fails,
+            decoded_verdict(packed, graph, positions),
+            "split verdict disagrees with the decoder: {positions:?}"
+        );
+        Settled::Decoded(fails)
+    }
+
+    /// Flags in `near` the errors at `positions` (ascending) that have
+    /// another error within Chebyshev distance < [`ISOLATION_DISTANCE`],
+    /// and returns how many are singles (unflagged).
+    fn mark_singles(&mut self, packed: &PackedLattice, positions: &[u16]) -> usize {
+        self.near.clear();
+        self.near.resize(positions.len(), false);
+        for (i, &a) in positions.iter().enumerate() {
+            let (row_a, col_a) = packed.row_col(usize::from(a));
+            // Ascending positions have non-decreasing rows: once a later
+            // error is ISOLATION_DISTANCE rows down, so are the rest.
+            for (j, &b) in positions.iter().enumerate().skip(i + 1) {
+                let (row_b, col_b) = packed.row_col(usize::from(b));
+                if row_b - row_a >= ISOLATION_DISTANCE {
+                    break;
+                }
+                if col_a.abs_diff(col_b) < ISOLATION_DISTANCE {
+                    self.near[i] = true;
+                    self.near[j] = true;
+                }
+            }
+        }
+        self.near.iter().filter(|&&near| !near).count()
+    }
+
+    /// The failure verdict of the trial with X errors at `positions`,
+    /// decoded whole.
     fn decoded_verdict(
         &mut self,
         packed: &PackedLattice,
@@ -272,17 +399,23 @@ impl McScratch {
     }
 
     /// The failure verdict of the trial whose X errors and Z syndrome
-    /// fill `errs` and `syndrome`: read off a row no fully grown edge
-    /// touches, or, when the clusters reach every row, off the peeled
-    /// correction (see the module docs).
+    /// fill `errs` and `syndrome`, decoded whole.
     fn verdict(&mut self, packed: &PackedLattice, graph: &DecodingGraph) -> bool {
         if !grow(graph, &self.syndrome, &mut self.decoder) {
             return packed.is_logical_x(&self.errs);
         }
+        self.grown_verdict(packed, graph)
+    }
+
+    /// The failure verdict of `errs` once [`grow`] has run on its
+    /// nonzero syndrome: read off a row no fully grown edge touches, or,
+    /// when the clusters reach every row, off the peeled correction (see
+    /// the module docs).
+    fn grown_verdict(&mut self, packed: &PackedLattice, graph: &DecodingGraph) -> bool {
         let d = packed.distance();
         self.grown_rows.fill(0);
         for q in self.decoder.fully_grown_qubits(graph) {
-            PackedLattice::set_bit(&mut self.grown_rows, q / d);
+            PackedLattice::set_bit(&mut self.grown_rows, packed.row_col(q).0);
         }
         match (0..d).find(|&r| !PackedLattice::get_bit(&self.grown_rows, r)) {
             Some(row) => {
@@ -315,7 +448,7 @@ impl McScratch {
 
 /// [`McScratch::decoded_verdict`] on freshly allocated buffers, so the
 /// decoder counters the estimators flush never move: the debug builds
-/// check every isolated-error verdict against it.
+/// check every verdict that skipped a decode against it.
 fn decoded_verdict(packed: &PackedLattice, graph: &DecodingGraph, positions: &[u16]) -> bool {
     McScratch::new(packed, graph).decoded_verdict(packed, graph, positions)
 }
@@ -326,6 +459,8 @@ fn flush_decode_stats(dec: DecodeStats) {
     qisim_obs::counter!("surface.decoder.rounds", dec.rounds);
     qisim_obs::counter!("surface.decoder.frontier_edges", dec.edges_grown);
     qisim_obs::counter!("surface.decoder.peels_skipped", dec.peels_skipped);
+    qisim_obs::counter!("surface.montecarlo.singles_settled", dec.singles_settled);
+    qisim_obs::counter!("surface.montecarlo.split_fallbacks", dec.split_fallbacks);
 }
 
 /// Bool-vec oracle for the samplers: the shared geometric-skip RNG draw
@@ -363,7 +498,7 @@ pub fn run_trials_reference<R: Rng>(
 
 #[cfg(test)]
 mod tests {
-    use super::sliced::{run_trials_sliced, SlicedScratch, SLICED_CHUNK_TRIALS};
+    use super::sliced::{run_trials_sliced, SlicedScratch, LANE_POSITIONS, SLICED_CHUNK_TRIALS};
     use super::*;
     use crate::decoder::decode_into;
     use qisim_quantum::rng::{Rng, Xorshift64Star};
@@ -485,13 +620,14 @@ mod tests {
         }
     }
 
-    /// Whether the flagged errors are isolated: at most
-    /// [`ISOLATED_MAX_ERRORS`] of them, every pair at Chebyshev distance
-    /// ≥ [`ISOLATION_DISTANCE`] on the `d × d` grid.
+    /// Whether the flagged errors make an isolated lane of the sliced
+    /// kernel: at most [`LANE_POSITIONS`] of them (a lane records no
+    /// more), every pair at Chebyshev distance ≥ [`ISOLATION_DISTANCE`]
+    /// on the `d × d` grid.
     fn is_isolated(d: usize, errs: &[bool]) -> bool {
         let at: Vec<(usize, usize)> =
             (0..errs.len()).filter(|&q| errs[q]).map(|q| (q / d, q % d)).collect();
-        at.len() <= ISOLATED_MAX_ERRORS
+        at.len() <= LANE_POSITIONS
             && at.iter().enumerate().all(|(i, a)| {
                 at[i + 1..]
                     .iter()
@@ -541,8 +677,9 @@ mod tests {
         assert!(empty > decoded, "p=0.002 is dominated by empty trials");
         assert!(isolated > decoded && decoded > 0, "most error trials are isolated: {stats:?}");
         assert_eq!(
-            dec.decodes, stats.fallback_trials,
-            "decoder ran exactly on the slow-path trials"
+            dec.decodes,
+            stats.fallback_trials + dec.split_fallbacks,
+            "decoder ran exactly on the slow-path trials, twice where a guard rejected a split"
         );
         // Second batch accumulates from zero after take_stats.
         let _ = run_trials_sliced(&packed, &graph, 0.5, 10, seed, 0, &mut scratch);
@@ -656,8 +793,8 @@ mod tests {
                 );
                 let positions: Vec<u16> = set.iter().map(|&q| q as u16).collect();
                 assert_eq!(
-                    context.lone.isolated_verdict(&positions),
-                    Some(decoded_verdict(packed, graph, &positions)),
+                    settle(&context, &positions),
+                    Settled::Isolated(decoded_verdict(packed, graph, &positions)),
                     "d={d}: errors {set:?}"
                 );
             }
@@ -761,17 +898,32 @@ mod tests {
         }
     }
 
+    /// `context`'s settled verdict of the trial with errors at
+    /// `positions`, on fresh scratch.
+    fn settle(context: &McContext, positions: &[u16]) -> Settled {
+        let (packed, graph) = (&context.packed, &context.graph);
+        McScratch::new(packed, graph).settle(packed, graph, &context.lone, positions)
+    }
+
     #[test]
-    fn isolation_test_rejects_close_and_heavy_trials() {
+    fn isolation_test_rejects_close_trials_at_any_weight() {
         let context = McContext::new(&Lattice::new(23));
-        let lone = &context.lone;
-        assert_eq!(lone.isolated_verdict(&[0, 4]), Some(false), "four columns apart");
-        assert_eq!(lone.isolated_verdict(&[0, 3]), None, "three columns apart");
-        assert_eq!(lone.isolated_verdict(&[3, 23 * 3]), None, "diagonal, distance 3");
-        assert_eq!(lone.isolated_verdict(&[3, 23 * 4]), Some(false), "four rows apart");
+        let decoded = |positions: &[u16]| {
+            Settled::Decoded(decoded_verdict(&context.packed, &context.graph, positions))
+        };
+        assert_eq!(settle(&context, &[0, 4]), Settled::Isolated(false), "four columns apart");
+        assert_eq!(settle(&context, &[0, 3]), decoded(&[0, 3]), "three columns apart");
+        assert_eq!(settle(&context, &[3, 23 * 3]), decoded(&[3, 23 * 3]), "diagonal, distance 3");
+        assert_eq!(settle(&context, &[3, 23 * 4]), Settled::Isolated(false), "four rows apart");
+        // Nine spread errors: no cap on the weight of an isolated trial.
         let spread: Vec<u16> = (0..9).map(|i| (i % 3 * 8 + i / 3 * 8 * 23) as u16).collect();
-        assert_eq!(lone.isolated_verdict(&spread[..8]), Some(false));
-        assert_eq!(lone.isolated_verdict(&spread), None, "more than ISOLATED_MAX_ERRORS");
+        assert_eq!(settle(&context, &spread[..8]), Settled::Isolated(false));
+        assert_eq!(settle(&context, &spread), Settled::Isolated(false));
+        // One close pair among the nine: only it decodes.
+        let mut close = spread.clone();
+        close.push(spread[4] + 1);
+        close.sort_unstable();
+        assert_eq!(settle(&context, &close), decoded(&close));
     }
 
     #[test]
@@ -791,7 +943,7 @@ mod tests {
                     errs[c] ^= true;
                 }
                 let fails = l.is_logical_x(&errs);
-                assert_eq!(context.lone.isolated_verdict(&[q as u16]), Some(fails), "d={d} q={q}");
+                assert_eq!(settle(&context, &[q as u16]), Settled::Isolated(fails), "d={d} q={q}");
                 failing += fails as usize;
             }
             assert_eq!(failing > 0, d <= 3, "d={d}: {failing} failing lone errors");
@@ -807,5 +959,81 @@ mod tests {
         let lo = logical_error_rate_sliced_par(&l, 0.01, 3000, 4).logical_error;
         let hi = logical_error_rate_sliced_par(&l, 0.08, 3000, 4).logical_error;
         assert!(hi >= lo, "p=0.08 ({hi}) vs p=0.01 ({lo})");
+    }
+
+    #[test]
+    fn split_verdicts_equal_a_full_decode_across_distances_and_rates() {
+        // Seeded trials from sparse singles to dense clusters: every
+        // settled verdict — isolated, split or whole — must equal the
+        // full decode of the trial on a fresh arena, and across the
+        // table the guard must both pass and reject.
+        let mut total = DecodeStats::default();
+        for d in [5usize, 7, 13, 23] {
+            let l = Lattice::new(d);
+            let context = McContext::new(&l);
+            let (packed, graph) = (&context.packed, &context.graph);
+            let mut scratch = McScratch::new(packed, graph);
+            for q in [0.002, 0.007, 0.023, 0.08] {
+                for positions in sampled_trials(d, q, 500, 0x5917_5E70) {
+                    let settled = scratch.settle(packed, graph, &context.lone, &positions);
+                    let mut fresh = DecoderScratch::new(graph);
+                    assert_eq!(
+                        settled.fails(),
+                        full_peel_verdict(packed, graph, &mut fresh, &positions),
+                        "d={d} q={q}: errors {positions:?}"
+                    );
+                }
+            }
+            total.merge(scratch.decoder.take_stats());
+        }
+        assert!(total.singles_settled > 0, "no trial split: {total:?}");
+        assert!(total.split_fallbacks > 0, "no guard rejected a split: {total:?}");
+    }
+
+    #[test]
+    fn a_single_inside_the_remainders_reach_decodes_whole() {
+        // Row 11 of d = 23. A three-error chain at columns 5–7 grows for
+        // four rounds and reaches the guard of a single four columns on
+        // (column 11): the trial must decode whole. A two-error chain
+        // four columns from its single stops short of the guard, and
+        // the trial splits.
+        let l = Lattice::new(23);
+        let context = McContext::new(&l);
+        let (packed, graph) = (&context.packed, &context.graph);
+        let row = 11 * 23;
+        for (chain, single, fallbacks) in [(5..8, 11, 1), (5..7, 10, 0)] {
+            let mut positions: Vec<u16> = chain.map(|c| (row + c) as u16).collect();
+            positions.push((row + single) as u16);
+            let mut scratch = McScratch::new(packed, graph);
+            let settled = scratch.settle(packed, graph, &context.lone, &positions);
+            let mut fresh = DecoderScratch::new(graph);
+            let want = full_peel_verdict(packed, graph, &mut fresh, &positions);
+            assert_eq!(settled, Settled::Decoded(want), "errors {positions:?}");
+            let stats = scratch.decoder.take_stats();
+            assert_eq!(stats.split_fallbacks, fallbacks, "errors {positions:?}: {stats:?}");
+            assert_eq!(stats.singles_settled, 1 - fallbacks, "errors {positions:?}: {stats:?}");
+            assert_eq!(stats.decodes, 1 + fallbacks, "errors {positions:?}: {stats:?}");
+        }
+    }
+
+    #[test]
+    fn lone_growths_at_isolation_distance_never_reach_each_others_guards() {
+        // Why singles need no guard against each other: the growth of a
+        // lone error reaches the guard of no qubit at Chebyshev distance
+        // ≥ ISOLATION_DISTANCE, so any number of singles grow apart.
+        for d in [5usize, 9, 23] {
+            let context = McContext::new(&Lattice::new(d));
+            let (packed, graph) = (&context.packed, &context.graph);
+            let mut scratch = McScratch::new(packed, graph);
+            for a in 0..d * d {
+                let _ = scratch.decoded_verdict(packed, graph, &[a as u16]);
+                for b in (0..d * d).filter(|&b| chebyshev(d, a, b) >= ISOLATION_DISTANCE) {
+                    assert!(
+                        !context.lone.guard_reached(b as u16, &scratch.decoder),
+                        "d={d}: lone error {a} reaches the guard of {b}"
+                    );
+                }
+            }
+        }
     }
 }

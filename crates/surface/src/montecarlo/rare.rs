@@ -26,23 +26,28 @@
 //!    `Xorshift64Star::stream(seed, j)`, one task per stage, and stores
 //!    their error positions compactly (`u16` positions, `u32` offsets).
 //! 2. **Decode.** Every sampled trial is settled in fixed
-//!    `RARE_CHUNK_TRIALS`-trial (250) chunks, so the densest stage no longer
-//!    sets the wall time alone. Isolated trials (see [`super`]) take the
-//!    lone-error verdicts and skip the decoder. A chunk returns the flip
-//!    count `k` of every failing trial; a stage's failure list is its
-//!    chunk lists concatenated in trial order, and the weights are summed
-//!    afterwards in stage and trial order — the same float operations as
-//!    a serial loop, so the estimate is bit-identical at any thread count.
+//!    `RARE_CHUNK_TRIALS`-trial (250) chunks, so the densest stage no
+//!    longer sets the wall time alone; each pool worker settles its
+//!    chunks on one scratch. Trials decode only their errors that may
+//!    interact (see [`super`]): isolated trials take the lone-error
+//!    verdicts and skip the decoder, and a trial with singles decodes
+//!    only its remainder. A chunk returns the flip count `k` of every
+//!    failing trial; a stage's failure list is its chunk lists
+//!    concatenated in trial order, and the weights are summed afterwards
+//!    in stage and trial order — the same float operations as a serial
+//!    loop, so the estimate is bit-identical at any thread count.
 //!
 //! Stage 0 sits at `Q_TOP` for every `p < Q_TOP`; its failure list does
 //! not depend on `p`, so a [`RareLadder`] samples it once and reuses it.
 //! Each trial's syndrome is built from its positions (≤ 2 check flips
 //! per error), not by a pass over every check. At `d = 23` with 2,000
 //! trials per stage (the engine's rare estimator, four ladder stages at
-//! `p ≈ 1.3–2.8·10⁻³`) an estimate on a 2-core x86 host at 2 threads
-//! takes 2.3–5.3 ms (median 2.9) with the anchor kept, and a fresh
+//! `p ≈ 1.3–2.8·10⁻³`) an estimate with the anchor kept takes a median
+//! 4.4–5.1 ms at 2 threads on a shared 2-core x86 host (runs of 150
+//! estimates; 6.1–8.0 ms before the remainder-only decodes, the compact
+//! decoder arena and the per-worker scratch), and a fresh
 //! [`logical_error_rate_rare`], which builds its context and samples the
-//! anchor, 15–18 ms (median 16–17).
+//! anchor, 36–39 ms (41–42 ms before; runs of 30).
 //!
 //! The estimate is cross-checkable against [`small_p_expansion`]: the
 //! **exact** leading-order expansion `p_L(p) = Σ_k N_k·pᵏ(1−p)^(n−k)`
@@ -53,7 +58,7 @@
 //! 4·10⁻¹³`, where naive MC would need over 10¹² trials per expected
 //! failure).
 
-use super::{decoded_verdict, flush_decode_stats, ErrorSampler, McContext, McScratch};
+use super::{flush_decode_stats, ErrorSampler, McContext, McScratch};
 use crate::decoder::DecodeStats;
 use crate::lattice::Lattice;
 use qisim_quantum::rng::Xorshift64Star;
@@ -147,35 +152,24 @@ fn sample_stage(n: usize, q: f64, trials: usize, rng: &mut Xorshift64Star) -> St
     StageSamples { positions, offsets }
 }
 
-/// Settles the sampled trials `trials` of one stage: returns the flip
-/// count `k` of each failing trial, in trial order, and the decoder
-/// work counters. Isolated trials take the XOR of their lone-error
-/// verdicts (re-decoded and compared in debug builds); the rest decode.
+/// Settles the sampled trials `trials` of one stage on `scratch`:
+/// returns the flip count `k` of each failing trial, in trial order, and
+/// the decoder work counters of this chunk. Trials decode only their
+/// interacting errors (see [`super`]).
 fn decode_chunk(
     context: &McContext,
     samples: &StageSamples,
     trials: Range<usize>,
+    scratch: &mut McScratch,
 ) -> (Vec<usize>, DecodeStats) {
     let (packed, graph) = (&context.packed, &context.graph);
-    let mut scratch = McScratch::new(packed, graph);
     let mut failing = Vec::new();
     for t in trials {
         let positions = samples.trial(t);
         if positions.is_empty() {
             continue; // no errors → no failure → zero weight
         }
-        let fails = match context.lone.isolated_verdict(positions) {
-            Some(fails) => {
-                debug_assert_eq!(
-                    fails,
-                    decoded_verdict(packed, graph, positions),
-                    "isolated-error verdict disagrees with the decoder: {positions:?}"
-                );
-                fails
-            }
-            None => scratch.decoded_verdict(packed, graph, positions),
-        };
-        if fails {
+        if scratch.settle(packed, graph, &context.lone, positions).fails() {
             failing.push(positions.len());
         }
     }
@@ -254,9 +248,9 @@ impl<'a> RareLadder<'a> {
     /// Estimates the logical-X error rate at `p`: samples every stage
     /// the kept anchor does not cover as one [`qisim_par`] task (stage
     /// `j` on `Xorshift64Star::stream(seed, j)`), decodes their trials in
-    /// 250-trial tasks, then weighs and combines the
-    /// stages in ladder order. See [`logical_error_rate_rare`] for the
-    /// estimate itself.
+    /// 250-trial tasks on one scratch per pool worker, then weighs and
+    /// combines the stages in ladder order. See
+    /// [`logical_error_rate_rare`] for the estimate itself.
     ///
     /// # Panics
     ///
@@ -275,11 +269,16 @@ impl<'a> RareLadder<'a> {
             sample_stage(n, rates[j], trials, &mut rng)
         });
         let per_stage = trials.div_ceil(RARE_CHUNK_TRIALS);
-        let chunks = qisim_par::par_map_indices(samples.len() * per_stage, |c| {
-            let start = c % per_stage * RARE_CHUNK_TRIALS;
-            let end = trials.min(start + RARE_CHUNK_TRIALS);
-            decode_chunk(self.context, &samples[c / per_stage], start..end)
-        });
+        let (packed, graph) = (&self.context.packed, &self.context.graph);
+        let chunks = qisim_par::par_map_indices_with(
+            samples.len() * per_stage,
+            || McScratch::new(packed, graph),
+            |scratch, c| {
+                let start = c % per_stage * RARE_CHUNK_TRIALS;
+                let end = trials.min(start + RARE_CHUNK_TRIALS);
+                decode_chunk(self.context, &samples[c / per_stage], start..end, scratch)
+            },
+        );
         let mut dec = DecodeStats::default();
         let mut sampled = Vec::with_capacity(rates.len() - first);
         for stage in chunks.chunks(per_stage) {

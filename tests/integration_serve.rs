@@ -534,3 +534,43 @@ fn untraced_requests_stamp_their_id_on_every_engine_stage_record() {
         assert!(line.contains("\"request_id\":1"), "engine.stage record lacks the id: {line}");
     }
 }
+
+/// Runs `stop` on a thread of its own and fails unless it returns
+/// within 5 s: a hang fails the test instead of stalling the suite.
+fn returns_within_5_s(what: &str, stop: impl FnOnce() + Send + 'static) {
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        stop();
+        let _ = done.send(());
+    });
+    assert!(
+        finished.recv_timeout(std::time::Duration::from_secs(5)).is_ok(),
+        "{what} did not return within 5 s"
+    );
+}
+
+#[test]
+fn an_idle_server_stops_on_shutdown_and_on_its_stop_file() {
+    let _guard = common::isolate();
+    // No client ever connects: the accept loop is blocked in `accept`
+    // and must be woken by the stop itself. The unspecified address
+    // wakes it through loopback.
+    for addr in ["127.0.0.1:0", "0.0.0.0:0"] {
+        let server = Server::bind(addr, ServeConfig::default()).expect("bind");
+        returns_within_5_s(&format!("shutdown on {addr}"), move || {
+            let stats = server.shutdown();
+            assert_eq!(stats.requests, 0);
+        });
+    }
+    let stop = std::env::temp_dir().join(format!("qisim_serve_idle_stop_{}", std::process::id()));
+    let _ = std::fs::remove_file(&stop);
+    let config = ServeConfig { stop_file: Some(stop.clone()), ..ServeConfig::default() };
+    let server = Server::bind("127.0.0.1:0", config).expect("bind");
+    std::fs::write(&stop, b"").expect("create the stop file");
+    returns_within_5_s("the stop file", move || {
+        server.wait_until_stopping();
+        let stats = server.shutdown();
+        assert_eq!(stats.requests, 0);
+    });
+    let _ = std::fs::remove_file(&stop);
+}

@@ -9,13 +9,16 @@
 #      --no-fail-fast so one red test binary cannot hide the others
 #   2. the same test suite pinned to QISIM_THREADS=2: every parallel
 #      engine must be bit-identical at any thread count
-#   3. the qisim-surface suite in the test profile (opt-level 2, debug
-#      assertions on): the Monte-Carlo kernels' debug_assert! checks —
-#      every decoded verdict also peels and checks that the correction
-#      leaves no syndrome and that a free-row verdict equals the full
-#      peel's, every isolated-error verdict is re-decoded, and the lane
-#      and slice sizes are checked — never run in the release builds of
-#      steps 1, 2 and 7
+#   3. the qisim-surface suite and the qisim engine unit tests in the
+#      test profile (opt-level 2, debug assertions on): the Monte-Carlo
+#      kernels' debug_assert! checks — every decoded verdict also peels
+#      and checks that the correction leaves no syndrome and that a
+#      free-row verdict equals the full peel's, every trial that skipped
+#      a decode (isolated, or split into singles and a decoded remainder)
+#      is re-decoded whole on a fresh arena, and the lane and slice sizes
+#      are checked — never run in the release builds of steps 1, 2 and 7;
+#      the engine tests put the served d = 23 rare ladder and sliced
+#      estimate through those checks
 #   4. rustfmt check (config in rustfmt.toml)
 #   5. clippy across the whole workspace, warnings are errors
 #   6. rustdoc: the whole workspace must document cleanly (warnings are
@@ -79,8 +82,9 @@ cargo test -q --release --no-fail-fast
 echo "== [2/14] tests at QISIM_THREADS=2 =="
 QISIM_THREADS=2 cargo test -q --release --no-fail-fast
 
-echo "== [3/14] qisim-surface tests with debug assertions =="
+echo "== [3/14] qisim-surface and engine tests with debug assertions =="
 cargo test -q -p qisim-surface
+cargo test -q -p qisim --lib engine::tests
 
 echo "== [4/14] rustfmt =="
 cargo fmt --check
