@@ -235,7 +235,7 @@ impl FridgeTopology {
 
     /// The per-fridge refrigerator with interconnect heat already
     /// subtracted from every stage budget — what each fridge's power
-    /// bisection runs against. `None` when the interconnect consumes
+    /// landing search runs against. `None` when the interconnect consumes
     /// some stage's entire budget (the cluster supports zero qubits and
     /// the link is the binding constraint).
     pub fn effective_fridge(&self) -> Option<Fridge> {

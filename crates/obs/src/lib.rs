@@ -15,18 +15,18 @@
 //! ```
 //! use qisim_obs::{counter, gauge, observe, span};
 //!
-//! fn bisect() -> u64 {
+//! fn land() -> u64 {
 //!     span!("power.max_qubits");         // RAII: timed until scope end
 //!     for _ in 0..7 {
-//!         counter!("power.bisection.iters");
+//!         counter!("power.landing.steps");
 //!     }
 //!     gauge!("power.stage.4K.utilization", 0.97);
 //!     observe!("cyclesim.makespan_ns", 1117.0);
 //!     691
 //! }
-//! bisect();
+//! land();
 //! let snap = qisim_obs::snapshot();
-//! assert_eq!(snap.counter("power.bisection.iters"), Some(7));
+//! assert_eq!(snap.counter("power.landing.steps"), Some(7));
 //! println!("{}", qisim_obs::report_text());
 //! # qisim_obs::reset();
 //! ```

@@ -5,8 +5,8 @@
 //!
 //! Where the metric store ([`crate::metrics`]) keeps *aggregates*
 //! (how much time, how many calls), the recorder keeps *order*: which
-//! pipeline stage ran when, on which worker thread, and how bisection
-//! probes and Monte-Carlo chunks interleaved across a sweep.
+//! pipeline stage ran when, on which worker thread, and how power
+//! landings and Monte-Carlo chunks interleaved across a sweep.
 //!
 //! # Recording model
 //!

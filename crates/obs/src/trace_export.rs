@@ -245,9 +245,9 @@ mod tests {
     fn sample_session() -> TraceSession {
         let mut begin = ev(TraceEventKind::Begin, "scalability.analyze", 100, 1);
         begin.args[0] = Some(("qubits", 1024.0));
-        let mut counter = ev(TraceEventKind::Counter, "power.bisection.iters", 350, 0);
+        let mut counter = ev(TraceEventKind::Counter, "power.landing.steps", 350, 0);
         counter.args[0] = Some(("delta", 2.0));
-        let mut counter2 = ev(TraceEventKind::Counter, "power.bisection.iters", 380, 0);
+        let mut counter2 = ev(TraceEventKind::Counter, "power.landing.steps", 380, 0);
         counter2.args[0] = Some(("delta", 3.0));
         TraceSession {
             threads: vec![

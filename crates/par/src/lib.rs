@@ -109,7 +109,7 @@ pub const fn is_parallel_build() -> bool {
 /// results **in input order**.
 ///
 /// Work distribution is dynamic (an atomic next-index queue), so uneven
-/// task costs — e.g. one power bisection per sweep point — load-balance
+/// task costs — e.g. one power landing per sweep point — load-balance
 /// across the pool; determinism of the *output* is unaffected because
 /// every result is placed by its input index.
 ///

@@ -9,7 +9,7 @@
 //! Two questions, three doors: [`try_evaluate_with_link`] accounts one
 //! design at `n` qubits, and [`max_qubits`] (or
 //! [`try_max_qubits_with_link`], which also hands back the landing
-//! report) bisects for the largest `n` the stage budgets allow.
+//! report) searches for the largest `n` the stage budgets allow.
 //!
 //! # Examples
 //!
@@ -53,7 +53,7 @@ use std::fmt;
 pub enum PowerError {
     /// A power evaluation was requested at zero qubits. The model's
     /// per-qubit amortizations (shared banks, FDM groups) are undefined
-    /// there, and the bisection never probes it.
+    /// there, and the landing search never probes it.
     NoQubits,
 }
 
@@ -186,10 +186,10 @@ fn stage_powers(
 /// over the standard instruction link, and the stage that binds at that
 /// scale (§4.3 → Fig. 12/13/17).
 ///
-/// Binary search over qubit count (power is monotone in `n`). The
-/// result is cached per design in the [`memo`] cache, so re-analyzing a
-/// design — the experiment suite does this constantly — costs one
-/// lookup.
+/// A guarded secant search over qubit count (power is monotone and close
+/// to affine in `n`), about six power evaluations per design. The result
+/// is cached per design in the [`memo`] cache, so re-analyzing a design —
+/// the experiment suite does this constantly — costs one lookup.
 pub fn max_qubits(arch: &QciArch, fridge: &Fridge) -> (u64, Option<Stage>) {
     let (n, binding, _) = landing(arch, fridge, &InstructionLink::standard());
     (n, binding)
@@ -201,9 +201,9 @@ pub fn max_qubits(arch: &QciArch, fridge: &Fridge) -> (u64, Option<Stage>) {
 ///
 /// # Errors
 ///
-/// Never: every bisection probe is at `n ≥ 1`. The `Result` stays
-/// because the repository benchmark (`benchmark/src/layers.rs`) calls
-/// this signature.
+/// Never: every probe of the landing search is at `n ≥ 1`. The
+/// `Result` stays because the repository benchmark
+/// (`benchmark/src/layers.rs`) calls this signature.
 pub fn try_max_qubits_with_link(
     arch: &QciArch,
     fridge: &Fridge,
@@ -212,16 +212,15 @@ pub fn try_max_qubits_with_link(
     Ok(landing(arch, fridge, link))
 }
 
-/// The memoized bisection landing. A repeat call is one [`memo`]
-/// lookup; either way the landing publishes the `power.stage.*`
-/// attribution gauges.
+/// The memoized landing. A repeat call is one [`memo`] lookup; either
+/// way the landing publishes the `power.stage.*` attribution gauges.
 fn landing(arch: &QciArch, fridge: &Fridge, link: &InstructionLink) -> memo::Landing {
     span!("power.max_qubits");
     let key = MemoKey::new(arch, fridge, link);
     let landing = match memo::lookup(key) {
         Some(landing) => landing,
         None => {
-            let landing = bisect(arch, fridge, link);
+            let landing = search(arch, fridge, link);
             memo::store(key, landing.clone());
             landing
         }
@@ -230,43 +229,106 @@ fn landing(arch: &QciArch, fridge: &Fridge, link: &InstructionLink) -> memo::Lan
     landing
 }
 
-/// The uncached bisection behind [`landing`]. It doubles from 1, halves
-/// between two bounds that are both ≥ 1 and closes at those bounds, so
-/// every probe is at `n ≥ 1`.
-fn bisect(arch: &QciArch, fridge: &Fridge, link: &InstructionLink) -> memo::Landing {
+/// The largest qubit count a landing search probes: a design that still
+/// fits there is unbounded by power.
+const MAX_LANDING_QUBITS: u64 = 1 << 40;
+
+/// One probe as the secant model sees it: the qubit count and each
+/// stage's total watts, in [`Stage::ALL`] order.
+#[derive(Clone, Copy)]
+struct Point {
+    n: f64,
+    total_w: [f64; 5],
+}
+
+impl Point {
+    fn of(report: &PowerReport) -> Self {
+        let mut total_w = [0.0; 5];
+        for (w, stage) in total_w.iter_mut().zip(&report.stages) {
+            *w = stage.total_w();
+        }
+        Point { n: report.n_qubits as f64, total_w }
+    }
+}
+
+/// Where the model that takes every stage's `total_w` as affine in `n`
+/// through `a` and `b` first reaches a stage budget: the smallest root
+/// over the stages whose power grows between the two probes. `None`
+/// when no stage grows.
+fn secant_root(a: Point, b: Point, budgets_w: &[f64; 5]) -> Option<f64> {
+    (0..budgets_w.len())
+        .filter_map(|i| {
+            let slope = (b.total_w[i] - a.total_w[i]) / (b.n - a.n);
+            let root = b.n + (budgets_w[i] - b.total_w[i]) / slope;
+            (slope > 0.0 && root.is_finite()).then_some(root)
+        })
+        .min_by(f64::total_cmp)
+}
+
+/// The uncached landing search behind [`landing`]: the largest `n` whose
+/// report fits, the stage that binds one qubit later, and the report at
+/// `max(n, 1)`.
+///
+/// A guarded secant search. After the probes at 1 and at
+/// [`MAX_LANDING_QUBITS`] it keeps a bracket — `lo` fits, `hi` does not
+/// — and probes `floor` of the affine model's root through the two
+/// latest probes, clamped into `(lo, hi)`. When two steps in a row fail
+/// to halve the bracket, it halves instead; the first step does not
+/// count, because its bracket ends at the cap rather than near the root.
+/// It stops at `hi = lo + 1`. Stage power is close to affine in `n`, so
+/// a landing takes about six probes; because `fits(n)` is monotone, any
+/// bracket search lands where a bisection does. Every probe is at
+/// `n ≥ 1`.
+fn search(arch: &QciArch, fridge: &Fridge, link: &InstructionLink) -> memo::Landing {
     let probe = |n: u64| stage_powers(arch, fridge, n, link);
     let first = probe(1);
     if !first.fits() {
-        let binding = first.binding_stage();
-        return (0, binding, first);
+        return landed(0, 1, (0, first.binding_stage(), first));
     }
-    let mut lo = 1u64; // fits
-    let mut hi = 2u64;
-    while probe(hi).fits() {
-        counter!("power.bisection.iters");
-        if qisim_obs::trace::armed() {
-            qisim_obs::trace::instant("power.bisection.probe", &[("qubits", hi as f64)]);
-        }
-        lo = hi;
-        hi *= 2;
-        if hi > 1 << 40 {
-            return (lo, None, probe(lo)); // effectively unbounded by power
-        }
+    let top = probe(MAX_LANDING_QUBITS);
+    if top.fits() {
+        return landed(0, 2, (MAX_LANDING_QUBITS, None, top));
     }
-    while hi - lo > 1 {
-        counter!("power.bisection.iters");
-        let mid = lo + (hi - lo) / 2;
-        if qisim_obs::trace::armed() {
-            qisim_obs::trace::instant("power.bisection.probe", &[("qubits", mid as f64)]);
-        }
-        if probe(mid).fits() {
-            lo = mid;
+    let budgets_w = fridge.budgets_w();
+    let mut model = [Point::of(&first), Point::of(&top)];
+    let (mut lo, mut hi) = (first, top);
+    let (mut steps, mut slow_steps) = (0u64, 0u32);
+    while hi.n_qubits - lo.n_qubits > 1 {
+        let (lo_n, hi_n) = (lo.n_qubits, hi.n_qubits);
+        let root = secant_root(model[0], model[1], &budgets_w).filter(|_| slow_steps < 2);
+        let n = match root.map(f64::floor) {
+            None => lo_n + (hi_n - lo_n) / 2,
+            Some(guess) if guess <= lo_n as f64 => lo_n + 1,
+            Some(guess) if guess >= hi_n as f64 => hi_n - 1,
+            Some(guess) => guess as u64,
+        };
+        debug_assert!(lo_n < n && n < hi_n, "probe {n} outside the bracket ({lo_n}, {hi_n})");
+        let report = probe(n);
+        model = [model[1], Point::of(&report)];
+        if report.fits() {
+            lo = report;
         } else {
-            hi = mid;
+            hi = report;
         }
+        debug_assert!(lo.fits() && !hi.fits(), "the bracket lost its invariant at {n}");
+        let halved = 2 * (hi.n_qubits - lo.n_qubits) <= hi_n - lo_n;
+        slow_steps = if root.is_none() || halved || steps == 0 { 0 } else { slow_steps + 1 };
+        steps += 1;
     }
-    let binding = probe(hi).binding_stage();
-    (lo, binding, probe(lo))
+    let binding = hi.binding_stage();
+    landed(steps, steps + 2, (lo.n_qubits, binding, lo))
+}
+
+/// Publishes one cold landing: its probes inside the bracket on the
+/// `power.landing.steps` counter and, when tracing is armed, one
+/// `power.landing` instant with its probe count and landing.
+fn landed(steps: u64, probes: u64, landing: memo::Landing) -> memo::Landing {
+    counter!("power.landing.steps", steps);
+    qisim_obs::trace::instant(
+        "power.landing",
+        &[("probes", probes as f64), ("max_qubits", landing.0 as f64)],
+    );
+    landing
 }
 
 /// One row of `power.stage.<label>.*` gauge handles per stage label.
@@ -290,7 +352,7 @@ macro_rules! stage_gauge_rows {
 static STAGE_GAUGES: [[FastGauge; 7]; 5] = stage_gauge_rows!["50K", "4K", "1K", "100mK", "20mK"];
 
 /// Publishes per-stage watt attribution and utilization gauges for a
-/// report (called with every bisection landing, cached or fresh, so the
+/// report (called with every landing, cached or fresh, so the
 /// gauges show where every watt goes at the design's maximum scale).
 fn record_stage_gauges(report: &PowerReport) {
     if !qisim_obs::enabled() {
@@ -315,11 +377,329 @@ fn record_stage_gauges(report: &PowerReport) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qisim_microarch::{CryoCmosConfig, DecisionKind, RoomInterconnect, SfqConfig};
+    use qisim_hal::analog::AnalogBlock;
+    use qisim_hal::topology::{FridgeTopology, LinkKind};
+    use qisim_microarch::sfq::{BitgenKind, JpmSharing};
+    use qisim_microarch::{
+        room_cmos, Component, CryoCmosConfig, DecisionKind, Resource, RoomInterconnect, SfqConfig,
+    };
 
     /// One evaluation over the standard link.
     fn evaluate(arch: &QciArch, fridge: &Fridge, n_qubits: u64) -> PowerReport {
         try_evaluate_with_link(arch, fridge, n_qubits, &InstructionLink::standard()).unwrap()
+    }
+
+    /// The doubling-then-halving bisection the landing search replaced,
+    /// kept as its oracle: over a monotone `fits(n)` every correct
+    /// bracket search lands where this one does.
+    fn bisect(arch: &QciArch, fridge: &Fridge, link: &InstructionLink) -> memo::Landing {
+        let probe = |n: u64| stage_powers(arch, fridge, n, link);
+        let first = probe(1);
+        if !first.fits() {
+            let binding = first.binding_stage();
+            return (0, binding, first);
+        }
+        let mut lo = 1u64; // fits
+        let mut hi = 2u64;
+        while probe(hi).fits() {
+            lo = hi;
+            hi *= 2;
+            if hi > MAX_LANDING_QUBITS {
+                return (lo, None, probe(lo)); // effectively unbounded by power
+            }
+        }
+        while hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            if probe(mid).fits() {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        let binding = probe(hi).binding_stage();
+        (lo, binding, probe(lo))
+    }
+
+    /// The search's uncached landing, asserted equal to the oracle's.
+    fn lands_like_bisection(arch: &QciArch, fridge: &Fridge, case: &str) -> memo::Landing {
+        let link = InstructionLink::standard();
+        let landing = search(arch, fridge, &link);
+        assert_eq!(landing, bisect(arch, fridge, &link), "{case}");
+        landing
+    }
+
+    /// The nine preset designs (`qisim::spec::Preset`, whose landings
+    /// `qisim::paperdata::max_qubits` quotes) and the single-optimization
+    /// steps of Figs. 13 and 17 between them.
+    fn paper_designs() -> Vec<QciArch> {
+        let cmos = CryoCmosConfig::baseline();
+        let opt1 = CryoCmosConfig { decision: DecisionKind::Memoryless, ..cmos };
+        let advanced = CryoCmosConfig::long_term();
+        let rsfq = SfqConfig::baseline_rsfq();
+        let opt4 = SfqConfig { bitgen: BitgenKind::SplitterShared, ..rsfq };
+        let ersfq = SfqConfig::long_term_ersfq();
+        let mut designs: Vec<QciArch> =
+            [RoomInterconnect::Coax, RoomInterconnect::Microstrip, RoomInterconnect::Photonic]
+                .map(room_cmos::build)
+                .into();
+        designs.extend(
+            [
+                cmos,
+                opt1,
+                CryoCmosConfig { drive_bits: 6, ..cmos },
+                CryoCmosConfig { drive_bits: 6, ..opt1 },
+                advanced,
+                CryoCmosConfig { masked_isa: false, ..advanced },
+            ]
+            .map(|cfg| cfg.build()),
+        );
+        designs.extend(
+            [
+                rsfq,
+                SfqConfig { sharing: JpmSharing::SharedPipelined, ..rsfq },
+                opt4,
+                SfqConfig { bs: 1, ..opt4 },
+                SfqConfig::near_term_optimized(),
+                ersfq,
+                SfqConfig { sharing: JpmSharing::SharedPipelined, ..ersfq },
+            ]
+            .map(|cfg| cfg.build()),
+        );
+        designs
+    }
+
+    /// A tiny seeded generator (SplitMix64) for the seeded cases.
+    struct SplitMix64(u64);
+
+    impl SplitMix64 {
+        /// Uniform in `[0, 1)`.
+        fn unit(&mut self) -> f64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64
+        }
+
+        /// Uniform in `0..n`.
+        fn pick(&mut self, n: u64) -> u64 {
+            (self.unit() * n as f64) as u64
+        }
+    }
+
+    /// The `i`-th seeded case: a CMOS or SFQ preset with its knobs drawn
+    /// over the spec ranges, on a fridge whose five stage budgets are
+    /// each scaled by a log-uniform factor in 0.05–10×. One case in four
+    /// is a 2..=16 fridge cluster over a drawn link, landed on the fridge
+    /// its interconnect heat derates (`None` when the links eat a stage).
+    fn seeded_case(i: u64) -> (QciArch, Option<Fridge>) {
+        let mut rng = SplitMix64(0x51CA_7E5E_ED00_0000 ^ i.wrapping_mul(0xD1B5_4A32_D192_ED03));
+        let arch = if rng.pick(2) == 0 {
+            let base =
+                [CryoCmosConfig::baseline(), CryoCmosConfig::long_term()][rng.pick(2) as usize];
+            CryoCmosConfig {
+                drive_fdm: 1 + rng.pick(64) as u32,
+                drive_bits: 1 + rng.pick(16) as u32,
+                decision: [
+                    DecisionKind::BinCounting,
+                    DecisionKind::SinglePoint,
+                    DecisionKind::Memoryless,
+                ][rng.pick(3) as usize],
+                masked_isa: rng.pick(2) == 0,
+                readout_ns: 100.0 + 1900.0 * rng.unit(),
+                analog_scale: base.analog_scale * (0.25 + 3.75 * rng.unit()),
+                ..base
+            }
+            .build()
+        } else {
+            let base =
+                [SfqConfig::baseline_rsfq(), SfqConfig::long_term_ersfq()][rng.pick(2) as usize];
+            SfqConfig {
+                bs: 1 + rng.pick(8) as u32,
+                bitgen: [BitgenKind::PerPhiShiftRegisters, BitgenKind::SplitterShared]
+                    [rng.pick(2) as usize],
+                sharing: [
+                    JpmSharing::Unshared,
+                    JpmSharing::SharedNaive,
+                    JpmSharing::SharedPipelined,
+                ][rng.pick(3) as usize],
+                fast_driving: rng.pick(2) == 0,
+                ..base
+            }
+            .build()
+        };
+        let mut budgets_w = Fridge::standard().budgets_w();
+        for w in &mut budgets_w {
+            *w *= (0.05f64.ln() + (10.0f64 / 0.05).ln() * rng.unit()).exp();
+        }
+        let fridge = Fridge::from_budgets(budgets_w).unwrap();
+        let fridge = if rng.pick(4) == 0 {
+            FridgeTopology::standard()
+                .with_fridge(fridge)
+                .with_fridges(2 + rng.pick(15) as u32)
+                .with_link(LinkKind::ALL[rng.pick(3) as usize])
+                .effective_fridge()
+        } else {
+            Some(fridge)
+        };
+        (arch, fridge)
+    }
+
+    const SEEDED_CASES: u64 = 10_000;
+
+    #[test]
+    fn search_lands_like_bisection_on_every_paper_design() {
+        let _l = memo::global_test_lock();
+        for (i, arch) in paper_designs().iter().enumerate() {
+            lands_like_bisection(arch, &Fridge::standard(), &format!("{}: {}", i, arch.name));
+        }
+    }
+
+    #[test]
+    fn search_lands_like_bisection_on_seeded_specs_and_budgets() {
+        let _l = memo::global_test_lock();
+        let mut landed = 0;
+        for i in 0..SEEDED_CASES {
+            if let (arch, Some(fridge)) = seeded_case(i) {
+                lands_like_bisection(&arch, &fridge, &format!("seeded case {i}: {}", arch.name));
+                landed += 1;
+            }
+        }
+        assert!(landed >= SEEDED_CASES * 9 / 10, "only {landed} seeded cases landed");
+    }
+
+    #[test]
+    fn search_lands_like_bisection_on_every_cluster_topology() {
+        let _l = memo::global_test_lock();
+        for arch in paper_designs() {
+            for link in LinkKind::ALL {
+                for fridges in 2..=16 {
+                    for (links, shared) in [(1, false), (4, true), (16, false)] {
+                        let topology = FridgeTopology::standard()
+                            .with_fridges(fridges)
+                            .with_link(link)
+                            .with_links_per_fridge(links)
+                            .with_shared_controllers(shared);
+                        if let Some(fridge) = topology.effective_fridge() {
+                            lands_like_bisection(
+                                &arch,
+                                &fridge,
+                                &format!("{} on {topology}", arch.name),
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cold_landings_average_at_most_eight_probes() {
+        let _l = memo::global_test_lock();
+        let link = InstructionLink::standard();
+        let calls = || qisim_obs::snapshot().counter("power.evaluate.calls").unwrap_or(0);
+        let (mut landings, before) = (0, calls());
+        for i in 0..SEEDED_CASES {
+            if let (arch, Some(fridge)) = seeded_case(i) {
+                search(&arch, &fridge, &link);
+                landings += 1;
+            }
+        }
+        let mean = (calls() - before) as f64 / landings as f64;
+        assert!(mean <= 8.0, "{mean:.2} probes per cold landing over {landings} landings");
+    }
+
+    #[test]
+    fn search_lands_like_bisection_at_zero_and_at_the_cap() {
+        let _l = memo::global_test_lock();
+        let arch = CryoCmosConfig::baseline().build();
+        // One qubit is over the 4 K budget.
+        let starved = Fridge::standard().with_budget(Stage::K4, 1e-9);
+        let (n, binding, report) = lands_like_bisection(&arch, &starved, "starved 4 K stage");
+        assert_eq!((n, binding), (0, Some(Stage::K4)));
+        assert_eq!(report, evaluate(&arch, &starved, 1));
+        // Every stage still fits at the largest probe.
+        let boundless = Fridge::from_budgets([1e30; 5]).unwrap();
+        let (n, binding, report) = lands_like_bisection(&arch, &boundless, "boundless fridge");
+        assert_eq!((n, binding), (MAX_LANDING_QUBITS, None));
+        assert_eq!(report, evaluate(&arch, &boundless, MAX_LANDING_QUBITS));
+    }
+
+    /// A design of analog blocks, one per `(stage, watts per instance,
+    /// qubits per instance)`: `n` qubits draw `watts · ceil(n / share)`.
+    fn blocks(name: &str, parts: &[(Stage, f64, f64)]) -> QciArch {
+        let components = parts
+            .iter()
+            .map(|&(stage, watts, share)| Component {
+                name: format!("{watts} W per {share} qubits"),
+                stage,
+                resource: Resource::Analog(AnalogBlock {
+                    name: "test block",
+                    stage,
+                    active_power_w: watts,
+                    idle_power_w: watts,
+                }),
+                qubits_per_instance: share,
+                duty: 1.0,
+            })
+            .collect();
+        QciArch {
+            name: name.into(),
+            clock_hz: 1e9,
+            components,
+            wires: Vec::new(),
+            instr_bandwidth_bps_per_qubit: 0.0,
+        }
+    }
+
+    #[test]
+    fn search_handles_stages_whose_power_does_not_grow() {
+        let _l = memo::global_test_lock();
+        let budgets = |k4: f64, mk20: f64| Fridge::from_budgets([1.0, k4, 1.0, 1.0, mk20]).unwrap();
+        // A flat 1 W bias at 4 K (one instance up to 10^15 qubits) and a
+        // 20 mK staircase of 1 µW per `share` qubits, whose treads the
+        // secant model sees as flat.
+        for share in [1.0, 7.0, 1000.0, 65_536.0, 1e9] {
+            let arch = blocks("flat 4 K", &[(Stage::K4, 1.0, 1e15), (Stage::Mk20, 1e-6, share)]);
+            // The flat stage fits and outweighs the staircase until
+            // 20 mK binds.
+            let case = format!("staircase of {share}");
+            let (n, binding, _) = lands_like_bisection(&arch, &budgets(1.5, 1e-3), &case);
+            assert_eq!((n, binding), ((1000.0 * share) as u64, Some(Stage::Mk20)), "{case}");
+            // The flat stage alone is over budget: zero qubits.
+            let (n, binding, _) = lands_like_bisection(&arch, &budgets(0.5, 1e-3), &case);
+            assert_eq!((n, binding), (0, Some(Stage::K4)), "{case}");
+        }
+        // Nothing grows at all: the flat stage fits everywhere.
+        let flat = blocks("all flat", &[(Stage::K4, 1.0, 1e15)]);
+        let (n, binding, _) = lands_like_bisection(&flat, &budgets(1.5, 1e-3), "all flat");
+        assert_eq!((n, binding), (MAX_LANDING_QUBITS, None));
+    }
+
+    #[test]
+    fn halving_bounds_the_probes_where_the_affine_model_misleads() {
+        let _l = memo::global_test_lock();
+        // Two 20 mK staircases on a faint ramp. Between risers the model
+        // through the two latest probes sees only the ramp, so unguarded
+        // secant steps creep toward the landing (1,377 probes here). The
+        // guard halves the bracket, which starts under 2^40 wide, at
+        // least every third step after the first, so at most 2 + 1 + 3·40
+        // probes land it.
+        let arch = blocks(
+            "two staircases on a ramp",
+            &[
+                (Stage::Mk20, 7.104_416_075_180_687e-11, 1.0),
+                (Stage::Mk20, 1.669_145_136_599_235e-4, 196_830.0),
+                (Stage::Mk20, 2.085_238_416_015_301_6e-6, 41_659.0),
+            ],
+        );
+        let fridge = Fridge::from_budgets([1.0, 1.0, 1.0, 1.0, 4.388_151_753_792_679e-3]).unwrap();
+        let calls = || qisim_obs::snapshot().counter("power.evaluate.calls").unwrap_or(0);
+        let before = calls();
+        let (n, _, _) = search(&arch, &fridge, &InstructionLink::standard());
+        let probes = calls() - before;
+        assert_eq!(n, bisect(&arch, &fridge, &InstructionLink::standard()).0);
+        assert!(probes <= 2 + 1 + 3 * 40, "{probes} probes to land at {n}");
     }
 
     #[test]
@@ -420,7 +800,7 @@ mod tests {
         let (before, calls_before) = (cache_stats(), evaluate_calls());
         let warm = try_max_qubits_with_link(&arch, &fridge, &link).unwrap();
         let (after, calls_after) = (cache_stats(), evaluate_calls());
-        assert_eq!(warm, cold, "a cached landing equals the bisection that stored it");
+        assert_eq!(warm, cold, "a cached landing equals the search that stored it");
         assert_eq!(after.hits - before.hits, 1, "{after:?}");
         assert_eq!(after.misses, before.misses, "{after:?}");
         assert_eq!(calls_after, calls_before, "a warm analysis evaluates nothing");
@@ -453,7 +833,7 @@ mod tests {
         let cold = max_qubits(&arch, &fridge);
         let warm = max_qubits(&arch, &fridge);
         assert_eq!(cold, warm);
-        assert!(cache_stats().len > 0, "a bisection must populate the cache");
+        assert!(cache_stats().len > 0, "a cold landing must populate the cache");
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Bisection-landing memoization.
+//! Landing memoization.
 //!
 //! The scalability analysis asks one question per design: the largest
 //! qubit count the fridge can power and which stage binds there
@@ -7,9 +7,10 @@
 //! over, and the answer is a pure function of the `(architecture, fridge,
 //! instruction link)` triple, so a process-global cache keyed on that
 //! triple turns every repeat analysis into one lookup. It stores the
-//! bisection's result — `(max_qubits, binding stage, landing report)` —
-//! not its ~26 probes: nothing else reads a probe twice, and a sweep
-//! point ([`crate::try_evaluate_with_link`]) costs less than the key.
+//! landing search's result — `(max_qubits, binding stage, landing
+//! report)` — not its ~6 probes: nothing else reads a probe twice, and a
+//! sweep point ([`crate::try_evaluate_with_link`]) costs less than the
+//! key.
 //!
 //! The cache key is a [`MemoKey`] fingerprint: a 128-bit FNV-1a hash over
 //! the `Debug` rendering of the triple. All three types are plain data
@@ -46,16 +47,16 @@ use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
 
 /// Default landing capacity. The whole 19-driver experiment suite
-/// bisects 22 distinct designs, so every in-tree workload fits without
+/// lands 22 distinct designs, so every in-tree workload fits without
 /// an eviction; [`set_cache_cap`] overrides it.
 pub const DEFAULT_CACHE_CAP: usize = 1 << 10;
 
-/// One bisection's result: the maximum qubit count, the binding stage,
+/// One landing search's result: the maximum qubit count, the binding stage,
 /// and the landing report at `max(n, 1)` qubits.
 pub(crate) type Landing = (u64, Option<Stage>, PowerReport);
 
 /// Fingerprint of one `(architecture, fridge, instruction-link)` triple:
-/// the memo-cache key of that design's bisection landing.
+/// the memo-cache key of that design's landing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MemoKey {
     lo: u64,
@@ -91,7 +92,7 @@ fn fnv1a(bytes: &[u8], basis: u64) -> u64 {
 pub struct CacheStats {
     /// Landing lookups served from the cache (process lifetime).
     pub hits: u64,
-    /// Landing lookups that fell through to a fresh bisection.
+    /// Landing lookups that fell through to a fresh landing search.
     pub misses: u64,
     /// Entries displaced because the cache was at capacity.
     pub evictions: u64,
@@ -292,7 +293,7 @@ fn publish_size(lru: &LruCache) {
     qisim_obs::gauge!("power.cache.bytes_est", lru.bytes_est as f64);
 }
 
-/// The cached landing, if this design was bisected before. A hit marks
+/// The cached landing, if this design was landed before. A hit marks
 /// the entry most-recently-used.
 pub(crate) fn lookup(key: MemoKey) -> Option<Landing> {
     let hit = locked().get(key);
@@ -308,7 +309,7 @@ pub(crate) fn lookup(key: MemoKey) -> Option<Landing> {
     }
 }
 
-/// Stores a freshly bisected landing, evicting the least-recently-used
+/// Stores a freshly searched landing, evicting the least-recently-used
 /// entry when the cache is at capacity.
 pub(crate) fn store(key: MemoKey, landing: Landing) {
     let mut lru = locked();
@@ -341,7 +342,7 @@ pub fn cache_stats() -> CacheStats {
 /// Overrides the landing capacity at runtime: `Some(cap)` bounds the
 /// cache (evicting down immediately), `None` restores
 /// [`DEFAULT_CACHE_CAP`]. Capacity never affects results, only how many
-/// bisections are re-run.
+/// landing searches are re-run.
 pub fn set_cache_cap(cap: Option<usize>) {
     let mut lru = locked();
     let evicted_before = lru.evictions;
@@ -385,13 +386,13 @@ mod tests {
     fn store_lookup_roundtrip_and_clear() {
         let _l = global_test_lock();
         let arch = CryoCmosConfig::baseline().build();
-        // A distinctive budget no other test is likely to bisect.
+        // A distinctive budget no other test is likely to land.
         let fridge = Fridge::standard().with_budget(Stage::K4, 1.234_567);
         let link = InstructionLink::standard();
         let key = MemoKey::new(&arch, &fridge, &link);
         clear_cache();
         assert_eq!(lookup(key), None);
-        let landing = crate::bisect(&arch, &fridge, &link);
+        let landing = crate::search(&arch, &fridge, &link);
         store(key, landing.clone());
         assert_eq!(lookup(key), Some(landing));
         assert_eq!(cache_stats().len, 1);
@@ -479,7 +480,7 @@ mod tests {
     #[test]
     fn bounded_cache_returns_bit_identical_reports() {
         // Thrash a capacity-2 cache across 50 distinct designs: every
-        // landing must equal the direct bisection bit for bit, hit or
+        // landing must equal the direct search bit for bit, hit or
         // miss or evicted-and-recomputed.
         let _l = global_test_lock();
         let arch = CryoCmosConfig::baseline().build();
@@ -489,7 +490,7 @@ mod tests {
             for i in 1..=50u32 {
                 let fridge = Fridge::standard().with_budget(Stage::K4, 0.1 * f64::from(i));
                 let key = MemoKey::new(&arch, &fridge, &link);
-                let direct = crate::bisect(&arch, &fridge, &link);
+                let direct = crate::search(&arch, &fridge, &link);
                 let cached = match lru.get(key) {
                     Some(landing) => landing,
                     None => {

@@ -25,7 +25,7 @@ fn main() {
         QciDesign::cmos_long_term(),
         QciDesign::ersfq_long_term(),
     ];
-    // One pool task per design point (each runs its own bisection).
+    // One pool task per design point (each runs its own power landing).
     for (design, s) in designs.iter().zip(par_map(&designs, |d| analyze(d, &near))) {
         println!(
             "{:<48} {:>12} {:>9} {:>12.2e} {:>6} {:>6}",

@@ -53,10 +53,10 @@ fn standard_plan(design: &QciDesign, target: &Target) -> Result<AnalysisPlan, Qi
 }
 
 /// A verbatim copy of the historical sharded power stage, kept as the
-/// bit-identity oracle for cluster analyses: bisect on the effective
-/// fridge (or land on zero qubits with the worst link stage binding when
-/// the interconnect eats a stage whole), then attribute per-stage watts
-/// at the per-fridge yield against the real fridge's budgets.
+/// bit-identity oracle for cluster analyses: land the design on the
+/// effective fridge (or on zero qubits with the worst link stage binding
+/// when the interconnect eats a stage whole), then attribute per-stage
+/// watts at the per-fridge yield against the real fridge's budgets.
 fn legacy_cluster_power(
     design: &QciDesign,
     topology: &qisim::hal::topology::FridgeTopology,

@@ -47,7 +47,7 @@ fn instrumented_analysis_records_spans_counters_and_gauges() {
     assert!(verdict.power_limited_qubits > 0);
     let snap = obs::snapshot();
     // Every instrumented layer of the Fig. 6 pipeline: spans around the
-    // analysis and the bisection, call counters on the sub-µs leaves
+    // analysis and the landing search, call counters on the sub-µs leaves
     // (a span's two clock reads would cost ~20 % of a power evaluation).
     for name in ["scalability.analyze", "power.max_qubits"] {
         let s = snap.span(name).unwrap_or_else(|| panic!("span {name} missing"));
@@ -57,9 +57,12 @@ fn instrumented_analysis_records_spans_counters_and_gauges() {
         let n = snap.counter(name).unwrap_or_else(|| panic!("counter {name} missing"));
         assert!(n > 0, "counter {name} never moved");
     }
-    // The bisection did real work.
-    let iters = snap.counter("power.bisection.iters").expect("bisection counter");
-    assert!(iters >= 10, "bisection iterations {iters}");
+    // The cold landing searched inside its bracket, in few probes.
+    let steps = snap.counter("power.landing.steps").expect("landing counter");
+    assert!(steps >= 1, "landing steps {steps}");
+    let landings = snap.counter("power.cache.misses").expect("memo miss counter");
+    let calls = snap.counter("power.evaluate.calls").expect("evaluate counter");
+    assert!(landings >= 1 && calls <= 8 * landings, "{calls} evaluations for {landings} landings");
     // Per-stage watt attribution gauges: every field of every stage.
     let fields = [
         "device_static_w",

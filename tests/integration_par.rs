@@ -30,7 +30,7 @@ fn assert_thread_count_invariant<T: PartialEq + std::fmt::Debug>(f: impl Fn() ->
     baseline.unwrap()
 }
 
-/// One pool task per design, each running its own bisection.
+/// One pool task per design, each running its own power landing.
 fn analyze_batch(designs: &[QciDesign], target: &Target) -> Vec<Scalability> {
     par_map(designs, |d| analyze(d, target))
 }
@@ -58,7 +58,7 @@ fn analyze_many_is_bit_identical_across_thread_counts_and_matches_serial() {
     ];
     let target = Target::near_term();
     let verdicts = assert_thread_count_invariant(|| analyze_batch(&designs, &target));
-    // The batched bisections agree with one-at-a-time analysis.
+    // The batched landings agree with one-at-a-time analysis.
     let serial: Vec<_> = designs.iter().map(|d| analyze(d, &target)).collect();
     assert_eq!(verdicts, serial);
 }

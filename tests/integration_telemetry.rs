@@ -45,7 +45,7 @@ fn openmetrics_export_of_a_live_run_validates() {
     // Counter, histogram, and span families all made it out, with
     // sanitized names.
     assert!(text.contains("# TYPE power_cache_misses counter"));
-    assert!(text.contains("power_bisection_iters_total"));
+    assert!(text.contains("power_landing_steps_total"));
     assert!(text.contains("scalability_analyze_duration_ns_bucket"));
     assert!(text.contains("le=\"+Inf\""));
     obs::reset();

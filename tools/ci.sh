@@ -9,16 +9,19 @@
 #      --no-fail-fast so one red test binary cannot hide the others
 #   2. the same test suite pinned to QISIM_THREADS=2: every parallel
 #      engine must be bit-identical at any thread count
-#   3. the qisim-surface suite and the qisim engine unit tests in the
-#      test profile (opt-level 2, debug assertions on): the Monte-Carlo
-#      kernels' debug_assert! checks — every decoded verdict also peels
-#      and checks that the correction leaves no syndrome and that a
-#      free-row verdict equals the full peel's, every trial that skipped
-#      a decode (isolated, or split into singles and a decoded remainder)
-#      is re-decoded whole on a fresh arena, and the lane and slice sizes
-#      are checked — never run in the release builds of steps 1, 2 and 7;
-#      the engine tests put the served d = 23 rare ladder and sliced
-#      estimate through those checks
+#   3. the qisim-surface and qisim-power suites and the qisim engine unit
+#      tests in the test profile (opt-level 2, debug assertions on): the
+#      Monte-Carlo kernels' debug_assert! checks — every decoded verdict
+#      also peels and checks that the correction leaves no syndrome and
+#      that a free-row verdict equals the full peel's, every trial that
+#      skipped a decode (isolated, or split into singles and a decoded
+#      remainder) is re-decoded whole on a fresh arena, and the lane and
+#      slice sizes are checked — and the power landing search's bracket
+#      invariants (every probe lies strictly inside the bracket, `lo`
+#      fits and `hi` does not), over the suite's 10,000 seeded landings
+#      against the bisection oracle; none of these run in the release
+#      builds of steps 1, 2 and 7; the engine tests put the served d = 23
+#      rare ladder and sliced estimate through those checks
 #   4. rustfmt check (config in rustfmt.toml)
 #   5. clippy across the whole workspace, warnings are errors
 #   6. rustdoc: the whole workspace must document cleanly (warnings are
@@ -71,7 +74,7 @@
 #      verdict digest matches the pinned value, so a change that moves
 #      any served answer fails here; then a 3 s untraced design_sweep_cold
 #      run must peak at <= 12 MB RSS (the power memo holds one landing
-#      per design, not one report per bisection probe)
+#      per design, not one report per search probe)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -82,8 +85,8 @@ cargo test -q --release --no-fail-fast
 echo "== [2/14] tests at QISIM_THREADS=2 =="
 QISIM_THREADS=2 cargo test -q --release --no-fail-fast
 
-echo "== [3/14] qisim-surface and engine tests with debug assertions =="
-cargo test -q -p qisim-surface
+echo "== [3/14] qisim-surface, qisim-power and engine tests with debug assertions =="
+cargo test -q -p qisim-surface -p qisim-power
 cargo test -q -p qisim --lib engine::tests
 
 echo "== [4/14] rustfmt =="
