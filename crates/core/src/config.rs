@@ -114,12 +114,9 @@ impl QciDesign {
         }
     }
 
-    /// Display name.
+    /// Display name: the name its architecture is built with.
     pub fn name(&self) -> String {
-        match self {
-            QciDesign::Room(kind) => format!("300K CMOS ({})", kind.label()),
-            QciDesign::CryoCmos(_) | QciDesign::Sfq(_) => self.arch().name,
-        }
+        self.arch().name
     }
 }
 

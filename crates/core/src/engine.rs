@@ -4,8 +4,8 @@
 //!
 //! The plan names the five artifacts of a scalability verdict —
 //! **inventory** (the component/wire netlist) → **schedule** (the ESM
-//! timing profile) → **stage powers** (the bisection's per-stage watt
-//! accounting) → **logical error** (the `d = 23` error-model landing) →
+//! timing profile) → **stage powers** (the landing search's per-stage
+//! watt accounting) → **logical error** (the `d = 23` error-model landing) →
 //! **verdict** (the assembled [`Scalability`]) — and lets callers run
 //! them one at a time, inspect intermediate artifacts, and reuse the
 //! `qisim-power` memo cache between stages. Every stage is wrapped in an
@@ -115,7 +115,7 @@ pub enum PlanStage {
     /// Derive the steady-state ESM schedule (`cyclesim`'s steady-state
     /// profile).
     Schedule,
-    /// Bisect the power-limited scale and account per-stage watts
+    /// Search for the power-limited scale and account per-stage watts
     /// (`power`).
     Power,
     /// Evaluate the logical error rate at `d = 23` (`errormodel` +
@@ -157,7 +157,7 @@ pub struct EsmSchedule {
     pub cycle_ns: f64,
 }
 
-/// The stage-powers artifact: the power bisection's landing point.
+/// The stage-powers artifact: where the power landing search lands.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PowerArtifact {
     /// Maximum qubit count the refrigerator budgets allow.
@@ -206,7 +206,7 @@ impl AnalysisPlan {
     /// ([`FridgeTopology::standard`] is the standard refrigerator, and
     /// [`Estimator::Packed`] the calibrated analytic fit); with N > 1
     /// fridges the power stage folds interconnect heat into the stage
-    /// budgets, bisects once for every (identical) fridge, and the
+    /// budgets, lands once for every (identical) fridge, and the
     /// verdict gains a [`crate::scalability::ScaleOut`] block.
     ///
     /// # Errors
@@ -312,13 +312,13 @@ impl AnalysisPlan {
             }
             PlanStage::Verdict => {
                 span!("engine.stage.verdict");
-                if let (Some(power), Some(logical), Some(schedule)) =
-                    (&self.power, &self.logical, &self.schedule)
+                if let (Some(inventory), Some(power), Some(logical), Some(schedule)) =
+                    (&self.inventory, &self.power, &self.logical, &self.schedule)
                 {
                     gauge!("scalability.power_limited_qubits", power.power_limited_qubits as f64);
                     gauge!("scalability.logical_error", logical.logical_error);
                     self.verdict = Some(Scalability {
-                        design: self.design.name(),
+                        design: inventory.name.clone(),
                         power_limited_qubits: power.power_limited_qubits,
                         binding_stage: power.binding_stage,
                         stages: power.stages.clone(),
@@ -347,10 +347,10 @@ impl AnalysisPlan {
         Ok(Some(stage))
     }
 
-    /// The power stage, for one fridge or many: bisect the per-fridge
-    /// scale once against the fridge derated by interconnect heat (the
-    /// bare fridge when N = 1, so the classic pipeline runs verbatim) and
-    /// take the per-stage attribution from the bisection's landing
+    /// The power stage, for one fridge or many: search for the
+    /// per-fridge scale once against the fridge derated by interconnect
+    /// heat (the bare fridge when N = 1, so the classic pipeline runs
+    /// verbatim) and take the per-stage attribution from the landing
     /// report. With N > 1 fridges the cluster tiles the per-fridge yield
     /// and the verdict gains its [`ScaleOut`] attribution.
     fn run_power(&mut self) -> Result<(), QisimError> {
@@ -387,7 +387,7 @@ impl AnalysisPlan {
             return Ok(());
         }
         let fridges = self.topology.fridges();
-        // Counts the fridges cluster analyses cover: the one bisection
+        // Counts the fridges cluster analyses cover: the one landing
         // above answers for all N identical fridges.
         counter!("engine.fridge.shards", fridges as u64);
         let mut interconnect_w = [0.0; 5];
@@ -610,7 +610,7 @@ pub fn try_analyze_spec(spec: &DesignSpec, target: &Target) -> Result<Scalabilit
 /// order. Validates the design and the qubit counts, then evaluates the
 /// points in a plain serial loop, one direct power evaluation per point
 /// (cheaper than fingerprinting the design for the memo cache, which
-/// holds bisection landings only). A warm point costs well under a
+/// holds power landings only). A warm point costs well under a
 /// microsecond, far less than spawning pool threads for it.
 ///
 /// A stage absent from a report (a custom fridge or architecture that

@@ -86,8 +86,8 @@ pub use qisim_power as power;
 pub use qisim_quantum as quantum;
 pub use qisim_surface as surface;
 
-/// Puts every process-global into a known state: power memo LRU empty at
-/// the default cap, metric store empty and recording, flight recorder
+/// Puts every process-global into a known state: power memo cache empty
+/// at the default cap, metric store empty and recording, flight recorder
 /// disarmed and empty, log sink and telemetry exporter shut down. The
 /// `armed()` probes first consume any environment-driven arming
 /// (`QISIM_LOG`, `QISIM_TRACE`, `QISIM_METRICS`) so it cannot re-arm

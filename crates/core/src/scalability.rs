@@ -257,12 +257,12 @@ impl Scalability {
                 );
             }
         }
-        // The power memo cache holds the bisection landing behind this
+        // The power memo cache holds the power landing behind this
         // verdict; its process-wide hit rate says how many analyses were
-        // answered without re-running a bisection. All five numbers come
-        // from one read of the cache's own lifetime counters, so
-        // `obs::reset()` and a disabled metric store cannot split them
-        // across two windows.
+        // answered without re-running the landing search. All five
+        // numbers come from one read of the cache's own lifetime
+        // counters, so `obs::reset()` and a disabled metric store cannot
+        // split them across two windows.
         let stats = qisim_power::cache_stats();
         if stats.hits + stats.misses > 0 {
             let _ = writeln!(
@@ -449,7 +449,7 @@ mod tests {
 
     #[test]
     fn explain_reports_the_memo_cache_hit_rate() {
-        // The bisection behind analyze() always looks its landing up in
+        // The power stage behind analyze() always looks its landing up in
         // the memo cache, so the counters exist by the time explain()
         // renders.
         let s = analyze(&QciDesign::cmos_baseline(), &Target::near_term());

@@ -217,14 +217,7 @@ pub fn try_max_qubits_with_link(
 fn landing(arch: &QciArch, fridge: &Fridge, link: &InstructionLink) -> memo::Landing {
     span!("power.max_qubits");
     let key = MemoKey::new(arch, fridge, link);
-    let landing = match memo::lookup(key) {
-        Some(landing) => landing,
-        None => {
-            let landing = search(arch, fridge, link);
-            memo::store(key, landing.clone());
-            landing
-        }
-    };
+    let landing = memo::get_or_search(key, || search(arch, fridge, link));
     record_stage_gauges(&landing.2);
     landing
 }

@@ -21,17 +21,25 @@
 //! which costs more than a single stage-power evaluation, and it is
 //! computed once per analysis.
 //!
-//! # Bounded LRU
+//! # Bounded map
 //!
-//! The cache is a strict least-recently-used cache bounded at
-//! [`DEFAULT_CACHE_CAP`] landings (override at runtime with
-//! [`set_cache_cap`]): a long-lived service sweeping thousands of designs
-//! evicts cold entries one at a time instead of growing without bound or
-//! dropping the whole working set. Recency is an intrusive doubly-linked
-//! list threaded through a slot arena, so every hit and insert is O(1)
-//! and eviction never reallocates. Caching is transparent — a landing is
-//! a pure function of the key — so any capacity yields bit-identical
-//! results.
+//! The cache is a `HashMap` bounded at [`DEFAULT_CACHE_CAP`] landings
+//! (override at runtime with [`set_cache_cap`]) plus a queue of its keys
+//! in insertion order. A full cache evicts its oldest insert, one at a
+//! time, so a long-lived service sweeping thousands of designs neither
+//! grows without bound nor drops the whole working set. A hit only reads
+//! the map; it does not move the entry in the queue. The trade-off
+//! against a strict LRU: a hot working set mixed with a cold stream of
+//! new designs re-lands each hot design once per `cap` newer designs
+//! (~10 µs a landing). No in-tree workload has that mix — a served paper
+//! mix only hits and a cold sweep never does — so recency would buy
+//! nothing there. Caching is transparent — a landing is a pure function
+//! of the key — so any capacity yields bit-identical results.
+//!
+//! The lock is held for the lookup and for the store, never across the
+//! landing search, so concurrent analyses land different designs in
+//! parallel. Two callers that miss the same design at once both search
+//! it; the second store replaces the first's (equal) landing in place.
 //!
 //! Health is published through `qisim-obs`: `power.cache.{hits,misses,
 //! evictions}` counters (one lookup per analysis) and
@@ -39,12 +47,12 @@
 //! [`cache_stats`] returns the same numbers directly (independent of the
 //! `qisim_obs::set_enabled` kill switch).
 
-use crate::PowerReport;
+use crate::{PowerReport, StagePower};
 use qisim_hal::fridge::{Fridge, Stage};
 use qisim_hal::wire::InstructionLink;
 use qisim_microarch::QciArch;
-use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock};
+use std::collections::{HashMap, VecDeque};
+use std::sync::{Mutex, MutexGuard, OnceLock};
 
 /// Default landing capacity. The whole 19-driver experiment suite
 /// lands 22 distinct designs, so every in-tree workload fits without
@@ -98,7 +106,7 @@ pub struct CacheStats {
     pub evictions: u64,
     /// Landings currently resident.
     pub len: usize,
-    /// Estimated resident bytes (slots plus per-landing stage payload).
+    /// Estimated resident bytes (keys, landings and their stage rows).
     pub bytes_est: usize,
     /// Current landing capacity.
     pub cap: usize,
@@ -111,158 +119,76 @@ impl CacheStats {
     }
 }
 
-const NIL: usize = usize::MAX;
+/// Estimated resident cost of one entry: its key in the map and in the
+/// queue, the landing header, and the landing report's stage rows (a
+/// searched landing carries one per [`Stage::ALL`] stage).
+const ENTRY_BYTES: usize =
+    2 * size_of::<MemoKey>() + size_of::<Landing>() + Stage::ALL.len() * size_of::<StagePower>();
 
-/// One arena slot: the entry plus its intrusive recency links.
+/// The cache core: landings by key, and their keys in insertion order
+/// (front = oldest = next to evict). `order` holds each resident key
+/// exactly once.
 #[derive(Debug)]
-struct Slot {
-    key: MemoKey,
-    landing: Landing,
-    /// Toward more-recent (NIL at the head).
-    prev: usize,
-    /// Toward less-recent (NIL at the tail).
-    next: usize,
-}
-
-/// The LRU core: a `HashMap` from key to arena index, a slot arena with
-/// an intrusive doubly-linked recency list (head = most recent, tail =
-/// next to evict), and a free list so eviction recycles slots without
-/// reallocating.
-#[derive(Debug)]
-struct LruCache {
-    map: HashMap<MemoKey, usize>,
-    slots: Vec<Slot>,
-    free: Vec<usize>,
-    head: usize,
-    tail: usize,
+struct Memo {
+    map: HashMap<MemoKey, Landing>,
+    order: VecDeque<MemoKey>,
     cap: usize,
     hits: u64,
     misses: u64,
     evictions: u64,
-    bytes_est: usize,
 }
 
-/// Estimated resident cost of one entry: its slot (key, landing header,
-/// links) plus the landing report's heap-allocated stage rows.
-fn entry_bytes(landing: &Landing) -> usize {
-    std::mem::size_of::<Slot>() + landing.2.stages.len() * std::mem::size_of::<crate::StagePower>()
-}
-
-impl LruCache {
+impl Memo {
     fn new(cap: usize) -> Self {
-        LruCache {
+        Memo {
             map: HashMap::new(),
-            slots: Vec::new(),
-            free: Vec::new(),
-            head: NIL,
-            tail: NIL,
+            order: VecDeque::new(),
             cap: cap.max(1),
             hits: 0,
             misses: 0,
             evictions: 0,
-            bytes_est: 0,
         }
     }
 
-    fn unlink(&mut self, i: usize) {
-        let (prev, next) = (self.slots[i].prev, self.slots[i].next);
-        match prev {
-            NIL => self.head = next,
-            p => self.slots[p].next = next,
-        }
-        match next {
-            NIL => self.tail = prev,
-            n => self.slots[n].prev = prev,
-        }
-    }
-
-    fn push_front(&mut self, i: usize) {
-        self.slots[i].prev = NIL;
-        self.slots[i].next = self.head;
-        match self.head {
-            NIL => self.tail = i,
-            h => self.slots[h].prev = i,
-        }
-        self.head = i;
-    }
-
-    /// Looks up an entry, marking it most-recently-used on a hit.
+    /// The landing stored under `key`, counting the hit or miss.
     fn get(&mut self, key: MemoKey) -> Option<Landing> {
-        match self.map.get(&key).copied() {
-            Some(i) => {
-                self.hits += 1;
-                if self.head != i {
-                    self.unlink(i);
-                    self.push_front(i);
-                }
-                Some(self.slots[i].landing.clone())
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
+        let landing = self.map.get(&key).cloned();
+        match landing {
+            Some(_) => self.hits += 1,
+            None => self.misses += 1,
         }
+        landing
     }
 
-    /// Inserts (or refreshes) an entry, evicting the least-recently-used
-    /// one first when at capacity.
-    fn insert(&mut self, key: MemoKey, landing: Landing) {
-        if let Some(&i) = self.map.get(&key) {
-            self.bytes_est =
-                self.bytes_est + entry_bytes(&landing) - entry_bytes(&self.slots[i].landing);
-            self.slots[i].landing = landing;
-            if self.head != i {
-                self.unlink(i);
-                self.push_front(i);
-            }
-            return;
+    /// Stores a landing and returns how many entries it evicted. A new
+    /// key joins the back of the queue and the oldest entries are evicted
+    /// down to the cap; a resident key only has its landing replaced.
+    fn insert(&mut self, key: MemoKey, landing: Landing) -> u64 {
+        if self.map.insert(key, landing).is_none() {
+            self.order.push_back(key);
         }
-        while self.map.len() >= self.cap {
-            self.evict_tail();
-        }
-        self.bytes_est += entry_bytes(&landing);
-        let slot = Slot { key, landing, prev: NIL, next: NIL };
-        let i = match self.free.pop() {
-            Some(i) => {
-                self.slots[i] = slot;
-                i
-            }
-            None => {
-                self.slots.push(slot);
-                self.slots.len() - 1
-            }
-        };
-        self.map.insert(key, i);
-        self.push_front(i);
+        self.evict_over_cap()
     }
 
-    fn evict_tail(&mut self) {
-        let i = self.tail;
-        if i == NIL {
-            return;
-        }
-        self.unlink(i);
-        self.map.remove(&self.slots[i].key);
-        self.bytes_est = self.bytes_est.saturating_sub(entry_bytes(&self.slots[i].landing));
-        self.free.push(i);
-        self.evictions += 1;
-    }
-
-    /// Shrinks (or grows) the capacity, evicting down to it immediately.
-    fn set_cap(&mut self, cap: usize) {
+    /// Sets the capacity (at least one landing), evicting down to it
+    /// immediately; returns how many entries that evicted.
+    fn set_cap(&mut self, cap: usize) -> u64 {
         self.cap = cap.max(1);
-        while self.map.len() > self.cap {
-            self.evict_tail();
+        self.evict_over_cap()
+    }
+
+    fn evict_over_cap(&mut self) -> u64 {
+        let excess = self.order.len().saturating_sub(self.cap);
+        for key in self.order.drain(..excess) {
+            self.map.remove(&key);
         }
+        self.evictions += excess as u64;
+        excess as u64
     }
 
     fn clear(&mut self) {
         self.map.clear();
-        self.slots.clear();
-        self.free.clear();
-        self.head = NIL;
-        self.tail = NIL;
-        self.bytes_est = 0;
+        self.order.clear();
     }
 
     fn stats(&self) -> CacheStats {
@@ -271,65 +197,54 @@ impl LruCache {
             misses: self.misses,
             evictions: self.evictions,
             len: self.map.len(),
-            bytes_est: self.bytes_est,
+            bytes_est: self.map.len() * ENTRY_BYTES,
             cap: self.cap,
         }
     }
 }
 
-fn cache() -> &'static Mutex<LruCache> {
-    static CACHE: OnceLock<Mutex<LruCache>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(LruCache::new(DEFAULT_CACHE_CAP)))
+fn locked() -> MutexGuard<'static, Memo> {
+    static CACHE: OnceLock<Mutex<Memo>> = OnceLock::new();
+    let cache = CACHE.get_or_init(|| Mutex::new(Memo::new(DEFAULT_CACHE_CAP)));
+    cache.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-fn locked() -> std::sync::MutexGuard<'static, LruCache> {
-    cache().lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Publishes the size gauges after a mutation (the hit/miss/eviction
-/// counters are emitted at their call sites so the deltas trace).
-fn publish_size(lru: &LruCache) {
-    qisim_obs::gauge!("power.cache.len", lru.map.len() as f64);
-    qisim_obs::gauge!("power.cache.bytes_est", lru.bytes_est as f64);
-}
-
-/// The cached landing, if this design was landed before. A hit marks
-/// the entry most-recently-used.
-pub(crate) fn lookup(key: MemoKey) -> Option<Landing> {
-    let hit = locked().get(key);
-    match hit {
-        Some(r) => {
-            qisim_obs::counter!("power.cache.hits");
-            Some(r)
-        }
-        None => {
-            qisim_obs::counter!("power.cache.misses");
-            None
-        }
-    }
-}
-
-/// Stores a freshly searched landing, evicting the least-recently-used
-/// entry when the cache is at capacity.
-pub(crate) fn store(key: MemoKey, landing: Landing) {
-    let mut lru = locked();
-    let evicted_before = lru.evictions;
-    lru.insert(key, landing);
-    let evicted = lru.evictions - evicted_before;
-    publish_size(&lru);
-    drop(lru);
+/// Publishes the size gauges after a mutation (under the lock, so the
+/// last write is the latest size), releases the lock, and counts the
+/// mutation's evictions.
+fn publish(memo: MutexGuard<'_, Memo>, evicted: u64) {
+    let stats = memo.stats();
+    qisim_obs::gauge!("power.cache.len", stats.len as f64);
+    qisim_obs::gauge!("power.cache.bytes_est", stats.bytes_est as f64);
+    drop(memo);
     if evicted > 0 {
         qisim_obs::counter!("power.cache.evictions", evicted);
     }
+}
+
+/// The landing memoized under `key`, or else `search`'s, stored for the
+/// next caller. The lock is not held while `search` runs.
+pub(crate) fn get_or_search(key: MemoKey, search: impl FnOnce() -> Landing) -> Landing {
+    let hit = locked().get(key);
+    if let Some(landing) = hit {
+        qisim_obs::counter!("power.cache.hits");
+        return landing;
+    }
+    qisim_obs::counter!("power.cache.misses");
+    let landing = search();
+    let mut memo = locked();
+    let evicted = memo.insert(key, landing.clone());
+    publish(memo, evicted);
+    landing
 }
 
 /// Empties the memo cache (benches use this to time cold runs fairly)
 /// and zeroes the `power.cache.{len,bytes_est}` gauges it invalidates;
 /// the lifetime hit/miss/eviction counters are preserved.
 pub fn clear_cache() {
-    let mut lru = locked();
-    lru.clear();
-    publish_size(&lru);
+    let mut memo = locked();
+    memo.clear();
+    publish(memo, 0);
 }
 
 /// The cache's lifetime hit/miss/eviction counts and current size — the
@@ -340,25 +255,19 @@ pub fn cache_stats() -> CacheStats {
 }
 
 /// Overrides the landing capacity at runtime: `Some(cap)` bounds the
-/// cache (evicting down immediately), `None` restores
-/// [`DEFAULT_CACHE_CAP`]. Capacity never affects results, only how many
-/// landing searches are re-run.
+/// cache (evicting the oldest entries down to it immediately), `None`
+/// restores [`DEFAULT_CACHE_CAP`]. Capacity never affects results, only
+/// how many landing searches are re-run.
 pub fn set_cache_cap(cap: Option<usize>) {
-    let mut lru = locked();
-    let evicted_before = lru.evictions;
-    lru.set_cap(cap.unwrap_or(DEFAULT_CACHE_CAP));
-    let evicted = lru.evictions - evicted_before;
-    publish_size(&lru);
-    drop(lru);
-    if evicted > 0 {
-        qisim_obs::counter!("power.cache.evictions", evicted);
-    }
+    let mut memo = locked();
+    let evicted = memo.set_cap(cap.unwrap_or(DEFAULT_CACHE_CAP));
+    publish(memo, evicted);
 }
 
 /// Serializes the unit tests that touch the process-global memo, so one
 /// test's `clear_cache` never races a sibling's lookups.
 #[cfg(test)]
-pub(crate) fn global_test_lock() -> std::sync::MutexGuard<'static, ()> {
+pub(crate) fn global_test_lock() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
@@ -391,18 +300,23 @@ mod tests {
         let link = InstructionLink::standard();
         let key = MemoKey::new(&arch, &fridge, &link);
         clear_cache();
-        assert_eq!(lookup(key), None);
-        let landing = crate::search(&arch, &fridge, &link);
-        store(key, landing.clone());
-        assert_eq!(lookup(key), Some(landing));
+        let mut searches = 0;
+        let mut land = || {
+            searches += 1;
+            crate::search(&arch, &fridge, &link)
+        };
+        let landing = get_or_search(key, &mut land);
+        assert_eq!(get_or_search(key, &mut land), landing);
+        assert_eq!(searches, 1, "the repeat is answered from the cache");
         assert_eq!(cache_stats().len, 1);
+        assert_eq!(cache_stats().bytes_est, ENTRY_BYTES);
         clear_cache();
         assert_eq!(cache_stats().len, 0);
         assert_eq!(cache_stats().bytes_est, 0, "clear resets the size estimates");
     }
 
-    // The LRU core is unit-tested on a local instance: the global cache
-    // is shared by concurrently running tests, so eviction-order
+    // The cache core is unit-tested on a local instance: the global
+    // cache is shared by concurrently running tests, so eviction-order
     // assertions would race there.
 
     fn key(i: u64) -> MemoKey {
@@ -414,64 +328,96 @@ mod tests {
     }
 
     #[test]
-    fn lru_evicts_least_recently_used_first() {
-        let mut lru = LruCache::new(3);
+    fn evicts_the_oldest_insert_first_even_if_just_hit() {
+        let mut memo = Memo::new(3);
         for i in 0..3 {
-            lru.insert(key(i), landing(i));
+            memo.insert(key(i), landing(i));
         }
-        // Touch 0: it becomes most-recent, so 1 is now the coldest.
-        assert!(lru.get(key(0)).is_some());
-        lru.insert(key(3), landing(3));
-        assert_eq!(lru.map.len(), 3);
-        assert!(lru.get(key(1)).is_none(), "coldest entry evicted");
-        assert!(lru.get(key(0)).is_some(), "recently touched entry kept");
-        assert!(lru.get(key(2)).is_some());
-        assert!(lru.get(key(3)).is_some());
-        assert_eq!(lru.evictions, 1);
+        // A hit does not refresh 0: it is still the oldest insert.
+        assert!(memo.get(key(0)).is_some());
+        assert_eq!(memo.insert(key(3), landing(3)), 1);
+        assert_eq!(memo.map.len(), 3);
+        assert!(memo.get(key(0)).is_none(), "oldest insert evicted");
+        for i in 1..=3 {
+            assert!(memo.get(key(i)).is_some(), "newer insert {i} kept");
+        }
+        assert_eq!(memo.evictions, 1);
     }
 
     #[test]
-    fn lru_recycles_slots_and_tracks_bytes() {
-        let mut lru = LruCache::new(2);
+    fn queue_holds_each_resident_key_once_and_tracks_bytes() {
+        let mut memo = Memo::new(2);
         for i in 0..10 {
-            lru.insert(key(i), landing(i));
+            memo.insert(key(i), landing(i));
         }
-        assert_eq!(lru.map.len(), 2);
-        assert_eq!(lru.slots.len(), 2, "evicted slots are recycled, not leaked");
-        assert_eq!(lru.evictions, 8);
-        assert_eq!(lru.bytes_est, 2 * std::mem::size_of::<Slot>());
-        // Refreshing an existing key neither grows nor evicts.
-        lru.insert(key(9), landing(99));
-        assert_eq!(lru.map.len(), 2);
-        assert_eq!(lru.evictions, 8);
-        assert_eq!(lru.get(key(9)).unwrap().2.n_qubits, 99);
+        assert_eq!(memo.evictions, 8);
+        assert_eq!(memo.order, [key(8), key(9)], "evicted keys leave the queue");
+        // Storing a resident key again replaces its landing in place:
+        // no second queue entry, no eviction.
+        assert_eq!(memo.insert(key(8), landing(88)), 0);
+        assert_eq!(memo.order, [key(8), key(9)]);
+        assert_eq!(memo.order.len(), memo.map.len());
+        assert_eq!(memo.evictions, 8);
+        assert_eq!(memo.get(key(8)).map(|l| l.0), Some(88));
+        assert_eq!(memo.stats().bytes_est, 2 * ENTRY_BYTES);
+        // The replaced key keeps its place: it is still the next evicted.
+        memo.insert(key(10), landing(10));
+        assert_eq!(memo.order, [key(9), key(10)]);
+        assert_eq!(memo.stats().bytes_est, 2 * ENTRY_BYTES);
+    }
+
+    #[test]
+    fn benchmark_traffic_shapes_count_as_expected() {
+        // A cold stream: N distinct designs through a cap-C cache never
+        // hit, miss N times and evict N - C.
+        let (n, cap) = (50, 8);
+        let mut memo = Memo::new(cap);
+        for i in 0..n {
+            assert!(memo.get(key(i)).is_none());
+            memo.insert(key(i), landing(i));
+        }
+        let s = memo.stats();
+        assert_eq!((s.hits, s.misses, s.evictions), (0, n, n - cap as u64));
+        // A replayed mix of k <= C designs: after the first round every
+        // lookup hits.
+        let (k, rounds) = (cap as u64, 5);
+        let mut memo = Memo::new(cap);
+        for _ in 0..rounds {
+            for i in 0..k {
+                if memo.get(key(i)).is_none() {
+                    memo.insert(key(i), landing(i));
+                }
+            }
+        }
+        let s = memo.stats();
+        assert_eq!((s.hits, s.misses, s.evictions), ((rounds - 1) * k, k, 0));
     }
 
     #[test]
     fn lru_shrinking_cap_evicts_down_immediately() {
-        let mut lru = LruCache::new(8);
+        let mut memo = Memo::new(8);
         for i in 0..8 {
-            lru.insert(key(i), landing(i));
+            memo.insert(key(i), landing(i));
         }
-        lru.set_cap(2);
-        assert_eq!(lru.map.len(), 2);
-        assert_eq!(lru.evictions, 6);
-        // The two most recent survive.
-        assert!(lru.get(key(6)).is_some());
-        assert!(lru.get(key(7)).is_some());
+        assert_eq!(memo.set_cap(2), 6);
+        assert_eq!(memo.map.len(), 2);
+        assert_eq!(memo.evictions, 6);
+        // The two newest inserts survive.
+        assert!(memo.get(key(6)).is_some());
+        assert!(memo.get(key(7)).is_some());
         // Degenerate caps clamp to one entry.
-        lru.set_cap(0);
-        assert_eq!(lru.cap, 1);
-        assert_eq!(lru.map.len(), 1);
+        memo.set_cap(0);
+        assert_eq!(memo.cap, 1);
+        assert_eq!(memo.map.len(), 1);
     }
 
     #[test]
     fn lru_stats_reflect_activity() {
-        let mut lru = LruCache::new(2);
-        lru.insert(key(1), landing(1));
-        assert!(lru.get(key(1)).is_some());
-        assert!(lru.get(key(2)).is_none());
-        let s = lru.stats();
+        let mut memo = Memo::new(2);
+        memo.insert(key(1), landing(1));
+        assert!(memo.get(key(1)).is_some());
+        assert!(memo.get(key(2)).is_none());
+        let s = memo.stats();
         assert_eq!((s.hits, s.misses, s.evictions, s.len, s.cap), (1, 1, 0, 1, 2));
         assert!((s.hit_rate() - 0.5).abs() < 1e-12);
         assert!(s.bytes_est > 0);
@@ -485,23 +431,23 @@ mod tests {
         let _l = global_test_lock();
         let arch = CryoCmosConfig::baseline().build();
         let link = InstructionLink::standard();
-        let mut lru = LruCache::new(2);
+        let mut memo = Memo::new(2);
         for round in 0..2 {
             for i in 1..=50u32 {
                 let fridge = Fridge::standard().with_budget(Stage::K4, 0.1 * f64::from(i));
                 let key = MemoKey::new(&arch, &fridge, &link);
                 let direct = crate::search(&arch, &fridge, &link);
-                let cached = match lru.get(key) {
+                let cached = match memo.get(key) {
                     Some(landing) => landing,
                     None => {
-                        lru.insert(key, direct.clone());
+                        memo.insert(key, direct.clone());
                         direct.clone()
                     }
                 };
                 assert_eq!(cached, direct, "round {round}, design {i}");
             }
         }
-        assert!(lru.evictions > 0, "a capacity-2 cache must have evicted");
-        assert_eq!(lru.map.len(), 2);
+        assert!(memo.evictions > 0, "a capacity-2 cache must have evicted");
+        assert_eq!(memo.map.len(), 2);
     }
 }

@@ -5,7 +5,7 @@
 //! Every request follows the same path: parse ([`crate::proto`]) →
 //! analyze through [`qisim::engine::try_analyze_spec`] (which validates
 //! the spec and runs the request's topology and estimator) → render.
-//! All requests share the process-wide `qisim_power::memo` LRU, so a
+//! All requests share the process-wide `qisim_power::memo` cache, so a
 //! hot working set answers from cache no matter which client asked
 //! first.
 //!

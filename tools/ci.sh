@@ -152,7 +152,7 @@ echo "== [9/14] telemetry exporter smoke run =="
 grep -q "openmetrics export: well-formed" "$out/watch.txt"
 grep -q "engine.stage.power: p50" "$out/watch.txt"
 # The file on disk carries typed families, histogram series, and the
-# memo-cache counters the bounded LRU publishes.
+# memo-cache counters the bounded power memo publishes.
 grep -q "# TYPE" "$out/metrics.om"
 grep -q "_bucket" "$out/metrics.om"
 grep -q "power_cache_hits" "$out/metrics.om"
