@@ -770,10 +770,10 @@ mod tests {
         use crate::spec::Preset;
         use qisim_surface::montecarlo::logical_error_rate_rare;
         let cases = [
-            (Preset::CmosBaseline, Target::near_term(), 3.0542498105550643e-31),
-            (Preset::RsfqNearTerm, Target::near_term(), 3.9599227387388096e-27),
-            (Preset::CmosLongTerm, Target::long_term(), 1.9096926974352812e-35),
-            (Preset::ErsfqLongTerm, Target::long_term(), 1.5213256742057642e-36),
+            (Preset::CmosBaseline, Target::near_term(), 2.504763415432796e-47),
+            (Preset::RsfqNearTerm, Target::near_term(), 1.1331224364835942e-41),
+            (Preset::CmosLongTerm, Target::long_term(), 4.377775806302891e-53),
+            (Preset::ErsfqLongTerm, Target::long_term(), 1.3783026825739451e-54),
         ];
         for (preset, target, want) in cases {
             let spec = DesignSpec::new(preset).estimator(Estimator::Rare);

@@ -15,8 +15,11 @@
 #      also peels and checks that the correction leaves no syndrome and
 #      that a free-row verdict equals the full peel's, every trial that
 #      skipped a decode (isolated, or split into singles and a decoded
-#      remainder) is re-decoded whole on a fresh arena, and the lane and
-#      slice sizes are checked — and the power landing search's bracket
+#      remainder) is re-decoded whole on a fresh arena, every rare-ladder
+#      trial lighter than ceil(d/2) errors, which skips its decode because
+#      the decoder corrects every error of weight <= (d-1)/2, is decoded
+#      and asserted not to fail, and the lane and slice sizes are
+#      checked — and the power landing search's bracket
 #      invariants (every probe lies strictly inside the bracket, `lo`
 #      fits and `hi` does not), over the suite's 10,000 seeded landings
 #      against the bisection oracle; none of these run in the release
@@ -276,7 +279,7 @@ echo "== [14/14] repo benchmark --check =="
 bench_out="$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --check)"
 echo "$bench_out" | grep -qx "check: ok" || { echo "benchmark --check failed" >&2; exit 1; }
 for pinned in serve_paper_mix:099ff2656a55f98a design_sweep_cold:029e603d2c53d709 \
-    serve_mc_estimator:ccca70cfd27c4c21; do
+    serve_mc_estimator:34f7446ab4fd6bfb; do
     workload="${pinned%%:*}"
     runs=$(echo "$bench_out" | grep -c "\"workload\": \"$workload\", \"attempted\"" || true)
     matching=$(echo "$bench_out" \
