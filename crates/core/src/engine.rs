@@ -76,7 +76,7 @@ const RARE_ESTIMATOR_TRIALS: usize = 2_000;
 const ESTIMATOR_SEED: u64 = 0x51_C0DE;
 
 /// The `d = 23` Monte-Carlo context both estimators share: the decoding
-/// graph, packed lattice and lone-error verdict table, built on the
+/// graph, packed lattice and lone-error guards, built on the
 /// first Monte-Carlo request. It is fixed by `CODE_DISTANCE`, and every
 /// estimate on it equals one on a fresh context bit for bit, so
 /// [`crate::reset_process_state`] leaves it in place.

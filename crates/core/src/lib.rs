@@ -94,7 +94,7 @@ pub use qisim_surface as surface;
 /// later. Callers that run concurrently must serialize around it.
 ///
 /// The engine's `d = 23` Monte-Carlo context is not reset: the decoding
-/// graph, packed lattice and lone-error verdict table both estimators
+/// graph, packed lattice and lone-error guards both estimators
 /// share, and the rare-event ladder's sampled anchor stage. It is
 /// immutable once built and every estimate it gives is bit-identical to
 /// one on a fresh context, so no result can depend on whether it exists.

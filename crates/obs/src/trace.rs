@@ -40,14 +40,14 @@
 
 use std::cell::RefCell;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 /// Maximum number of `(key, value)` argument pairs one event can carry.
 pub const MAX_ARGS: usize = 3;
 
-/// Default per-thread ring capacity, in events (see [`set_capacity`]).
+/// Per-thread ring capacity, in events.
 pub const DEFAULT_CAPACITY: usize = 16 * 1024;
 
 /// The kind of one recorded event.
@@ -210,13 +210,6 @@ pub fn disarm() {
     ARMED.store(STATE_OFF, Ordering::Relaxed);
 }
 
-/// Sets the per-thread ring capacity (in events) used by lanes
-/// registered *after* this call; existing lanes keep their rings.
-/// Values are clamped to at least 16. Defaults to [`DEFAULT_CAPACITY`].
-pub fn set_capacity(events_per_thread: usize) {
-    CAPACITY.store(events_per_thread.max(16), Ordering::Relaxed);
-}
-
 /// Labels the calling thread's lane in the exported timeline (e.g.
 /// `"qisim-par worker-2"`). Registers the lane if the thread has none
 /// yet; a no-op when the recorder is disarmed.
@@ -300,7 +293,6 @@ const STATE_OFF: u8 = 1;
 const STATE_ON: u8 = 2;
 
 static ARMED: AtomicU8 = AtomicU8::new(STATE_UNINIT);
-static CAPACITY: AtomicUsize = AtomicUsize::new(DEFAULT_CAPACITY);
 static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
 static ENV_DUMPED: AtomicBool = AtomicBool::new(false);
 
@@ -433,7 +425,7 @@ fn with_ring(f: impl FnOnce(&mut Ring)) {
             let ring = Arc::new(Mutex::new(Ring {
                 lane,
                 label,
-                events: Vec::with_capacity(CAPACITY.load(Ordering::Relaxed)),
+                events: Vec::with_capacity(DEFAULT_CAPACITY),
                 head: 0,
                 len: 0,
                 dropped: 0,

@@ -134,7 +134,8 @@ const CONTROL_KEYS: [&str; 4] = ["id", "target", "trace", "explain"];
 /// Returns [`QisimError::Decode`] for an empty line, a pair without
 /// `=`, an unknown/duplicate control value, or any spec-document
 /// failure ([`codec::read_spec`]); diagnostics are pair-anchored the
-/// way codec documents are line-anchored.
+/// way codec documents are line-anchored. A request line carries no
+/// comments: a `#` key is an unknown spec key.
 pub fn parse_request_line(line: &str) -> Result<Request, QisimError> {
     let (mut id, mut target, mut trace, mut explain) = (None, TargetKind::NearTerm, false, false);
     let mut reader = KeyReader::default();
@@ -157,10 +158,7 @@ pub fn parse_request_line(line: &str) -> Result<Request, QisimError> {
         let (key, value) = (key.trim(), value.trim());
         if !CONTROL_KEYS.contains(&key) {
             spec_line += 1;
-            // A `#` key folds a comment line of the document.
-            if !key.starts_with('#') {
-                spec_pairs.push(Ok((spec_line, key, value)));
-            }
+            spec_pairs.push(Ok((spec_line, key, value)));
             continue;
         }
         reader.claim(1, key, Some(()))?;
@@ -433,7 +431,7 @@ mod tests {
             ("id = c; preset = rsfq_baseline; bs = 6; bs = 7", 4, "duplicate key `bs`"),
             ("preset = cmos_baseline; preset = rsfq_baseline", 3, "duplicate key `preset`"),
             ("preset = rsfq_baseline; target = long_term; bs = x", 3, "cannot parse `x` for `bs`"),
-            ("preset = rsfq_baseline; # note = x; bs = y", 4, "cannot parse `y` for `bs`"),
+            ("preset = rsfq_baseline; # note = x; bs = y", 3, "unknown key `# note`"),
             ("preset = cmos_baseline; budget.3K = 1", 3, "unknown fridge stage `3K`"),
             ("preset = cmos_baseline; link = warp", 3, "unknown link `warp`"),
             ("preset = cmos_baseline; frobnicate = 1", 3, "unknown key `frobnicate`"),

@@ -1,7 +1,8 @@
 //! Union-find decoder (Delfosse–Nickerson style) for code-capacity noise.
 //!
-//! Decoding X errors from Z-check syndromes (and symmetrically for Z):
-//! flipped checks seed clusters that grow by half-edges on the check
+//! Decodes the X errors of code-capacity noise from their Z-check
+//! syndromes, the failures the logical-`X̄` verdict counts: flipped checks
+//! seed clusters that grow by half-edges on the check
 //! graph; a cluster freezes once its defect parity is even or it touches
 //! a boundary; merged odd clusters keep growing. A spanning-tree peeling
 //! pass then extracts the correction inside each frozen cluster.
@@ -14,8 +15,10 @@
 //! time decoding algorithm for topological codes", Quantum 5, 595, 2021):
 //! the unit tests check it exhaustively at `d` ≤ 7, up to weight 4 at
 //! `d = 9`, and on column patterns at `d = 23`, and show a failing
-//! pattern one error heavier. The rare-event ladder relies on it to
-//! settle lighter trials without decoding (see [`crate::montecarlo`]).
+//! pattern one error heavier. The Monte-Carlo estimators rely on it:
+//! the rare-event ladder settles lighter trials without decoding, and a
+//! trial of far-apart lone errors settles as no failure (see
+//! [`crate::montecarlo`]).
 //!
 //! # The allocation-free engine
 //!
@@ -31,14 +34,13 @@
 //! reads its roots and leaves off the same cluster set. At `d = 23` a
 //! sampled syndrome touches a handful of the 264 checks, so the per-call
 //! cost follows the defects, not the lattice. The Monte-Carlo verdict
-//! path runs its two stages itself and often skips the peel (see
-//! [`crate::montecarlo`]). [`decode`] wraps it for one-off use, and
-//! [`decode_reference`] preserves the original
-//! full-edge-rescan implementation as the oracle the fast engine is
-//! tested against — both produce identical corrections for every
-//! syndrome.
+//! path runs its two stages, `grow` and `peel`, itself and often
+//! skips the peel (see [`crate::montecarlo`]). [`decode_reference`]
+//! preserves the original full-edge-rescan implementation as the oracle
+//! the fast engine is tested against — both produce identical
+//! corrections for every syndrome.
 
-use crate::lattice::{Check, Lattice, PackedLattice};
+use crate::lattice::{Lattice, PackedLattice};
 
 /// A decoding graph: vertices are checks (+ one boundary vertex), edges
 /// are data qubits.
@@ -68,15 +70,15 @@ pub struct DecodingGraph {
 
 /// The virtual boundary vertex id of a graph with `n` checks is `n`.
 impl DecodingGraph {
-    /// Builds the graph for the given check family (`x = true` decodes Z
-    /// errors from X-checks).
+    /// Builds the graph of the lattice's Z checks, which decodes X
+    /// errors.
     ///
     /// # Panics
     ///
     /// Panics if the lattice has more than 2¹⁶ data qubits: vertex and
     /// edge ids are `u16`.
-    pub fn new(lattice: &Lattice, x_checks: bool) -> Self {
-        let checks: &[Check] = if x_checks { &lattice.x_checks } else { &lattice.z_checks };
+    pub fn new(lattice: &Lattice) -> Self {
+        let checks = &lattice.z_checks;
         let n = checks.len();
         let n_qubits = lattice.data_qubits();
         assert!(
@@ -175,8 +177,8 @@ pub struct DecodeStats {
     /// edge touches, so the spanning-tree peel never ran (the rest of
     /// `decodes` peeled).
     pub peels_skipped: u64,
-    /// Errors of decoded trials settled from the lone-error verdict
-    /// table instead of the decoder.
+    /// Errors of decoded trials settled as singles, which cannot fail,
+    /// instead of through the decoder.
     pub singles_settled: u64,
     /// Split verdicts a guard rejected: the trial decoded whole after
     /// its remainder had decoded (two decodes for one trial).
@@ -218,7 +220,7 @@ const BOUNDARY: u8 = 2;
 /// use qisim_surface::Lattice;
 ///
 /// let lattice = Lattice::new(5);
-/// let graph = DecodingGraph::new(&lattice, false);
+/// let graph = DecodingGraph::new(&lattice);
 /// let mut scratch = DecoderScratch::new(&graph);
 /// let mut syndrome = vec![0u64; graph.syndrome_words()];
 /// syndrome[0] = 0b11; // two adjacent defects
@@ -654,25 +656,6 @@ pub(crate) fn peel<'a>(graph: &DecodingGraph, s: &'a mut DecoderScratch) -> &'a 
     &s.correction
 }
 
-/// Decodes a syndrome on the graph, returning the data qubits to flip.
-///
-/// Convenience wrapper over [`decode_into`] for one-off decodes: it
-/// allocates a fresh [`DecoderScratch`] per call. Batch callers (the
-/// Monte-Carlo engine) hold a scratch arena and call [`decode_into`]
-/// directly.
-///
-/// # Panics
-///
-/// Panics if `syndrome.len()` differs from the graph's check count.
-pub fn decode(graph: &DecodingGraph, syndrome: &[bool]) -> Vec<usize> {
-    assert_eq!(syndrome.len(), graph.checks, "syndrome length mismatch");
-    // `pack` of a `checks`-long slice yields exactly `syndrome_words()`
-    // words, so the packed form feeds the arena engine directly.
-    let words = PackedLattice::pack(syndrome);
-    let mut scratch = DecoderScratch::new(graph);
-    decode_into(graph, &words, &mut scratch).to_vec()
-}
-
 /// The original full-edge-rescan, allocate-per-call union-find decoder,
 /// kept as the oracle the allocation-free engine is verified against:
 /// for every syndrome, [`decode_into`] must return exactly this
@@ -826,11 +809,10 @@ mod tests {
     use super::*;
 
     fn decode_x_errors(lattice: &Lattice, x_errors: &[bool]) -> Vec<bool> {
-        let graph = DecodingGraph::new(lattice, false);
-        let syn = lattice.z_syndrome(x_errors);
-        let corr = decode(&graph, &syn);
+        let graph = DecodingGraph::new(lattice);
+        let syn = PackedLattice::pack(&lattice.z_syndrome(x_errors));
         let mut fixed = x_errors.to_vec();
-        for q in corr {
+        for &q in decode_into(&graph, &syn, &mut DecoderScratch::new(&graph)) {
             fixed[q] ^= true;
         }
         fixed
@@ -839,8 +821,9 @@ mod tests {
     #[test]
     fn empty_syndrome_needs_no_correction() {
         let l = Lattice::new(5);
-        let g = DecodingGraph::new(&l, false);
-        assert!(decode(&g, &vec![false; l.z_checks.len()]).is_empty());
+        let g = DecodingGraph::new(&l);
+        let syn = vec![0u64; g.syndrome_words()];
+        assert!(decode_into(&g, &syn, &mut DecoderScratch::new(&g)).is_empty());
     }
 
     #[test]
@@ -921,7 +904,7 @@ mod tests {
     #[test]
     fn graph_structure_is_sane() {
         let l = Lattice::new(5);
-        let g = DecodingGraph::new(&l, false);
+        let g = DecodingGraph::new(&l);
         // Every data qubit appears exactly once as an edge.
         assert_eq!(g.edge_count(), l.data_qubits());
         assert_eq!(g.boundary(), l.z_checks.len());
@@ -943,7 +926,7 @@ mod tests {
         // throughout so cross-call contamination would be caught.
         for d in [3usize, 5, 7, 9, 11, 13, 23] {
             let l = Lattice::new(d);
-            let g = DecodingGraph::new(&l, false);
+            let g = DecodingGraph::new(&l);
             let mut scratch = DecoderScratch::new(&g);
             let mut state = 0xD1CEu64 ^ (d as u64) << 32;
             for round in 0..300 {
@@ -969,7 +952,7 @@ mod tests {
         // state the sparse reset failed to undo would show up here.
         for d in [3usize, 5, 13, 23] {
             let l = Lattice::new(d);
-            let g = DecodingGraph::new(&l, false);
+            let g = DecodingGraph::new(&l);
             let boundary_checks: Vec<usize> = (0..g.check_count())
                 .filter(|&c| g.adj(c).iter().any(|&e| g.edges[usize::from(e)].1 == g.boundary()))
                 .collect();
@@ -1007,7 +990,7 @@ mod tests {
     #[test]
     fn scratch_stats_accumulate_and_reset() {
         let l = Lattice::new(5);
-        let g = DecodingGraph::new(&l, false);
+        let g = DecodingGraph::new(&l);
         let mut scratch = DecoderScratch::new(&g);
         let mut syn = vec![0u64; g.syndrome_words()];
         syn[0] = 0b1; // one defect: must grow at least one round

@@ -384,7 +384,8 @@ impl PackedLattice {
     /// Scatters one packed per-trial error bitset into lane `lane` of a
     /// sliced block: bit `q` of `packed` becomes bit `lane` of
     /// `sliced[q]`. Lanes are OR-merged, so the caller zeroes the block
-    /// once and scatters up to 64 trials into it.
+    /// once and scatters up to 64 trials into it (the tests build their
+    /// blocks this way; the kernel samples straight into the layout).
     ///
     /// # Panics
     ///
@@ -396,26 +397,6 @@ impl PackedLattice {
         debug_assert_eq!(sliced.len(), self.n_qubits);
         for (q, word) in sliced.iter_mut().enumerate() {
             *word |= (packed[q >> 6] >> (q & 63) & 1) << lane;
-        }
-    }
-
-    /// Gathers lane `lane` of a sliced block back into the packed
-    /// per-trial layout (the exact inverse of [`Self::scatter_lane`]):
-    /// bit `lane` of `sliced[q]` becomes bit `q` of `packed`. Overwrites
-    /// `packed` entirely. The sliced kernel reads a lane with too many
-    /// errors to record their positions back through this.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane ≥ 64`; debug-asserts the slice sizes.
-    #[inline]
-    pub fn gather_lane(&self, sliced: &[u64], lane: usize, packed: &mut [u64]) {
-        assert!(lane < 64, "a sliced block holds 64 lanes, got lane {lane}");
-        debug_assert_eq!(packed.len(), self.qubit_words);
-        debug_assert_eq!(sliced.len(), self.n_qubits);
-        packed.fill(0);
-        for (q, word) in sliced.iter().enumerate() {
-            packed[q >> 6] |= (word >> lane & 1) << (q & 63);
         }
     }
 
@@ -443,24 +424,6 @@ impl PackedLattice {
             any |= acc;
         }
         any
-    }
-
-    /// Gathers lane `lane` of a sliced syndrome block into the packed
-    /// per-trial syndrome layout [`Self::z_syndrome_into`] produces (bit
-    /// `i` = check `i`). Overwrites `syndrome` entirely.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane ≥ 64`; debug-asserts the slice sizes.
-    #[inline]
-    pub fn gather_syndrome_lane(&self, sliced_syndrome: &[u64], lane: usize, syndrome: &mut [u64]) {
-        assert!(lane < 64, "a sliced block holds 64 lanes, got lane {lane}");
-        debug_assert_eq!(sliced_syndrome.len(), self.n_z_checks);
-        debug_assert_eq!(syndrome.len(), self.syndrome_words);
-        syndrome.fill(0);
-        for (i, word) in sliced_syndrome.iter().enumerate() {
-            syndrome[i >> 6] |= (word >> lane & 1) << (i & 63);
-        }
     }
 
     /// Per-lane logical-`X̄` verdicts of a sliced 64-trial error block:
@@ -594,6 +557,18 @@ mod tests {
             .collect()
     }
 
+    /// Lane `lane` of a sliced block, read back bit by bit into the
+    /// packed per-trial layout of `words` words.
+    fn lane_of(sliced: &[u64], lane: usize, words: usize) -> Vec<u64> {
+        let mut packed = vec![0u64; words];
+        for (i, word) in sliced.iter().enumerate() {
+            if word >> lane & 1 != 0 {
+                PackedLattice::set_bit(&mut packed, i);
+            }
+        }
+        packed
+    }
+
     #[test]
     fn scatter_then_gather_roundtrips_64_trials() {
         for d in [3usize, 5, 9] {
@@ -603,10 +578,12 @@ mod tests {
             for (lane, errs) in trials.iter().enumerate() {
                 packed.scatter_lane(errs, lane, &mut sliced);
             }
-            let mut back = vec![0u64; packed.qubit_words()];
             for (lane, errs) in trials.iter().enumerate() {
-                packed.gather_lane(&sliced, lane, &mut back);
-                assert_eq!(&back, errs, "d={d} lane={lane}");
+                assert_eq!(
+                    &lane_of(&sliced, lane, packed.qubit_words()),
+                    errs,
+                    "d={d} lane={lane}"
+                );
             }
         }
     }
@@ -625,11 +602,10 @@ mod tests {
             let any_mask = packed.z_syndrome_sliced(&sliced, &mut sliced_syn);
             let logical_mask = packed.logical_x_lanes(&sliced);
             let mut syn = vec![0u64; packed.syndrome_words()];
-            let mut gathered = vec![0u64; packed.syndrome_words()];
             for (lane, errs) in trials.iter().enumerate() {
                 let any = packed.z_syndrome_into(errs, &mut syn);
                 assert_eq!(any_mask >> lane & 1 != 0, any, "d={d} lane={lane}");
-                packed.gather_syndrome_lane(&sliced_syn, lane, &mut gathered);
+                let gathered = lane_of(&sliced_syn, lane, packed.syndrome_words());
                 assert_eq!(gathered, syn, "d={d} lane={lane}");
                 assert_eq!(
                     logical_mask >> lane & 1 != 0,
@@ -656,9 +632,7 @@ mod tests {
         let high_lanes = !0u64 << 3;
         assert_eq!(any_mask & high_lanes, 0);
         assert_eq!(packed.logical_x_lanes(&sliced) & high_lanes, 0);
-        let mut back = vec![0u64; packed.qubit_words()];
-        packed.gather_lane(&sliced, 63, &mut back);
-        assert!(back.iter().all(|&w| w == 0));
+        assert!(sliced.iter().all(|&w| w & high_lanes == 0));
     }
 
     #[test]

@@ -36,13 +36,13 @@
 //!    assert that it does not fail). At `d = 23` a served estimate
 //!    samples 6,000 trials below the kept anchor, and 4,045–4,084 of
 //!    them are light. Heavier trials decode only their errors that may
-//!    interact (see [`super`]): isolated trials take the lone-error
-//!    verdicts and skip the decoder, and a trial with singles decodes
-//!    only its remainder. A chunk returns the flip count `k` of every
-//!    failing trial; a stage's failure list is its chunk lists
-//!    concatenated in trial order, and the weights are summed afterwards
-//!    in stage and trial order — the same float operations as a serial
-//!    loop, so the estimate is bit-identical at any thread count.
+//!    interact (see [`super`]): isolated trials cannot fail and skip the
+//!    decoder, and a trial with singles decodes only its remainder. A
+//!    chunk returns the flip count `k` of every failing trial; a stage's
+//!    failure list is its chunk lists concatenated in trial order, and
+//!    the weights are summed afterwards in stage and trial order — the
+//!    same float operations as a serial loop, so the estimate is
+//!    bit-identical at any thread count.
 //!
 //! Stage 0 sits at `Q_TOP` for every `p < Q_TOP`; its failure list does
 //! not depend on `p`, so a [`RareLadder`] samples it once and reuses it.
@@ -191,7 +191,7 @@ fn decode_chunk(
             );
             continue;
         }
-        if scratch.settle(packed, graph, &context.lone, positions).fails() {
+        if scratch.settle(context, positions).fails() {
             failing.push(positions.len());
         }
     }
@@ -484,7 +484,7 @@ mod tests {
         // finished error pattern gives.
         for d in [2usize, 3, 5, 23] {
             let l = Lattice::new(d);
-            let graph = DecodingGraph::new(&l, false);
+            let graph = DecodingGraph::new(&l);
             let packed = PackedLattice::new(&l);
             let mut scratch = McScratch::new(&packed, &graph);
             let mut full = vec![0u64; packed.syndrome_words()];
@@ -563,7 +563,7 @@ mod tests {
         trials_per_stage: usize,
         seed: u64,
     ) -> RareEstimate {
-        let graph = DecodingGraph::new(lattice, false);
+        let graph = DecodingGraph::new(lattice);
         let packed = PackedLattice::new(lattice);
         let mut scratch = McScratch::new(&packed, &graph);
         let rates = stage_rates(p);

@@ -1,7 +1,7 @@
 //! Bit-sliced SIMD-within-a-register Monte-Carlo kernel: 64 trials per
 //! `u64` word operation.
 //!
-//! A per-trial [`PackedLattice`] bitset puts data qubit `q` at bit `q`
+//! A per-trial [`PackedLattice`](crate::lattice::PackedLattice) bitset puts data qubit `q` at bit `q`
 //! of a per-trial word array. This kernel transposes that layout: a
 //! **64-trial block** stores one word
 //! per data qubit, and bit `l` of word `q` is qubit `q`'s error flag in
@@ -11,28 +11,23 @@
 //! word op. Only lanes whose syndrome is nonzero leave the word-wide
 //! path.
 //!
-//! **Isolated lanes** skip the decoder. The pass that places a lane's
-//! errors also records up to `LANE_POSITIONS` (8) of their positions,
-//! and every nonzero-syndrome lane with at most that many errors settles
-//! through the verdict function both estimators share
-//! (`McScratch::settle`, see [`super`]): a lane whose errors are all
-//! singles gets its verdict as the XOR of the lone-error verdict table.
+//! **Every nonzero-syndrome lane settles from its positions.** The pass
+//! that places a lane's errors also appends their positions to one flat
+//! list per 64-lane word, and the lane keeps its range of that list.
+//! Each lane whose syndrome is nonzero then settles through the verdict
+//! function both estimators share (`McScratch::settle`, see [`super`]):
+//! a lane whose errors are all singles is *isolated* and cannot fail,
+//! and any other lane decodes — only its remainder when it has singles.
 //! At `d = 23` and `p ≈ 1.3–2.8·10⁻³` most nonzero-syndrome lanes carry
-//! one or two far-apart errors, so only ~4 % of the lanes decode.
-//!
-//! **Decoded lanes** go through the scalar verdict path every decoded
-//! trial shares. A lane that also carries singles decodes only its
-//! remainder — 1,146 singles settle that way in the 1,286 decoded lanes
-//! of a served request at `p = 1.99·10⁻³` — and a lane with more than 8
-//! errors decodes whole from its error and syndrome bits read back out
-//! of the sliced blocks ([`PackedLattice::gather_lane`],
-//! [`PackedLattice::gather_syndrome_lane`]). Most decodes skip the
-//! spanning-tree peel, because some row of the data grid stays outside
-//! every cluster. 32,768 trials on a kept [`McContext`], one
-//! [`SlicedScratch`] per pool worker, take a median 2.2–2.5 ms at 2
-//! threads on a shared 2-core x86 host (runs of 150 estimates at `p ∈
-//! {1.3, 1.99, 2.8}·10⁻³`; 2.4–3.5 ms before the remainder-only decodes,
-//! the compact decoder arena and the per-worker scratch).
+//! one or two far-apart errors, so only ~4 % of the lanes decode, and
+//! 1,146 singles settle inside the 1,286 decoded lanes of a served
+//! request at `p = 1.99·10⁻³`. Most decodes skip the spanning-tree peel,
+//! because some row of the data grid stays outside every cluster. 32,768
+//! trials on a kept [`McContext`], one [`SlicedScratch`] per pool
+//! worker, take a median 2.2–2.5 ms at 2 threads on a shared 2-core x86
+//! host (runs of 150 estimates at `p ∈ {1.3, 1.99, 2.8}·10⁻³`; 2.4–3.5
+//! ms before the remainder-only decodes, the compact decoder arena and
+//! the per-worker scratch).
 //!
 //! **Fast-empty sampling** carries the rest of the speedup without
 //! disturbing a single random draw: a lane with no error resolves its one
@@ -53,17 +48,10 @@
 //! [`logical_error_rate_sliced_par`] is bit-identical at any
 //! parallelism.
 
-use super::{
-    flush_decode_stats, ErrorSampler, LoneVerdicts, McContext, McEstimate, McScratch, Settled,
-};
-use crate::decoder::{DecodeStats, DecodingGraph};
-use crate::lattice::{Lattice, PackedLattice};
+use super::{flush_decode_stats, ErrorSampler, McContext, McEstimate, McScratch, Settled};
+use crate::decoder::DecodeStats;
+use crate::lattice::Lattice;
 use qisim_quantum::rng::{open01_from_mantissa53, Rng, Xorshift64Star};
-use std::sync::Arc;
-
-/// Most error positions the kernel records per lane: a lane with more
-/// errors decodes whole from bits gathered off the sliced blocks.
-pub(crate) const LANE_POSITIONS: usize = 8;
 
 /// Per-call accounting of the sliced kernel, flushed to the `qisim-obs`
 /// registry as the `surface.sliced.*` counters.
@@ -76,11 +64,11 @@ pub struct SlicedStats {
     /// Lanes with errors but an all-zero syndrome: decode skipped, only
     /// the word-wide logical parity check ran.
     pub zero_syndrome_lanes: u64,
-    /// Lanes with a nonzero syndrome whose errors are isolated: verdict
-    /// read off the lone-error table, decode skipped.
+    /// Lanes with a nonzero syndrome whose errors are all singles: no
+    /// failure, decode skipped.
     pub isolated_lanes: u64,
-    /// Lanes gathered back to the packed layout and sent through the
-    /// scalar decoder (the fallback path).
+    /// Lanes with a nonzero syndrome sent through the scalar decoder,
+    /// whole or their remainder only (the fallback path).
     pub fallback_trials: u64,
 }
 
@@ -95,9 +83,8 @@ impl SlicedStats {
 }
 
 /// Reusable buffers of the sliced kernel: the transposed error/syndrome
-/// blocks, each lane's first error positions, the scalar verdict scratch
-/// the fallback lanes decode on, and the lone-error verdicts and guards
-/// the lanes settle their single errors with. One allocation per batch
+/// blocks, the error positions of the current word's lanes, and the
+/// scalar verdict scratch the lanes settle on. One allocation per batch
 /// (or pool worker), zero per trial.
 #[derive(Debug, Clone)]
 pub struct SlicedScratch {
@@ -105,40 +92,28 @@ pub struct SlicedScratch {
     sliced_errs: Vec<u64>,
     /// Transposed syndromes: one word per Z-check.
     sliced_syn: Vec<u64>,
-    /// Each lane's first [`LANE_POSITIONS`] error positions, in
-    /// sampling (ascending) order.
-    lane_pos: [[u16; LANE_POSITIONS]; 64],
-    /// Each lane's error count, saturating: above
-    /// [`LANE_POSITIONS`] the lane decodes whole.
-    lane_len: [u8; 64],
-    /// Packed buffers and decoder arena for the fallback lanes.
+    /// The error positions of the current word, lane after lane, each
+    /// lane's in sampling (ascending) order (`u16` by the [`McContext`]
+    /// size check).
+    lane_pos: Vec<u16>,
+    /// Lane `l`'s positions are `lane_pos[lane_range[l].0 as
+    /// usize..lane_range[l].1 as usize]`.
+    lane_range: [(u32, u32); 64],
+    /// Packed buffers and decoder arena the lanes settle on.
     mc: McScratch,
-    /// Lone-error verdicts of the lattice `packed` and `graph` describe.
-    lone: Arc<LoneVerdicts>,
     stats: SlicedStats,
 }
 
 impl SlicedScratch {
-    /// Allocates scratch sized for `packed` and `graph` and decodes each
-    /// lone error once for the verdict table.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lattice has more than 2¹⁶ data qubits.
-    pub fn new(packed: &PackedLattice, graph: &DecodingGraph) -> Self {
-        Self::with_lone(packed, graph, Arc::new(LoneVerdicts::new(packed, graph)))
-    }
-
-    /// Scratch sized for `packed` and `graph`, reading `lone`, their
-    /// verdict table.
-    fn with_lone(packed: &PackedLattice, graph: &DecodingGraph, lone: Arc<LoneVerdicts>) -> Self {
+    /// Allocates scratch sized for `context`'s lattice.
+    pub fn new(context: &McContext) -> Self {
+        let packed = &context.packed;
         SlicedScratch {
             sliced_errs: vec![0; packed.sliced_words()],
             sliced_syn: vec![0; packed.sliced_syndrome_words()],
-            lane_pos: [[0; LANE_POSITIONS]; 64],
-            lane_len: [0; 64],
-            mc: McScratch::new(packed, graph),
-            lone,
+            lane_pos: Vec::new(),
+            lane_range: [(0, 0); 64],
+            mc: McScratch::new(packed, &context.graph),
             stats: SlicedStats::default(),
         }
     }
@@ -159,19 +134,19 @@ impl SlicedScratch {
 /// The bit-sliced sample-extract-check kernel: returns the number of
 /// logical failures in `trials` rounds, where global trial `first_trial
 /// + i` samples from `Xorshift64Star::stream(seed, first_trial + i)`.
-/// `scratch` must come from the same `packed` and `graph`.
+/// `scratch` must come from the same `context`'s lattice.
 ///
 /// Public so the equivalence suite can drive it directly against 64
 /// per-lane reference runs.
 pub fn run_trials_sliced(
-    packed: &PackedLattice,
-    graph: &DecodingGraph,
+    context: &McContext,
     p: f64,
     trials: usize,
     seed: u64,
     first_trial: usize,
     scratch: &mut SlicedScratch,
 ) -> usize {
+    let packed = &context.packed;
     let n = packed.data_qubits();
     let sampler = ErrorSampler::new(p);
     // One integer comparison on the raw mantissa decides "no error
@@ -189,10 +164,11 @@ pub fn run_trials_sliced(
         let active_mask = if active == 64 { !0u64 } else { (1u64 << active) - 1 };
         scratch.stats.words += 1;
         scratch.sliced_errs.fill(0);
-        scratch.lane_len = [0; 64];
+        scratch.lane_pos.clear();
+        scratch.lane_range = [(0, 0); 64];
         // Sample errors lane by lane, straight into the transposed
         // layout: lane l of word q is qubit q in trial start + l. Each
-        // lane also records its first positions for the isolation test.
+        // lane also records its positions for the settle path.
         let mut any_err_mask = 0u64;
         let base = (first_trial + start) as u64;
         if let ErrorSampler::Skip(geo) = &sampler {
@@ -212,29 +188,31 @@ pub fn run_trials_sliced(
                 let mut rng = Xorshift64Star::stream(seed, base.wrapping_add(l as u64));
                 let _ = rng.next_u64(); // pass 1 consumed this draw
                 let bit = 1u64 << l;
-                let errs = &mut scratch.sliced_errs;
-                let (pos, len) = (&mut scratch.lane_pos[l], &mut scratch.lane_len[l]);
+                let (errs, pos) = (&mut scratch.sliced_errs, &mut scratch.lane_pos);
+                let from = pos.len() as u32;
                 let u = open01_from_mantissa53(first[l]);
                 if geo.positions_from_first(n, u, empty_threshold, &mut rng, |q| {
                     errs[q] |= bit;
-                    record(pos, len, q);
+                    pos.push(q as u16);
                 }) {
                     any_err_mask |= bit;
                 }
+                scratch.lane_range[l] = (from, pos.len() as u32);
             }
         } else {
             // Degenerate p = 0 / p = 1: no draws, no gate.
             let mut lanes = Xorshift64Star::streams64(seed, base);
             for (l, rng) in lanes.iter_mut().take(active).enumerate() {
                 let bit = 1u64 << l;
-                let errs = &mut scratch.sliced_errs;
-                let (pos, len) = (&mut scratch.lane_pos[l], &mut scratch.lane_len[l]);
+                let (errs, pos) = (&mut scratch.sliced_errs, &mut scratch.lane_pos);
+                let from = pos.len() as u32;
                 if sampler.sample(n, rng, |q| {
                     errs[q] |= bit;
-                    record(pos, len, q);
+                    pos.push(q as u16);
                 }) {
                     any_err_mask |= bit;
                 }
+                scratch.lane_range[l] = (from, pos.len() as u32);
             }
         }
         scratch.stats.empty_lanes += (active_mask & !any_err_mask).count_ones() as u64;
@@ -251,49 +229,25 @@ pub fn run_trials_sliced(
         let zero_syn = any_err_mask & !any_syn_mask;
         scratch.stats.zero_syndrome_lanes += zero_syn.count_ones() as u64;
         failures += (zero_syn & logical_mask).count_ones() as usize;
-        // Fast path 3, per lane: a lane whose recorded errors are all
-        // singles takes the XOR of their lone verdicts; any other lane
-        // decodes — its remainder only when it has singles, or, past
-        // LANE_POSITIONS, whole from its error and syndrome bits
-        // gathered off the sliced blocks.
+        // Every lane with a nonzero syndrome settles from its positions:
+        // an isolated lane cannot fail, any other decodes.
         let mut syn_lanes = any_syn_mask;
         while syn_lanes != 0 {
             let lane = syn_lanes.trailing_zeros() as usize;
             syn_lanes &= syn_lanes - 1;
-            let len = usize::from(scratch.lane_len[lane]);
-            let fails = if len <= LANE_POSITIONS {
-                let positions = &scratch.lane_pos[lane][..len];
-                match scratch.mc.settle(packed, graph, &scratch.lone, positions) {
-                    Settled::Isolated(fails) => {
-                        scratch.stats.isolated_lanes += 1;
-                        failures += fails as usize;
-                        continue;
-                    }
-                    Settled::Decoded(fails) => fails,
+            let (from, to) = scratch.lane_range[lane];
+            let positions = &scratch.lane_pos[from as usize..to as usize];
+            match scratch.mc.settle(context, positions) {
+                Settled::Isolated => scratch.stats.isolated_lanes += 1,
+                Settled::Decoded(fails) => {
+                    scratch.stats.fallback_trials += 1;
+                    failures += fails as usize;
                 }
-            } else {
-                let mc = &mut scratch.mc;
-                packed.gather_lane(&scratch.sliced_errs, lane, &mut mc.errs);
-                packed.gather_syndrome_lane(&scratch.sliced_syn, lane, &mut mc.syndrome);
-                mc.verdict(packed, graph)
-            };
-            scratch.stats.fallback_trials += 1;
-            failures += fails as usize;
+            }
         }
         start += active;
     }
     failures
-}
-
-/// Appends error position `q` to a lane's record: stored while the lane
-/// has at most [`LANE_POSITIONS`] errors, counted (saturating) past
-/// that. `q < 2¹⁶` by the [`LoneVerdicts`] size check.
-#[inline]
-fn record(pos: &mut [u16; LANE_POSITIONS], len: &mut u8, q: usize) {
-    if let Some(slot) = pos.get_mut(usize::from(*len)) {
-        *slot = q as u16;
-    }
-    *len = len.saturating_add(1);
 }
 
 /// Flushes sliced-kernel counters to the `qisim-obs` registry.
@@ -360,14 +314,13 @@ impl McContext {
         assert!((0.0..=1.0).contains(&p), "physical error rate must be a probability");
         assert!(trials > 0, "need at least one trial");
         qisim_obs::span!("surface.montecarlo.sliced.par");
-        let (packed, graph) = (&self.packed, &self.graph);
         let per_chunk: Vec<(usize, SlicedStats, DecodeStats)> = qisim_par::par_map_chunked(
             trials,
             SLICED_CHUNK_TRIALS,
-            || SlicedScratch::with_lone(packed, graph, Arc::clone(&self.lone)),
+            || SlicedScratch::new(self),
             |scratch, _, start, len| {
                 let t0 = qisim_obs::enabled().then(std::time::Instant::now);
-                let failures = run_trials_sliced(packed, graph, p, len, seed, start, scratch);
+                let failures = run_trials_sliced(self, p, len, seed, start, scratch);
                 if let Some(t0) = t0 {
                     qisim_obs::observe!(
                         "surface.montecarlo.trial_batch_ns",
@@ -395,12 +348,13 @@ impl McContext {
 mod tests {
     use super::super::{logical_error_rate_rare, run_trials_reference};
     use super::*;
+    use crate::decoder::DecodingGraph;
 
     /// 64-independent-reference-runs oracle: trial `t` of the sliced
     /// kernel must behave exactly like a one-trial reference run on
     /// `stream(seed, t)`.
     fn reference_failures(lattice: &Lattice, p: f64, trials: usize, seed: u64) -> usize {
-        let graph = DecodingGraph::new(lattice, false);
+        let graph = DecodingGraph::new(lattice);
         (0..trials)
             .map(|t| {
                 let mut rng = Xorshift64Star::stream(seed, t as u64);
@@ -430,10 +384,9 @@ mod tests {
         // the chunked pool run: the lane→stream map ignores chunking.
         let l = Lattice::new(5);
         let (p, trials, seed) = (0.05, 1500usize, 17u64);
-        let graph = DecodingGraph::new(&l, false);
-        let packed = PackedLattice::new(&l);
-        let mut scratch = SlicedScratch::new(&packed, &graph);
-        let serial = run_trials_sliced(&packed, &graph, p, trials, seed, 0, &mut scratch);
+        let context = McContext::new(&l);
+        let mut scratch = SlicedScratch::new(&context);
+        let serial = run_trials_sliced(&context, p, trials, seed, 0, &mut scratch);
         for threads in [1usize, 2, 8] {
             qisim_par::set_threads(Some(threads));
             let par = logical_error_rate_sliced_par(&l, p, trials, seed);
@@ -507,11 +460,10 @@ mod tests {
     #[test]
     fn sliced_stats_partition_the_trials() {
         let l = Lattice::new(7);
-        let graph = DecodingGraph::new(&l, false);
-        let packed = PackedLattice::new(&l);
-        let mut scratch = SlicedScratch::new(&packed, &graph);
+        let context = McContext::new(&l);
+        let mut scratch = SlicedScratch::new(&context);
         let trials = 2048usize;
-        let _ = run_trials_sliced(&packed, &graph, 0.002, trials, 3, 0, &mut scratch);
+        let _ = run_trials_sliced(&context, 0.002, trials, 3, 0, &mut scratch);
         let (stats, dec) = scratch.take_stats();
         assert_eq!(stats.words, (trials as u64).div_ceil(64));
         assert_eq!(
@@ -530,7 +482,7 @@ mod tests {
             "every fallback lane is decoded, twice where a guard rejected its split: {stats:?}"
         );
         // Second batch accumulates from zero after take_stats.
-        let _ = run_trials_sliced(&packed, &graph, 0.5, 10, 3, 0, &mut scratch);
+        let _ = run_trials_sliced(&context, 0.5, 10, 3, 0, &mut scratch);
         assert_eq!(scratch.stats().words, 1);
     }
 }

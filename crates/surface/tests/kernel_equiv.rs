@@ -11,8 +11,8 @@
 
 use qisim_quantum::rng::{Rng, Xorshift64Star};
 use qisim_surface::decoder::{decode_into, decode_reference, DecoderScratch, DecodingGraph};
-use qisim_surface::montecarlo::run_trials_reference;
 use qisim_surface::montecarlo::sliced::{run_trials_sliced, SlicedScratch};
+use qisim_surface::montecarlo::{run_trials_reference, McContext};
 use qisim_surface::{Lattice, PackedLattice};
 
 /// Failures of one-trial reference runs on `stream(seed, t)` for every
@@ -36,15 +36,15 @@ fn reference_failures(
 fn sliced_and_reference_kernels_agree_across_the_acceptance_grid() {
     for d in [3usize, 5, 7] {
         let lattice = Lattice::new(d);
-        let graph = DecodingGraph::new(&lattice, false);
-        let packed = PackedLattice::new(&lattice);
+        let graph = DecodingGraph::new(&lattice);
+        let context = McContext::new(&lattice);
         // One scratch across the whole grid: state left over from an
         // earlier call would surface as a divergence.
-        let mut scratch = SlicedScratch::new(&packed, &graph);
+        let mut scratch = SlicedScratch::new(&context);
         for p in [0.001f64, 0.01, 0.1] {
             for seed in 0u64..8 {
                 let seed = seed.wrapping_mul(0x9E37_79B9) ^ p.to_bits() ^ (d as u64) << 48;
-                let fast = run_trials_sliced(&packed, &graph, p, 250, seed, 0, &mut scratch);
+                let fast = run_trials_sliced(&context, p, 250, seed, 0, &mut scratch);
                 // Trial t of the sliced kernel runs on stream(seed, t).
                 let oracle = reference_failures(&lattice, &graph, p, 250, seed);
                 assert_eq!(fast, oracle, "d={d} p={p} seed={seed:#x}");
@@ -61,12 +61,12 @@ fn sliced_and_reference_kernels_agree_at_the_production_distance() {
     // ragged 64-lane word, and the error and syndrome blocks (529
     // qubits, 264 checks) both end in a ragged 64-row block.
     let lattice = Lattice::new(23);
-    let graph = DecodingGraph::new(&lattice, false);
-    let packed = PackedLattice::new(&lattice);
-    let mut scratch = SlicedScratch::new(&packed, &graph);
+    let graph = DecodingGraph::new(&lattice);
+    let context = McContext::new(&lattice);
+    let mut scratch = SlicedScratch::new(&context);
     for (p, trials) in [(0.002f64, 2000u64), (0.05, 300)] {
         let seed = 0x23_5EED ^ p.to_bits();
-        let fast = run_trials_sliced(&packed, &graph, p, trials as usize, seed, 0, &mut scratch);
+        let fast = run_trials_sliced(&context, p, trials as usize, seed, 0, &mut scratch);
         assert_eq!(fast, reference_failures(&lattice, &graph, p, trials, seed), "p={p}");
         assert_eq!(fast > 0, p > 0.01, "p={p}: {fast} failures");
     }
@@ -79,7 +79,7 @@ fn arena_decoder_clears_every_syndrome_and_matches_the_oracle() {
     // across every call so stale state would surface as a divergence.
     for d in [3usize, 5, 7, 9, 13, 23] {
         let lattice = Lattice::new(d);
-        let graph = DecodingGraph::new(&lattice, false);
+        let graph = DecodingGraph::new(&lattice);
         let mut scratch = DecoderScratch::new(&graph);
         let mut rng = Xorshift64Star::seed_from_u64(0xACCE55 ^ d as u64);
         for _ in 0..150 {
@@ -106,7 +106,7 @@ fn arena_decoder_clears_every_syndrome_and_matches_the_oracle() {
 fn packed_syndrome_words_agree_with_graph_layout() {
     for d in [2usize, 3, 8, 9, 11, 13] {
         let lattice = Lattice::new(d);
-        let graph = DecodingGraph::new(&lattice, false);
+        let graph = DecodingGraph::new(&lattice);
         let packed = PackedLattice::new(&lattice);
         assert_eq!(graph.syndrome_words(), packed.syndrome_words(), "d={d}");
         assert_eq!(graph.check_count(), packed.z_check_count(), "d={d}");

@@ -6,11 +6,9 @@
 
 use qisim_quantum::rng::{Rng, Xorshift64Star};
 use qisim_surface::analytic::{cmos_budget, sfq_budget, CALIBRATION};
-use qisim_surface::decoder::{
-    decode, decode_into, decode_reference, DecoderScratch, DecodingGraph,
-};
-use qisim_surface::montecarlo::run_trials_reference;
+use qisim_surface::decoder::{decode_into, decode_reference, DecoderScratch, DecodingGraph};
 use qisim_surface::montecarlo::sliced::{run_trials_sliced, SlicedScratch};
+use qisim_surface::montecarlo::{run_trials_reference, McContext};
 use qisim_surface::{Lattice, PackedLattice};
 
 const CASES: usize = 64;
@@ -46,9 +44,9 @@ fn decoder_always_clears_the_syndrome() {
         for (i, e) in seed_errors.iter().enumerate() {
             errs[i % n] ^= e;
         }
-        let graph = DecodingGraph::new(&lattice, false);
-        let syndrome = lattice.z_syndrome(&errs);
-        for q in decode(&graph, &syndrome) {
+        let graph = DecodingGraph::new(&lattice);
+        let syndrome = PackedLattice::pack(&lattice.z_syndrome(&errs));
+        for &q in decode_into(&graph, &syndrome, &mut DecoderScratch::new(&graph)) {
             errs[q] ^= true;
         }
         let residual = lattice.z_syndrome(&errs);
@@ -71,7 +69,7 @@ fn arena_decoder_matches_oracle_and_clears_syndromes() {
         for (i, e) in seed_errors.iter().enumerate() {
             errs[i % n] ^= e;
         }
-        let graph = DecodingGraph::new(&lattice, false);
+        let graph = DecodingGraph::new(&lattice);
         let syndrome = lattice.z_syndrome(&errs);
         let oracle = decode_reference(&graph, &syndrome);
         let mut scratch = DecoderScratch::new(&graph);
@@ -98,10 +96,10 @@ fn sliced_kernel_failure_counts_match_reference() {
         let p = [0.001f64, 0.01, 0.1][below(&mut draws, 0, 3)];
         let seed = draws.next_u64();
         let lattice = Lattice::new(d);
-        let graph = DecodingGraph::new(&lattice, false);
-        let packed = PackedLattice::new(&lattice);
-        let mut scratch = SlicedScratch::new(&packed, &graph);
-        let fast = run_trials_sliced(&packed, &graph, p, 200, seed, 0, &mut scratch);
+        let graph = DecodingGraph::new(&lattice);
+        let context = McContext::new(&lattice);
+        let mut scratch = SlicedScratch::new(&context);
+        let fast = run_trials_sliced(&context, p, 200, seed, 0, &mut scratch);
         let oracle: usize = (0..200u64)
             .map(|t| {
                 let mut rng = Xorshift64Star::stream(seed, t);
@@ -112,10 +110,9 @@ fn sliced_kernel_failure_counts_match_reference() {
     }
 }
 
-/// The trial-transpose adapters are exact inverses: scattering 64
-/// arbitrary packed error patterns into a sliced block and gathering
-/// each lane back reproduces every pattern bit for bit, and the
-/// sliced word-wide syndrome/logical verdicts match the per-trial
+/// Scattering 64 arbitrary packed error patterns into a sliced block
+/// and reading each lane back bit by bit reproduces every pattern, and
+/// the sliced word-wide syndrome/logical verdicts match the per-trial
 /// packed ones on every lane.
 #[test]
 fn scatter_gather_roundtrips_64_packed_lattices() {
@@ -148,10 +145,14 @@ fn scatter_gather_roundtrips_64_packed_lattices() {
         let mut sliced_syn = vec![0u64; packed.sliced_syndrome_words()];
         let any_mask = packed.z_syndrome_sliced(&sliced, &mut sliced_syn);
         let logical_mask = packed.logical_x_lanes(&sliced);
-        let mut back = vec![0u64; packed.qubit_words()];
         let mut syn = vec![0u64; packed.syndrome_words()];
         for (lane, errs) in trials.iter().enumerate() {
-            packed.gather_lane(&sliced, lane, &mut back);
+            let mut back = vec![0u64; packed.qubit_words()];
+            for (q, word) in sliced.iter().enumerate() {
+                if word >> lane & 1 != 0 {
+                    PackedLattice::set_bit(&mut back, q);
+                }
+            }
             assert_eq!(&back, errs, "round-trip diverged at d={d} lane={lane}");
             let any = packed.z_syndrome_into(errs, &mut syn);
             assert_eq!(any_mask >> lane & 1 != 0, any, "d={d} lane={lane}");

@@ -14,12 +14,13 @@
 #      Monte-Carlo kernels' debug_assert! checks — every decoded verdict
 #      also peels and checks that the correction leaves no syndrome and
 #      that a free-row verdict equals the full peel's, every trial that
-#      skipped a decode (isolated, or split into singles and a decoded
-#      remainder) is re-decoded whole on a fresh arena, every rare-ladder
-#      trial lighter than ceil(d/2) errors, which skips its decode because
-#      the decoder corrects every error of weight <= (d-1)/2, is decoded
-#      and asserted not to fail, and the lane and slice sizes are
-#      checked — and the power landing search's bracket
+#      skipped a decode is re-decoded whole on a fresh arena (an isolated
+#      trial, sliced lanes of any weight included, asserted not to fail;
+#      a split one asserted to match its remainder's verdict), every
+#      rare-ladder trial lighter than ceil(d/2) errors, which skips its
+#      decode because the decoder corrects every error of weight <=
+#      (d-1)/2, is decoded and asserted not to fail, and the slice sizes
+#      are checked — and the power landing search's bracket
 #      invariants (every probe lies strictly inside the bracket, `lo`
 #      fits and `hi` does not), over the suite's 10,000 seeded landings
 #      against the bisection oracle; none of these run in the release
@@ -32,7 +33,10 @@
 #   7. the serial path: the already-built suite again at QISIM_THREADS=1,
 #      where every parallel map runs its plain loop; then the qisim-power
 #      suite at --test-threads=8, where a test that drops the memo test
-#      lock races its siblings on the process-wide cache; then the one-build
+#      lock races its siblings on the process-wide cache, and the
+#      qisim-surface suite at --test-threads=8, where tests that set the
+#      pool's thread count run beside tests that estimate, so a result
+#      that depends on the thread count shows; then the one-build
 #      guard: no workspace manifest may declare a [features] table or a
 #      default-features entry, and no source under crates/, tests/ or
 #      examples/ may test cfg(feature ...) (the serial path and the obs
@@ -104,6 +108,7 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 echo "== [7/14] serial path (QISIM_THREADS=1) + one-build guard =="
 QISIM_THREADS=1 cargo test -q --release --no-fail-fast
 cargo test -q --release -p qisim-power -- --test-threads=8
+cargo test -q --release -p qisim-surface -- --test-threads=8
 if grep -nE '^\[features\]|default-features' Cargo.toml crates/*/Cargo.toml; then
     echo "cargo features are not allowed: the workspace has one build" >&2
     exit 1
