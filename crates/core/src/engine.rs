@@ -65,9 +65,10 @@ use qisim_surface::target::{Target, CODE_DISTANCE};
 use qisim_surface::Lattice;
 use std::sync::OnceLock;
 
-/// Trial count of the [`Estimator::Sliced`] logical-error stage: 512
-/// whole 64-trial lane words, enough that the empirical rate resolves
-/// error-limited designs while keeping a service request interactive.
+/// Trial count of the [`Estimator::Sliced`] logical-error stage: 128
+/// whole 256-trial parallel chunks, enough that the empirical rate
+/// resolves error-limited designs while keeping a service request
+/// interactive.
 const SLICED_ESTIMATOR_TRIALS: usize = 32_768;
 /// Per-stage trial count of the [`Estimator::Rare`] splitting ladder.
 const RARE_ESTIMATOR_TRIALS: usize = 2_000;

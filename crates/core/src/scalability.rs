@@ -282,7 +282,6 @@ impl Scalability {
         // after a sliced or rare-event estimation ran, mirroring the
         // conditional cache block above.
         if let Some(trials) = snap.counter("surface.sliced.trials") {
-            let words = snap.counter("surface.sliced.words").unwrap_or(0);
             let fallback = snap.counter("surface.sliced.fallback_trials").unwrap_or(0);
             let isolated = snap.counter("surface.montecarlo.fastpath.isolated").unwrap_or(0);
             let singles = snap.counter("surface.montecarlo.singles_settled").unwrap_or(0);
@@ -291,10 +290,10 @@ impl Scalability {
                 let share = |n: u64| 100.0 * n as f64 / trials as f64;
                 let _ = writeln!(
                     out,
-                    "  sliced MC engine: {trials} trials across {words} lattice words, \
-                     {fallback} decoder fallbacks ({:.1}% resolved word-wide, {:.1}% by \
-                     lone-error verdicts, process-wide); decoded trials of both estimators \
-                     settled {singles} single errors from lone verdicts, with \
+                    "  sliced MC engine: {trials} trials, {fallback} decoder fallbacks \
+                     ({:.1}% settled without a decode, {:.1}% isolated trials that cannot \
+                     fail, process-wide); decoded trials of both estimators split \
+                     {singles} single errors off a decoded remainder, with \
                      {split_fallbacks} split fallbacks",
                     share(trials.saturating_sub(fallback).saturating_sub(isolated)),
                     share(isolated),
@@ -470,9 +469,9 @@ mod tests {
         let rare = try_analyze_topology(&d, &t, &standard, Estimator::Rare).unwrap();
         let text = rare.explain();
         assert!(text.contains("sliced MC engine"), "{text}");
-        assert!(text.contains("resolved word-wide"), "{text}");
-        assert!(text.contains("by lone-error verdicts"), "{text}");
-        assert!(text.contains("single errors from lone verdicts"), "{text}");
+        assert!(text.contains("settled without a decode"), "{text}");
+        assert!(text.contains("isolated trials that cannot fail"), "{text}");
+        assert!(text.contains("single errors off a decoded remainder"), "{text}");
         assert!(text.contains("split fallbacks"), "{text}");
         assert!(text.contains("rare-event sampler"), "{text}");
         assert!(text.contains("ladder stages carrying weight"), "{text}");

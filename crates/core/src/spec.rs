@@ -155,9 +155,11 @@ pub enum Estimator {
     /// sampling, and no packed Monte-Carlo estimator exists. The wire
     /// label stays `packed`.
     Packed,
-    /// The bit-sliced Monte-Carlo engine
+    /// The naive Monte-Carlo estimator
     /// (`qisim_surface::montecarlo::sliced`): an empirical estimate from
-    /// a fixed-seed trial batch, 64 trials per machine word.
+    /// a fixed-seed trial batch, each trial on its own random stream.
+    /// The name and the `sliced` wire label are kept from the bit-sliced
+    /// kernel it once ran.
     Sliced,
     /// The multilevel-splitting rare-event sampler
     /// (`qisim_surface::montecarlo::rare`): importance-sampled trials

@@ -27,9 +27,11 @@
 //! A thread count of 1 — `set_threads(Some(1))` or `QISIM_THREADS=1` —
 //! runs the plain serial loop `(0..n).map(f)`, spawns no threads, and
 //! produces bit-identical results. Callers are expected to make their
-//! *work* thread-count independent (e.g. fixed chunking with per-chunk
-//! RNG streams), at which point the serial and parallel runs agree
-//! exactly.
+//! *work* thread-count independent, at which point the serial and
+//! parallel runs agree exactly. The Monte-Carlo estimators do it with a
+//! fixed chunk grid: [`par_map_indices_with`] over `n.div_ceil(chunk)`
+//! chunk indices, where chunk `i` covers `i·chunk..min((i+1)·chunk, n)`
+//! and derives its RNG streams from its trial indices alone.
 //!
 //! # Examples
 //!
@@ -118,44 +120,6 @@ pub const fn is_parallel_build() -> bool {
 /// Propagates the first worker panic (after all workers have stopped).
 pub fn par_map<T: Sync, U: Send, F: Fn(&T) -> U + Sync>(items: &[T], f: F) -> Vec<U> {
     par_map_indices(items.len(), |i| f(&items[i]))
-}
-
-/// [`par_map_indices_with`] over fixed-size chunks of the range `0..n`:
-/// task `i` receives its worker's state and `(i, start, len)` where
-/// `start = i·chunk` and `len` is `chunk` except for the final remainder
-/// chunk. The chunk grid depends only on `(n, chunk)` — never on the
-/// thread count — so callers that derive per-chunk work (an RNG stream)
-/// from the chunk index, and keep per-worker state (a scratch arena) that
-/// no result depends on, get bit-identical aggregates at any parallelism.
-///
-/// The bit-sliced Monte-Carlo engine drives this with `chunk` a multiple
-/// of 64, so every parallel work unit is a whole number of 64-trial
-/// lane words.
-///
-/// # Panics
-///
-/// Panics if `chunk == 0`.
-///
-/// # Examples
-///
-/// ```
-/// use qisim_par::par_map_chunked;
-///
-/// let spans = par_map_chunked(10, 4, || (), |_, i, start, len| (i, start, len));
-/// assert_eq!(spans, vec![(0, 0, 4), (1, 4, 4), (2, 8, 2)]);
-/// assert_eq!(par_map_chunked(0, 4, || (), |_, i, _, _| i), Vec::<usize>::new());
-/// ```
-pub fn par_map_chunked<S, U, I, F>(n: usize, chunk: usize, init: I, f: F) -> Vec<U>
-where
-    U: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, usize, usize) -> U + Sync,
-{
-    assert!(chunk > 0, "chunk size must be positive");
-    par_map_indices_with(n.div_ceil(chunk), init, |state, i| {
-        let start = i * chunk;
-        f(state, i, start, chunk.min(n - start))
-    })
 }
 
 /// [`par_map`] over the index range `0..n`: the chunked-Monte-Carlo /
@@ -331,32 +295,6 @@ mod tests {
             assert_eq!(row.0, i);
         }
         set_threads(None);
-    }
-
-    #[test]
-    fn chunked_grid_covers_the_range_exactly_once() {
-        let _l = lock();
-        for (n, chunk) in [(0usize, 64usize), (63, 64), (64, 64), (65, 64), (257, 64), (256, 256)] {
-            for threads in [1usize, 3] {
-                set_threads(Some(threads));
-                let spans = par_map_chunked(n, chunk, || (), |_, i, start, len| (i, start, len));
-                let mut covered = 0usize;
-                for (i, &(idx, start, len)) in spans.iter().enumerate() {
-                    assert_eq!(idx, i);
-                    assert_eq!(start, i * chunk);
-                    assert!(len >= 1 && len <= chunk);
-                    covered += len;
-                }
-                assert_eq!(covered, n, "n={n} chunk={chunk} threads={threads}");
-            }
-        }
-        set_threads(None);
-    }
-
-    #[test]
-    #[should_panic(expected = "chunk size")]
-    fn zero_chunk_is_rejected() {
-        let _ = par_map_chunked(8, 0, || (), |_, i, _, _| i);
     }
 
     #[test]

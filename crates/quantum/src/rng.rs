@@ -159,9 +159,10 @@ impl Xorshift64Star {
     /// decorrelated as distinct seeds.
     ///
     /// This is the reproducibility primitive of the parallel Monte-Carlo
-    /// engine: work is cut into fixed chunks, chunk `i` always samples
-    /// from `stream(seed, i)`, and the aggregate is therefore identical
-    /// whether 1 or 64 threads ran the chunks.
+    /// estimators: trial `t` of the sliced estimator always samples from
+    /// `stream(seed, t)` (stage `j` of the rare ladder from `stream(seed,
+    /// j)`), and the aggregate is therefore identical whether 1 or 64
+    /// threads ran the work.
     ///
     /// # Examples
     ///
@@ -178,25 +179,6 @@ impl Xorshift64Star {
     /// ```
     pub fn stream(seed: u64, stream: u64) -> Self {
         Self::seed_from_u64(seed.wrapping_add(stream.wrapping_mul(GOLDEN_GAMMA)))
-    }
-
-    /// 64 consecutive [`Self::stream`]s starting at `first_stream`: one
-    /// generator per *lane* of a bit-sliced 64-trial word. Lane `i` is
-    /// exactly `stream(seed, first_stream + i)`, so a bit-sliced kernel
-    /// and 64 independent scalar runs fed these streams consume the same
-    /// randomness draw for draw — the reference-equivalence contract of
-    /// the sliced Monte-Carlo engine.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use qisim_quantum::rng::Xorshift64Star;
-    ///
-    /// let lanes = Xorshift64Star::streams64(42, 128);
-    /// assert_eq!(lanes[3], Xorshift64Star::stream(42, 131));
-    /// ```
-    pub fn streams64(seed: u64, first_stream: u64) -> [Self; 64] {
-        std::array::from_fn(|i| Self::stream(seed, first_stream.wrapping_add(i as u64)))
     }
 }
 
@@ -293,9 +275,9 @@ impl Geometric {
     /// One [`Self::sample`] draw per success plus one terminating draw —
     /// never one per trial — and the saturating position arithmetic means
     /// the walk can neither overflow nor spin, even at subnormal `p`
-    /// where every gap is `u64::MAX`. Both the scalar and the bit-sliced
-    /// Monte-Carlo kernels place errors through this one loop, so their
-    /// RNG draw sequences agree by construction.
+    /// where every gap is `u64::MAX`. Every Monte-Carlo sampler and the
+    /// reference oracle place errors through this one loop, so their RNG
+    /// draw sequences agree by construction.
     #[inline]
     pub fn positions<R: Rng, F: FnMut(usize)>(&self, n: usize, rng: &mut R, mut place: F) -> bool {
         let mut pos = self.sample(rng);
@@ -344,8 +326,8 @@ impl Geometric {
     ///
     /// Draw-for-draw identical to `positions` from here on — it consumes
     /// the same uniforms from `rng` and feeds `place` the same positions
-    /// — which is what lets the bit-sliced Monte-Carlo kernel use it
-    /// while staying bit-equal to the scalar reference. `first_u` must be
+    /// — which is what lets the sliced Monte-Carlo estimator use it
+    /// while staying bit-equal to the reference oracle. `first_u` must be
     /// the exact `gen_open01` value of the consumed draw — see
     /// [`open01_from_mantissa53`] — and `empty_threshold` must come from
     /// [`Self::empty_run_threshold`] for the same `n`.
@@ -508,7 +490,7 @@ mod tests {
                     let mut placed_slow = Vec::new();
                     let mut placed_gated = Vec::new();
                     let any_slow = geo.positions(n, &mut slow, |q| placed_slow.push(q));
-                    // The raw-mantissa route the bit-sliced kernel takes.
+                    // The raw-mantissa route the sliced estimator takes.
                     let m = gated.gen_mantissa53();
                     let any_gated = m < gate
                         && geo.positions_from_first(
@@ -636,17 +618,6 @@ mod tests {
         for p in [1e-10, 1e-3, 0.01, 0.1, 0.5, 0.999] {
             assert_eq!(Geometric::new(p), Geometric { inv_ln_q: 1.0 / (1.0 - p).ln() }, "p={p}");
         }
-    }
-
-    #[test]
-    fn streams64_matches_individual_streams() {
-        let lanes = Xorshift64Star::streams64(99, 1000);
-        for (i, lane) in lanes.iter().enumerate() {
-            assert_eq!(*lane, Xorshift64Star::stream(99, 1000 + i as u64), "lane {i}");
-        }
-        // Wrap-around of the stream index is defined (wrapping add).
-        let tail = Xorshift64Star::streams64(99, u64::MAX);
-        assert_eq!(tail[1], Xorshift64Star::stream(99, 0));
     }
 
     #[test]

@@ -116,13 +116,15 @@ impl Lattice {
     }
 }
 
-/// Bit-packed view of a [`Lattice`] for the Monte-Carlo hot loop: data
-/// qubits live in `u64` bitset words, and each Z-check carries a
-/// precomputed support mask so syndrome extraction is word-wise
-/// AND/XOR/popcount instead of per-qubit indexing.
+/// Bit-packed view of a [`Lattice`] for the Monte-Carlo hot loop: one
+/// trial's data qubits live in `u64` bitset words. Each data qubit lists
+/// the Z checks it touches, so a sampler builds a trial's syndrome at
+/// ≤ 2 bit flips per error; each Z check also carries a support mask for
+/// the word-wise full extraction, the residual-syndrome check and the
+/// test oracle.
 ///
 /// The packing covers the Z-check family (which detects the X errors the
-/// Monte-Carlo estimator samples) plus the logical-`Z̄` membrane used for
+/// Monte-Carlo estimators sample) plus the logical-`Z̄` membrane used for
 /// the failure check; it is built once per lattice and shared read-only
 /// across trials and threads.
 ///
@@ -155,12 +157,6 @@ pub struct PackedLattice {
     /// Flattened per-check support masks: check `i` owns
     /// `z_support[i·qubit_words .. (i+1)·qubit_words]`.
     z_support: Vec<u64>,
-    /// CSR twin of `z_support` for the bit-sliced kernel: check `i`'s
-    /// support qubit *indices* are `z_support_idx[z_support_off[i] ..
-    /// z_support_off[i+1]]` (2 or 4 entries per check).
-    z_support_idx: Vec<usize>,
-    /// Per-check offsets into `z_support_idx` (`n_z_checks + 1` entries).
-    z_support_off: Vec<usize>,
     /// The inverse table: data qubit `q`'s Z checks (0, 1 or 2 of them —
     /// a `d = 2` corner qubit touches none) are `qubit_z_checks[
     /// qubit_z_checks_off[q] .. qubit_z_checks_off[q+1]]`, ascending.
@@ -169,8 +165,6 @@ pub struct PackedLattice {
     qubit_z_checks_off: Vec<usize>,
     /// Logical-`Z̄` support mask (the top row).
     logical_z_mask: Vec<u64>,
-    /// Logical-`Z̄` support qubit indices (the top row, ascending).
-    logical_z_idx: Vec<usize>,
     /// `grid[q] = [q / d, q % d]`: the row and column of each data
     /// qubit, so the Monte-Carlo hot paths read them instead of dividing.
     grid: Vec<[u16; 2]>,
@@ -184,28 +178,21 @@ impl PackedLattice {
         let n_z_checks = lattice.z_checks.len();
         let syndrome_words = n_z_checks.div_ceil(64).max(1);
         let mut z_support = vec![0u64; n_z_checks * qubit_words];
-        let mut z_support_idx = Vec::new();
-        let mut z_support_off = Vec::with_capacity(n_z_checks + 1);
-        z_support_off.push(0);
+        // The inverse table by counting sort; checks are visited in
+        // ascending order, so each qubit's list comes out ascending.
+        let mut qubit_z_checks_off = vec![0usize; n_qubits + 1];
         for (i, chk) in lattice.z_checks.iter().enumerate() {
             let mask = &mut z_support[i * qubit_words..(i + 1) * qubit_words];
             for &q in &chk.support {
                 Self::set_bit(mask, q);
-                z_support_idx.push(q);
+                qubit_z_checks_off[q + 1] += 1;
             }
-            z_support_off.push(z_support_idx.len());
-        }
-        // The inverse table by counting sort; checks are visited in
-        // ascending order, so each qubit's list comes out ascending.
-        let mut qubit_z_checks_off = vec![0usize; n_qubits + 1];
-        for &q in &z_support_idx {
-            qubit_z_checks_off[q + 1] += 1;
         }
         for q in 0..n_qubits {
             qubit_z_checks_off[q + 1] += qubit_z_checks_off[q];
         }
         let mut cursor = qubit_z_checks_off.clone();
-        let mut qubit_z_checks = vec![0usize; z_support_idx.len()];
+        let mut qubit_z_checks = vec![0usize; qubit_z_checks_off[n_qubits]];
         for (i, chk) in lattice.z_checks.iter().enumerate() {
             for &q in &chk.support {
                 qubit_z_checks[cursor[q]] = i;
@@ -213,8 +200,7 @@ impl PackedLattice {
             }
         }
         let mut logical_z_mask = vec![0u64; qubit_words];
-        let logical_z_idx = lattice.logical_z();
-        for &q in &logical_z_idx {
+        for q in lattice.logical_z() {
             Self::set_bit(&mut logical_z_mask, q);
         }
         PackedLattice {
@@ -224,12 +210,9 @@ impl PackedLattice {
             n_z_checks,
             syndrome_words,
             z_support,
-            z_support_idx,
-            z_support_off,
             qubit_z_checks,
             qubit_z_checks_off,
             logical_z_mask,
-            logical_z_idx,
             grid: (0..n_qubits).map(|q| [(q / lattice.d) as u16, (q % lattice.d) as u16]).collect(),
         }
     }
@@ -359,90 +342,6 @@ impl PackedLattice {
         }
         acc.count_ones() & 1 == 1
     }
-
-    // --- Bit-sliced (trial-transposed) layout -------------------------
-    //
-    // The packed layout above stores one *trial* per bitset: bit `q` of a
-    // trial's words is data qubit `q`. The **sliced** layout transposes
-    // that: one `u64` word per data qubit, where bit `l` of word `q` is
-    // qubit `q`'s error flag in *lane* (trial) `l` of a 64-trial block.
-    // A weight-k Z-check syndrome is then k word-XORs for 64 trials at
-    // once, and the zero-syndrome early exit becomes a single OR-fold.
-
-    /// Words in one bit-sliced 64-trial error block (`d²`: one word per
-    /// data qubit).
-    pub fn sliced_words(&self) -> usize {
-        self.n_qubits
-    }
-
-    /// Words in one bit-sliced 64-trial syndrome block (one word per
-    /// Z-check).
-    pub fn sliced_syndrome_words(&self) -> usize {
-        self.n_z_checks
-    }
-
-    /// Scatters one packed per-trial error bitset into lane `lane` of a
-    /// sliced block: bit `q` of `packed` becomes bit `lane` of
-    /// `sliced[q]`. Lanes are OR-merged, so the caller zeroes the block
-    /// once and scatters up to 64 trials into it (the tests build their
-    /// blocks this way; the kernel samples straight into the layout).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane ≥ 64`; debug-asserts the slice sizes.
-    #[inline]
-    pub fn scatter_lane(&self, packed: &[u64], lane: usize, sliced: &mut [u64]) {
-        assert!(lane < 64, "a sliced block holds 64 lanes, got lane {lane}");
-        debug_assert_eq!(packed.len(), self.qubit_words);
-        debug_assert_eq!(sliced.len(), self.n_qubits);
-        for (q, word) in sliced.iter_mut().enumerate() {
-            *word |= (packed[q >> 6] >> (q & 63) & 1) << lane;
-        }
-    }
-
-    /// Word-wise Z-syndromes of a sliced 64-trial error block: check
-    /// `i`'s syndrome word is the XOR of its support qubits' words (2 or
-    /// 4 XORs for 64 trials at once), written to `sliced_syndrome[i]`.
-    /// Returns the OR-fold of all syndrome words — bit `l` is set iff
-    /// lane `l` tripped at least one check (the per-lane zero-syndrome
-    /// early-exit mask).
-    ///
-    /// # Panics
-    ///
-    /// Debug-asserts the slice sizes.
-    #[inline]
-    pub fn z_syndrome_sliced(&self, sliced_errs: &[u64], sliced_syndrome: &mut [u64]) -> u64 {
-        debug_assert_eq!(sliced_errs.len(), self.n_qubits);
-        debug_assert_eq!(sliced_syndrome.len(), self.n_z_checks);
-        let mut any = 0u64;
-        for (i, out) in sliced_syndrome.iter_mut().enumerate() {
-            let mut acc = 0u64;
-            for &q in &self.z_support_idx[self.z_support_off[i]..self.z_support_off[i + 1]] {
-                acc ^= sliced_errs[q];
-            }
-            *out = acc;
-            any |= acc;
-        }
-        any
-    }
-
-    /// Per-lane logical-`X̄` verdicts of a sliced 64-trial error block:
-    /// bit `l` of the result is set iff lane `l`'s pattern has odd
-    /// overlap with the logical-`Z̄` membrane — `d` word-XORs for 64
-    /// failure checks at once.
-    ///
-    /// # Panics
-    ///
-    /// Debug-asserts the slice size.
-    #[inline]
-    pub fn logical_x_lanes(&self, sliced_errs: &[u64]) -> u64 {
-        debug_assert_eq!(sliced_errs.len(), self.n_qubits);
-        let mut acc = 0u64;
-        for &q in &self.logical_z_idx {
-            acc ^= sliced_errs[q];
-        }
-        acc
-    }
 }
 
 #[cfg(test)]
@@ -538,110 +437,6 @@ mod tests {
         PackedLattice::flip_bit(&mut w, 70);
         assert!(!PackedLattice::get_bit(&w, 70));
         assert_eq!(PackedLattice::pack(&[false, true, false]), vec![0b10]);
-    }
-
-    /// Deterministic packed error patterns for the scatter/gather tests.
-    fn pseudo_random_trials(packed: &PackedLattice, count: usize, mut state: u64) -> Vec<Vec<u64>> {
-        (0..count)
-            .map(|_| {
-                let mut errs = vec![0u64; packed.qubit_words()];
-                for q in 0..packed.data_qubits() {
-                    state =
-                        state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                    if state >> 61 == 0 {
-                        PackedLattice::set_bit(&mut errs, q);
-                    }
-                }
-                errs
-            })
-            .collect()
-    }
-
-    /// Lane `lane` of a sliced block, read back bit by bit into the
-    /// packed per-trial layout of `words` words.
-    fn lane_of(sliced: &[u64], lane: usize, words: usize) -> Vec<u64> {
-        let mut packed = vec![0u64; words];
-        for (i, word) in sliced.iter().enumerate() {
-            if word >> lane & 1 != 0 {
-                PackedLattice::set_bit(&mut packed, i);
-            }
-        }
-        packed
-    }
-
-    #[test]
-    fn scatter_then_gather_roundtrips_64_trials() {
-        for d in [3usize, 5, 9] {
-            let packed = PackedLattice::new(&Lattice::new(d));
-            let trials = pseudo_random_trials(&packed, 64, 0xABCD ^ d as u64);
-            let mut sliced = vec![0u64; packed.sliced_words()];
-            for (lane, errs) in trials.iter().enumerate() {
-                packed.scatter_lane(errs, lane, &mut sliced);
-            }
-            for (lane, errs) in trials.iter().enumerate() {
-                assert_eq!(
-                    &lane_of(&sliced, lane, packed.qubit_words()),
-                    errs,
-                    "d={d} lane={lane}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn sliced_syndrome_matches_packed_per_lane() {
-        for d in [3usize, 5, 7, 9] {
-            let l = Lattice::new(d);
-            let packed = PackedLattice::new(&l);
-            let trials = pseudo_random_trials(&packed, 64, 0x5EED ^ d as u64);
-            let mut sliced = vec![0u64; packed.sliced_words()];
-            for (lane, errs) in trials.iter().enumerate() {
-                packed.scatter_lane(errs, lane, &mut sliced);
-            }
-            let mut sliced_syn = vec![0u64; packed.sliced_syndrome_words()];
-            let any_mask = packed.z_syndrome_sliced(&sliced, &mut sliced_syn);
-            let logical_mask = packed.logical_x_lanes(&sliced);
-            let mut syn = vec![0u64; packed.syndrome_words()];
-            for (lane, errs) in trials.iter().enumerate() {
-                let any = packed.z_syndrome_into(errs, &mut syn);
-                assert_eq!(any_mask >> lane & 1 != 0, any, "d={d} lane={lane}");
-                let gathered = lane_of(&sliced_syn, lane, packed.syndrome_words());
-                assert_eq!(gathered, syn, "d={d} lane={lane}");
-                assert_eq!(
-                    logical_mask >> lane & 1 != 0,
-                    packed.is_logical_x(errs),
-                    "d={d} lane={lane}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn unused_lanes_stay_silent() {
-        // A partially filled block (the trials-remainder case): lanes
-        // never scattered into must report no errors, no syndrome, and
-        // no logical flip.
-        let packed = PackedLattice::new(&Lattice::new(5));
-        let trials = pseudo_random_trials(&packed, 3, 0x77);
-        let mut sliced = vec![0u64; packed.sliced_words()];
-        for (lane, errs) in trials.iter().enumerate() {
-            packed.scatter_lane(errs, lane, &mut sliced);
-        }
-        let mut sliced_syn = vec![0u64; packed.sliced_syndrome_words()];
-        let any_mask = packed.z_syndrome_sliced(&sliced, &mut sliced_syn);
-        let high_lanes = !0u64 << 3;
-        assert_eq!(any_mask & high_lanes, 0);
-        assert_eq!(packed.logical_x_lanes(&sliced) & high_lanes, 0);
-        assert!(sliced.iter().all(|&w| w & high_lanes == 0));
-    }
-
-    #[test]
-    #[should_panic(expected = "64 lanes")]
-    fn scatter_rejects_out_of_range_lane() {
-        let packed = PackedLattice::new(&Lattice::new(3));
-        let errs = vec![0u64; packed.qubit_words()];
-        let mut sliced = vec![0u64; packed.sliced_words()];
-        packed.scatter_lane(&errs, 64, &mut sliced);
     }
 
     #[test]

@@ -7,18 +7,18 @@
 //!
 //! Two estimators, one per regime:
 //!
-//! * [`logical_error_rate_sliced_par`] — the naive sampler: the
-//!   bit-sliced kernel ([`sliced`]) runs 64 trials per `u64` word op on
-//!   the [`qisim_par`] pool, with geometric-skip error placement and a
-//!   word-wide zero-syndrome early exit;
+//! * [`logical_error_rate_sliced_par`] — the naive sampler ([`sliced`]):
+//!   trial after trial on the [`qisim_par`] pool, each on its own random
+//!   stream, with geometric-skip error placement and a one-comparison
+//!   screen that retires the error-free trials;
 //! * [`logical_error_rate_rare`] — multilevel importance sampling
 //!   ([`rare`]) for deep-tail rates no naive sampler can reach, checked
 //!   against the exact [`rare::small_p_expansion`]. Its trials with
 //!   fewer than `⌈d/2⌉` errors cannot fail (the decoder corrects every
 //!   error of weight ≤ `(d − 1)/2`, see [`crate::decoder`]) and take no
-//!   decode. The sliced kernel keeps settling such lanes below: at the
-//!   served rates nearly every lane is that light, so the rule would
-//!   take its decoded-lane share (`surface.sliced.fallback_ratio`, which
+//!   decode. The sliced estimator keeps settling such trials below: at
+//!   the served rates nearly every trial is that light, so the rule would
+//!   take its decoded-trial share (`surface.sliced.fallback_ratio`, which
 //!   the repository benchmark's `--check` requires to be nonzero) to 0.
 //!
 //! Both run on an [`McContext`]: the decoding graph, the packed lattice
@@ -244,8 +244,10 @@ impl ErrorSampler {
 
     /// Feeds every error position (ascending) to `place`; returns whether
     /// anything was placed. Every sampler — sliced, rare and the
-    /// reference oracle — calls this, so their RNG draw sequences are
-    /// identical by construction.
+    /// reference oracle — places errors through this walk (the sliced
+    /// estimator enters it past its fast-empty gate, through
+    /// [`Geometric::positions_from_first`]), so their RNG draw sequences
+    /// are identical by construction.
     #[inline]
     fn sample<R: Rng, F: FnMut(usize)>(&self, n: usize, rng: &mut R, mut place: F) -> bool {
         match self {
@@ -297,13 +299,15 @@ impl McScratch {
     /// their Z syndrome alongside — each qubit flips its ≤ 2 checks
     /// ([`PackedLattice::flip_z_checks_of`]), which equals
     /// [`PackedLattice::z_syndrome_into`] of the finished pattern.
-    fn place(&mut self, packed: &PackedLattice, positions: &[u16]) {
+    /// Returns whether the syndrome is nonzero.
+    fn place(&mut self, packed: &PackedLattice, positions: &[u16]) -> bool {
         self.errs.fill(0);
         self.syndrome.fill(0);
         for &q in positions {
             PackedLattice::set_bit(&mut self.errs, usize::from(q));
             packed.flip_z_checks_of(usize::from(q), &mut self.syndrome);
         }
+        self.syndrome.iter().any(|&w| w != 0)
     }
 
     /// The failure verdict of the trial with X errors at `positions`
@@ -602,7 +606,7 @@ mod tests {
         }
     }
 
-    /// Whether the flagged errors make an isolated lane of the sliced
+    /// Whether the flagged errors make an isolated trial of the sliced
     /// kernel: every pair at Chebyshev distance ≥ [`ISOLATION_DISTANCE`]
     /// on the `d × d` grid, however many there are.
     fn is_isolated(d: usize, errs: &[bool]) -> bool {
@@ -620,8 +624,9 @@ mod tests {
         // Classify each trial with the bool-vec oracle on its own stream:
         // the kernel's three fast-path counters and its decoded count
         // must match class by class. At d = 23 and p = 0.01 some isolated
-        // lanes carry more than 8 errors, and they settle like any other.
-        for (d, p, trials) in [(7usize, 0.002, 2000usize), (23, 0.01, 20_000)] {
+        // trials carry more than 8 errors, and they settle like any other.
+        // At d = 3 and p = 0.3 some trials' errors leave a zero syndrome.
+        for (d, p, trials) in [(7usize, 0.002, 2000usize), (23, 0.01, 20_000), (3, 0.3, 4000)] {
             let l = Lattice::new(d);
             let context = McContext::new(&l);
             let mut scratch = SlicedScratch::new(&context);
@@ -651,9 +656,9 @@ mod tests {
             assert_eq!(empty + zero_syndrome + isolated + decoded, trials as u64);
             assert_eq!(
                 (
-                    stats.empty_lanes,
-                    stats.zero_syndrome_lanes,
-                    stats.isolated_lanes,
+                    stats.empty_trials,
+                    stats.zero_syndrome_trials,
+                    stats.isolated_trials,
                     stats.fallback_trials
                 ),
                 (empty, zero_syndrome, isolated, decoded),
@@ -665,21 +670,25 @@ mod tests {
                 "decoder ran exactly on the slow-path trials, twice where a guard rejected a \
                  split: {case}"
             );
-            if d == 7 {
-                assert!(empty > decoded, "p=0.002 is dominated by empty trials: {case}");
-                assert!(
-                    isolated > decoded && decoded > 0,
-                    "most error trials are isolated: {case}"
-                );
-            } else {
-                assert!(heavy_isolated > 0, "no isolated trial has more than 8 errors: {case}");
+            match d {
+                7 => {
+                    assert!(empty > decoded, "p=0.002 is dominated by empty trials: {case}");
+                    assert!(
+                        isolated > decoded && decoded > 0,
+                        "most error trials are isolated: {case}"
+                    );
+                }
+                23 => {
+                    assert!(heavy_isolated > 0, "no isolated trial has more than 8 errors: {case}")
+                }
+                _ => assert!(zero_syndrome > 0, "no trial has a zero syndrome: {case}"),
             }
             // A second batch accumulates from zero after take_stats.
             let _ = run_trials_sliced(&context, 0.5, 10, seed, 0, &mut scratch);
             let second = scratch.stats();
-            let classified = second.empty_lanes
-                + second.zero_syndrome_lanes
-                + second.isolated_lanes
+            let classified = second.empty_trials
+                + second.zero_syndrome_trials
+                + second.isolated_trials
                 + second.fallback_trials;
             assert_eq!(classified, 10, "d={d}: {second:?}");
         }

@@ -3,7 +3,7 @@
 //!
 //! Naive Monte-Carlo needs `≥ 1/p_L` trials to see one failure; at the
 //! paper's operating points (`p_L ≈ 5·10⁻¹⁴`, BENCH_obs.json) that is
-//! `10¹³+` trials — unreachable even for the bit-sliced kernel. This
+//! `10¹³+` trials — unreachable even for the sliced estimator. This
 //! module gets real statistics there by **biasing the physical error
 //! rate upward in stages** and reweighting each observed failure by its
 //! exact likelihood ratio:
@@ -496,12 +496,12 @@ mod tests {
                     let positions = samples.trial(t);
                     assert!(positions.windows(2).all(|w| w[0] < w[1]), "d={d} q={q} trial={t}");
                     assert!(positions.iter().all(|&q| usize::from(q) < l.data_qubits()));
-                    scratch.place(&packed, positions);
+                    let nonzero = scratch.place(&packed, positions);
                     let weight: u32 = scratch.errs.iter().map(|w| w.count_ones()).sum();
                     assert_eq!(positions.len(), weight as usize, "d={d} q={q} trial={t}");
                     let any = packed.z_syndrome_into(&scratch.errs, &mut full);
                     assert_eq!(scratch.syndrome, full, "d={d} q={q} trial={t}");
-                    assert_eq!(scratch.syndrome.iter().any(|&w| w != 0), any);
+                    assert_eq!(nonzero, any, "d={d} q={q} trial={t}");
                 }
             }
         }

@@ -1,52 +1,43 @@
-//! Bit-sliced SIMD-within-a-register Monte-Carlo kernel: 64 trials per
-//! `u64` word operation.
+//! The naive Monte-Carlo estimator: trial after trial, each on its own
+//! random stream.
 //!
-//! A per-trial [`PackedLattice`](crate::lattice::PackedLattice) bitset puts data qubit `q` at bit `q`
-//! of a per-trial word array. This kernel transposes that layout: a
-//! **64-trial block** stores one word
-//! per data qubit, and bit `l` of word `q` is qubit `q`'s error flag in
-//! *lane* `l`. Error placement, Z-syndrome extraction (2–4 word XORs per
-//! check), the zero-syndrome early exit (one OR-fold), and the
-//! logical-membrane parity check all run for 64 independent trials per
-//! word op. Only lanes whose syndrome is nonzero leave the word-wide
-//! path.
+//! The name "sliced" is kept from the bit-sliced kernel that once ran
+//! 64 trials per `u64` word here: the repository benchmark and the wire
+//! protocol pin [`logical_error_rate_sliced_par`], the `sliced` label of
+//! the engine's estimator and the `surface.sliced.*` counters. Renaming
+//! them waits for a change to the benchmark itself (ROADMAP item 14).
 //!
-//! **Every nonzero-syndrome lane settles from its positions.** The pass
-//! that places a lane's errors also appends their positions to one flat
-//! list per 64-lane word, and the lane keeps its range of that list.
-//! Each lane whose syndrome is nonzero then settles through the verdict
-//! function both estimators share (`McScratch::settle`, see [`super`]):
-//! a lane whose errors are all singles is *isolated* and cannot fail,
-//! and any other lane decodes — only its remainder when it has singles.
-//! At `d = 23` and `p ≈ 1.3–2.8·10⁻³` most nonzero-syndrome lanes carry
-//! one or two far-apart errors, so only ~4 % of the lanes decode, and
-//! 1,146 singles settle inside the 1,286 decoded lanes of a served
-//! request at `p = 1.99·10⁻³`. Most decodes skip the spanning-tree peel,
-//! because some row of the data grid stays outside every cluster. 32,768
-//! trials on a kept [`McContext`], one [`SlicedScratch`] per pool
-//! worker, take a median 2.2–2.5 ms at 2 threads on a shared 2-core x86
-//! host (runs of 150 estimates at `p ∈ {1.3, 1.99, 2.8}·10⁻³`; 2.4–3.5
-//! ms before the remainder-only decodes, the compact decoder arena and
-//! the per-worker scratch).
-//!
-//! **Fast-empty sampling** carries the rest of the speedup without
-//! disturbing a single random draw: a lane with no error resolves its one
-//! geometric draw against a precomputed mantissa gate
-//! ([`qisim_quantum::rng::Geometric::empty_run_gate`], with
-//! [`qisim_quantum::rng::Geometric::positions_from_first`] walking the
-//! rest), so the ~`(1−p)ⁿ` majority of lanes never pays a logarithm.
+//! Trial `t` draws from `Xorshift64Star::stream(seed, t)`. Its first
+//! uniform is screened against a precomputed mantissa gate
+//! ([`qisim_quantum::rng::Geometric::empty_run_gate`]): a draw at or
+//! above the gate leaves the trial without an error, and that
+//! `~(1−p)ⁿ` majority never pays a logarithm. Any other draw continues
+//! the geometric walk
+//! ([`qisim_quantum::rng::Geometric::positions_from_first`]) into the
+//! trial's ascending error positions. Placing those positions builds
+//! the trial's error bitset and its syndrome at ≤ 2 check flips per
+//! error. A trial whose syndrome is zero needs no decode: its verdict is
+//! the logical-membrane parity. Every other trial settles through the
+//! verdict function both estimators share (`McScratch::settle`, see
+//! [`super`]): a trial whose errors are all singles is *isolated* and
+//! cannot fail, and any other trial decodes, only its remainder when it
+//! has singles. At `d = 23` and `p ≈ 1.3–2.8·10⁻³` most nonzero-syndrome
+//! trials carry one or two far-apart errors, so only ~4 % of them
+//! decode, and 1,146 singles settle inside the 1,286 decoded trials of a
+//! served request at `p = 1.99·10⁻³`. Most decodes skip the
+//! spanning-tree peel, because some row of the data grid stays outside
+//! every cluster.
 //!
 //! # Reference equivalence
 //!
-//! Global trial `t` always samples from `Xorshift64Star::stream(seed, t)`
-//! through the same [`qisim_quantum::rng::Geometric::positions`] walk
-//! the reference oracle uses, so the sliced failure count **exactly
-//! equals** 64 independent [`super::run_trials_reference`] runs fed the
-//! same per-lane streams — the unit tests and `tests/kernel_equiv.rs`
-//! pin this on the acceptance grid. The lane→stream map depends only on
-//! `(seed, t)`, never on the thread count, so
-//! [`logical_error_rate_sliced_par`] is bit-identical at any
-//! parallelism.
+//! The draws are exactly those of the
+//! [`qisim_quantum::rng::Geometric::positions`] walk the reference
+//! oracle takes, so the failure count **exactly equals** one-trial
+//! [`super::run_trials_reference`] runs fed the same streams; the unit
+//! tests and `tests/kernel_equiv.rs` pin this on the acceptance grid.
+//! The trial→stream map depends only on `(seed, t)`, never on the
+//! thread count, so [`logical_error_rate_sliced_par`] is bit-identical
+//! at any parallelism.
 
 use super::{flush_decode_stats, ErrorSampler, McContext, McEstimate, McScratch, Settled};
 use crate::decoder::DecodeStats;
@@ -54,52 +45,41 @@ use crate::lattice::Lattice;
 use qisim_quantum::rng::{open01_from_mantissa53, Rng, Xorshift64Star};
 
 /// Per-call accounting of the sliced kernel, flushed to the `qisim-obs`
-/// registry as the `surface.sliced.*` counters.
+/// registry as the `surface.sliced.*` and `surface.montecarlo.*`
+/// counters. The four counts partition the trials.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SlicedStats {
-    /// 64-trial lane words (blocks) processed.
-    pub words: u64,
-    /// Lanes where no error was sampled at all.
-    pub empty_lanes: u64,
-    /// Lanes with errors but an all-zero syndrome: decode skipped, only
-    /// the word-wide logical parity check ran.
-    pub zero_syndrome_lanes: u64,
-    /// Lanes with a nonzero syndrome whose errors are all singles: no
+    /// Trials where no error was sampled at all.
+    pub empty_trials: u64,
+    /// Trials with errors but an all-zero syndrome: decode skipped, the
+    /// logical parity is the verdict.
+    pub zero_syndrome_trials: u64,
+    /// Trials with a nonzero syndrome whose errors are all singles: no
     /// failure, decode skipped.
-    pub isolated_lanes: u64,
-    /// Lanes with a nonzero syndrome sent through the scalar decoder,
-    /// whole or their remainder only (the fallback path).
+    pub isolated_trials: u64,
+    /// Trials with a nonzero syndrome sent through the decoder, whole or
+    /// their remainder only (the fallback path).
     pub fallback_trials: u64,
 }
 
 impl SlicedStats {
     fn merge(&mut self, other: SlicedStats) {
-        self.words += other.words;
-        self.empty_lanes += other.empty_lanes;
-        self.zero_syndrome_lanes += other.zero_syndrome_lanes;
-        self.isolated_lanes += other.isolated_lanes;
+        self.empty_trials += other.empty_trials;
+        self.zero_syndrome_trials += other.zero_syndrome_trials;
+        self.isolated_trials += other.isolated_trials;
         self.fallback_trials += other.fallback_trials;
     }
 }
 
-/// Reusable buffers of the sliced kernel: the transposed error/syndrome
-/// blocks, the error positions of the current word's lanes, and the
-/// scalar verdict scratch the lanes settle on. One allocation per batch
-/// (or pool worker), zero per trial.
+/// Reusable buffers of the sliced kernel: the current trial's error
+/// positions and the verdict scratch it settles on. One allocation per
+/// batch (or pool worker), zero per trial.
 #[derive(Debug, Clone)]
 pub struct SlicedScratch {
-    /// Transposed errors: one word per data qubit.
-    sliced_errs: Vec<u64>,
-    /// Transposed syndromes: one word per Z-check.
-    sliced_syn: Vec<u64>,
-    /// The error positions of the current word, lane after lane, each
-    /// lane's in sampling (ascending) order (`u16` by the [`McContext`]
-    /// size check).
-    lane_pos: Vec<u16>,
-    /// Lane `l`'s positions are `lane_pos[lane_range[l].0 as
-    /// usize..lane_range[l].1 as usize]`.
-    lane_range: [(u32, u32); 64],
-    /// Packed buffers and decoder arena the lanes settle on.
+    /// The current trial's error positions, ascending (`u16` by the
+    /// [`McContext`] size check).
+    positions: Vec<u16>,
+    /// Packed buffers and decoder arena the trials settle on.
     mc: McScratch,
     stats: SlicedStats,
 }
@@ -107,13 +87,9 @@ pub struct SlicedScratch {
 impl SlicedScratch {
     /// Allocates scratch sized for `context`'s lattice.
     pub fn new(context: &McContext) -> Self {
-        let packed = &context.packed;
         SlicedScratch {
-            sliced_errs: vec![0; packed.sliced_words()],
-            sliced_syn: vec![0; packed.sliced_syndrome_words()],
-            lane_pos: Vec::new(),
-            lane_range: [(0, 0); 64],
-            mc: McScratch::new(packed, &context.graph),
+            positions: Vec::new(),
+            mc: McScratch::new(&context.packed, &context.graph),
             stats: SlicedStats::default(),
         }
     }
@@ -131,13 +107,13 @@ impl SlicedScratch {
     }
 }
 
-/// The bit-sliced sample-extract-check kernel: returns the number of
-/// logical failures in `trials` rounds, where global trial `first_trial
-/// + i` samples from `Xorshift64Star::stream(seed, first_trial + i)`.
-/// `scratch` must come from the same `context`'s lattice.
+/// The sample-and-settle kernel: returns the number of logical failures
+/// in `trials` rounds, where global trial `first_trial + i` samples from
+/// `Xorshift64Star::stream(seed, first_trial + i)`. `scratch` must come
+/// from the same `context`'s lattice.
 ///
-/// Public so the equivalence suite can drive it directly against 64
-/// per-lane reference runs.
+/// Public so the equivalence suite can drive it directly against
+/// one-trial reference runs.
 pub fn run_trials_sliced(
     context: &McContext,
     p: f64,
@@ -149,103 +125,49 @@ pub fn run_trials_sliced(
     let packed = &context.packed;
     let n = packed.data_qubits();
     let sampler = ErrorSampler::new(p);
-    // One integer comparison on the raw mantissa decides "no error
-    // anywhere in this lane" without even a float conversion — the
-    // overwhelming case at supremacy-regime p. Gray-zone and error-
-    // bearing draws go down the exact walk, draw for draw.
+    // One integer comparison on the raw mantissa decides "no error in
+    // this trial" without even a float conversion — the overwhelming
+    // case at supremacy-regime p. Gray-zone and error-bearing draws go
+    // down the exact walk, draw for draw.
     let (empty_gate, empty_threshold) = match &sampler {
         ErrorSampler::Skip(geo) => (geo.empty_run_gate(n), geo.empty_run_threshold(n)),
         _ => (0, 0.0),
     };
+    let SlicedScratch { positions, mc, stats } = scratch;
     let mut failures = 0usize;
-    let mut start = 0usize;
-    while start < trials {
-        let active = 64.min(trials - start);
-        let active_mask = if active == 64 { !0u64 } else { (1u64 << active) - 1 };
-        scratch.stats.words += 1;
-        scratch.sliced_errs.fill(0);
-        scratch.lane_pos.clear();
-        scratch.lane_range = [(0, 0); 64];
-        // Sample errors lane by lane, straight into the transposed
-        // layout: lane l of word q is qubit q in trial start + l. Each
-        // lane also records its positions for the settle path.
-        let mut any_err_mask = 0u64;
-        let base = (first_trial + start) as u64;
-        if let ErrorSampler::Skip(geo) = &sampler {
-            // Pass 1: one raw draw per lane against the integer gate —
-            // a branchless screen that retires ~(1−p)ⁿ of the lanes.
-            let mut live = 0u64;
-            let mut first = [0u64; 64];
-            for (l, m) in first.iter_mut().take(active).enumerate() {
-                *m = Xorshift64Star::stream(seed, base.wrapping_add(l as u64)).gen_mantissa53();
-                live |= ((*m < empty_gate) as u64) << l;
+    for t in first_trial..first_trial + trials {
+        let mut rng = Xorshift64Star::stream(seed, t as u64);
+        positions.clear();
+        let mut record = |q: usize| positions.push(q as u16);
+        let any = match &sampler {
+            ErrorSampler::Skip(geo) => {
+                let first = rng.gen_mantissa53();
+                first < empty_gate
+                    && geo.positions_from_first(
+                        n,
+                        open01_from_mantissa53(first),
+                        empty_threshold,
+                        &mut rng,
+                        &mut record,
+                    )
             }
-            // Pass 2: walk only the lanes whose draw missed the gate,
-            // resuming each lane's stream past its consumed first draw.
-            while live != 0 {
-                let l = live.trailing_zeros() as usize;
-                live &= live - 1;
-                let mut rng = Xorshift64Star::stream(seed, base.wrapping_add(l as u64));
-                let _ = rng.next_u64(); // pass 1 consumed this draw
-                let bit = 1u64 << l;
-                let (errs, pos) = (&mut scratch.sliced_errs, &mut scratch.lane_pos);
-                let from = pos.len() as u32;
-                let u = open01_from_mantissa53(first[l]);
-                if geo.positions_from_first(n, u, empty_threshold, &mut rng, |q| {
-                    errs[q] |= bit;
-                    pos.push(q as u16);
-                }) {
-                    any_err_mask |= bit;
-                }
-                scratch.lane_range[l] = (from, pos.len() as u32);
-            }
+            // Degenerate p = 0 / p = 1: no draws.
+            _ => sampler.sample(n, &mut rng, &mut record),
+        };
+        if !any {
+            stats.empty_trials += 1;
+        } else if !mc.place(packed, positions) {
+            stats.zero_syndrome_trials += 1;
+            failures += usize::from(packed.is_logical_x(&mc.errs));
         } else {
-            // Degenerate p = 0 / p = 1: no draws, no gate.
-            let mut lanes = Xorshift64Star::streams64(seed, base);
-            for (l, rng) in lanes.iter_mut().take(active).enumerate() {
-                let bit = 1u64 << l;
-                let (errs, pos) = (&mut scratch.sliced_errs, &mut scratch.lane_pos);
-                let from = pos.len() as u32;
-                if sampler.sample(n, rng, |q| {
-                    errs[q] |= bit;
-                    pos.push(q as u16);
-                }) {
-                    any_err_mask |= bit;
-                }
-                scratch.lane_range[l] = (from, pos.len() as u32);
-            }
-        }
-        scratch.stats.empty_lanes += (active_mask & !any_err_mask).count_ones() as u64;
-        if any_err_mask == 0 {
-            // Fast path 1, word-wide: no lane flipped anything.
-            start += active;
-            continue;
-        }
-        // Word-wide syndrome extraction + logical parity for all lanes.
-        let any_syn_mask = packed.z_syndrome_sliced(&scratch.sliced_errs, &mut scratch.sliced_syn);
-        let logical_mask = packed.logical_x_lanes(&scratch.sliced_errs);
-        // Fast path 2, word-wide: lanes with errors but zero syndrome
-        // need only the logical-membrane parity bit.
-        let zero_syn = any_err_mask & !any_syn_mask;
-        scratch.stats.zero_syndrome_lanes += zero_syn.count_ones() as u64;
-        failures += (zero_syn & logical_mask).count_ones() as usize;
-        // Every lane with a nonzero syndrome settles from its positions:
-        // an isolated lane cannot fail, any other decodes.
-        let mut syn_lanes = any_syn_mask;
-        while syn_lanes != 0 {
-            let lane = syn_lanes.trailing_zeros() as usize;
-            syn_lanes &= syn_lanes - 1;
-            let (from, to) = scratch.lane_range[lane];
-            let positions = &scratch.lane_pos[from as usize..to as usize];
-            match scratch.mc.settle(context, positions) {
-                Settled::Isolated => scratch.stats.isolated_lanes += 1,
+            match mc.settle(context, positions) {
+                Settled::Isolated => stats.isolated_trials += 1,
                 Settled::Decoded(fails) => {
-                    scratch.stats.fallback_trials += 1;
-                    failures += fails as usize;
+                    stats.fallback_trials += 1;
+                    failures += usize::from(fails);
                 }
             }
         }
-        start += active;
     }
     failures
 }
@@ -253,23 +175,21 @@ pub fn run_trials_sliced(
 /// Flushes sliced-kernel counters to the `qisim-obs` registry.
 fn flush_sliced_obs(trials: usize, failures: usize, stats: SlicedStats, dec: DecodeStats) {
     qisim_obs::counter!("surface.sliced.trials", trials as u64);
-    qisim_obs::counter!("surface.sliced.words", stats.words);
     qisim_obs::counter!("surface.sliced.fallback_trials", stats.fallback_trials);
     // The Monte-Carlo series: the three fast-path counters and the
     // decoded count partition the trials.
     qisim_obs::counter!("surface.montecarlo.failures", failures as u64);
-    qisim_obs::counter!("surface.montecarlo.fastpath.empty", stats.empty_lanes);
-    qisim_obs::counter!("surface.montecarlo.fastpath.zero_syndrome", stats.zero_syndrome_lanes);
-    qisim_obs::counter!("surface.montecarlo.fastpath.isolated", stats.isolated_lanes);
+    qisim_obs::counter!("surface.montecarlo.fastpath.empty", stats.empty_trials);
+    qisim_obs::counter!("surface.montecarlo.fastpath.zero_syndrome", stats.zero_syndrome_trials);
+    qisim_obs::counter!("surface.montecarlo.fastpath.isolated", stats.isolated_trials);
     qisim_obs::counter!("surface.montecarlo.decoded", stats.fallback_trials);
     flush_decode_stats(dec);
 }
 
-/// Trials per parallel chunk of [`logical_error_rate_sliced_par`]: four
-/// whole 64-trial lane words.
+/// Trials per parallel chunk of [`logical_error_rate_sliced_par`].
 pub const SLICED_CHUNK_TRIALS: usize = 256;
 
-/// Estimates the logical-X error rate with the bit-sliced kernel: one
+/// Estimates the logical-X error rate with the sliced kernel: one
 /// [`McContext::sliced_estimate`] on a context built for this call.
 ///
 /// Global trial `t` samples from `Xorshift64Star::stream(seed, t)`, so
@@ -302,10 +222,10 @@ pub fn logical_error_rate_sliced_par(
 }
 
 impl McContext {
-    /// Estimates the logical-X error rate with the bit-sliced kernel,
-    /// running [`SLICED_CHUNK_TRIALS`]-trial chunks (whole 64-trial lane
-    /// words) on the [`qisim_par`] pool, one [`SlicedScratch`] per pool
-    /// worker; see [`logical_error_rate_sliced_par`].
+    /// Estimates the logical-X error rate with the sliced kernel,
+    /// running [`SLICED_CHUNK_TRIALS`]-trial chunks on the [`qisim_par`]
+    /// pool, one [`SlicedScratch`] per pool worker; see
+    /// [`logical_error_rate_sliced_par`].
     ///
     /// # Panics
     ///
@@ -314,11 +234,14 @@ impl McContext {
         assert!((0.0..=1.0).contains(&p), "physical error rate must be a probability");
         assert!(trials > 0, "need at least one trial");
         qisim_obs::span!("surface.montecarlo.sliced.par");
-        let per_chunk: Vec<(usize, SlicedStats, DecodeStats)> = qisim_par::par_map_chunked(
-            trials,
-            SLICED_CHUNK_TRIALS,
+        // The chunk grid depends only on `trials`, never on the thread
+        // count, and no result depends on what a worker's scratch held.
+        let per_chunk: Vec<(usize, SlicedStats, DecodeStats)> = qisim_par::par_map_indices_with(
+            trials.div_ceil(SLICED_CHUNK_TRIALS),
             || SlicedScratch::new(self),
-            |scratch, _, start, len| {
+            |scratch, chunk| {
+                let start = chunk * SLICED_CHUNK_TRIALS;
+                let len = SLICED_CHUNK_TRIALS.min(trials - start);
                 let t0 = qisim_obs::enabled().then(std::time::Instant::now);
                 let failures = run_trials_sliced(self, p, len, seed, start, scratch);
                 if let Some(t0) = t0 {
@@ -350,8 +273,8 @@ mod tests {
     use super::*;
     use crate::decoder::DecodingGraph;
 
-    /// 64-independent-reference-runs oracle: trial `t` of the sliced
-    /// kernel must behave exactly like a one-trial reference run on
+    /// Independent-reference-runs oracle: trial `t` of the sliced kernel
+    /// must behave exactly like a one-trial reference run on
     /// `stream(seed, t)`.
     fn reference_failures(lattice: &Lattice, p: f64, trials: usize, seed: u64) -> usize {
         let graph = DecodingGraph::new(lattice);
@@ -381,7 +304,7 @@ mod tests {
     #[test]
     fn sliced_serial_and_par_are_bit_identical_at_any_thread_count() {
         // One serial kernel call over the whole trial range must equal
-        // the chunked pool run: the lane→stream map ignores chunking.
+        // the chunked pool run: the trial→stream map ignores chunking.
         let l = Lattice::new(5);
         let (p, trials, seed) = (0.05, 1500usize, 17u64);
         let context = McContext::new(&l);
@@ -430,8 +353,8 @@ mod tests {
 
     #[test]
     fn remainder_blocks_are_neither_dropped_nor_double_counted() {
-        // 63, 64, 65 straddle one lane word; 257 straddles the parallel
-        // chunk boundary (256 = 4 words) with a one-trial tail.
+        // 257 straddles the parallel chunk boundary (256 trials) with a
+        // one-trial tail; 63, 64 and 65 fit in one chunk.
         let l = Lattice::new(5);
         for trials in [63usize, 64, 65, 257] {
             let seed = 0xB10C ^ trials as u64;
@@ -451,8 +374,9 @@ mod tests {
         let l = Lattice::new(5);
         let zero = logical_error_rate_sliced_par(&l, 0.0, 130, 7);
         assert_eq!(zero.failures, 0);
-        // p = 1 flips all 25 qubits per lane: zero syndrome, odd logical
-        // row (d = 5) → every lane fails, with zero RNG influence.
+        // p = 1 flips all 25 qubits per trial: zero syndrome, odd
+        // logical row (d = 5) → every trial fails, with zero RNG
+        // influence.
         let one = logical_error_rate_sliced_par(&l, 1.0, 130, 7);
         assert_eq!(one.failures, 130);
     }
@@ -465,24 +389,31 @@ mod tests {
         let trials = 2048usize;
         let _ = run_trials_sliced(&context, 0.002, trials, 3, 0, &mut scratch);
         let (stats, dec) = scratch.take_stats();
-        assert_eq!(stats.words, (trials as u64).div_ceil(64));
         assert_eq!(
-            stats.empty_lanes
-                + stats.zero_syndrome_lanes
-                + stats.isolated_lanes
+            stats.empty_trials
+                + stats.zero_syndrome_trials
+                + stats.isolated_trials
                 + stats.fallback_trials,
             trials as u64,
             "{stats:?}"
         );
-        assert!(stats.empty_lanes > stats.fallback_trials, "p=0.002 is mostly empty lanes");
-        assert!(stats.isolated_lanes > stats.fallback_trials, "most error lanes are isolated");
+        assert!(stats.empty_trials > stats.fallback_trials, "p=0.002 is mostly empty trials");
+        assert!(stats.isolated_trials > stats.fallback_trials, "most error trials are isolated");
         assert_eq!(
             dec.decodes,
             stats.fallback_trials + dec.split_fallbacks,
-            "every fallback lane is decoded, twice where a guard rejected its split: {stats:?}"
+            "every fallback trial is decoded, twice where a guard rejected its split: {stats:?}"
         );
         // Second batch accumulates from zero after take_stats.
         let _ = run_trials_sliced(&context, 0.5, 10, 3, 0, &mut scratch);
-        assert_eq!(scratch.stats().words, 1);
+        let second = scratch.stats();
+        assert_eq!(
+            second.empty_trials
+                + second.zero_syndrome_trials
+                + second.isolated_trials
+                + second.fallback_trials,
+            10,
+            "{second:?}"
+        );
     }
 }

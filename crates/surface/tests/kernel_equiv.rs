@@ -3,8 +3,8 @@
 //!
 //! Pins the acceptance grid: for every `(d, p)` in
 //! `{3, 5, 7} × {0.001, 0.01, 0.1}` and a battery of seeds, plus the
-//! production distance `d = 23` at `p ∈ {0.002, 0.05}`, the bit-sliced
-//! kernel and per-lane runs of the bool-vec reference must count
+//! production distance `d = 23` at `p ∈ {0.002, 0.05}`, the sliced
+//! kernel and per-trial runs of the bool-vec reference must count
 //! **identical** failures from the same RNG streams; and the arena decoder
 //! must clear every syndrome it is handed while matching the oracle's
 //! correction up to `d = 23`.
@@ -55,11 +55,11 @@ fn sliced_and_reference_kernels_agree_across_the_acceptance_grid() {
 
 #[test]
 fn sliced_and_reference_kernels_agree_at_the_production_distance() {
-    // d = 23: at p = 0.002 most lanes carry one or two errors (the
-    // served regime, where every failure count is 0); at p = 0.05 the
-    // clusters are large and failures occur. Both trial counts end in a
-    // ragged 64-lane word, and the error and syndrome blocks (529
-    // qubits, 264 checks) both end in a ragged 64-row block.
+    // d = 23: at p = 0.002 most error-bearing trials carry one or two
+    // errors (the served regime, where every failure count is 0); at
+    // p = 0.05 the clusters are large and failures occur. The error
+    // and syndrome bitsets (529 qubits, 264 checks) both end in a
+    // ragged 64-bit word.
     let lattice = Lattice::new(23);
     let graph = DecodingGraph::new(&lattice);
     let context = McContext::new(&lattice);

@@ -85,9 +85,9 @@ fn arena_decoder_matches_oracle_and_clears_syndromes() {
     }
 }
 
-/// The bit-sliced Monte-Carlo kernel and per-lane runs of the
-/// bool-vec reference see the same RNG streams and must count the
-/// same failures, bit for bit.
+/// The sliced Monte-Carlo kernel and per-trial runs of the bool-vec
+/// reference see the same RNG streams and must count the same
+/// failures, bit for bit.
 #[test]
 fn sliced_kernel_failure_counts_match_reference() {
     let mut draws = Xorshift64Star::seed_from_u64(SEED);
@@ -107,61 +107,6 @@ fn sliced_kernel_failure_counts_match_reference() {
             })
             .sum();
         assert_eq!(fast, oracle, "failure counts diverge at d={d} p={p} seed={seed}");
-    }
-}
-
-/// Scattering 64 arbitrary packed error patterns into a sliced block
-/// and reading each lane back bit by bit reproduces every pattern, and
-/// the sliced word-wide syndrome/logical verdicts match the per-trial
-/// packed ones on every lane.
-#[test]
-fn scatter_gather_roundtrips_64_packed_lattices() {
-    let mut rng = Xorshift64Star::seed_from_u64(SEED);
-    for _ in 0..CASES {
-        let d = [3usize, 5, 9][below(&mut rng, 0, 3)];
-        let patterns: Vec<u64> = (0..64).map(|_| rng.next_u64()).collect();
-        let lattice = Lattice::new(d);
-        let packed = PackedLattice::new(&lattice);
-        // Expand each arbitrary u64 seed into an arbitrary packed trial.
-        let trials: Vec<Vec<u64>> = patterns
-            .iter()
-            .map(|&seed| {
-                let mut state = seed | 1;
-                let mut errs = vec![0u64; packed.qubit_words()];
-                for q in 0..packed.data_qubits() {
-                    state =
-                        state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                    if state >> 63 != 0 {
-                        PackedLattice::set_bit(&mut errs, q);
-                    }
-                }
-                errs
-            })
-            .collect();
-        let mut sliced = vec![0u64; packed.sliced_words()];
-        for (lane, errs) in trials.iter().enumerate() {
-            packed.scatter_lane(errs, lane, &mut sliced);
-        }
-        let mut sliced_syn = vec![0u64; packed.sliced_syndrome_words()];
-        let any_mask = packed.z_syndrome_sliced(&sliced, &mut sliced_syn);
-        let logical_mask = packed.logical_x_lanes(&sliced);
-        let mut syn = vec![0u64; packed.syndrome_words()];
-        for (lane, errs) in trials.iter().enumerate() {
-            let mut back = vec![0u64; packed.qubit_words()];
-            for (q, word) in sliced.iter().enumerate() {
-                if word >> lane & 1 != 0 {
-                    PackedLattice::set_bit(&mut back, q);
-                }
-            }
-            assert_eq!(&back, errs, "round-trip diverged at d={d} lane={lane}");
-            let any = packed.z_syndrome_into(errs, &mut syn);
-            assert_eq!(any_mask >> lane & 1 != 0, any, "d={d} lane={lane}");
-            assert_eq!(
-                logical_mask >> lane & 1 != 0,
-                packed.is_logical_x(errs),
-                "d={d} lane={lane}"
-            );
-        }
     }
 }
 

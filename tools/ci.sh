@@ -15,8 +15,8 @@
 #      also peels and checks that the correction leaves no syndrome and
 #      that a free-row verdict equals the full peel's, every trial that
 #      skipped a decode is re-decoded whole on a fresh arena (an isolated
-#      trial, sliced lanes of any weight included, asserted not to fail;
-#      a split one asserted to match its remainder's verdict), every
+#      trial of any weight asserted not to fail; a split one asserted
+#      to match its remainder's verdict), every
 #      rare-ladder trial lighter than ceil(d/2) errors, which skips its
 #      decode because the decoder corrects every error of weight <=
 #      (d-1)/2, is decoded and asserted not to fail, and the slice sizes
@@ -59,7 +59,9 @@
 #      exporter armed to prove scraping never perturbs results
 #  10. panic-regression gate: library code must not grow panic!/unwrap/
 #      expect sites beyond the per-file budgets in
-#      tools/panic_allowlist.txt (DESIGN.md error-handling policy)
+#      tools/panic_allowlist.txt (DESIGN.md error-handling policy); then
+#      tools/loc.sh prints the non-test lines per crate, with no
+#      threshold
 #  11. paper-suite run: all 19 experiment drivers must run, and the
 #      headline scalability drivers (Fig. 12/13/17 + Table 2) must replay
 #      their paper numbers through the staged engine
@@ -170,8 +172,9 @@ grep -q "# EOF" "$out/metrics.om"
 QISIM_METRICS="$out/metrics_det.om:50" cargo test -q --release -p qisim \
     --test integration_par
 
-echo "== [10/14] panic-regression gate =="
+echo "== [10/14] panic-regression gate + non-test line count =="
 tools/check_panics.sh
+tools/loc.sh
 
 echo "== [11/14] paper-suite run =="
 # Every driver, the ablations and what-ifs included: the whole suite
