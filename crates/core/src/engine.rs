@@ -86,11 +86,13 @@ fn monte_carlo_context() -> &'static McContext {
     CONTEXT.get_or_init(|| McContext::new(&Lattice::new(CODE_DISTANCE as usize)))
 }
 
-/// The [`Estimator::Rare`] ladder on [`monte_carlo_context`], with the
-/// `p`-independent anchor stage that the first rare request samples and
-/// every later one reuses. It is fixed by `RARE_ESTIMATOR_TRIALS` and
-/// `ESTIMATOR_SEED`, and every estimate equals a fresh
-/// `logical_error_rate_rare` bit for bit, so
+/// The [`Estimator::Rare`] ladder on [`monte_carlo_context`]. Its stages
+/// sit on a fixed rate grid, so none depends on the request's `p`: a
+/// stage is built by the first rare request that needs it and kept, and
+/// a request whose stages are all kept (every later request at the
+/// paper's operating points) samples and decodes nothing. It is fixed by
+/// `RARE_ESTIMATOR_TRIALS` and `ESTIMATOR_SEED`, and every estimate
+/// equals a fresh `logical_error_rate_rare` bit for bit, so
 /// [`crate::reset_process_state`] leaves it in place too.
 fn rare_ladder() -> &'static RareLadder<'static> {
     static LADDER: OnceLock<RareLadder<'static>> = OnceLock::new();
@@ -767,7 +769,7 @@ mod tests {
         // The four rare-estimator designs of the benchmark's Monte-Carlo
         // mix, pinned to the last bit (x86-64 libm; another libm may
         // differ in the last bit). The shared ladder must also agree with
-        // a fresh standalone estimate that samples its own anchor.
+        // a fresh standalone estimate that builds its own stages.
         use crate::spec::Preset;
         use qisim_surface::montecarlo::logical_error_rate_rare;
         let cases = [

@@ -305,8 +305,9 @@ impl Scalability {
             if trials > 0 {
                 let _ = writeln!(
                     out,
-                    "  rare-event sampler: {trials} importance-sampled trials, \
-                     {weights} ladder stages carrying weight (process-wide)",
+                    "  rare-event sampler: {trials} trials in the kept ladder stages \
+                     the estimates combined, {weights} ladder stages carrying weight \
+                     (process-wide)",
                 );
             }
         }

@@ -162,8 +162,10 @@ pub enum Estimator {
     /// kernel it once ran.
     Sliced,
     /// The multilevel-splitting rare-event sampler
-    /// (`qisim_surface::montecarlo::rare`): importance-sampled trials
-    /// reweighted down to the operating point, for deep-tail rates.
+    /// (`qisim_surface::montecarlo::rare`), for deep-tail rates: the
+    /// failing trials of ladder stages sampled at fixed biased rates,
+    /// each stage built once per process and kept, reweighted down to
+    /// the operating point.
     Rare,
 }
 

@@ -157,8 +157,8 @@ pub struct PackedLattice {
     /// Flattened per-check support masks: check `i` owns
     /// `z_support[i·qubit_words .. (i+1)·qubit_words]`.
     z_support: Vec<u64>,
-    /// The inverse table: data qubit `q`'s Z checks (0, 1 or 2 of them —
-    /// a `d = 2` corner qubit touches none) are `qubit_z_checks[
+    /// The inverse table: data qubit `q`'s Z checks (1 or 2 of them from
+    /// `d = 2` on) are `qubit_z_checks[
     /// qubit_z_checks_off[q] .. qubit_z_checks_off[q+1]]`, ascending.
     qubit_z_checks: Vec<usize>,
     /// Per-qubit offsets into `qubit_z_checks` (`n_qubits + 1` entries).

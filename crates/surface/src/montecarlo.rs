@@ -13,18 +13,22 @@
 //!   screen that retires the error-free trials;
 //! * [`logical_error_rate_rare`] — multilevel importance sampling
 //!   ([`rare`]) for deep-tail rates no naive sampler can reach, checked
-//!   against the exact [`rare::small_p_expansion`]. Its trials with
-//!   fewer than `⌈d/2⌉` errors cannot fail (the decoder corrects every
-//!   error of weight ≤ `(d − 1)/2`, see [`crate::decoder`]) and take no
-//!   decode. The sliced estimator keeps settling such trials below: at
-//!   the served rates nearly every trial is that light, so the rule would
-//!   take its decoded-trial share (`surface.sliced.fallback_ratio`, which
-//!   the repository benchmark's `--check` requires to be nonzero) to 0.
+//!   against the exact [`rare::exact_bounds`]. Its stages sit on a fixed
+//!   rate grid that does not depend on the target rate, so a
+//!   [`rare::RareLadder`] builds each stage once and answers later
+//!   estimates from the kept stages without sampling. A stage's trials
+//!   with fewer than `⌈d/2⌉` errors cannot fail (the decoder corrects
+//!   every error of weight ≤ `(d − 1)/2`, see [`crate::decoder`]) and
+//!   take no decode. The sliced estimator keeps settling such trials
+//!   below: at the served rates nearly every trial is that light, so the
+//!   rule would take its decoded-trial share
+//!   (`surface.sliced.fallback_ratio`, which the repository benchmark's
+//!   `--check` requires to be nonzero) to 0.
 //!
 //! Both run on an [`McContext`]: the decoding graph, the packed lattice
 //! and the lone-error guards of one lattice, built once. A caller that
-//! estimates repeatedly on one lattice keeps the context; the two free
-//! functions build a fresh one per call.
+//! estimates repeatedly on one lattice keeps the context (and the rare
+//! ladder); the two free functions build a fresh one per call.
 //!
 //! # Settling a trial
 //!
@@ -182,8 +186,6 @@ impl LoneGuards {
         for q in 0..n {
             syndrome.fill(0);
             packed.flip_z_checks_of(q, &mut syndrome);
-            // A d = 2 corner qubit flips no check: nothing grows, and its
-            // guard is empty.
             grow(graph, &syndrome, &mut decoder);
             decoder.footprint(graph, &mut guards.verts, &mut guards.edges);
             guards.vert_off.push(guards.verts.len() as u32);
@@ -312,11 +314,11 @@ impl McScratch {
 
     /// The failure verdict of the trial with X errors at `positions`
     /// (ascending, with a nonzero syndrome), decoding only the errors
-    /// that may interact (see the module docs). `self` must be sized for
-    /// `context`'s lattice.
-    fn settle(&mut self, context: &McContext, positions: &[u16]) -> Settled {
+    /// that may interact (see the module docs). `singles` and the marks
+    /// in `near` are what [`Self::mark_singles`] returned and left for
+    /// these positions. `self` must be sized for `context`'s lattice.
+    fn settle(&mut self, context: &McContext, positions: &[u16], singles: usize) -> Settled {
         let (packed, graph) = (&context.packed, &context.graph);
-        let singles = self.mark_singles(packed, positions);
         if singles == positions.len() {
             debug_assert!(
                 !decoded_verdict(packed, graph, positions),
@@ -727,6 +729,31 @@ mod tests {
     }
 
     #[test]
+    fn every_data_qubit_flips_a_z_check() {
+        // Why the sliced kernel settles an isolated trial before placing
+        // it: from d = 3 on every data qubit flips a Z check, and two
+        // singles share none (a check's qubits lie within Chebyshev
+        // distance 1), so an all-singles trial has a nonzero syndrome.
+        // The two boundary Z checks of d = 2 cover its four qubits too,
+        // and there every error is marked near anyway.
+        for d in 2usize..=23 {
+            let context = McContext::new(&Lattice::new(d));
+            let packed = &context.packed;
+            let mut syndrome = vec![0u64; packed.syndrome_words()];
+            for q in 0..d * d {
+                syndrome.fill(0);
+                packed.flip_z_checks_of(q, &mut syndrome);
+                assert!(syndrome.iter().any(|&w| w != 0), "d={d}: qubit {q} flips no Z check");
+            }
+        }
+        let context = McContext::new(&Lattice::new(2));
+        let mut scratch = McScratch::new(&context.packed, &context.graph);
+        for q in 0..4u16 {
+            assert_eq!(scratch.mark_singles(&context.packed, &[q]), 0, "d = 2 qubit {q}");
+        }
+    }
+
+    #[test]
     fn isolated_pairs_decode_as_the_symmetric_difference_of_lone_corrections() {
         // Exhaustive over every pair at Chebyshev distance ≥ 4: the
         // premise of the isolated-error shortcut.
@@ -904,9 +931,15 @@ mod tests {
     }
 
     /// `context`'s settled verdict of the trial with errors at
-    /// `positions`, on fresh scratch.
+    /// `positions`, marked and settled on `scratch`.
+    fn settle_on(scratch: &mut McScratch, context: &McContext, positions: &[u16]) -> Settled {
+        let singles = scratch.mark_singles(&context.packed, positions);
+        scratch.settle(context, positions, singles)
+    }
+
+    /// [`settle_on`] on fresh scratch.
     fn settle(context: &McContext, positions: &[u16]) -> Settled {
-        McScratch::new(&context.packed, &context.graph).settle(context, positions)
+        settle_on(&mut McScratch::new(&context.packed, &context.graph), context, positions)
     }
 
     #[test]
@@ -979,7 +1012,7 @@ mod tests {
             let mut scratch = McScratch::new(packed, graph);
             for q in [0.002, 0.007, 0.023, 0.08] {
                 for positions in sampled_trials(d, q, 500, 0x5917_5E70) {
-                    let settled = scratch.settle(&context, &positions);
+                    let settled = settle_on(&mut scratch, &context, &positions);
                     let mut fresh = DecoderScratch::new(graph);
                     assert_eq!(
                         settled.fails(),
@@ -1009,7 +1042,7 @@ mod tests {
             let mut positions: Vec<u16> = chain.map(|c| (row + c) as u16).collect();
             positions.push((row + single) as u16);
             let mut scratch = McScratch::new(packed, graph);
-            let settled = scratch.settle(&context, &positions);
+            let settled = settle_on(&mut scratch, &context, &positions);
             let mut fresh = DecoderScratch::new(graph);
             let want = full_peel_verdict(packed, graph, &mut fresh, &positions);
             assert_eq!(settled, Settled::Decoded(want), "errors {positions:?}");

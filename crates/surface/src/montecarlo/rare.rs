@@ -8,10 +8,12 @@
 //! rate upward in stages** and reweighting each observed failure by its
 //! exact likelihood ratio:
 //!
-//! * a geometric ladder of stage rates `q₀ > q₁ > … > q_{m−1} = p` runs
-//!   from a failure-rich anchor (`q₀ = 0.08`, just below the union-find
-//!   code-capacity threshold, ≈ 0.095 on this lattice) down to the
-//!   target rate;
+//! * a fixed grid of stage rates `qⱼ = Q_TOP / 4ʲ` (0.08, 0.02, 0.005,
+//!   …, ≈ 1.9·10⁻⁸; twelve stages) runs down from a failure-rich stage 0
+//!   (`q₀ = 0.08`, just below the union-find code-capacity threshold,
+//!   ≈ 0.095 on this lattice); an estimate at `p < Q_TOP` combines
+//!   stages `0..=J`, where stage `J` is the first at or below `p` (the
+//!   last stage when none is);
 //! * stage `j` samples i.i.d. X errors at rate `qⱼ` and weights every
 //!   *failing* trial with `k` flipped qubits by
 //!   `w = (p/qⱼ)ᵏ · ((1−p)/(1−qⱼ))^(n−k)` — the exact density ratio, so
@@ -21,49 +23,51 @@
 //!   inverse-variance weighting, yielding a point estimate and a 95 %
 //!   normal-approximation confidence interval.
 //!
-//! An estimate runs in two phases on the [`qisim_par`] pool:
+//! No stage rate depends on `p`, which enters only through the weights.
+//! So a [`RareLadder`] builds each stage once, the first time an
+//! estimate needs it, and keeps the flip counts `k` of its failing
+//! trials; an estimate that needs no new stage samples and decodes
+//! nothing. A build runs in two phases on the [`qisim_par`] pool:
 //!
-//! 1. **Sample.** Each stage draws its trials serially from its own
+//! 1. **Sample.** Each new stage draws its trials serially from its own
 //!    `Xorshift64Star::stream(seed, j)`, one task per stage, and stores
 //!    their error positions compactly (`u16` positions, `u32` offsets).
 //! 2. **Decode.** Every sampled trial is settled in fixed
-//!    `RARE_CHUNK_TRIALS`-trial (250) chunks, so the densest stage no
-//!    longer sets the wall time alone; each pool worker settles its
-//!    chunks on one scratch. A trial with fewer than `⌈d/2⌉` errors is
-//!    *light*: the decoder corrects every error of weight ≤ `(d − 1)/2`
-//!    (see [`crate::decoder`]), so it cannot fail and takes no decode
+//!    `RARE_CHUNK_TRIALS`-trial (250) chunks, so the densest stage does
+//!    not set the wall time alone; each pool worker settles its chunks
+//!    on one scratch. A trial with fewer than `⌈d/2⌉` errors is *light*:
+//!    the decoder corrects every error of weight ≤ `(d − 1)/2` (see
+//!    [`crate::decoder`]), so it cannot fail and takes no decode
 //!    (`surface.rare.light_trials`; the debug builds decode it anyway and
-//!    assert that it does not fail). At `d = 23` a served estimate
-//!    samples 6,000 trials below the kept anchor, and 4,045–4,084 of
-//!    them are light. Heavier trials decode only their errors that may
-//!    interact (see [`super`]): isolated trials cannot fail and skip the
-//!    decoder, and a trial with singles decodes only its remainder. A
-//!    chunk returns the flip count `k` of every failing trial; a stage's
-//!    failure list is its chunk lists concatenated in trial order, and
-//!    the weights are summed afterwards in stage and trial order — the
-//!    same float operations as a serial loop, so the estimate is
-//!    bit-identical at any thread count.
+//!    assert that it does not fail). Heavier trials decode only their
+//!    errors that may interact (see [`super`]): isolated trials cannot
+//!    fail and skip the decoder, and a trial with singles decodes only
+//!    its remainder. A chunk returns the flip count `k` of every failing
+//!    trial, and a stage's failure list is its chunk lists concatenated
+//!    in trial order.
 //!
-//! Stage 0 sits at `Q_TOP` for every `p < Q_TOP`; its failure list does
-//! not depend on `p`, so a [`RareLadder`] samples it once and reuses it.
-//! Each trial's syndrome is built from its positions (≤ 2 check flips
-//! per error), not by a pass over every check. At `d = 23` with 2,000
-//! trials per stage (the engine's rare estimator, four ladder stages at
-//! `p ≈ 1.27–2.83·10⁻³`) an estimate with the anchor kept takes a
-//! median 1.9–3.0 ms at 2 threads on a shared 2-core x86 host (runs of
-//! 150 estimates; 4.4–5.4 ms in the same session before two-sided
-//! growth and the light-trial rule), and a fresh
-//! [`logical_error_rate_rare`], which builds its context and samples the
-//! anchor, 26–28 ms (33–40 ms before; runs of 30).
+//! An estimate then weighs the kept lists in stage and trial order — the
+//! same float operations as a serial loop, so the estimate is
+//! bit-identical at any thread count and whichever estimate built a
+//! stage. Each trial's syndrome is built from its positions (≤ 2 check
+//! flips per error), not by a pass over every check. At `d = 23` with
+//! 2,000 trials per stage (the engine's rare estimator, stages 0–3 at
+//! the paper's `p ≈ 1.27–2.83·10⁻³`) only stage 0 sees failures; a
+//! warm estimate there takes about a microsecond, and a cold one,
+//! which builds the four stages, about as long as the per-request
+//! ladder it replaced.
 //!
 //! The estimate is cross-checkable against [`small_p_expansion`]: the
 //! **exact** leading-order expansion `p_L(p) = Σ_k N_k·pᵏ(1−p)^(n−k)`
 //! obtained by enumerating every error pattern up to a weight cutoff and
 //! decoding it — deterministic ground truth in the deep-tail regime
-//! where the lowest miscorrected weight, `⌈d/2⌉`, dominates. The unit
-//! tests gate the d = 5 estimate's 95 % CI against it over 40 seeds at
-//! `p = 10⁻⁷` and `10⁻⁵` (`p_L ≈ N₃·p³ ≈ 4.6·10⁻¹⁹` at `10⁻⁷`, where
-//! naive MC would need over 10¹⁸ trials per expected failure).
+//! where the lowest miscorrected weight, `⌈d/2⌉`, dominates — and
+//! [`exact_bounds`] adds the probability of every heavier pattern to
+//! make it a two-sided interval. The unit tests gate the d = 5
+//! estimate's 95 % CI against the expansion over 40 seeds at `p = 10⁻⁷`
+//! and `10⁻⁵` (`p_L ≈ N₃·p³ ≈ 4.6·10⁻¹⁹` at `10⁻⁷`, where naive MC would
+//! need over 10¹⁸ trials per expected failure), and the engine-parameter
+//! estimate against the exact interval at d = 5 and 7.
 
 use super::{decoded_verdict, flush_decode_stats, ErrorSampler, McContext, McScratch};
 use crate::decoder::DecodeStats;
@@ -85,36 +89,42 @@ pub struct RareEstimate {
     /// weight in the combination (the `surface.rare.stage_weights`
     /// counter).
     pub stages: usize,
-    /// Total trials across all stages of the ladder.
+    /// Total trials across the stages the estimate combined.
     pub trials: usize,
 }
 
-/// The failure-rich anchor rate of the splitting ladder: close enough to
-/// the union-find code-capacity threshold that failures are plentiful at
-/// every distance, far enough below it that the decoder still suppresses
-/// with distance. Delfosse and Nickerson report a threshold of 0.099;
-/// 40,000 sliced trials per point put the crossing of the `d = 7` and
-/// `d = 19` curves of this lattice at ≈ 0.095, and at 0.08 the logical
-/// rate falls from 0.088 (`d = 7`) to 0.061 (`d = 19`).
+/// The rate of stage 0: close enough to the union-find code-capacity
+/// threshold that failures are plentiful at every distance, far enough
+/// below it that the decoder still suppresses with distance. Delfosse
+/// and Nickerson report a threshold of 0.099; 40,000 sliced trials per
+/// point put the crossing of the `d = 7` and `d = 19` curves of this
+/// lattice at ≈ 0.095, and at 0.08 the logical rate falls from 0.088
+/// (`d = 7`) to 0.061 (`d = 19`).
 const Q_TOP: f64 = 0.08;
 
-/// Rate ratio between adjacent ladder stages (≈ ×4 per step).
+/// Rate ratio between adjacent stages of the grid.
 const STAGE_STEP: f64 = 4.0;
 
-/// Ladder bounds: at least top + target, at most 12 stages.
+/// Stages of the grid: the last samples `Q_TOP / 4¹¹ ≈ 1.9·10⁻⁸`.
 const MAX_STAGES: usize = 12;
 
-/// The geometric ladder of biased stage rates for target rate `p`:
-/// `q₀ = Q_TOP` down to `q_{m−1} = p` in roughly ×`STAGE_STEP` (= 4)
-/// steps (single stage `[p]` when `p ≥ Q_TOP`). Exposed so tests and
-/// docs can show the splitting schedule.
+/// The rate of grid stage `j`, `Q_TOP / STAGE_STEP^j` (exact: the step
+/// is a power of two).
+fn grid_rate(j: usize) -> f64 {
+    Q_TOP / STAGE_STEP.powi(j as i32)
+}
+
+/// The stage rates an estimate at target rate `p` combines: the prefix
+/// `Q_TOP, Q_TOP/4, …` of the fixed grid that ends at the first stage at
+/// or below `p`, or at the grid's last stage (`MAX_STAGES` = 12 stages)
+/// when `p` lies below that. For `p ≥ Q_TOP` the single plain stage
+/// `[p]`. Exposed so tests and docs can show the splitting schedule.
 pub fn stage_rates(p: f64) -> Vec<f64> {
     if p >= Q_TOP {
         return vec![p];
     }
-    let steps = (Q_TOP / p).ln() / STAGE_STEP.ln();
-    let m = (steps.ceil() as usize + 1).clamp(2, MAX_STAGES);
-    (0..m).map(|j| Q_TOP * (p / Q_TOP).powf(j as f64 / (m - 1) as f64)).collect()
+    let last = (1..MAX_STAGES).find(|&j| grid_rate(j) <= p).unwrap_or(MAX_STAGES - 1);
+    (0..=last).map(grid_rate).collect()
 }
 
 /// One stage's accumulators: the weighted failure mean and the variance
@@ -125,12 +135,11 @@ struct StageEstimate {
     failures: usize,
 }
 
-/// Trials per decode task of [`RareLadder::estimate`]'s second phase.
+/// Trials per decode task of a stage build's second phase.
 const RARE_CHUNK_TRIALS: usize = 250;
 
-/// One ladder stage's sampled trials, stored compactly: trial `t`'s
-/// error positions, ascending, are `positions[offsets[t]..offsets[t +
-/// 1]]`.
+/// One stage's sampled trials, stored compactly: trial `t`'s error
+/// positions, ascending, are `positions[offsets[t]..offsets[t + 1]]`.
 struct StageSamples {
     positions: Vec<u16>,
     offsets: Vec<u32>,
@@ -146,8 +155,8 @@ impl StageSamples {
 /// Samples `trials` trials at biased rate `q` over `n` data qubits from
 /// `rng`, storing only their error positions. The draws depend only on
 /// `(n, q, trials, rng)` — never on the target rate `p` — which is what
-/// lets [`RareLadder`] keep the anchor stage's failure list for every
-/// `p`. `n ≤ 2¹⁶` by the [`McContext`] size check.
+/// lets [`RareLadder`] keep every stage's failure list for every `p`.
+/// `n ≤ 2¹⁶` by the [`McContext`] size check.
 fn sample_stage(n: usize, q: f64, trials: usize, rng: &mut Xorshift64Star) -> StageSamples {
     let sampler = ErrorSampler::new(q);
     let expected = q * n as f64 * trials as f64;
@@ -191,16 +200,17 @@ fn decode_chunk(
             );
             continue;
         }
-        if scratch.settle(context, positions).fails() {
+        let singles = scratch.mark_singles(packed, positions);
+        if scratch.settle(context, positions, singles).fails() {
             failing.push(positions.len());
         }
     }
     (failing, scratch.decoder.take_stats())
 }
 
-/// Weighs one sampled stage for target rate `p`: sums the likelihood
-/// ratio `w` and `w²` of every failing trial in trial order and turns
-/// the sums into the stage's mean and variance of the mean.
+/// Weighs one stage for target rate `p`: sums the likelihood ratio `w`
+/// and `w²` of every failing trial in trial order and turns the sums
+/// into the stage's mean and variance of the mean.
 fn weigh_stage(failing: &[usize], n: usize, p: f64, q: f64, trials: usize) -> StageEstimate {
     let lr_hit = (p / q).ln();
     let lr_miss = ((1.0 - p) / (1.0 - q)).ln();
@@ -224,14 +234,17 @@ fn weigh_stage(failing: &[usize], n: usize, p: f64, q: f64, trials: usize) -> St
 
 /// The splitting ladder for one [`McContext`], trial count and seed.
 ///
-/// Stage 0 samples at `q₀ = Q_TOP` on `Xorshift64Star::stream(seed, 0)`
-/// whatever the target rate, so its failing trials — and their flip
-/// counts `k` — are the same for every `p ≤ Q_TOP`; `p` only enters
-/// through the weights. The first [`RareLadder::estimate`] whose ladder
-/// starts at `Q_TOP` keeps that stage's failure list (the *anchor*), and
-/// later estimates reuse it, so a repeat estimate on the same lattice
-/// samples only the `p`-dependent stages. Reuse changes no result: every
-/// estimate equals a fresh [`logical_error_rate_rare`] bit for bit.
+/// Grid stage `j` samples rate `Q_TOP / 4ʲ` on
+/// `Xorshift64Star::stream(seed, j)` whatever the target rate, so its
+/// failing trials — and their flip counts `k` — are the same for every
+/// `p < Q_TOP`; `p` only enters through the weights. The ladder builds a
+/// stage the first time an estimate needs it and keeps its failure list,
+/// so a repeat estimate whose stages are all kept samples nothing and
+/// decodes nothing: it weighs the kept lists and combines them. An
+/// estimate at `p ≥ Q_TOP` samples its single plain stage every time.
+/// Two estimates that build the same stage at once build identical
+/// lists, and reuse changes no result: every estimate equals a fresh
+/// [`logical_error_rate_rare`] bit for bit.
 ///
 /// # Examples
 ///
@@ -242,18 +255,18 @@ fn weigh_stage(failing: &[usize], n: usize, p: f64, q: f64, trials: usize) -> St
 /// let lattice = Lattice::new(3);
 /// let context = McContext::new(&lattice);
 /// let ladder = RareLadder::new(&context, 2000, 7);
-/// let _ = ladder.estimate(1e-3); // samples and keeps the anchor
+/// let _ = ladder.estimate(1e-3); // builds and keeps stages 0–5
 /// let fresh = montecarlo::logical_error_rate_rare(&lattice, 1e-4, 2000, 7);
-/// assert_eq!(ladder.estimate(1e-4), fresh);
+/// assert_eq!(ladder.estimate(1e-4), fresh); // builds stage 6 only
 /// ```
 #[derive(Debug)]
 pub struct RareLadder<'a> {
     context: &'a McContext,
     trials_per_stage: usize,
     seed: u64,
-    /// `k` of every failing stage-0 trial, in trial order; set by the
-    /// first estimate that samples stage 0 at `Q_TOP`.
-    anchor: OnceLock<Vec<usize>>,
+    /// `k` of every failing trial of grid stage `j`, in trial order; set
+    /// by the first estimate that needs the stage.
+    kept: [OnceLock<Vec<usize>>; MAX_STAGES],
 }
 
 impl<'a> RareLadder<'a> {
@@ -264,14 +277,13 @@ impl<'a> RareLadder<'a> {
     /// Panics if `trials_per_stage < 2`.
     pub fn new(context: &'a McContext, trials_per_stage: usize, seed: u64) -> Self {
         assert!(trials_per_stage >= 2, "need at least two trials per stage");
-        RareLadder { context, trials_per_stage, seed, anchor: OnceLock::new() }
+        let kept = std::array::from_fn(|_| OnceLock::new());
+        RareLadder { context, trials_per_stage, seed, kept }
     }
 
-    /// Estimates the logical-X error rate at `p`: samples every stage
-    /// the kept anchor does not cover as one [`qisim_par`] task (stage
-    /// `j` on `Xorshift64Star::stream(seed, j)`), decodes their trials in
-    /// 250-trial tasks on one scratch per pool worker, then weighs and
-    /// combines the stages in ladder order. See
+    /// Estimates the logical-X error rate at `p` from the stages of
+    /// [`stage_rates`]`(p)`, building the ones not kept yet, then weighs
+    /// and combines them in ladder order. See
     /// [`logical_error_rate_rare`] for the estimate itself.
     ///
     /// # Panics
@@ -281,39 +293,23 @@ impl<'a> RareLadder<'a> {
         assert!(p > 0.0 && p < 1.0, "rare-event estimation needs 0 < p < 1, got {p}");
         qisim_obs::span!("surface.montecarlo.rare");
         let rates = stage_rates(p);
-        let anchored = rates[0] == Q_TOP;
-        let anchor = self.anchor.get().filter(|_| anchored);
-        let first = usize::from(anchor.is_some());
         let (n, trials) = (self.context.packed.data_qubits(), self.trials_per_stage);
-        let samples = qisim_par::par_map_indices(rates.len() - first, |i| {
-            let j = first + i;
-            let mut rng = Xorshift64Star::stream(self.seed, j as u64);
-            sample_stage(n, rates[j], trials, &mut rng)
-        });
-        let per_stage = trials.div_ceil(RARE_CHUNK_TRIALS);
-        let (packed, graph) = (&self.context.packed, &self.context.graph);
-        let chunks = qisim_par::par_map_indices_with(
-            samples.len() * per_stage,
-            || McScratch::new(packed, graph),
-            |scratch, c| {
-                let start = c % per_stage * RARE_CHUNK_TRIALS;
-                let end = trials.min(start + RARE_CHUNK_TRIALS);
-                decode_chunk(self.context, &samples[c / per_stage], start..end, scratch)
-            },
-        );
-        let mut dec = DecodeStats::default();
-        let mut sampled = Vec::with_capacity(rates.len() - first);
-        for stage in chunks.chunks(per_stage) {
-            let mut failing = Vec::new();
-            for (chunk, stats) in stage {
-                failing.extend_from_slice(chunk);
-                dec.merge(*stats);
+        let plain;
+        let stages: Vec<&[usize]> = if p >= Q_TOP {
+            plain = self.build(&[(0, p)]);
+            plain.iter().map(Vec::as_slice).collect()
+        } else {
+            let missing: Vec<(usize, f64)> = (0..rates.len())
+                .filter(|&j| self.kept[j].get().is_none())
+                .map(|j| (j, rates[j]))
+                .collect();
+            for ((j, _), failing) in missing.iter().zip(self.build(&missing)) {
+                // A stage another estimate kept meanwhile holds this list.
+                let _ = self.kept[*j].set(failing);
             }
-            sampled.push(failing);
-        }
-        flush_decode_stats(dec);
-        qisim_obs::counter!("surface.rare.light_trials", dec.light_trials);
-        let stages = anchor.into_iter().chain(&sampled);
+            let kept = self.kept[..rates.len()].iter();
+            kept.map(|kept| kept.get().map_or(&[][..], Vec::as_slice)).collect()
+        };
         let mut num = 0.0f64;
         let mut den = 0.0f64;
         let mut contributing = 0usize;
@@ -325,12 +321,6 @@ impl<'a> RareLadder<'a> {
             num += stage.mean / stage.var;
             den += 1.0 / stage.var;
             contributing += 1;
-        }
-        if anchored && anchor.is_none() {
-            // This run sampled stage 0 itself; keep it for the next one.
-            if let Some(stage0) = sampled.into_iter().next() {
-                let _ = self.anchor.set(stage0);
-            }
         }
         let trials = trials * rates.len();
         qisim_obs::counter!("surface.rare.trials", trials as u64);
@@ -354,22 +344,63 @@ impl<'a> RareLadder<'a> {
             trials,
         }
     }
+
+    /// Builds the stages `(j, q)`: samples each at rate `q` on
+    /// `Xorshift64Star::stream(seed, j)` as one [`qisim_par`] task,
+    /// settles their trials in 250-trial tasks on one scratch per pool
+    /// worker, and returns each stage's failure list in the order given.
+    /// Flushes the decoder counters of the build; an empty build
+    /// touches no pool task and no counter.
+    fn build(&self, stages: &[(usize, f64)]) -> Vec<Vec<usize>> {
+        if stages.is_empty() {
+            return Vec::new();
+        }
+        let (n, trials) = (self.context.packed.data_qubits(), self.trials_per_stage);
+        let samples = qisim_par::par_map_indices(stages.len(), |i| {
+            let (j, q) = stages[i];
+            sample_stage(n, q, trials, &mut Xorshift64Star::stream(self.seed, j as u64))
+        });
+        let per_stage = trials.div_ceil(RARE_CHUNK_TRIALS);
+        let (packed, graph) = (&self.context.packed, &self.context.graph);
+        let chunks = qisim_par::par_map_indices_with(
+            samples.len() * per_stage,
+            || McScratch::new(packed, graph),
+            |scratch, c| {
+                let start = c % per_stage * RARE_CHUNK_TRIALS;
+                let end = trials.min(start + RARE_CHUNK_TRIALS);
+                decode_chunk(self.context, &samples[c / per_stage], start..end, scratch)
+            },
+        );
+        let mut dec = DecodeStats::default();
+        let mut built = Vec::with_capacity(stages.len());
+        for stage in chunks.chunks(per_stage) {
+            let mut failing = Vec::new();
+            for (chunk, stats) in stage {
+                failing.extend_from_slice(chunk);
+                dec.merge(*stats);
+            }
+            built.push(failing);
+        }
+        flush_decode_stats(dec);
+        qisim_obs::counter!("surface.rare.light_trials", dec.light_trials);
+        built
+    }
 }
 
 /// Estimates the logical-X error rate at physical error probability `p`
 /// by multilevel importance sampling, with a real 95 % confidence
 /// interval even where naive Monte-Carlo would need `≥ 10¹²` trials.
 ///
-/// Runs [`stage_rates`]`(p).len()` stages of `trials_per_stage` trials
-/// each (stage `j` on `Xorshift64Star::stream(seed, j)` — deterministic
-/// for a given `(p, trials_per_stage, seed)` at any thread count) on the
-/// [`qisim_par`] pool, then combines the contributing stages by inverse
-/// variance. When **no** stage observes a failure the
+/// Runs the [`stage_rates`]`(p).len()` stages of `trials_per_stage`
+/// trials each (grid stage `j` on `Xorshift64Star::stream(seed, j)` —
+/// deterministic for a given `(p, trials_per_stage, seed)` at any thread
+/// count) on the [`qisim_par`] pool, then combines the contributing
+/// stages by inverse variance. When **no** stage observes a failure the
 /// estimate is 0 with a degenerate interval `[0, 0]` and `stages == 0` —
 /// the caller can widen `trials_per_stage` or read `stages` to detect
 /// it. This is one estimate on a fresh [`McContext`] and [`RareLadder`];
-/// repeat estimates on one lattice should keep both: the ladder samples
-/// the `p`-independent anchor stage once.
+/// repeat estimates on one lattice should keep both: the ladder builds
+/// each `p`-independent stage once.
 ///
 /// # Panics
 ///
@@ -420,6 +451,47 @@ fn each_combination<F: FnMut(&[usize])>(n: usize, k: usize, mut f: F) {
     }
 }
 
+/// The failing count `N_w` of every error weight `w ≤ max_weight`
+/// (index `w`; `N_0 = 0`): enumerates every X-error pattern of weight
+/// `1..=max_weight` and decodes it. One enumeration answers every `p`.
+fn failing_counts(lattice: &Lattice, max_weight: usize) -> Vec<u64> {
+    let context = McContext::new(lattice);
+    let (packed, graph) = (&context.packed, &context.graph);
+    let mut scratch = McScratch::new(packed, graph);
+    let mut positions = Vec::with_capacity(max_weight);
+    let n = lattice.data_qubits();
+    let mut counts = vec![0u64; max_weight.min(n) + 1];
+    for (k, failing) in counts.iter_mut().enumerate().skip(1) {
+        each_combination(n, k, |pattern| {
+            positions.clear();
+            positions.extend(pattern.iter().map(|&q| q as u16));
+            *failing += u64::from(scratch.decoded_verdict(packed, graph, &positions));
+        });
+    }
+    counts
+}
+
+/// The exact interval `[lo, hi]` of [`exact_bounds`] from the failing
+/// counts of [`failing_counts`] over `n` data qubits.
+fn bounds_from_counts(counts: &[u64], n: usize, p: f64) -> (f64, f64) {
+    let mut lo = 0.0f64;
+    for (k, &failing) in counts.iter().enumerate().skip(1) {
+        lo += failing as f64 * p.powi(k as i32) * (1.0 - p).powi((n - k) as i32);
+    }
+    // P(weight > W), summed term by term in log space: `1 − P(weight ≤
+    // W)` would cancel to noise exactly where the tail is small.
+    let (ln_p, ln_q) = (p.ln(), (1.0 - p).ln());
+    let mut ln_binomial = 0.0f64; // ln C(n, w), carried up from w = 0
+    let mut heavier = 0.0f64;
+    for w in 1..=n {
+        ln_binomial += ((n - w + 1) as f64 / w as f64).ln();
+        if w >= counts.len() {
+            heavier += (ln_binomial + w as f64 * ln_p + (n - w) as f64 * ln_q).exp();
+        }
+    }
+    (lo, lo + heavier)
+}
+
 /// The **exact** small-`p` expansion of the logical error rate up to
 /// error weight `max_weight`: enumerates every X-error pattern of weight
 /// `1..=max_weight`, decodes it, and sums
@@ -430,29 +502,38 @@ fn each_combination<F: FnMut(&[usize])>(n: usize, k: usize, mut f: F) {
 /// rare-event operating points this is ground truth to many digits,
 /// which is what the importance-sampling CI is gated against. Cost is
 /// `Σ_k C(n, k)` decodes (≈ 15 k for `d = 5`, `max_weight = 4`), done
-/// once, allocation-free.
+/// once, allocation-free. It is the lower edge of [`exact_bounds`].
 ///
 /// # Panics
 ///
 /// Panics if `p` is outside `[0, 1)`.
 pub fn small_p_expansion(lattice: &Lattice, max_weight: usize, p: f64) -> f64 {
+    exact_bounds(lattice, max_weight, p).0
+}
+
+/// Rigorous two-sided bounds `(lo, hi)` on the code-capacity logical
+/// error rate at `p`: `lo` is [`small_p_expansion`] (every failing
+/// pattern of weight ≤ `max_weight`, each decoded), and `hi` adds
+/// `P(weight > max_weight)`, counting every heavier pattern as a
+/// failure. The enumeration costs what the expansion's does.
+///
+/// # Panics
+///
+/// Panics if `p` is outside `[0, 1)`.
+///
+/// # Examples
+///
+/// ```
+/// use qisim_surface::{montecarlo::rare, Lattice};
+///
+/// let lattice = Lattice::new(3);
+/// let (lo, hi) = rare::exact_bounds(&lattice, 4, 1e-2);
+/// assert!(0.0 < lo && lo < hi && hi - lo < 1e-5);
+/// assert_eq!(lo, rare::small_p_expansion(&lattice, 4, 1e-2));
+/// ```
+pub fn exact_bounds(lattice: &Lattice, max_weight: usize, p: f64) -> (f64, f64) {
     assert!((0.0..1.0).contains(&p), "expansion rate must be in [0, 1)");
-    let context = McContext::new(lattice);
-    let (packed, graph) = (&context.packed, &context.graph);
-    let mut scratch = McScratch::new(packed, graph);
-    let mut positions = Vec::with_capacity(max_weight);
-    let n = lattice.data_qubits();
-    let mut total = 0.0f64;
-    for k in 1..=max_weight.min(n) {
-        let mut failing = 0u64;
-        each_combination(n, k, |pattern| {
-            positions.clear();
-            positions.extend(pattern.iter().map(|&q| q as u16));
-            failing += u64::from(scratch.decoded_verdict(packed, graph, &positions));
-        });
-        total += failing as f64 * p.powi(k as i32) * (1.0 - p).powi((n - k) as i32);
-    }
-    total
+    bounds_from_counts(&failing_counts(lattice, max_weight), lattice.data_qubits(), p)
 }
 
 #[cfg(test)]
@@ -464,21 +545,32 @@ mod tests {
 
     #[test]
     fn ladder_is_descending_and_anchored() {
-        for p in [1e-3, 1e-5, 1e-8, 1e-12] {
+        // Every ladder is a prefix of the fixed ×4 grid from Q_TOP: it
+        // ends at the first stage at or below p (its other stages lie
+        // above p), or at the grid's last stage when p lies below it.
+        let grid = stage_rates(1e-15);
+        assert_eq!(grid.len(), MAX_STAGES, "{grid:?}");
+        for (j, &q) in grid.iter().enumerate() {
+            assert_eq!(q * STAGE_STEP.powi(j as i32), Q_TOP, "stage {j} of {grid:?}");
+        }
+        for p in [0.079, 0.05, 0.02, 2e-3, 1.27e-3, 1e-3, 1e-5, 1e-8, 1e-12] {
             let rates = stage_rates(p);
             assert!((2..=MAX_STAGES).contains(&rates.len()), "p={p}: {rates:?}");
-            assert_eq!(rates[0], Q_TOP);
-            let last = *rates.last().unwrap_or(&0.0);
-            assert!((last / p - 1.0).abs() < 1e-9, "p={p}: ladder ends at {last}");
+            assert_eq!(rates[..], grid[..rates.len()], "p={p}: not a grid prefix");
+            let (last, above) = rates.split_last().expect("a ladder has stages");
+            assert!(above.iter().all(|&q| q > p), "p={p}: {rates:?}");
+            assert!(*last <= p || rates.len() == MAX_STAGES, "p={p}: ends above p, {rates:?}");
             assert!(rates.windows(2).all(|w| w[0] > w[1]), "p={p}: not descending {rates:?}");
         }
+        assert_eq!(stage_rates(2e-3).len(), 4, "the paper's operating points combine four stages");
+        assert_eq!(stage_rates(Q_TOP), vec![Q_TOP], "p = Q_TOP is a single plain-MC stage");
         assert_eq!(stage_rates(0.2), vec![0.2], "above-anchor p is a single plain-MC stage");
     }
 
     #[test]
     fn position_built_syndromes_equal_the_full_extraction() {
-        // d = 2 has corner qubits no Z check touches; d = 23 is the
-        // production lattice. Every trial of every ladder rate (and a
+        // d = 2 is the smallest lattice; d = 23 is the production
+        // lattice. Every trial of every ladder rate (and a
         // dense q = 0.5) must store strictly ascending in-range positions
         // and carry exactly the syndrome a full extraction of its
         // finished error pattern gives.
@@ -507,10 +599,10 @@ mod tests {
         }
     }
 
-    /// The serial ladder as it stood before the stages ran in parallel:
-    /// one scratch, stages sampled, decoded trial by trial — isolated or
-    /// not — and weighed in order in one loop. The bit-identity oracle
-    /// for [`RareLadder::estimate`].
+    /// The serial ladder: one scratch, the grid stages of [`stage_rates`]
+    /// sampled, decoded trial by trial — isolated or not — and weighed in
+    /// order in one loop, nothing kept. The bit-identity oracle for
+    /// [`RareLadder::estimate`].
     fn run_stage(
         packed: &PackedLattice,
         graph: &DecodingGraph,
@@ -607,11 +699,12 @@ mod tests {
 
     #[test]
     fn parallel_ladder_matches_the_serial_oracle_bit_for_bit() {
-        // Cold: a fresh ladder samples the anchor as one more task.
-        // Warm: a ladder that kept the anchor from an earlier estimate.
-        // p = 0.2 is the single-stage ladder that never uses the anchor.
-        // 300 trials make a full and a ragged decode chunk per stage; at
-        // d = 23 most erroneous trials below the anchor are isolated.
+        // Cold: a fresh ladder builds every stage it combines. Warm: a
+        // ladder that kept stages 0 and 1 from an earlier estimate and
+        // builds the rest as the test walks down in p. p = 0.2 is the
+        // single plain stage, sampled on every estimate. 300 trials make
+        // a full and a ragged decode chunk per stage; at d = 23 most
+        // erroneous trials below stage 0 are isolated.
         let trials = 300;
         for d in [3usize, 5, 7, 23] {
             let l = Lattice::new(d);
@@ -619,7 +712,8 @@ mod tests {
             for seed in [1u64, 0x51_C0DE, 0xDEAD_BEEF] {
                 let warm = RareLadder::new(&context, trials, seed);
                 let _ = warm.estimate(0.05);
-                assert!(warm.anchor.get().is_some(), "d={d} seed={seed}: anchor not kept");
+                let kept = warm.kept.iter().take_while(|s| s.get().is_some()).count();
+                assert_eq!(kept, 2, "d={d} seed={seed}: stages 0 and 1 not kept");
                 for p in [0.2, 0.02, 1e-3, 1e-5, 1e-8] {
                     let want = bits(&serial_oracle(&l, p, trials, seed));
                     for threads in [1usize, 2, 8] {
@@ -629,13 +723,36 @@ mod tests {
                         let reused = warm.estimate(p);
                         qisim_par::set_threads(None);
                         let case = format!("d={d} seed={seed} p={p} threads={threads}");
-                        assert_eq!(bits(&cold), want, "cold anchor, {case}");
+                        assert_eq!(bits(&cold), want, "cold stages, {case}");
                         assert_eq!(bits(&fresh), want, "standalone, {case}");
-                        assert_eq!(bits(&reused), want, "warm anchor, {case}");
+                        assert_eq!(bits(&reused), want, "kept stages, {case}");
                     }
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_warm_estimate_builds_no_stage() {
+        // The engine's ladder at d = 23 and the four operating points of
+        // the paper presets: the first estimate keeps stages 0–3, and no
+        // repeat estimate at any of them builds a stage again — every
+        // kept list stays where it is — or moves a bit of its answer.
+        let context = McContext::new(&Lattice::new(23));
+        let ladder = RareLadder::new(&context, 2000, 0x51_C0DE);
+        let presets = [1.27e-3, 1.39e-3, 1.99e-3, 2.83e-3];
+        let first: Vec<RareEstimate> = presets.iter().map(|&p| ladder.estimate(p)).collect();
+        let kept = |ladder: &RareLadder| -> Vec<Option<*const usize>> {
+            ladder.kept.iter().map(|s| s.get().map(|f| f.as_ptr())).collect()
+        };
+        let before = kept(&ladder);
+        assert!(before[..4].iter().all(Option::is_some) && before[4..].iter().all(Option::is_none));
+        for (&p, first) in presets.iter().zip(&first) {
+            let again = ladder.estimate(p);
+            assert_eq!(bits(&again), bits(first), "p={p}");
+            assert_eq!(again.stages, 1, "p={p}: only stage 0 sees failures: {again:?}");
+        }
+        assert_eq!(kept(&ladder), before, "a warm estimate rebuilt a stage");
     }
 
     #[test]
@@ -688,9 +805,8 @@ mod tests {
         // d = 5 at p = 10⁻⁷ and 10⁻⁵. Union-find corrects every weight-2
         // error at d = 5, so p_L ≈ N₃·p³ (≈ 4.6·10⁻¹⁹ at 10⁻⁷) — naive MC
         // would need ≥ 10¹⁸ trials for a single expected failure. A 95 %
-        // interval misses now and then (seed 11's misses the exact value
-        // at 10⁻⁷ by 1.2 %), so the gate is coverage over 40 seeds: 36
-        // and 38 of them cover.
+        // interval misses now and then, so the gate is coverage over 40
+        // seeds: 37 of them cover at each rate.
         let l = Lattice::new(5);
         let context = McContext::new(&l);
         for p in [1e-7, 1e-5] {
@@ -710,6 +826,71 @@ mod tests {
                 covered >= 34,
                 "p={p}: the 95% CI covers the exact {exact:.3e} in only {covered} of 40 seeds"
             );
+        }
+    }
+
+    #[test]
+    fn exact_bounds_extend_the_expansion_by_the_heavier_patterns() {
+        // lo is the expansion bit for bit; hi − lo is P(weight > W),
+        // here against the complement of the binomial sum at rates where
+        // the complement still holds its digits.
+        for (d, w) in [(3usize, 4usize), (5, 4)] {
+            let l = Lattice::new(d);
+            let n = l.data_qubits();
+            for p in [0.05, 0.2, 0.5] {
+                let (lo, hi) = exact_bounds(&l, w, p);
+                assert_eq!(lo.to_bits(), small_p_expansion(&l, w, p).to_bits(), "d={d} p={p}");
+                let mut binomial = 1.0f64;
+                let mut light = 0.0f64;
+                for k in 0..=w {
+                    light += binomial * p.powi(k as i32) * (1.0 - p).powi((n - k) as i32);
+                    binomial *= (n - k) as f64 / (k + 1) as f64;
+                }
+                let heavier = 1.0 - light;
+                assert!(((hi - lo) / heavier - 1.0).abs() < 1e-9, "d={d} p={p}: {lo} {hi}");
+            }
+        }
+    }
+
+    /// The Wilson score 95 % interval of `failures` in `trials`.
+    fn wilson_interval(failures: usize, trials: usize) -> (f64, f64) {
+        let (z, n) = (1.96f64, trials as f64);
+        let phat = failures as f64 / n;
+        let denom = 1.0 + z * z / n;
+        let center = (phat + z * z / (2.0 * n)) / denom;
+        let half = z * (phat * (1.0 - phat) / n + z * z / (4.0 * n * n)).sqrt() / denom;
+        ((center - half).max(0.0), (center + half).min(1.0))
+    }
+
+    #[test]
+    fn estimates_overlap_the_exact_bounds_at_d_5_and_7() {
+        // One enumeration per lattice answers every p. The engine's rare
+        // estimator (2,000 trials per stage, seed 0x51C0DE) must put its
+        // 95 % interval across [lo, hi] at every point, and so must a
+        // 32,768-trial sliced estimate wherever it counts a failure.
+        for (d, w) in [(5usize, 6usize), (7, 5)] {
+            let l = Lattice::new(d);
+            let counts = failing_counts(&l, w);
+            let context = McContext::new(&l);
+            let ladder = RareLadder::new(&context, 2000, 0x51_C0DE);
+            for p in [1e-3, 3e-3, 1e-2] {
+                let (lo, hi) = bounds_from_counts(&counts, l.data_qubits(), p);
+                assert!(0.0 < lo && lo <= hi, "d={d} p={p}: [{lo:e}, {hi:e}]");
+                let rare = ladder.estimate(p);
+                assert!(
+                    rare.ci_low <= hi && lo <= rare.ci_high,
+                    "d={d} p={p}: rare {rare:?} misses [{lo:e}, {hi:e}]"
+                );
+                let sliced = context.sliced_estimate(p, 32_768, 0x51_C0DE);
+                if sliced.failures > 0 {
+                    let (ci_low, ci_high) = wilson_interval(sliced.failures, sliced.trials);
+                    assert!(
+                        ci_low <= hi && lo <= ci_high,
+                        "d={d} p={p}: sliced {sliced:?} [{ci_low:e}, {ci_high:e}] misses \
+                         [{lo:e}, {hi:e}]"
+                    );
+                }
+            }
         }
     }
 

@@ -14,14 +14,16 @@
 //! `~(1−p)ⁿ` majority never pays a logarithm. Any other draw continues
 //! the geometric walk
 //! ([`qisim_quantum::rng::Geometric::positions_from_first`]) into the
-//! trial's ascending error positions. Placing those positions builds
-//! the trial's error bitset and its syndrome at ≤ 2 check flips per
-//! error. A trial whose syndrome is zero needs no decode: its verdict is
-//! the logical-membrane parity. Every other trial settles through the
-//! verdict function both estimators share (`McScratch::settle`, see
-//! [`super`]): a trial whose errors are all singles is *isolated* and
-//! cannot fail, and any other trial decodes, only its remainder when it
-//! has singles. At `d = 23` and `p ≈ 1.3–2.8·10⁻³` most nonzero-syndrome
+//! trial's ascending error positions. A trial whose errors are all
+//! singles (see [`super`]) is *isolated*: it cannot fail, and since from
+//! `d = 3` on every data qubit flips a Z check and two singles share
+//! none, its syndrome is nonzero, so it settles before anything is
+//! placed. Placing the other trials' positions builds the error bitset
+//! and the syndrome at ≤ 2 check flips per error. A trial whose syndrome
+//! is zero needs no decode: its verdict is the logical-membrane parity.
+//! Every other trial settles through the verdict function both
+//! estimators share (`McScratch::settle`), which decodes it, only its
+//! remainder when it has singles. At `d = 23` and `p ≈ 1.3–2.8·10⁻³` most nonzero-syndrome
 //! trials carry one or two far-apart errors, so only ~4 % of them
 //! decode, and 1,146 singles settle inside the 1,286 decoded trials of a
 //! served request at `p = 1.99·10⁻³`. Most decodes skip the
@@ -39,7 +41,7 @@
 //! thread count, so [`logical_error_rate_sliced_par`] is bit-identical
 //! at any parallelism.
 
-use super::{flush_decode_stats, ErrorSampler, McContext, McEstimate, McScratch, Settled};
+use super::{decoded_verdict, flush_decode_stats, ErrorSampler, McContext, McEstimate, McScratch};
 use crate::decoder::DecodeStats;
 use crate::lattice::Lattice;
 use qisim_quantum::rng::{open01_from_mantissa53, Rng, Xorshift64Star};
@@ -156,17 +158,24 @@ pub fn run_trials_sliced(
         };
         if !any {
             stats.empty_trials += 1;
+            continue;
+        }
+        let singles = mc.mark_singles(packed, positions);
+        if singles == positions.len() {
+            // From d = 3 on every data qubit flips a Z check and two
+            // singles share none, so the syndrome of an isolated trial is
+            // nonzero: it settles without being placed.
+            debug_assert!(
+                mc.place(packed, positions) && !decoded_verdict(packed, &context.graph, positions),
+                "an isolated trial has a zero syndrome or decodes into a failure: {positions:?}"
+            );
+            stats.isolated_trials += 1;
         } else if !mc.place(packed, positions) {
             stats.zero_syndrome_trials += 1;
             failures += usize::from(packed.is_logical_x(&mc.errs));
         } else {
-            match mc.settle(context, positions) {
-                Settled::Isolated => stats.isolated_trials += 1,
-                Settled::Decoded(fails) => {
-                    stats.fallback_trials += 1;
-                    failures += usize::from(fails);
-                }
-            }
+            stats.fallback_trials += 1;
+            failures += usize::from(mc.settle(context, positions, singles).fails());
         }
     }
     failures
@@ -370,7 +379,7 @@ mod tests {
     }
 
     #[test]
-    fn degenerate_rates_take_the_word_wide_paths() {
+    fn degenerate_rates_take_the_error_sampler_branch() {
         let l = Lattice::new(5);
         let zero = logical_error_rate_sliced_par(&l, 0.0, 130, 7);
         assert_eq!(zero.failures, 0);

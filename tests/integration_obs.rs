@@ -4,6 +4,7 @@
 
 use qisim::hal::fridge::Stage;
 use qisim::obs;
+use qisim::surface::analytic::CALIBRATION;
 use qisim::surface::target::Target;
 use qisim::{analyze, try_sweep, QciDesign};
 
@@ -143,21 +144,44 @@ fn scale_out_analysis_publishes_topology_gauges() {
 
 #[test]
 fn rare_only_analysis_moves_the_decoder_counters() {
-    // The rare-event ladder decodes every non-trivial trial of the
-    // stages it samples (the anchor may already be kept from an earlier
-    // rare request, the other stages always run), so the union-find
-    // work counters must move with no sliced request in the window.
+    // A fresh rare ladder with the engine's parameters builds the stages
+    // its first estimate combines and decodes their trials, so the
+    // union-find work counters move with no sliced work in the window. A
+    // repeat estimate answers from the kept stages: it samples and
+    // decodes nothing, moves no decoder counter, and returns the same
+    // estimate to the last bit.
+    use qisim::surface::montecarlo::{rare::RareLadder, McContext, RareEstimate};
+    use qisim::surface::Lattice;
     let _l = common::isolate();
-    let spec = qisim::spec::DesignSpec::new(qisim::spec::Preset::CmosBaseline)
-        .estimator(qisim::spec::Estimator::Rare);
-    let verdict = qisim::engine::try_analyze_spec(&spec, &Target::near_term()).expect("rare");
-    assert!(verdict.logical_error > 0.0, "{}", verdict.logical_error);
+    let spec = qisim::spec::DesignSpec::new(qisim::spec::Preset::CmosBaseline);
+    let p = spec.build().expect("preset").physical_budget().effective_error(&CALIBRATION);
+    let context = McContext::new(&Lattice::new(23));
+    let ladder = RareLadder::new(&context, 2_000, 0x51_C0DE);
+    let first = ladder.estimate(p);
+    assert!(first.logical_error > 0.0, "{first:?}");
     let snap = obs::snapshot();
-    assert_eq!(snap.counter("engine.estimator.rare"), Some(1));
     assert_eq!(snap.counter("surface.sliced.trials"), None, "no sliced work in this window");
     let rounds = snap.counter("surface.decoder.rounds").unwrap_or(0);
     let edges = snap.counter("surface.decoder.frontier_edges").unwrap_or(0);
     assert!(rounds > 0 && edges >= rounds, "rounds {rounds}, frontier edges {edges}");
+    assert!(snap.counter("surface.rare.light_trials").unwrap_or(0) > 0);
+    obs::reset();
+    let again = ladder.estimate(p);
+    let bits = |e: &RareEstimate| {
+        (e.logical_error.to_bits(), e.ci_low.to_bits(), e.ci_high.to_bits(), e.stages, e.trials)
+    };
+    assert_eq!(bits(&again), bits(&first), "a warm estimate moved");
+    let snap = obs::snapshot();
+    for name in [
+        "surface.decoder.rounds",
+        "surface.decoder.frontier_edges",
+        "surface.decoder.peels_skipped",
+        "surface.rare.light_trials",
+        "par.tasks",
+    ] {
+        assert_eq!(snap.counter(name).unwrap_or(0), 0, "{name} moved on a warm estimate");
+    }
+    assert_eq!(snap.counter("surface.rare.trials"), Some(first.trials as u64));
     obs::reset();
 }
 

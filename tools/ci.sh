@@ -24,8 +24,10 @@
 #      invariants (every probe lies strictly inside the bracket, `lo`
 #      fits and `hi` does not), over the suite's 10,000 seeded landings
 #      against the bisection oracle; none of these run in the release
-#      builds of steps 1, 2 and 7; the engine tests put the served d = 23
-#      rare ladder and sliced estimate through those checks
+#      builds of steps 1, 2 and 7; the engine tests put the sliced
+#      estimate and the stage builds of the served d = 23 rare ladder
+#      through those checks (the pinned-rare test builds its stages on
+#      a fresh ladder, and a warm rare request builds nothing)
 #   4. rustfmt check (config in rustfmt.toml)
 #   5. clippy across the whole workspace, warnings are errors
 #   6. rustdoc: the whole workspace must document cleanly (warnings are
